@@ -80,10 +80,12 @@ import (
 	"syscall"
 	"time"
 
+	"dtaint/internal/dataflow"
 	"dtaint/internal/fleet"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
 	"dtaint/internal/sumstore"
+	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
 	"dtaint/internal/vocab"
 )
@@ -153,6 +155,20 @@ type serveOptions struct {
 	pprofAddr   string
 }
 
+// analysisOptions are the options every job starts from: the defaults
+// dtaint.New builds (the paper's loop-once heuristic) plus the ablation
+// flags. Sharing the CLI's defaults keeps the two front ends' findings
+// equal and their options fingerprints equal, so report caches and
+// summary stores filled by one warm the other.
+func analysisOptions(o serveOptions) dataflow.Options {
+	return dataflow.Options{
+		Symexec:          symexec.Options{LoopOnce: true},
+		DisableAlias:     o.noAlias,
+		DisableSSE:       o.noSSE,
+		DisableStructSim: o.noSim,
+	}
+}
+
 func run(o serveOptions) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
@@ -184,9 +200,7 @@ func run(o serveOptions) error {
 	if o.journalSize > 0 {
 		cfg.journal = events.NewJournal(o.journalSize)
 	}
-	cfg.analysis.DisableAlias = o.noAlias
-	cfg.analysis.DisableSSE = o.noSSE
-	cfg.analysis.DisableStructSim = o.noSim
+	cfg.analysis = analysisOptions(o)
 	if o.vocabPath != "" {
 		spec, err := vocab.Load(o.vocabPath)
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"mime/multipart"
 	"net/http"
@@ -184,6 +185,39 @@ func postMultipart(t *testing.T, ts *httptest.Server, fw []byte, vocabJSON strin
 // must report zero vulnerabilities on an image the default vocabulary
 // flags, and the two jobs must not share cached results even though
 // they scan byte-identical binaries through the same cache.
+// TestDaemonFingerprintMatchesCLI: the daemon starts from the options
+// dtaint.New builds, so both front ends key reports on the same options
+// fingerprint and a report cache the CLI fills serves the daemon's scan
+// of the same image without a single analysis.
+func TestDaemonFingerprintMatchesCLI(t *testing.T) {
+	fw := testFirmware(t)
+	dir := t.TempDir()
+	cliCache, err := dtaint.NewFleetCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dtaint.New().ScanFirmwareFleet(context.Background(), fw, dtaint.WithFleetCache(cliCache)); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := fleet.NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fleet.ScanImage(context.Background(), fw, fleet.Options{
+		Analysis: analysisOptions(serveOptions{}), Cache: cache,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Binaries) == 0 {
+		t.Fatal("scan analyzed no binaries")
+	}
+	if st := cache.Stats(); st.Misses != 0 || st.Hits != uint64(len(rep.Binaries)) {
+		t.Fatalf("daemon scan over the CLI's cache: %d hits, %d misses for %d binaries; want every binary a hit",
+			st.Hits, st.Misses, len(rep.Binaries))
+	}
+}
+
 func TestScanVocabOverride(t *testing.T) {
 	cache, err := fleet.NewCache(64, "")
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"dtaint/internal/dataflow"
 	"dtaint/internal/emul"
 	"dtaint/internal/image"
+	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
 )
 
@@ -435,7 +436,9 @@ func Table7(w io.Writer, scale float64) ([]Table7Row, error) {
 
 // Ablations measures the design-choice ablations DESIGN.md calls out:
 // detection with pointer aliasing or structure similarity disabled, and
-// the loop-once heuristic versus bounded unrolling.
+// the loop-once heuristic versus bounded unrolling. Each row reports the
+// states the bottom-up pass explored, the deterministic measure of the
+// work a configuration costs.
 func Ablations(w io.Writer, scale float64) error {
 	fmt.Fprintln(w, "== Ablations (Hikvision image: the alias- and similarity-dependent zero-days) ==")
 	spec, _ := corpus.SpecByProduct("DS-2CD6233F")
@@ -448,6 +451,9 @@ func Ablations(w io.Writer, scale float64) error {
 		{"no sse resolution", dataflow.Options{DisableSSE: true}},
 		{"no struct similarity", dataflow.Options{DisableStructSim: true}},
 		{"no value ranges", dataflow.Options{DisableVRange: true}},
+		// The loop heuristic on the loop-heavy image.
+		{"loop-once heuristic", dataflow.Options{Symexec: symexec.Options{LoopOnce: true}}},
+		{"loops unrolled 3x", dataflow.Options{Symexec: symexec.Options{MaxLoopIters: 3}}},
 	}
 	for _, c := range configs {
 		bin, planted, err := corpus.BuildBinary(spec, scale)
@@ -464,41 +470,22 @@ func Ablations(w io.Writer, scale float64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-22s  vulns %d/%d  paths %3d  time %8.3fs\n",
+		fmt.Fprintf(w, "%-22s  vulns %d/%d  paths %3d  states %6d  time %8.3fs\n",
 			c.name, len(res.Vulnerabilities()), len(planted),
-			len(res.VulnerablePaths()), time.Since(t0).Seconds())
+			len(res.VulnerablePaths()), statesExplored(res), time.Since(t0).Seconds())
 	}
-
-	// Loop heuristic ablation on the loop-heavy image.
-	bin, _, err := corpus.BuildBinary(spec, scale)
-	if err != nil {
-		return err
-	}
-	prog, err := cfg.Build(bin)
-	if err != nil {
-		return err
-	}
-	filter := corpus.ModuleFilter(spec)
-	t0 := time.Now()
-	if _, err := dataflow.Analyze(prog, dataflow.Options{Filter: filter}); err != nil {
-		return err
-	}
-	loopOnce := time.Since(t0)
-	prog2, err := cfg.Build(bin)
-	if err != nil {
-		return err
-	}
-	t1 := time.Now()
-	unroll := dataflow.Options{Filter: filter}
-	unroll.Symexec.LoopOnce = false
-	unroll.Symexec.MaxLoopIters = 3
-	if _, err := dataflow.Analyze(prog2, unroll); err != nil {
-		return err
-	}
-	unrolled := time.Since(t1)
-	fmt.Fprintf(w, "%-22s  time %8.3fs\n", "loop-once heuristic", loopOnce.Seconds())
-	fmt.Fprintf(w, "%-22s  time %8.3fs\n\n", "loops unrolled 3x", unrolled.Seconds())
+	fmt.Fprintln(w)
 	return nil
+}
+
+// statesExplored sums the symbolic states the bottom-up pass explored
+// over every final summary of res.
+func statesExplored(res *dataflow.Result) int {
+	n := 0
+	for _, sum := range res.Summaries {
+		n += sum.StatesExplored
+	}
+	return n
 }
 
 // cpuTime returns the process's user+system CPU time.

@@ -3,11 +3,14 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/dataflow"
+	"dtaint/internal/symexec"
 )
 
 const testScale = 0.05
@@ -145,6 +148,44 @@ func TestAblationsOutput(t *testing.T) {
 	}
 	if !strings.Contains(out, "vulns 5/6") {
 		t.Fatalf("ablations should lose one vuln each:\n%s", out)
+	}
+	// The loop-once row must run the paper's heuristic, the options
+	// dtaint.New builds, and explore fewer states than unrolling.
+	spec, _ := corpus.SpecByProduct("DS-2CD6233F")
+	bin, _, err := corpus.BuildBinary(spec, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cfg.Build(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dataflow.Analyze(prog, dataflow.Options{
+		Symexec: symexec.Options{LoopOnce: true}, Filter: corpus.ModuleFilter(spec),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := func(row string) int {
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, row) {
+				continue
+			}
+			var n int
+			if _, err := fmt.Sscanf(line[strings.Index(line, "states"):], "states %d", &n); err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			return n
+		}
+		t.Fatalf("no %q row:\n%s", row, out)
+		return 0
+	}
+	once, unrolled := states("loop-once heuristic"), states("loops unrolled 3x")
+	if want := statesExplored(res); once != want {
+		t.Fatalf("loop-once row explored %d states, want %d (LoopOnce on):\n%s", once, want, out)
+	}
+	if once >= unrolled {
+		t.Fatalf("loop-once row explored %d states, unrolling %d: the heuristic should save work", once, unrolled)
 	}
 }
 

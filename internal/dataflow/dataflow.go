@@ -667,13 +667,15 @@ func calleeRet(sum *symexec.Summary, sub func(*expr.Expr) *expr.Expr, callee str
 // the callsite (unique per callsite chain), and the result is resolved
 // against the live caller state.
 func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
-	m := make(map[string]*expr.Expr, len(ctx.Args))
-	for i, a := range ctx.Args {
-		if a != nil {
-			m[expr.ArgName(i)] = a
+	site, args := uint64(ctx.Site), ctx.Args
+	// ArgIndex also parses spellings such as "arg01"; only the canonical
+	// name is a formal argument.
+	actual := func(name string) *expr.Expr {
+		if i, ok := expr.ArgIndex(name); ok && i < len(args) && name == expr.ArgName(i) {
+			return args[i]
 		}
+		return nil
 	}
-	site := uint64(ctx.Site)
 	return func(e *expr.Expr) *expr.Expr {
 		if e == nil {
 			return nil
@@ -688,7 +690,9 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 			}
 			return nil
 		})
-		e = e.SubstMap(m)
+		// Only symbol nodes can be formal arguments: one symbol walk
+		// substitutes the actuals without re-walking them.
+		e = e.MapSyms(actual)
 		return ctx.ResolveDeep(e)
 	}
 }
@@ -747,10 +751,7 @@ func containsFrameLocal(e *expr.Expr) bool {
 	if e == nil {
 		return false
 	}
-	for _, s := range e.Syms() {
-		if s == expr.StackSym || strings.HasPrefix(s, "init_") || strings.HasPrefix(s, "opaque_") {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(func(s string) bool {
+		return s == expr.StackSym || strings.HasPrefix(s, "init_") || strings.HasPrefix(s, "opaque_")
+	})
 }

@@ -413,26 +413,23 @@ func (e *Expr) IsDeref() bool { return e.kind == KindDeref }
 
 // ContainsSym reports whether the symbol name occurs anywhere in e.
 func (e *Expr) ContainsSym(name string) bool {
-	switch e.kind {
-	case KindSym:
-		return e.name == name
-	case KindDeref:
-		return e.x.ContainsSym(name)
-	case KindBinOp:
-		return e.x.ContainsSym(name) || e.y.ContainsSym(name)
-	}
-	return false
+	return e.AnySym(func(s string) bool { return s == name })
 }
 
 // ContainsTaint reports whether any taint symbol occurs anywhere in e.
-func (e *Expr) ContainsTaint() bool {
+func (e *Expr) ContainsTaint() bool { return e.AnySym(IsTaintName) }
+
+// AnySym reports whether pred holds for the name of some symbol in e.
+// It walks e without allocating, stopping at the first match, so it is
+// the cheap form of a predicate over Syms.
+func (e *Expr) AnySym(pred func(name string) bool) bool {
 	switch e.kind {
 	case KindSym:
-		return IsTaintName(e.name)
+		return pred(e.name)
 	case KindDeref:
-		return e.x.ContainsTaint()
+		return e.x.AnySym(pred)
 	case KindBinOp:
-		return e.x.ContainsTaint() || e.y.ContainsTaint()
+		return e.x.AnySym(pred) || e.y.AnySym(pred)
 	}
 	return false
 }
@@ -517,36 +514,6 @@ func (e *Expr) Subst(old, new *Expr) *Expr {
 	case KindBinOp:
 		nx := e.x.Subst(old, new)
 		ny := e.y.Subst(old, new)
-		if nx == e.x && ny == e.y {
-			return e
-		}
-		return Bin(e.op, nx, ny)
-	}
-	return e
-}
-
-// SubstMap applies all substitutions in one pass (keys are Expr keys of the
-// patterns to replace). A single pass avoids re-substituting into
-// replacement values.
-func (e *Expr) SubstMap(m map[string]*Expr) *Expr {
-	if e == nil || len(m) == 0 {
-		return e
-	}
-	if r, ok := m[e.key]; ok {
-		return r
-	}
-	switch e.kind {
-	case KindConst, KindSym:
-		return e
-	case KindDeref:
-		nx := e.x.SubstMap(m)
-		if nx == e.x {
-			return e
-		}
-		return Deref(nx)
-	case KindBinOp:
-		nx := e.x.SubstMap(m)
-		ny := e.y.SubstMap(m)
 		if nx == e.x && ny == e.y {
 			return e
 		}

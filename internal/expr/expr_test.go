@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -143,16 +144,64 @@ func TestSubst(t *testing.T) {
 	}
 }
 
-func TestSubstMapSinglePass(t *testing.T) {
+func TestMapSymsSinglePass(t *testing.T) {
 	// a -> b and b -> c applied simultaneously must not chain a -> c.
 	e := Bin(OpAdd, Sym("a"), Sym("b"))
-	got := e.SubstMap(map[string]*Expr{
+	m := map[string]*Expr{
 		"a": Sym("b"),
 		"b": Sym("c"),
-	})
+	}
+	got := e.MapSyms(func(name string) *Expr { return m[name] })
 	want := Bin(OpAdd, Sym("b"), Sym("c"))
 	if !got.Equal(want) {
 		t.Fatalf("got %s, want %s", got, want)
+	}
+}
+
+func TestAnySym(t *testing.T) {
+	isArg := func(s string) bool { _, ok := ArgIndex(s); return ok }
+	// Nested past MaxDepth, arg1 is cut into an opaque symbol.
+	deep := Sym("arg1")
+	for i := 0; i < 2*MaxDepth; i++ {
+		deep = Deref(deep)
+	}
+	isOpaque := func(s string) bool { return strings.HasPrefix(s, "opaque_") }
+	for _, tc := range []struct {
+		name string
+		e    *Expr
+		pred func(string) bool
+		want bool
+	}{
+		{"const", Const(7), func(string) bool { return true }, false},
+		{"sym match", Sym("arg0"), isArg, true},
+		{"sym miss", Sym("sp"), isArg, false},
+		{"deref", Deref(Add(Sym("arg2"), 0x4C)), isArg, true},
+		{"right operand", Bin(OpAdd, Sym("sp"), Sym("taint_recv_10")), IsTaintName, true},
+		{"binop miss", Bin(OpMul, Sym("i"), Sym("j")), IsTaintName, false},
+		{"nested", Deref(Deref(Add(Sym("arg1"), 8))), isArg, true},
+		{"truncated arg", deep, isArg, false},
+		{"truncated opaque", deep, isOpaque, true},
+	} {
+		if got := tc.e.AnySym(tc.pred); got != tc.want {
+			t.Errorf("%s: AnySym(%s) = %v, want %v", tc.name, tc.e, got, tc.want)
+		}
+		// AnySym agrees with the allocating Syms-then-loop form.
+		loop := false
+		for _, s := range tc.e.Syms() {
+			loop = loop || tc.pred(s)
+		}
+		if loop != tc.want {
+			t.Errorf("%s: Syms loop = %v, want %v", tc.name, loop, tc.want)
+		}
+	}
+	e := Deref(Bin(OpSub, Sym("a"), Bin(OpMul, Sym("b"), Sym("c"))))
+	var seen []string
+	e.AnySym(func(s string) bool { seen = append(seen, s); return s == "b" })
+	if strings.Join(seen, ",") != "a,b" {
+		t.Errorf("AnySym visited %v, want it to stop at the first match", seen)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.AnySym(IsTaintName) }); n != 0 {
+		t.Errorf("AnySym allocated %v times per call, want 0", n)
 	}
 }
 

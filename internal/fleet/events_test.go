@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dtaint/internal/dataflow"
-	"dtaint/internal/firmware"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
 )
@@ -106,16 +105,7 @@ func diffKeys(a, b []string) []string {
 // StatusStalled (never an empty success), a stall event lands in the
 // journal, and a diagnostic bundle is written to DebugDir.
 func TestScanImageStallWatchdog(t *testing.T) {
-	orig := analyze
-	defer func() { analyze = orig }()
-	release := make(chan struct{})
-	defer close(release)
-	analyze = func(f firmware.File, o dataflow.Options) (*BinaryAnalysis, error) {
-		if strings.HasSuffix(f.Path, "/webd") {
-			<-release // hang silently until the test tears down
-		}
-		return orig(f, o)
-	}
+	hangAnalysis(t, "/webd")
 
 	j := events.NewJournal(0)
 	debugDir := t.TempDir()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -352,17 +353,36 @@ func TestScanImagePanicIsolation(t *testing.T) {
 	}
 }
 
-func TestScanImagePerBinaryTimeout(t *testing.T) {
+// hangAnalysis makes the analysis of the binary whose path ends in
+// suffix hang until the test ends; every other binary analyzes
+// normally. The scan abandons the hung analysis, but its goroutine read
+// analyze, so cleanup releases it and waits for it to return before
+// restoring the variable.
+func hangAnalysis(t *testing.T, suffix string) {
 	orig := analyze
-	defer func() { analyze = orig }()
-	release := make(chan struct{})
-	defer close(release)
+	entered, release, exited := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	analyze = func(f firmware.File, o dataflow.Options) (*BinaryAnalysis, error) {
-		if strings.HasSuffix(f.Path, "webd") {
-			<-release // hang until the test tears down
+		if !strings.HasSuffix(f.Path, suffix) {
+			return orig(f, o)
 		}
-		return orig(f, o)
+		close(entered)
+		defer close(exited)
+		<-release
+		return nil, fmt.Errorf("%s: released at test end", f.Path)
 	}
+	t.Cleanup(func() {
+		close(release)
+		select {
+		case <-entered:
+			<-exited
+		default:
+		}
+		analyze = orig
+	})
+}
+
+func TestScanImagePerBinaryTimeout(t *testing.T) {
+	hangAnalysis(t, "webd")
 	rep, err := ScanImage(context.Background(), twoBinaryImage(t),
 		Options{PerBinaryTimeout: 50 * time.Millisecond})
 	if err != nil {

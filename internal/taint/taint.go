@@ -231,7 +231,7 @@ type Tracker struct {
 
 	findings []Finding
 	pendings map[string][]PendingSink
-	obsSeen  map[string]bool
+	obsSeen  map[obsKey]bool
 	frames   []trackerFrame
 
 	vocab        *Vocabulary
@@ -296,7 +296,7 @@ func NewTracker() *Tracker {
 	return &Tracker{
 		vocab:    DefaultVocabulary(),
 		pendings: make(map[string][]PendingSink),
-		obsSeen:  make(map[string]bool),
+		obsSeen:  make(map[obsKey]bool),
 	}
 }
 
@@ -945,13 +945,20 @@ func guardRoots(c *expr.Expr) []string {
 	return roots
 }
 
+// obsKey identifies one sink observation: the observing function, the
+// sink and its site, and the taint expression reaching it.
+type obsKey struct {
+	fn, sink, taint string
+	addr            uint32
+}
+
 // observe stages a sink observation for the current function, deduplicated
 // by (site, taint key).
 func (t *Tracker) observe(o sinkObs) {
 	if o.taint == nil {
 		return
 	}
-	key := fmt.Sprintf("%s|%x|%s|%s", t.curFunc, o.addr, o.sink, o.taint.Key())
+	key := obsKey{t.curFunc, o.sink, o.taint.Key(), o.addr}
 	if t.obsSeen[key] {
 		return
 	}
@@ -965,13 +972,18 @@ func (t *Tracker) observe(o sinkObs) {
 // ImportPending re-evaluates a callee's pending sinks at a callsite in the
 // current function (Algorithm 2's PushToCallSite, executed bottom-up).
 // sub substitutes formal arguments with actuals and resolves the result
-// against the live caller state.
+// against the live caller state. The substituted taint alone decides
+// whether the observation is new, so the guard, carried constraints and
+// path are instantiated only for observations observe will keep.
 func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Expr, callSite uint32) {
 	for _, p := range ps {
 		if p.Depth >= MaxPendingDepth {
 			continue
 		}
 		taintE := sub(p.TaintExpr)
+		if taintE == nil || t.obsSeen[obsKey{t.curFunc, p.Sink, taintE.Key(), p.SinkAddr}] {
+			continue
+		}
 		guardE := p.GuardExpr
 		if guardE != nil {
 			guardE = sub(guardE)
@@ -1105,12 +1117,10 @@ func (t *Tracker) guardByteFor(o sinkObs) byte {
 // isArgRooted reports whether e depends on a formal argument and can
 // therefore become tainted in a caller context.
 func isArgRooted(e *expr.Expr) bool {
-	for _, s := range e.Syms() {
-		if _, ok := expr.ArgIndex(s); ok {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(func(s string) bool {
+		_, ok := expr.ArgIndex(s)
+		return ok
+	})
 }
 
 // readsGlobal reports whether e reads memory at an absolute address — a
@@ -1179,15 +1189,7 @@ func relevantConstraints(cs []symexec.Constraint, o sinkObs) []symexec.Constrain
 }
 
 func mentionsAny(e *expr.Expr, marks map[string]bool) bool {
-	if e == nil {
-		return false
-	}
-	for _, s := range e.Syms() {
-		if marks[s] {
-			return true
-		}
-	}
-	return false
+	return e != nil && e.AnySym(func(s string) bool { return marks[s] })
 }
 
 // verdict is the outcome of one sanitization check together with the
@@ -1203,9 +1205,13 @@ type verdict struct {
 // Both modes see the same observations — only Sanitized and the finding
 // class may differ between them, never which paths are discovered.
 func (t *Tracker) checkObs(o sinkObs, sum *symexec.Summary) verdict {
-	all := make([]symexec.Constraint, 0, len(sum.Constraints)+len(o.carried))
-	all = append(all, sum.Constraints...)
-	all = append(all, o.carried...)
+	// Clipping the capacity makes the append copy, never write into the
+	// summary's backing array; without carried constraints nothing is
+	// copied at all.
+	all := sum.Constraints[:len(sum.Constraints):len(sum.Constraints)]
+	if len(o.carried) > 0 {
+		all = append(all, o.carried...)
+	}
 	switch {
 	case o.class == ClassCommandInjection || o.class == ClassPathTraversal:
 		v := verdict{class: o.class}
@@ -1487,12 +1493,7 @@ func lenComponents(e *expr.Expr) []*expr.Expr {
 
 // mentionsLenSym reports whether e mentions a strlen-result symbol.
 func mentionsLenSym(e *expr.Expr) bool {
-	for _, s := range e.Syms() {
-		if strings.HasPrefix(s, "len_") {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(func(s string) bool { return strings.HasPrefix(s, "len_") })
 }
 
 // guardMarks collects the symbol/key marks a sanitizing constraint must
@@ -1565,18 +1566,7 @@ func legacyOverflowGuarded(o sinkObs, cs []symexec.Constraint) bool {
 }
 
 func sideMarked(e *expr.Expr, marks map[string]bool) bool {
-	if e == nil {
-		return false
-	}
-	if marks[e.Key()] {
-		return true
-	}
-	for _, s := range e.Syms() {
-		if marks[s] {
-			return true
-		}
-	}
-	return false
+	return e != nil && (marks[e.Key()] || mentionsAny(e, marks))
 }
 
 func isMagnitude(c isa.Cond) bool {

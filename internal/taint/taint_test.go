@@ -274,6 +274,61 @@ func TestObservationDedup(t *testing.T) {
 	}
 }
 
+func TestImportPendingSkipsDuplicates(t *testing.T) {
+	// Two callees push the same sink and taint with different guards,
+	// constraints and paths. The second is a duplicate observation: only
+	// its taint is substituted, and the first import's path and carried
+	// constraints survive.
+	taintE := expr.Deref(expr.Arg(0))
+	first := PendingSink{
+		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "a", SinkAddr: 0x40,
+		TaintExpr: taintE, GuardExpr: expr.Arg(1),
+		Path:        []Step{{Func: "a", Addr: 0x40, Note: "strcpy"}},
+		Constraints: []symexec.Constraint{{L: expr.Arg(1), R: expr.Const(8), Cond: isa.CondLT}},
+	}
+	dup := PendingSink{
+		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "b", SinkAddr: 0x40,
+		TaintExpr: taintE, GuardExpr: expr.Arg(2),
+		Path: []Step{{Func: "b", Addr: 0x40, Note: "strcpy"}},
+		Constraints: []symexec.Constraint{
+			{L: expr.Arg(2), R: expr.Const(16), Cond: isa.CondLT},
+			{L: expr.Arg(3), R: expr.Const(32), Cond: isa.CondGE},
+		},
+	}
+	var subbed []*expr.Expr
+	sub := func(e *expr.Expr) *expr.Expr { subbed = append(subbed, e); return e }
+
+	tr := NewTracker()
+	tr.BeginFunction("f")
+	tr.ImportPending([]PendingSink{first, dup}, sub, 0x10)
+	// first: taint, guard, and both sides of its one constraint; dup: taint.
+	want := []*expr.Expr{taintE, expr.Arg(1), expr.Arg(1), expr.Const(8), taintE}
+	if len(subbed) != len(want) {
+		t.Fatalf("sub called %d times on %v, want %d", len(subbed), subbed, len(want))
+	}
+	for i := range want {
+		if !subbed[i].Equal(want[i]) {
+			t.Fatalf("sub call %d on %s, want %s", i, subbed[i], want[i])
+		}
+	}
+
+	tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
+	ps := tr.Pendings("f")
+	if len(ps) != 1 {
+		t.Fatalf("pendings = %d, want 1", len(ps))
+	}
+	p := ps[0]
+	if p.SinkFunc != "a" || !p.GuardExpr.Equal(first.GuardExpr) {
+		t.Fatalf("pending from %s guarded by %s, want the first import's", p.SinkFunc, p.GuardExpr)
+	}
+	if len(p.Path) != 2 || p.Path[0] != first.Path[0] || p.Path[1] != (Step{Func: "f", Addr: 0x10, Note: "call a"}) {
+		t.Fatalf("path = %v, want the first import's path plus the callsite", p.Path)
+	}
+	if len(p.Constraints) != 1 || !p.Constraints[0].L.Equal(expr.Arg(1)) {
+		t.Fatalf("constraints = %v, want the first import's", p.Constraints)
+	}
+}
+
 func TestLenSymStability(t *testing.T) {
 	a := LenSymName("deref(arg0)")
 	b := LenSymName("deref(arg0)")

@@ -2,6 +2,7 @@
 # check.sh — the repository's full verification gate.
 #
 # Runs the tier-1 verify (build + tests) plus gofmt, go vet, the
+# profbench benchmark module's vet and short tests, the
 # repo-specific dtaintlint rules (determinism + nil-safe obs handles +
 # versioned serialization + no hard-coded vocabulary names + no
 # string-keyed identity over interned SSE nodes), the
@@ -32,6 +33,12 @@ go build ./...
 
 echo ">> go vet ./..."
 go vet ./...
+
+# profbench is a module of its own, so the root ./... skips it; vet and
+# test it here so an internal API change cannot break the benchmark
+# harness unnoticed.
+echo ">> profbench: go vet ./... && go test -short ./..."
+(cd profbench && go vet ./... && go test -short ./...)
 
 echo ">> dtaintlint ."
 go run ./cmd/dtaintlint .
