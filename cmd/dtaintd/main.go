@@ -47,9 +47,11 @@
 // buffered history first, then live — closing after the job's terminal
 // event; a reconnecting client resumes exactly where it left off by
 // sending the standard Last-Event-ID header. GET /v1/events is the
-// all-jobs firehose. -stall-timeout arms a per-job watchdog: a job
-// journaling no events for that long has its in-flight binaries
-// abandoned (reported as status "stalled", never an empty success) and,
+// all-jobs firehose. -stall-timeout arms a per-job watchdog, for scan
+// and diff jobs alike: a job journaling no events for that long has its
+// in-flight binaries abandoned (reported as status "stalled" in a scan,
+// as a pair error naming the watchdog in a diff, never an empty
+// success) and,
 // with -debug-dir, a diagnostic bundle written to disk. GET /healthz is
 // the liveness probe; GET /readyz answers 503 once graceful drain
 // begins (-drain-notice holds the listener open so balancers see the

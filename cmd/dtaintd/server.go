@@ -266,33 +266,27 @@ func (s *server) runJob(j *job) {
 		// served results computed under a different one.
 		aopts.Vocab = j.vocab
 	}
-	progress := func(done, total int) {
-		s.mu.Lock()
-		j.done, j.total = done, total
-		s.mu.Unlock()
-	}
-	if j.kind == kindDiff {
-		drep, err := diff.Diff(s.runCtx, data, newData, diff.Options{
-			Workers:          s.cfg.workers,
-			PerBinaryTimeout: s.cfg.binaryTimeout,
-			Analysis:         aopts,
-			Cache:            s.cfg.cache,
-			SummaryStore:     s.cfg.sumStore,
-			Progress:         progress,
-		})
-		s.finishJob(j, nil, drep, err)
-		return
-	}
-	rep, err := fleet.ScanImage(s.runCtx, data, fleet.Options{
+	// Scan and diff jobs share one option set, stall watchdog included.
+	fopts := fleet.Options{
 		Workers:          s.cfg.workers,
 		PerBinaryTimeout: s.cfg.binaryTimeout,
 		Analysis:         aopts,
 		Cache:            s.cfg.cache,
 		SummaryStore:     s.cfg.sumStore,
-		Progress:         progress,
-		StallTimeout:     s.cfg.stallTimeout,
-		DebugDir:         s.cfg.debugDir,
-	})
+		Progress: func(done, total int) {
+			s.mu.Lock()
+			j.done, j.total = done, total
+			s.mu.Unlock()
+		},
+		StallTimeout: s.cfg.stallTimeout,
+		DebugDir:     s.cfg.debugDir,
+	}
+	if j.kind == kindDiff {
+		drep, err := diff.Diff(s.runCtx, data, newData, fopts)
+		s.finishJob(j, nil, drep, err)
+		return
+	}
+	rep, err := fleet.ScanImage(s.runCtx, data, fopts)
 	s.finishJob(j, rep, nil, err)
 }
 

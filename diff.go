@@ -65,6 +65,8 @@ type DiffFinding struct {
 	OldFunc string `json:"oldFunc,omitempty"`
 	// Paths is the number of vulnerable paths sharing this finding.
 	Paths int `json:"paths"`
+	// Evidence is the constraint/interval chain behind the verdict.
+	Evidence []string `json:"evidence,omitempty"`
 }
 
 // DiffBinary is one binary pair's entry in a DiffReport.
@@ -107,7 +109,8 @@ type DiffBinary struct {
 	Findings []DiffFinding `json:"findings,omitempty"`
 }
 
-// DiffImage identifies one side of the diff.
+// DiffImage identifies one side of the diff. Its fields mirror the
+// internal image identity one for one, so reports convert it directly.
 type DiffImage struct {
 	Vendor     string `json:"vendor"`
 	Product    string `json:"product"`
@@ -166,27 +169,11 @@ type DiffReport struct {
 // (WithFleetSummaryStore), and findings are matched across versions so
 // each classifies as new, fixed, or persisting. The Analyzer's own
 // options apply to every analysis, and the same FleetOption set as
-// ScanFirmwareFleet configures workers, timeout, caches, and filters.
+// ScanFirmwareFleet configures workers, timeout, caches, filters, and
+// the stall watchdog: a changed binary whose analysis stalls reports its
+// pair with a watchdog error instead of blocking the diff.
 func (a *Analyzer) ScanFirmwareDiff(ctx context.Context, oldImage, newImage []byte, opts ...FleetOption) (*DiffReport, error) {
-	var cfg fleetConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	dopts := diff.Options{
-		Workers:          cfg.workers,
-		PerBinaryTimeout: cfg.timeout,
-		Analysis:         a.opts,
-		FilterTag:        cfg.filterTag,
-		PathFilter:       cfg.pathFilter,
-		Progress:         cfg.progress,
-	}
-	if cfg.cache != nil {
-		dopts.Cache = cfg.cache.c
-	}
-	if cfg.sumStore != nil {
-		dopts.SummaryStore = cfg.sumStore.s
-	}
-	rep, err := diff.Diff(ctx, oldImage, newImage, dopts)
+	rep, err := diff.Diff(ctx, oldImage, newImage, a.fleetOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -195,8 +182,8 @@ func (a *Analyzer) ScanFirmwareDiff(ctx context.Context, oldImage, newImage []by
 
 func publicDiffReport(r *diff.Report) *DiffReport {
 	out := &DiffReport{
-		Old:                publicDiffImage(r.Old),
-		New:                publicDiffImage(r.New),
+		Old:                DiffImage(r.Old),
+		New:                DiffImage(r.New),
 		Unchanged:          r.Unchanged,
 		Changed:            r.Changed,
 		Added:              r.Added,
@@ -211,13 +198,7 @@ func publicDiffReport(r *diff.Report) *DiffReport {
 		PersistingFindings: r.PersistingFindings,
 		Workers:            r.Workers,
 		Wall:               r.Wall,
-		Cache: CacheStats{
-			Hits:      r.Cache.Hits,
-			DiskHits:  r.Cache.DiskHits,
-			Misses:    r.Cache.Misses,
-			Evictions: r.Cache.Evictions,
-			Entries:   r.Cache.Entries,
-		},
+		Cache:              CacheStats(r.Cache),
 	}
 	for _, b := range r.Binaries {
 		pb := DiffBinary{
@@ -250,20 +231,10 @@ func publicDiffReport(r *diff.Report) *DiffReport {
 				Source:   fd.Finding.Source,
 				OldFunc:  fd.OldFunc,
 				Paths:    fd.Paths,
+				Evidence: append([]string(nil), fd.Finding.Evidence...),
 			})
 		}
 		out.Binaries = append(out.Binaries, pb)
 	}
 	return out
-}
-
-func publicDiffImage(id diff.ImageIdentity) DiffImage {
-	return DiffImage{
-		Vendor:     id.Vendor,
-		Product:    id.Product,
-		Version:    id.Version,
-		Year:       id.Year,
-		SHA256:     id.SHA256,
-		Candidates: id.Candidates,
-	}
 }

@@ -34,11 +34,11 @@ import (
 	"strings"
 	"time"
 
-	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/dataflow"
 	"dtaint/internal/emul"
 	"dtaint/internal/firmware"
+	"dtaint/internal/fleet"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
@@ -430,91 +430,36 @@ func (a *Analyzer) AnalyzeFirmware(data []byte, binaryPath string) (*Report, err
 		return nil, fmt.Errorf("unpack firmware: %w", err)
 	}
 	st.End("files", len(fs.Files))
-	var raw []byte
 	if binaryPath != "" {
 		f, err := fs.Lookup(binaryPath)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoBinary, binaryPath)
 		}
-		raw = f.Data
-	} else {
-		for _, f := range fs.Files {
-			if _, err := image.Parse(f.Data); err == nil {
-				raw = f.Data
-				break
-			}
-		}
-		if raw == nil {
-			return nil, ErrNoBinary
+		return a.analyzeFile(f)
+	}
+	for _, f := range fs.Files {
+		if _, err := image.Parse(f.Data); err == nil {
+			return a.analyzeFile(f)
 		}
 	}
-	return a.AnalyzeExecutable(raw)
+	return nil, ErrNoBinary
 }
 
 // AnalyzeExecutable analyzes a serialized program image (FWELF bytes).
 func (a *Analyzer) AnalyzeExecutable(data []byte) (*Report, error) {
-	st := a.opts.StartStage("parse-image", obs.KV("bytes", len(data)))
-	bin, err := image.Parse(data)
-	if err != nil {
-		st.End()
-		return nil, fmt.Errorf("parse executable: %w", err)
-	}
-	st.End("binary", bin.Name, "arch", bin.Arch.String())
-	return a.analyze(bin)
+	return a.analyzeFile(firmware.File{Path: "executable", Data: data})
 }
 
-func (a *Analyzer) analyze(bin *image.Binary) (*Report, error) {
-	st := a.opts.StartStage("build-cfg", obs.KV("binary", bin.Name))
-	prog, err := cfg.Build(bin)
+// analyzeFile runs the fleet's per-binary pipeline — the one every scan
+// surface shares — and adds the runtime snapshot.
+func (a *Analyzer) analyzeFile(f firmware.File) (*Report, error) {
+	an, err := fleet.AnalyzeBinary(f, a.opts)
 	if err != nil {
-		st.End()
-		return nil, fmt.Errorf("recover CFG: %w", err)
+		return nil, err
 	}
-	cfgStats := prog.Stats()
-	st.End("functions", cfgStats.Functions, "blocks", cfgStats.Blocks)
-	res, err := dataflow.Analyze(prog, a.opts)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	st2 := prog.Stats()
-	rep := &Report{
-		Binary:            bin.Name,
-		Arch:              bin.Arch.String(),
-		Functions:         st2.Functions,
-		Blocks:            st2.Blocks,
-		CallEdges:         st2.CallGraphEdges,
-		FunctionsAnalyzed: res.FunctionsAnalyzed,
-		SinkCount:         res.SinkCount,
-		IndirectResolved:  len(res.Resolutions),
-		DefPairs:          res.DefPairCount,
-		Truncated:         res.Truncated,
-		SSATime:           res.SSATime,
-		DDGTime:           res.DDGTime,
-		DDGWorkers:        res.Parallel.Workers,
-		SCCComponents:     res.Parallel.Components,
-		CriticalPath:      res.Parallel.CriticalPath,
-		Runtime:           publicRuntimeStats(obs.CaptureRuntimeStats()),
-	}
-	for _, f := range res.Findings {
-		rep.Findings = append(rep.Findings, publicFinding(f))
-	}
+	rep := publicBinaryReport(an)
+	rep.Runtime = publicRuntimeStats(obs.CaptureRuntimeStats())
 	return rep, nil
-}
-
-func publicFinding(f taint.Finding) Finding {
-	out := Finding{
-		Class:     Class(f.Class.String()),
-		Sink:      f.Sink,
-		SinkFunc:  f.SinkFunc,
-		SinkAddr:  f.SinkAddr,
-		Source:    f.Source,
-		Sanitized: f.Sanitized,
-		Evidence:  append([]string(nil), f.Evidence...),
-	}
-	for _, s := range f.Path {
-		out.Path = append(out.Path, s.String())
-	}
-	return out
 }
 
 // Sources returns the attacker-controlled input functions of Table I.

@@ -51,7 +51,9 @@ type BinaryScan struct {
 	Report *Report
 }
 
-// CacheStats snapshots the fleet report cache's counters.
+// CacheStats snapshots the fleet report cache's counters. Its fields
+// mirror the internal cache's counters one for one, so reports convert
+// them directly.
 type CacheStats struct {
 	// Hits counts lookups served from memory or disk; DiskHits is the
 	// subset read from the persistent tier.
@@ -130,14 +132,7 @@ func NewFleetCache(maxEntries int, dir string) (*FleetCache, error) {
 
 // Stats returns the cache's counters.
 func (c *FleetCache) Stats() CacheStats {
-	st := c.c.Stats()
-	return CacheStats{
-		Hits:      st.Hits,
-		DiskHits:  st.DiskHits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-	}
+	return CacheStats(c.c.Stats())
 }
 
 // SummaryStore is a process-wide content-addressed store of per-function
@@ -163,7 +158,8 @@ func NewSummaryStore(maxEntries int, dir string) (*SummaryStore, error) {
 	return &SummaryStore{s: s}, nil
 }
 
-// SummaryStoreStats snapshots a summary store's counters.
+// SummaryStoreStats snapshots a summary store's counters, field for
+// field as the internal store keeps them.
 type SummaryStoreStats struct {
 	// Hits counts lookups served from memory or disk; DiskHits is the
 	// subset read from the persistent tier.
@@ -179,30 +175,22 @@ type SummaryStoreStats struct {
 
 // Stats returns the store's counters.
 func (s *SummaryStore) Stats() SummaryStoreStats {
-	st := s.s.Stats()
-	return SummaryStoreStats{
-		Hits:      st.Hits,
-		DiskHits:  st.DiskHits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-	}
+	return SummaryStoreStats(s.s.Stats())
 }
 
 // FleetOption configures an image scan beyond the Analyzer's own
 // options.
-type FleetOption func(*fleetConfig)
+type FleetOption func(*fleet.Options)
 
-type fleetConfig struct {
-	workers      int
-	timeout      time.Duration
-	cache        *FleetCache
-	sumStore     *SummaryStore
-	pathFilter   func(string) bool
-	filterTag    string
-	progress     func(done, total int)
-	stallTimeout time.Duration
-	debugDir     string
+// fleetOptions builds the scan options: the Analyzer's analysis options
+// with every FleetOption applied. Fleet, corpus and diff scans all start
+// here.
+func (a *Analyzer) fleetOptions(opts []FleetOption) fleet.Options {
+	fo := fleet.Options{Analysis: a.opts}
+	for _, o := range opts {
+		o(&fo)
+	}
+	return fo
 }
 
 // WithFleetWorkers bounds how many binaries are analyzed concurrently
@@ -210,31 +198,39 @@ type fleetConfig struct {
 // via WithParallelism on the Analyzer and defaults to 1 inside a fleet
 // scan.
 func WithFleetWorkers(n int) FleetOption {
-	return func(c *fleetConfig) { c.workers = n }
+	return func(o *fleet.Options) { o.Workers = n }
 }
 
 // WithFleetTimeout caps each binary's analysis wall-clock; timed-out
 // binaries are reported as BinaryTimeout without failing the image.
 func WithFleetTimeout(d time.Duration) FleetOption {
-	return func(c *fleetConfig) { c.timeout = d }
+	return func(o *fleet.Options) { o.PerBinaryTimeout = d }
 }
 
 // WithFleetCache attaches a shared report cache to the scan.
 func WithFleetCache(cache *FleetCache) FleetOption {
-	return func(c *fleetConfig) { c.cache = cache }
+	return func(o *fleet.Options) {
+		if cache != nil {
+			o.Cache = cache.c
+		}
+	}
 }
 
 // WithFleetSummaryStore attaches a shared function-summary store to the
 // scan: binaries that share code (same SDK, same libc) re-use each
 // other's per-function analysis results.
 func WithFleetSummaryStore(store *SummaryStore) FleetOption {
-	return func(c *fleetConfig) { c.sumStore = store }
+	return func(o *fleet.Options) {
+		if store != nil {
+			o.SummaryStore = store.s
+		}
+	}
 }
 
 // WithFleetPathFilter restricts the scan to rootfs paths for which keep
 // returns true (e.g. only /usr/sbin daemons).
 func WithFleetPathFilter(keep func(path string) bool) FleetOption {
-	return func(c *fleetConfig) { c.pathFilter = keep }
+	return func(o *fleet.Options) { o.PathFilter = keep }
 }
 
 // WithFleetFilterTag names the Analyzer's function filter for cache-key
@@ -243,14 +239,14 @@ func WithFleetPathFilter(keep func(path string) bool) FleetOption {
 // the filter; two scans with the same tag are assumed to use the same
 // filter.
 func WithFleetFilterTag(tag string) FleetOption {
-	return func(c *fleetConfig) { c.filterTag = tag }
+	return func(o *fleet.Options) { o.FilterTag = tag }
 }
 
 // WithFleetProgress registers a callback invoked after each binary
 // completes with the running done count and the candidate total. Calls
 // are serialized.
 func WithFleetProgress(fn func(done, total int)) FleetOption {
-	return func(c *fleetConfig) { c.progress = fn }
+	return func(o *fleet.Options) { o.Progress = fn }
 }
 
 // WithFleetStallTimeout arms a stall watchdog over the scan's event
@@ -260,7 +256,7 @@ func WithFleetProgress(fn func(done, total int)) FleetOption {
 // never an empty success. Pick d well above the slowest single
 // function's analysis time; 0 (the default) disables the watchdog.
 func WithFleetStallTimeout(d time.Duration) FleetOption {
-	return func(c *fleetConfig) { c.stallTimeout = d }
+	return func(o *fleet.Options) { o.StallTimeout = d }
 }
 
 // WithFleetDebugDir names the directory that receives one diagnostic
@@ -268,7 +264,7 @@ func WithFleetStallTimeout(d time.Duration) FleetOption {
 // snapshot, options fingerprint, event journal, and the partial report
 // of the binaries completed so far.
 func WithFleetDebugDir(dir string) FleetOption {
-	return func(c *fleetConfig) { c.debugDir = dir }
+	return func(o *fleet.Options) { o.DebugDir = dir }
 }
 
 // ScanFirmwareFleet unpacks a firmware image and analyzes every
@@ -279,27 +275,7 @@ func WithFleetDebugDir(dir string) FleetOption {
 // and binary-sharing fleets cheap. The Analyzer's own options (filters,
 // ablations, custom sources/sinks, parallelism) apply to every binary.
 func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...FleetOption) (*ImageReport, error) {
-	var cfg fleetConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	fopts := fleet.Options{
-		Workers:          cfg.workers,
-		PerBinaryTimeout: cfg.timeout,
-		Analysis:         a.opts,
-		FilterTag:        cfg.filterTag,
-		PathFilter:       cfg.pathFilter,
-		Progress:         cfg.progress,
-		StallTimeout:     cfg.stallTimeout,
-		DebugDir:         cfg.debugDir,
-	}
-	if cfg.cache != nil {
-		fopts.Cache = cfg.cache.c
-	}
-	if cfg.sumStore != nil {
-		fopts.SummaryStore = cfg.sumStore.s
-	}
-	rep, err := fleet.ScanImage(ctx, data, fopts)
+	rep, err := fleet.ScanImage(ctx, data, a.fleetOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -334,48 +310,16 @@ type CorpusReport struct {
 // are scanned sequentially, each fanning its binaries across the worker
 // pool; cancelling ctx stops new work.
 func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts ...FleetOption) (*CorpusReport, error) {
-	var cfg fleetConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	fopts := fleet.Options{
-		Workers:          cfg.workers,
-		PerBinaryTimeout: cfg.timeout,
-		Analysis:         a.opts,
-		FilterTag:        cfg.filterTag,
-		PathFilter:       cfg.pathFilter,
-		Progress:         cfg.progress,
-		StallTimeout:     cfg.stallTimeout,
-		DebugDir:         cfg.debugDir,
-	}
-	if cfg.cache != nil {
-		fopts.Cache = cfg.cache.c
-	}
-	if cfg.sumStore != nil {
-		fopts.SummaryStore = cfg.sumStore.s
-	}
-	rep, err := fleet.ScanCorpus(ctx, images, fopts)
+	rep, err := fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	out := &CorpusReport{
 		UniqueBinaries:    rep.UniqueBinaries,
 		DuplicateBinaries: rep.DuplicateBinaries,
-		Cache: CacheStats{
-			Hits:      rep.Cache.Hits,
-			DiskHits:  rep.Cache.DiskHits,
-			Misses:    rep.Cache.Misses,
-			Evictions: rep.Cache.Evictions,
-			Entries:   rep.Cache.Entries,
-		},
-		SummaryStore: SummaryStoreStats{
-			Hits:      rep.SummaryStore.Hits,
-			DiskHits:  rep.SummaryStore.DiskHits,
-			Misses:    rep.SummaryStore.Misses,
-			Evictions: rep.SummaryStore.Evictions,
-			Entries:   rep.SummaryStore.Entries,
-		},
-		Wall: rep.Wall,
+		Cache:             CacheStats(rep.Cache),
+		SummaryStore:      SummaryStoreStats(rep.SummaryStore),
+		Wall:              rep.Wall,
 	}
 	for _, ir := range rep.Images {
 		out.Images = append(out.Images, publicImageReport(ir))
@@ -401,14 +345,8 @@ func publicImageReport(r *fleet.ImageReport) *ImageReport {
 		FindingsByClass: make(map[Class]int, len(r.FindingsByClass)),
 		Workers:         r.Workers,
 		Wall:            r.Wall,
-		Cache: CacheStats{
-			Hits:      r.Cache.Hits,
-			DiskHits:  r.Cache.DiskHits,
-			Misses:    r.Cache.Misses,
-			Evictions: r.Cache.Evictions,
-			Entries:   r.Cache.Entries,
-		},
-		Runtime: publicRuntimeStats(r.Runtime),
+		Cache:           CacheStats(r.Cache),
+		Runtime:         publicRuntimeStats(r.Runtime),
 	}
 	for class, n := range r.FindingsByClass {
 		out.FindingsByClass[Class(class)] = n
@@ -456,6 +394,7 @@ func publicBinaryReport(a *fleet.BinaryAnalysis) *Report {
 			Source:    f.Source,
 			Path:      append([]string(nil), f.Path...),
 			Sanitized: f.Sanitized,
+			Evidence:  append([]string(nil), f.Evidence...),
 		})
 	}
 	return rep

@@ -2,6 +2,7 @@ package dtaint_test
 
 import (
 	"context"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -20,14 +21,18 @@ func vulnKeys(findings []dtaint.Finding) []string {
 }
 
 // TestScanFirmwareFleetMatchesAnalyzeFirmware is the end-to-end
-// equivalence guarantee: the fleet orchestrator's per-binary findings
-// are exactly what a single-binary AnalyzeFirmware run produces.
+// equivalence guarantee: the fleet orchestrator's per-binary report is
+// exactly what a single-binary AnalyzeFirmware run produces — every
+// counter and every finding field, paths and evidence included — with
+// only timings and the runtime snapshot allowed to differ.
 func TestScanFirmwareFleetMatchesAnalyzeFirmware(t *testing.T) {
 	fw, err := dtaint.GenerateStudyFirmware("DIR-645", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New()
+	// A fleet scan defaults per-binary parallelism to 1; pinning it makes
+	// DDGWorkers comparable with the single-binary run.
+	a := dtaint.New(dtaint.WithParallelism(1))
 	img, err := a.ScanFirmwareFleet(context.Background(), fw)
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +68,22 @@ func TestScanFirmwareFleetMatchesAnalyzeFirmware(t *testing.T) {
 	if img.Vulnerabilities != len(want) || img.VulnerablePaths != len(single.VulnerablePaths()) {
 		t.Fatalf("image totals %d/%d, want %d/%d", img.Vulnerabilities, img.VulnerablePaths,
 			len(want), len(single.VulnerablePaths()))
+	}
+
+	untimed := func(r *dtaint.Report) dtaint.Report {
+		c := *r
+		c.SSATime, c.DDGTime, c.Runtime = 0, 0, dtaint.RuntimeStats{}
+		return c
+	}
+	if got, want := untimed(fleetRep), untimed(single); !reflect.DeepEqual(got, want) {
+		t.Errorf("fleet report differs from AnalyzeFirmware:\nfleet:  %+v\nsingle: %+v", got, want)
+	}
+	evidence := 0
+	for _, f := range single.Findings {
+		evidence += len(f.Evidence)
+	}
+	if evidence == 0 {
+		t.Error("single-binary findings carry no evidence; the comparison would not cover it")
 	}
 }
 

@@ -15,59 +15,31 @@
 package diff
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"dtaint/internal/cfg"
-	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
 	"dtaint/internal/fleet"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
-	"dtaint/internal/obs/events"
-	"dtaint/internal/sumstore"
 	"dtaint/internal/taint"
 )
 
-// Options configures a differential scan. The analysis knobs mirror
-// fleet.Options so a diff shares caches — and cache keys — with ordinary
-// fleet scans of the same images.
-type Options struct {
-	// Workers bounds how many binaries are analyzed concurrently
-	// (0 = GOMAXPROCS, negative rejected).
-	Workers int
-	// PerBinaryTimeout caps one binary's analysis wall clock (0 = none).
-	PerBinaryTimeout time.Duration
-	// Analysis configures the per-binary analyzer. Parallelism 0 is set
-	// to 1, as in fleet scans.
-	Analysis dataflow.Options
-	// FilterTag names Analysis.Filter for cache keys; caching is bypassed
-	// when Analysis.Filter is non-nil and FilterTag is empty.
-	FilterTag string
-	// Cache, when non-nil, replays unchanged binaries' reports instead of
-	// re-analyzing them — the diff's headline saving. The keys are the
-	// same as fleet scans', so a prior nightly scan warms the diff.
-	Cache *fleet.Cache
-	// SummaryStore, when non-nil, replays unchanged *functions* inside
-	// changed binaries. The diff analyzes all old-version binaries before
-	// new-version-only ones, so the new side hits summaries the old side
-	// just wrote even on a cold store.
-	SummaryStore *sumstore.Store
-	// PathFilter restricts candidates to rootfs paths for which it
-	// returns true (applied to both images).
-	PathFilter func(path string) bool
-	// Progress, when non-nil, is called after each analysis unit
-	// completes with done and total counts. Calls are serialized.
-	Progress func(done, total int)
-}
+// Options configures a differential scan. It is fleet.Options, so a
+// diff shares caches — and cache keys — with ordinary fleet scans of the
+// same images, and every knob means the same thing in both: Cache
+// replays unchanged binaries' reports (a prior nightly scan warms the
+// diff), SummaryStore replays unchanged functions inside changed
+// binaries, PathFilter applies to both images, Progress counts analysis
+// units, and StallTimeout/DebugDir arm the stall watchdog.
+type Options = fleet.Options
 
 // binPair is one rootfs binary tracked across the two versions.
 type binPair struct {
@@ -88,30 +60,18 @@ type unit struct {
 	oldSide bool // needed by the old image (analyzed in the first wave)
 }
 
-// unitResult is a unit's outcome.
-type unitResult struct {
-	an  *fleet.BinaryAnalysis
-	src Source
-	err error
-	dur time.Duration
-}
-
-// Diff scans the delta between two firmware images. It returns an error
-// only when an image fails to unpack or the options are invalid;
-// per-binary analysis failures are embedded in the report.
+// Diff scans the delta between two firmware images. Every distinct
+// binary runs through fleet's scan unit (fleet.ScanOne): report cache,
+// panic isolation, the per-binary deadline and the stall watchdog. It
+// returns an error only when an image fails to unpack or the options are
+// invalid; per-binary analysis failures, timeouts and stalls are
+// embedded in the report as pair errors.
 func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, error) {
-	if opts.Workers < 0 {
-		return nil, fleet.ErrBadWorkers
+	if err := opts.Prepare(); err != nil {
+		return nil, err
 	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Analysis.Parallelism == 0 {
-		opts.Analysis.Parallelism = 1
-	}
-	if opts.SummaryStore != nil {
-		opts.Analysis.SummaryStore = opts.SummaryStore
-	}
+	stopWatchdog := opts.ArmWatchdog(nil)
+	defer stopWatchdog()
 	start := time.Now()
 
 	diffSpan := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "diff-images")
@@ -150,7 +110,7 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 		Workers: opts.Workers,
 	}
 	for _, res := range results {
-		switch res.src {
+		switch sourceOf(res) {
 		case SourceCache:
 			rep.Replayed++
 		case SourceFresh:
@@ -158,7 +118,7 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 		}
 	}
 	for _, p := range pairs {
-		rep.Binaries = append(rep.Binaries, assemblePair(p, results, opts))
+		rep.Binaries = append(rep.Binaries, assemblePair(p, results))
 	}
 	rep.aggregate()
 	rep.Wall = time.Since(start)
@@ -185,17 +145,7 @@ func unpackCandidates(data []byte, opts Options) (*firmware.Image, []firmware.Fi
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []firmware.File
-	for _, f := range fs.Files {
-		if !bytes.HasPrefix(f.Data, image.Magic[:]) {
-			continue
-		}
-		if opts.PathFilter != nil && !opts.PathFilter(f.Path) {
-			continue
-		}
-		out = append(out, f)
-	}
-	return img, out, nil
+	return img, opts.Candidates(fs.Files), nil
 }
 
 // pairBinaries matches the two candidate lists: by path first, then
@@ -314,8 +264,9 @@ func planUnits(pairs []*binPair) (map[string]*unit, []string) {
 }
 
 // executeUnits runs the analysis plan: the old-image wave, then the
-// new-only wave, each over a bounded worker pool.
-func executeUnits(ctx context.Context, units map[string]*unit, order []string, opts Options) map[string]unitResult {
+// new-only wave, each through fleet's scan unit over a bounded worker
+// pool.
+func executeUnits(ctx context.Context, units map[string]*unit, order []string, opts Options) map[string]fleet.BinaryScan {
 	var waves [2][]*unit
 	for _, sha := range order {
 		u := units[sha]
@@ -325,168 +276,95 @@ func executeUnits(ctx context.Context, units map[string]*unit, order []string, o
 			waves[1] = append(waves[1], u)
 		}
 	}
-	results := make(map[string]unitResult, len(units))
+	results := make(map[string]fleet.BinaryScan, len(units))
 	var mu sync.Mutex
 	done, total := 0, len(units)
 	for _, wave := range waves {
-		if len(wave) == 0 {
-			continue
+		files := make([]firmware.File, len(wave))
+		for i, u := range wave {
+			files[i] = u.file
 		}
-		workers := opts.Workers
-		if workers > len(wave) {
-			workers = len(wave)
-		}
-		jobs := make(chan *unit)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for u := range jobs {
-					res := analyzeUnit(ctx, u.file, opts)
-					mu.Lock()
-					results[u.sha] = res
-					done++
-					n := done
-					if opts.Progress != nil {
-						opts.Progress(n, total)
-					}
-					mu.Unlock()
-					// n is mutex-ordered (unique per unit), keeping the
-					// progress event multiset worker-count independent.
-					opts.Analysis.Events.Progress("units", n, total)
-				}
-			}()
-		}
-		for _, u := range wave {
-			jobs <- u
-		}
-		close(jobs)
-		wg.Wait()
+		fleet.ScanEach(ctx, files, opts, func(i int, bs fleet.BinaryScan) {
+			mu.Lock()
+			results[wave[i].sha] = bs
+			done++
+			n := done
+			if opts.Progress != nil {
+				opts.Progress(n, total)
+			}
+			mu.Unlock()
+			// n is mutex-ordered (unique per unit), keeping the
+			// progress event multiset worker-count independent.
+			opts.Analysis.Events.Progress("units", n, total)
+		})
 	}
 	return results
 }
 
-// analyzeUnit produces one distinct binary's analysis: report-cache
-// lookup first, then a fresh analysis under panic isolation and the
-// per-binary deadline — the same discipline as fleet.ScanImage.
-func analyzeUnit(ctx context.Context, f firmware.File, opts Options) (ur unitResult) {
-	if err := ctx.Err(); err != nil {
-		return unitResult{src: SourceNone, err: errors.New("diff cancelled before analysis")}
+// sourceOf maps a scan unit's outcome onto the diff's provenance: a
+// cache hit replayed, a fresh success analyzed, anything else (failure,
+// timeout, stall, cancellation) left the side without an analysis.
+func sourceOf(bs fleet.BinaryScan) Source {
+	switch bs.Status {
+	case fleet.StatusCached:
+		return SourceCache
+	case fleet.StatusOK:
+		return SourceFresh
 	}
-	// A scan-binary span per unit gives diff jobs the same binary.start/
-	// binary.done event stream as fleet scans; the per-unit emitter scope
-	// stamps the path on every event the analysis emits.
-	span := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "scan-binary",
-		obs.KV("path", f.Path))
-	opts.Analysis.ParentSpan = span
-	opts.Analysis.Events = opts.Analysis.Events.WithPath(f.Path)
-	defer func() {
-		span.SetAttr("status", string(ur.src))
-		span.End()
-	}()
-	cacheable := opts.Cache != nil && (opts.Analysis.Filter == nil || opts.FilterTag != "")
-	var key string
-	if cacheable {
-		key = fleet.Key(f.Data, fleet.Fingerprint(opts.Analysis, opts.FilterTag))
-		if an, ok := opts.Cache.Get(key); ok {
-			opts.Analysis.Events.Emit(events.ScanEvent{
-				Type:  events.TypeCacheHit,
-				Attrs: map[string]any{"sha256": fmt.Sprintf("%x", sha256.Sum256(f.Data))},
-			})
-			return unitResult{an: an, src: SourceCache}
-		}
-	}
-	start := time.Now()
-	type outcome struct {
-		an  *fleet.BinaryAnalysis
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("analysis panicked: %v", r)}
-			}
-		}()
-		an, err := fleet.AnalyzeBinary(f, opts.Analysis)
-		ch <- outcome{an: an, err: err}
-	}()
-	var timeout <-chan time.Time
-	if opts.PerBinaryTimeout > 0 {
-		t := time.NewTimer(opts.PerBinaryTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return unitResult{src: SourceNone, err: o.err, dur: time.Since(start)}
-		}
-		if key != "" {
-			opts.Cache.Put(key, o.an)
-		}
-		return unitResult{an: o.an, src: SourceFresh, dur: time.Since(start)}
-	case <-timeout:
-		return unitResult{src: SourceNone,
-			err: fmt.Errorf("analysis timed out after %s", opts.PerBinaryTimeout), dur: time.Since(start)}
-	case <-ctx.Done():
-		return unitResult{src: SourceNone, err: errors.New("diff cancelled"), dur: time.Since(start)}
-	}
+	return SourceNone
 }
 
 // assemblePair builds one pair's report entry, classifying its findings
 // across versions.
-func assemblePair(p *binPair, results map[string]unitResult, opts Options) BinaryDiff {
+func assemblePair(p *binPair, results map[string]fleet.BinaryScan) BinaryDiff {
 	bd := BinaryDiff{
 		Path: p.path, OldPath: p.oldPath, Status: p.status,
 		OldSHA256: p.oldSHA, NewSHA256: p.newSHA,
 	}
 	oldRes, newRes := results[p.oldSHA], results[p.newSHA]
-	attribute := func(res unitResult) {
-		bd.Duration += res.dur
-		if res.src == SourceFresh && res.an != nil {
-			bd.SummaryHits += res.an.SummaryHits
-			bd.SummaryMisses += res.an.SummaryMisses
+	attribute := func(res fleet.BinaryScan) {
+		bd.Duration += res.Duration
+		if res.Status == fleet.StatusOK {
+			bd.SummaryHits += res.Analysis.SummaryHits
+			bd.SummaryMisses += res.Analysis.SummaryMisses
 		}
 	}
 
 	switch p.status {
 	case PairUnchanged, PairMoved:
 		// One shared analysis serves both sides.
-		res := results[p.oldSHA]
-		bd.OldSource, bd.NewSource = res.src, res.src
-		attribute(res)
-		if res.err != nil {
-			bd.Error = res.err.Error()
+		bd.OldSource, bd.NewSource = sourceOf(oldRes), sourceOf(oldRes)
+		attribute(oldRes)
+		if oldRes.Error != "" {
+			bd.Error = oldRes.Error
 			return bd
 		}
-		bd.Findings = wholesale(res.an, FindingPersisting)
+		bd.Findings = wholesale(oldRes.Analysis, FindingPersisting)
 	case PairRemoved:
-		bd.OldSource = oldRes.src
+		bd.OldSource = sourceOf(oldRes)
 		attribute(oldRes)
-		if oldRes.err != nil {
-			bd.Error = oldRes.err.Error()
+		if oldRes.Error != "" {
+			bd.Error = oldRes.Error
 			return bd
 		}
-		bd.Findings = wholesale(oldRes.an, FindingFixed)
+		bd.Findings = wholesale(oldRes.Analysis, FindingFixed)
 	case PairAdded:
-		bd.NewSource = newRes.src
+		bd.NewSource = sourceOf(newRes)
 		attribute(newRes)
-		if newRes.err != nil {
-			bd.Error = newRes.err.Error()
+		if newRes.Error != "" {
+			bd.Error = newRes.Error
 			return bd
 		}
-		bd.Findings = wholesale(newRes.an, FindingNew)
+		bd.Findings = wholesale(newRes.Analysis, FindingNew)
 	case PairChanged:
-		bd.OldSource, bd.NewSource = oldRes.src, newRes.src
+		bd.OldSource, bd.NewSource = sourceOf(oldRes), sourceOf(newRes)
 		attribute(oldRes)
 		attribute(newRes)
-		if oldRes.err != nil || newRes.err != nil {
-			bd.Error = joinErrs(oldRes.err, newRes.err)
+		if oldRes.Error != "" || newRes.Error != "" {
+			bd.Error = joinErrs(oldRes.Error, newRes.Error)
 			return bd
 		}
-		classifyChanged(&bd, p, oldRes.an, newRes.an)
+		classifyChanged(&bd, p, oldRes.Analysis, newRes.Analysis)
 	}
 	sortFindingDiffs(bd.Findings)
 	for _, fd := range bd.Findings {
@@ -622,25 +500,15 @@ func wholesale(an *fleet.BinaryAnalysis, status FindingStatus) []FindingDiff {
 	return out
 }
 
-func joinErrs(errs ...error) string {
+// joinErrs joins the non-empty error messages of a pair's two sides.
+func joinErrs(errs ...string) string {
 	var parts []string
 	for _, err := range errs {
-		if err != nil {
-			parts = append(parts, err.Error())
+		if err != "" {
+			parts = append(parts, err)
 		}
 	}
-	return joinWith(parts, "; ")
-}
-
-func joinWith(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return strings.Join(parts, "; ")
 }
 
 // recordDiffMetrics publishes one finished diff's counters. Every

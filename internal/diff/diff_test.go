@@ -182,6 +182,18 @@ func TestDiffVersionPair(t *testing.T) {
 	if !renamed {
 		t.Error("no persisting finding recorded a rename (OldFunc empty on all)")
 	}
+	// Duration times this run's fresh analyses only: cache-replayed pairs
+	// report zero, so a per-pair latency sample over Duration > 0 sees
+	// exactly the re-analyzed pairs.
+	for _, b := range rep.Binaries {
+		fresh := b.OldSource == SourceFresh || b.NewSource == SourceFresh
+		if fresh && b.Duration <= 0 {
+			t.Errorf("%s: re-analyzed pair has Duration %v, want > 0", b.Path, b.Duration)
+		}
+		if !fresh && b.Duration != 0 {
+			t.Errorf("%s: cache-replayed pair has Duration %v, want 0", b.Path, b.Duration)
+		}
+	}
 	// Added/removed binaries classify wholesale.
 	for _, b := range rep.Binaries {
 		switch b.Status {

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"dtaint/internal/dataflow"
 )
 
 // CacheStats is a snapshot of the report cache's counters.
@@ -80,32 +78,33 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 	}, nil
 }
 
+// reportFormat names the BinaryAnalysis layout the cache stores. It is
+// folded into every key, so entries written before a report field was
+// added (findings without evidence, say) miss and are re-analyzed
+// instead of replaying a report with the field missing. Bump it whenever
+// BinaryAnalysis or Finding gains a field.
+const reportFormat = "fleet-report/2"
+
 // Key derives the content-addressed cache key for one binary under one
 // analyzer configuration: SHA-256 over the binary bytes, a zero
-// separator, and the options fingerprint. Different analyzer options
-// therefore never alias, and identical binaries at different rootfs
-// paths (or in different images) always do.
+// separator, the report format, another zero, and the options
+// fingerprint (dataflow.OptionsFingerprint, shared with the summary
+// store, so both invalidate together on an analysis version bump).
+// Different analyzer options therefore never alias, and identical
+// binaries at different rootfs paths (or in different images) always
+// do. The fingerprint excludes Parallelism — results are bit-identical
+// for every worker count — and names a function filter only through its
+// FilterTag; the orchestrator bypasses the cache for a non-nil filter
+// with an empty tag, so an unnameable filter can never poison shared
+// entries.
 func Key(binary []byte, fingerprint string) string {
 	h := sha256.New()
 	h.Write(binary)
 	h.Write([]byte{0})
+	h.Write([]byte(reportFormat))
+	h.Write([]byte{0})
 	h.Write([]byte(fingerprint))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Fingerprint canonicalizes the semantically relevant analyzer options
-// into a stable string — the second half of the cache key. It is the
-// shared pipeline fingerprint (dataflow.OptionsFingerprint), so report
-// cache and summary store invalidate together on an analysis version
-// bump. Parallelism is deliberately excluded: the analyzer produces
-// bit-identical results for every worker count, so reports are
-// shareable across differently parallel runs. A non-nil function filter
-// cannot be hashed; callers must supply a filterTag naming it (see
-// Options.FilterTag). The orchestrator bypasses the cache entirely for
-// a non-nil filter with an empty tag, so an unnameable filter can never
-// poison shared entries.
-func Fingerprint(o dataflow.Options, filterTag string) string {
-	return dataflow.OptionsFingerprint(o, filterTag)
 }
 
 // Get looks the key up in memory, then on disk. Disk hits are promoted

@@ -22,7 +22,8 @@ import (
 	"dtaint/internal/sumstore"
 )
 
-// Options configures an image scan.
+// Options configures a scan: of one image (ScanImage), a corpus
+// (ScanCorpus) or an image pair (diff.Diff, whose Options is this type).
 type Options struct {
 	// Workers bounds the orchestrator pool: how many binaries are
 	// analyzed concurrently (0 = GOMAXPROCS, negative is rejected).
@@ -64,7 +65,7 @@ type Options struct {
 	// watchdog emits a stall event, captures a diagnostic bundle (see
 	// DebugDir), and abandons the in-flight binaries — they report
 	// StatusStalled, never an empty success. 0 disables the watchdog.
-	// When Analysis.Events is nil, ScanImage attaches a private journal
+	// When Analysis.Events is nil, the scan attaches a private journal
 	// so the watchdog has a stream to watch. Pick a deadline well above
 	// the slowest single function's analysis time: progress events flow
 	// per completed function, so one monstrous function is the finest
@@ -76,12 +77,12 @@ type Options struct {
 	// the binaries completed so far. Empty skips bundle capture.
 	DebugDir string
 
-	// watchdog is the armed stall watchdog ScanImage shares with its
-	// workers (nil when StallTimeout is 0).
+	// watchdog is the armed stall watchdog (set by ArmWatchdog; nil when
+	// StallTimeout is 0) every ScanOne of the scan selects on.
 	watchdog *events.Watchdog
 
 	// inflight deduplicates concurrent analyses of identical binaries
-	// within one scan (set by ScanImage when a cache is configured):
+	// within one scan (set by Prepare when a cache is configured):
 	// the first worker to reach a cache key analyzes, the rest wait and
 	// re-read the cache.
 	inflight *flightGroup
@@ -100,20 +101,8 @@ var ErrBadWorkers = errors.New("fleet: workers must be >= 0 (0 uses GOMAXPROCS)"
 // The returned report lists binaries in rootfs path order and is
 // deterministic (timings aside) for any worker count.
 func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, error) {
-	if opts.Workers < 0 {
-		return nil, ErrBadWorkers
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Analysis.Parallelism == 0 {
-		opts.Analysis.Parallelism = 1
-	}
-	if opts.SummaryStore != nil {
-		opts.Analysis.SummaryStore = opts.SummaryStore
-	}
-	if opts.Cache != nil {
-		opts.inflight = newFlightGroup()
+	if err := opts.Prepare(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 
@@ -137,16 +126,7 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 			"image", img.Header.Product, "version", img.Header.Version)
 	}
 
-	var candidates []firmware.File
-	for _, f := range fs.Files {
-		if !bytes.HasPrefix(f.Data, image.Magic[:]) {
-			continue
-		}
-		if opts.PathFilter != nil && !opts.PathFilter(f.Path) {
-			continue
-		}
-		candidates = append(candidates, f)
-	}
+	candidates := opts.Candidates(fs.Files)
 
 	rep := &ImageReport{
 		Vendor:     img.Header.Vendor,
@@ -166,63 +146,28 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 		completed   []BinaryScan
 	)
 
-	// The stall watchdog needs an event stream to watch; a scan armed
-	// without a caller-supplied journal gets a private one.
-	if opts.StallTimeout > 0 {
-		if opts.Analysis.Events == nil {
-			opts.Analysis.Events = events.NewJournal(0).Emitter("")
-		}
-		em := opts.Analysis.Events
-		opts.watchdog = events.StartWatchdog(events.WatchdogConfig{
-			Journal:     em.Journal(),
-			Job:         em.Job(),
-			Deadline:    opts.StallTimeout,
-			DebugDir:    opts.DebugDir,
-			Fingerprint: dataflow.OptionsFingerprint(opts.Analysis, opts.FilterTag),
-			Tracer:      opts.Analysis.Tracer,
-			Metrics:     opts.Analysis.Metrics,
-			Partial:     partialReportWriter(rep, &completedMu, &completed),
-		})
-		defer opts.watchdog.Stop()
-	}
+	stopWatchdog := opts.ArmWatchdog(partialReportWriter(rep, &completedMu, &completed))
+	defer stopWatchdog()
 	em := opts.Analysis.Events
 
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var progressMu sync.Mutex
 	done := 0
-	workers := opts.Workers
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				bs := scanOne(ctx, candidates[i], opts)
-				rep.Binaries[i] = bs
-				completedMu.Lock()
-				completed = append(completed, bs)
-				completedMu.Unlock()
-				progressMu.Lock()
-				done++
-				n := done
-				if opts.Progress != nil {
-					opts.Progress(n, len(candidates))
-				}
-				progressMu.Unlock()
-				// n is mutex-ordered (unique per binary), so the progress
-				// event multiset is deterministic for any worker count.
-				em.Progress("binaries", n, len(candidates))
-			}
-		}()
-	}
-	for i := range candidates {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	ScanEach(ctx, candidates, opts, func(i int, bs BinaryScan) {
+		rep.Binaries[i] = bs
+		completedMu.Lock()
+		completed = append(completed, bs)
+		completedMu.Unlock()
+		progressMu.Lock()
+		done++
+		n := done
+		if opts.Progress != nil {
+			opts.Progress(n, len(candidates))
+		}
+		progressMu.Unlock()
+		// n is mutex-ordered (unique per binary), so the progress
+		// event multiset is deterministic for any worker count.
+		em.Progress("binaries", n, len(candidates))
+	})
 
 	rep.aggregate()
 	rep.Wall = time.Since(start)
@@ -241,6 +186,102 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 			"seconds", rep.Wall.Seconds())
 	}
 	return rep, nil
+}
+
+// Prepare validates opts and fills in the defaults every scan entry
+// point shares (ScanImage here, diff.Diff over an image pair): Workers 0
+// becomes GOMAXPROCS, per-binary Parallelism 0 becomes 1, the summary
+// store rides on the analysis options, and a configured cache gets a
+// single-flight group so concurrent workers analyze each distinct binary
+// once.
+func (o *Options) Prepare() error {
+	if o.Workers < 0 {
+		return ErrBadWorkers
+	}
+	if o.Workers == 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	if o.Analysis.Parallelism == 0 {
+		o.Analysis.Parallelism = 1
+	}
+	if o.SummaryStore != nil {
+		o.Analysis.SummaryStore = o.SummaryStore
+	}
+	if o.Cache != nil {
+		o.inflight = newFlightGroup()
+	}
+	return nil
+}
+
+// Candidates returns the FWELF executables among an unpacked root
+// filesystem's files that PathFilter keeps, in rootfs order.
+func (o *Options) Candidates(files []firmware.File) []firmware.File {
+	var out []firmware.File
+	for _, f := range files {
+		if !bytes.HasPrefix(f.Data, image.Magic[:]) {
+			continue
+		}
+		if o.PathFilter != nil && !o.PathFilter(f.Path) {
+			continue
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// ArmWatchdog starts the stall watchdog StallTimeout asks for and
+// returns the function that stops it (a no-op when StallTimeout is 0).
+// A scan armed without a caller-supplied journal gets a private one, so
+// the watchdog has an event stream to watch. partial, when non-nil,
+// writes the partial report into each stall bundle. Every ScanOne run
+// with o afterwards is abandoned as StatusStalled when the watchdog
+// fires.
+func (o *Options) ArmWatchdog(partial func(io.Writer) error) (stop func()) {
+	if o.StallTimeout <= 0 {
+		return func() {}
+	}
+	if o.Analysis.Events == nil {
+		o.Analysis.Events = events.NewJournal(0).Emitter("")
+	}
+	em := o.Analysis.Events
+	o.watchdog = events.StartWatchdog(events.WatchdogConfig{
+		Journal:     em.Journal(),
+		Job:         em.Job(),
+		Deadline:    o.StallTimeout,
+		DebugDir:    o.DebugDir,
+		Fingerprint: dataflow.OptionsFingerprint(o.Analysis, o.FilterTag),
+		Tracer:      o.Analysis.Tracer,
+		Metrics:     o.Analysis.Metrics,
+		Partial:     partial,
+	})
+	return o.watchdog.Stop
+}
+
+// ScanEach runs ScanOne over files on a pool of at most opts.Workers
+// workers and hands each result to record, together with the file's
+// index. record runs on the worker goroutines, so it must synchronize
+// any state it shares.
+func ScanEach(ctx context.Context, files []firmware.File, opts Options, record func(i int, bs BinaryScan)) {
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	workers := opts.Workers
+	if workers > len(files) {
+		workers = len(files)
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				record(i, ScanOne(ctx, files[i], opts))
+			}
+		}()
+	}
+	for i := range files {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // partialReportWriter returns the watchdog's partial-report callback: a
@@ -293,9 +334,14 @@ func recordScanMetrics(reg *obs.Registry, rep *ImageReport) {
 	}
 }
 
-// scanOne analyzes a single rootfs executable: cache lookup, then a
-// fresh analysis under panic isolation and the per-binary deadline.
-func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
+// ScanOne is the scan unit every scan entry point runs per binary:
+// report-cache lookup (with single-flight over identical binaries), then
+// a fresh analysis under panic isolation, the per-binary deadline and
+// the stall watchdog, inside a scan-binary span. A cache hit emits a
+// cache-hit event and has zero Duration; every other outcome that ran
+// the analysis records its wall clock. opts must have been through
+// Prepare (and ArmWatchdog, for a stall-guarded scan).
+func ScanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 	sum := sha256.Sum256(f.Data)
 	bs := BinaryScan{Path: f.Path, SHA256: hex.EncodeToString(sum[:])}
 
@@ -327,7 +373,7 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 	cacheable := opts.Cache != nil && (opts.Analysis.Filter == nil || opts.FilterTag != "")
 	var key string
 	if cacheable {
-		key = Key(f.Data, Fingerprint(opts.Analysis, opts.FilterTag))
+		key = Key(f.Data, dataflow.OptionsFingerprint(opts.Analysis, opts.FilterTag))
 		for {
 			if v, ok := opts.Cache.Get(key); ok {
 				bs.Status = StatusCached
@@ -412,8 +458,8 @@ var analyze = analyzeBinary
 
 // AnalyzeBinary runs the full single-binary pipeline on one rootfs file
 // — the same entry the scan pool uses (including any test substitute).
-// It is the building block the differential scanner drives directly
-// when it plans its own analysis schedule.
+// It is the one per-binary pipeline: the public single-binary Analyzer
+// runs it too, so every report surface derives from the same result.
 func AnalyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, error) {
 	return analyze(f, aopts)
 }
@@ -427,19 +473,19 @@ func analyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, er
 		st.End()
 		return nil, fmt.Errorf("parse %s: %w", f.Path, err)
 	}
-	st.End("arch", bin.Arch.String())
+	st.End("binary", bin.Name, "arch", bin.Arch.String())
 	st = aopts.StartStage("build-cfg")
 	prog, err := cfg.Build(bin)
 	if err != nil {
 		st.End()
 		return nil, fmt.Errorf("recover CFG of %s: %w", f.Path, err)
 	}
-	st.End("functions", len(prog.Funcs))
+	stats := prog.Stats()
+	st.End("functions", stats.Functions, "blocks", stats.Blocks)
 	res, err := dataflow.Analyze(prog, aopts)
 	if err != nil {
 		return nil, fmt.Errorf("analyze %s: %w", f.Path, err)
 	}
-	stats := prog.Stats()
 	an := &BinaryAnalysis{
 		Binary:            bin.Name,
 		Arch:              bin.Arch.String(),
@@ -467,6 +513,7 @@ func analyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, er
 			SinkAddr:  tf.SinkAddr,
 			Source:    tf.Source,
 			Sanitized: tf.Sanitized,
+			Evidence:  append([]string(nil), tf.Evidence...),
 		}
 		for _, s := range tf.Path {
 			wf.Path = append(wf.Path, s.String())

@@ -283,21 +283,21 @@ func TestCacheGetIsolation(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	base := Fingerprint(dataflow.Options{}, "")
-	if got := Fingerprint(dataflow.Options{Parallelism: 8}, ""); got != base {
+	base := dataflow.OptionsFingerprint(dataflow.Options{}, "")
+	if got := dataflow.OptionsFingerprint(dataflow.Options{Parallelism: 8}, ""); got != base {
 		t.Fatal("parallelism must not change the fingerprint")
 	}
-	if got := Fingerprint(dataflow.Options{DisableAlias: true}, ""); got == base {
+	if got := dataflow.OptionsFingerprint(dataflow.Options{DisableAlias: true}, ""); got == base {
 		t.Fatal("alias ablation must change the fingerprint")
 	}
 	withSrc := dataflow.Options{ExtraSources: []taint.SourceSpec{{Name: "nvram_get", BufArg: -1, ViaReturn: true}}}
-	if got := Fingerprint(withSrc, ""); got == base {
+	if got := dataflow.OptionsFingerprint(withSrc, ""); got == base {
 		t.Fatal("extra sources must change the fingerprint")
 	}
-	if got := Fingerprint(dataflow.Options{}, "module-x"); got == base {
+	if got := dataflow.OptionsFingerprint(dataflow.Options{}, "module-x"); got == base {
 		t.Fatal("filter tag must change the fingerprint")
 	}
-	if Key([]byte("bin"), base) == Key([]byte("bin"), Fingerprint(dataflow.Options{DisableAlias: true}, "")) {
+	if Key([]byte("bin"), base) == Key([]byte("bin"), dataflow.OptionsFingerprint(dataflow.Options{DisableAlias: true}, "")) {
 		t.Fatal("different fingerprints produced the same key")
 	}
 }

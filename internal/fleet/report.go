@@ -56,7 +56,9 @@ const (
 )
 
 // Finding is the wire/cache form of one (source, path, sink) tuple. It
-// mirrors the public report's finding with every field JSON-serializable.
+// mirrors the public report's finding field for field, so every report
+// built from it (fleet, diff, dtaintd, the single-binary Analyzer)
+// carries the same content.
 type Finding struct {
 	Class     string   `json:"class"`
 	Sink      string   `json:"sink"`
@@ -65,6 +67,8 @@ type Finding struct {
 	Source    string   `json:"source"`
 	Path      []string `json:"path"`
 	Sanitized bool     `json:"sanitized"`
+	// Evidence is the constraint/interval chain behind the verdict.
+	Evidence []string `json:"evidence,omitempty"`
 }
 
 // Key returns the canonical deduplication key (shared with every other

@@ -8,8 +8,8 @@
 # Prometheus text to a text/plain client, and the log stream contains a
 # valid JSON line for every pipeline stage (scripts/logcheck). It then
 # POSTs the image against itself to /v1/diff: with the cache warmed by
-# the scan, the self-diff must replay everything (zero re-analyses) and
-# report zero new findings. Along the way it watches the scan live over
+# the scan, the self-diff must replay everything (zero re-analyses),
+# report zero new findings, and keep each finding's evidence. Along the way it watches the scan live over
 # the SSE event stream (ordered ids, progress events, a terminal
 # job.done), probes /healthz and /readyz, and finally SIGTERMs the
 # server and asserts /readyz flips to 503 during the drain window.
@@ -117,6 +117,8 @@ reanalyzed=$(printf '%s' "$dreport" | sed -n 's/.*"reanalyzed": *\([0-9]*\).*/\1
 newfound=$(printf '%s' "$dreport" | sed -n 's/.*"newFindings": *\([0-9]*\).*/\1/p')
 [ "$reanalyzed" = "0" ] || { echo "smoke: self-diff re-analyzed $reanalyzed binaries, want 0"; exit 1; }
 [ "$newfound" = "0" ] || { echo "smoke: self-diff reported $newfound new findings, want 0"; exit 1; }
+printf '%s' "$dreport" | grep -q '"evidence"' ||
+	{ echo "smoke: self-diff findings carry no evidence"; exit 1; }
 
 curl -sf "$base/v1/metrics" >/dev/null
 
