@@ -730,10 +730,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Gauge("dtaintd_queue_depth", "Jobs waiting in the queue.", nil).Set(float64(m.QueueDepth))
 	reg.Gauge("dtaintd_queue_cap", "Queue capacity.", nil).Set(float64(m.QueueCap))
 	if m.Cache != nil {
-		reg.Counter("dtaint_cache_hits_total", "Report cache hits.", nil).Store(m.Cache.Hits)
-		reg.Counter("dtaint_cache_misses_total", "Report cache misses.", nil).Store(m.Cache.Misses)
-		reg.Counter("dtaint_cache_evictions_total", "Report cache LRU evictions.", nil).Store(m.Cache.Evictions)
-		reg.Gauge("dtaint_cache_entries", "Report cache in-memory entries.", nil).Set(float64(m.Cache.Entries))
+		m.Cache.Publish(reg, "dtaint_cache", "Report-cache")
 	}
 
 	// Content negotiation: Prometheus scrapers ask for text/plain, API

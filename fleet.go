@@ -158,24 +158,13 @@ func NewSummaryStore(maxEntries int, dir string) (*SummaryStore, error) {
 	return &SummaryStore{s: s}, nil
 }
 
-// SummaryStoreStats snapshots a summary store's counters, field for
-// field as the internal store keeps them.
-type SummaryStoreStats struct {
-	// Hits counts lookups served from memory or disk; DiskHits is the
-	// subset read from the persistent tier.
-	Hits     uint64
-	DiskHits uint64
-	// Misses counts lookups that forced a fresh symbolic execution.
-	Misses uint64
-	// Evictions counts in-memory LRU entries dropped under pressure.
-	Evictions uint64
-	// Entries is the current in-memory entry count.
-	Entries int
-}
+// SummaryStoreStats snapshots a summary store's counters: the same
+// two-tier counters as the report cache's.
+type SummaryStoreStats = CacheStats
 
 // Stats returns the store's counters.
 func (s *SummaryStore) Stats() SummaryStoreStats {
-	return SummaryStoreStats(s.s.Stats())
+	return CacheStats(s.s.Stats())
 }
 
 // FleetOption configures an image scan beyond the Analyzer's own
@@ -318,7 +307,7 @@ func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts
 		UniqueBinaries:    rep.UniqueBinaries,
 		DuplicateBinaries: rep.DuplicateBinaries,
 		Cache:             CacheStats(rep.Cache),
-		SummaryStore:      SummaryStoreStats(rep.SummaryStore),
+		SummaryStore:      CacheStats(rep.SummaryStore),
 		Wall:              rep.Wall,
 	}
 	for _, ir := range rep.Images {

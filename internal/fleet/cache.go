@@ -1,31 +1,16 @@
 package fleet
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
+
+	"dtaint/internal/sumstore"
 )
 
 // CacheStats is a snapshot of the report cache's counters.
-type CacheStats struct {
-	// Hits counts lookups served from memory or disk.
-	Hits uint64 `json:"hits"`
-	// DiskHits is the subset of Hits that had to read the on-disk tier
-	// (a miss in the LRU; the entry is promoted back into memory).
-	DiskHits uint64 `json:"diskHits"`
-	// Misses counts lookups that found nothing and forced an analysis.
-	Misses uint64 `json:"misses"`
-	// Evictions counts LRU entries dropped from memory (the disk tier,
-	// when configured, never evicts).
-	Evictions uint64 `json:"evictions"`
-	// Entries is the current in-memory entry count.
-	Entries int `json:"entries"`
-}
+type CacheStats = sumstore.Stats
 
 // Cache is the content-addressed report cache: key = SHA-256(binary
 // bytes) ⊕ analyzer-options fingerprint, value = the full BinaryAnalysis.
@@ -34,48 +19,26 @@ type CacheStats struct {
 // cache turns a fleet scan from O(images × binaries) analyses into
 // O(distinct binaries).
 //
-// Two tiers: a bounded in-memory LRU for the hot set, and an optional
-// unbounded on-disk store (one JSON file per key) that survives process
-// restarts. Values are stored serialized and decoded on every Get, so
-// callers own their copy and cannot corrupt the cache by mutating a
-// returned report.
+// The cache is a sumstore.Tier — the same in-memory LRU over an
+// optional on-disk tier that backs the summary store — holding
+// JSON-encoded reports in <key>.json files. Values are decoded on every
+// Get, so callers own their copy and cannot corrupt the cache by
+// mutating a returned report.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	dir     string
-	hits    uint64
-	disk    uint64
-	misses  uint64
-	evicted uint64
-}
-
-type cacheEntry struct {
-	key  string
-	blob []byte // JSON-encoded BinaryAnalysis
+	tier *sumstore.Tier
 }
 
 // NewCache returns a cache holding at most maxEntries reports in memory
 // (maxEntries <= 0 selects a default of 1024). If dir is non-empty it is
 // created if needed and used as the persistent tier.
 func NewCache(maxEntries int, dir string) (*Cache, error) {
-	if maxEntries <= 0 {
-		maxEntries = 1024
+	t, err := sumstore.NewTier(maxEntries, 1024, dir, ".json")
+	if err != nil {
+		return nil, fmt.Errorf("fleet: cache dir: %w", err)
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("fleet: cache dir: %w", err)
-		}
-	}
-	return &Cache{
-		max:   maxEntries,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-		dir:   dir,
-	}, nil
+	return &Cache{tier: t}, nil
 }
 
 // reportFormat names the BinaryAnalysis layout the cache stores. It is
@@ -110,98 +73,21 @@ func Key(binary []byte, fingerprint string) string {
 // Get looks the key up in memory, then on disk. Disk hits are promoted
 // back into the LRU.
 func (c *Cache) Get(key string) (*BinaryAnalysis, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		blob := el.Value.(*cacheEntry).blob
-		c.hits++
-		c.mu.Unlock()
-		return decodeAnalysis(blob)
+	var v BinaryAnalysis
+	if !c.tier.Get(key, func(blob []byte) error { return json.Unmarshal(blob, &v) }) {
+		return nil, false
 	}
-	dir := c.dir
-	c.mu.Unlock()
-
-	if dir != "" {
-		blob, err := os.ReadFile(c.diskPath(key))
-		if err == nil {
-			if v, ok := decodeAnalysis(blob); ok {
-				c.mu.Lock()
-				c.hits++
-				c.disk++
-				c.insertLocked(key, blob)
-				c.mu.Unlock()
-				return v, true
-			}
-		}
-	}
-
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	return nil, false
+	return &v, true
 }
 
 // Put stores the report under key in memory and, when configured, on
 // disk. Serialization failures are impossible for well-formed reports;
 // disk write failures are ignored (the memory tier still serves).
 func (c *Cache) Put(key string, v *BinaryAnalysis) {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	c.insertLocked(key, blob)
-	dir := c.dir
-	c.mu.Unlock()
-	if dir != "" {
-		// Write-then-rename so a crashed writer never leaves a torn
-		// entry for a future Get to decode.
-		tmp := c.diskPath(key) + ".tmp"
-		if err := os.WriteFile(tmp, blob, 0o644); err == nil {
-			_ = os.Rename(tmp, c.diskPath(key))
-		}
+	if blob, err := json.Marshal(v); err == nil {
+		c.tier.Put(key, blob)
 	}
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		DiskHits:  c.disk,
-		Misses:    c.misses,
-		Evictions: c.evicted,
-		Entries:   len(c.items),
-	}
-}
-
-func (c *Cache) insertLocked(key string, blob []byte) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).blob = blob
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, blob: blob})
-	for len(c.items) > c.max {
-		last := c.ll.Back()
-		if last == nil {
-			break
-		}
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
-		c.evicted++
-	}
-}
-
-func (c *Cache) diskPath(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-func decodeAnalysis(blob []byte) (*BinaryAnalysis, bool) {
-	var v BinaryAnalysis
-	if err := json.Unmarshal(blob, &v); err != nil {
-		return nil, false
-	}
-	return &v, true
-}
+func (c *Cache) Stats() CacheStats { return c.tier.Stats() }

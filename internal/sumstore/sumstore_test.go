@@ -96,7 +96,8 @@ func TestStoreDiskTier(t *testing.T) {
 
 // TestStoreCorruptDiskFileIsMiss overwrites a persisted blob with
 // garbage: the lookup must degrade to a miss, never return bad data or
-// crash.
+// crash, and must not promote the garbage into memory — once the file
+// is repaired, the same store hits it on disk.
 func TestStoreCorruptDiskFileIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := NewStore(8, dir)
@@ -105,6 +106,10 @@ func TestStoreCorruptDiskFileIsMiss(t *testing.T) {
 	}
 	s1.PutSummary("p1-a", richSummary())
 	path := filepath.Join(dir, "p1-a.dtss")
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, []byte("DTSSgarbage-not-a-valid-blob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +118,33 @@ func TestStoreCorruptDiskFileIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(want Stats) {
+		t.Helper()
+		st := s2.Stats()
+		if st != want {
+			t.Fatalf("stats = %+v, want %+v", st, want)
+		}
+		if st.DiskHits > st.Hits {
+			t.Fatalf("DiskHits %d > Hits %d", st.DiskHits, st.Hits)
+		}
+	}
 	if _, ok := s2.GetSummary("p1-a"); ok {
 		t.Fatal("corrupt disk file served as a hit")
 	}
-	if st := s2.Stats(); st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
+	check(Stats{Misses: 1})
+
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	sum, ok := s2.GetSummary("p1-a")
+	if !ok || !reflect.DeepEqual(sum, richSummary()) {
+		t.Fatalf("repaired disk file: ok=%v", ok)
+	}
+	check(Stats{Hits: 1, DiskHits: 1, Misses: 1, Entries: 1})
 }
 
 // TestStoreKindConfusionIsMiss asks for an entry under a key holding a
-// summary: the kind byte must turn it into a miss.
+// summary: the kind byte must turn the memory-tier lookup into a miss.
 func TestStoreKindConfusionIsMiss(t *testing.T) {
 	s, err := NewStore(8, "")
 	if err != nil {
@@ -131,6 +153,9 @@ func TestStoreKindConfusionIsMiss(t *testing.T) {
 	s.PutSummary("k", richSummary())
 	if _, ok := s.GetEntry("k"); ok {
 		t.Fatal("summary blob served as an entry")
+	}
+	if st := s.Stats(); st != (Stats{Misses: 1, Entries: 1}) {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

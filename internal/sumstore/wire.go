@@ -47,6 +47,19 @@ const (
 	maxExprDepth = 4 * expr.MaxDepth
 )
 
+// Largest value of each enumeration the payload carries. The encoder
+// writes only declared constants (and, for call kinds and classes, the
+// zero value), so a larger value — or operator 0 — is corruption that
+// slipped past the CRC. It decodes to an error, not to an expression
+// like (arg0 op? arg1).
+const (
+	maxOp       = uint64(expr.OpShr)
+	maxCond     = uint64(isa.CondLE)
+	maxCallKind = uint64(cfg.CallUnknown)
+	maxClass    = uint64(taint.ClassPathTraversal)
+	maxType     = uint64(expr.TypeConflict)
+)
+
 var wireMagic = [4]byte{'D', 'T', 'S', 'S'}
 
 // ErrWire reports an undecodable blob: wrong magic, unknown version,
@@ -464,6 +477,16 @@ func (d *dec) str() string {
 	return s
 }
 
+// enum reads an enumeration value and fails unless lo <= v <= hi.
+func (d *dec) enum(lo, hi uint64) uint64 {
+	v := d.uint()
+	if v < lo || v > hi {
+		d.fail()
+		return 0
+	}
+	return v
+}
+
 func (d *dec) u32() uint32 {
 	v := d.uint()
 	if v > 0xFFFFFFFF {
@@ -495,7 +518,7 @@ func (d *dec) exprAt(depth int) *expr.Expr {
 		}
 		return expr.Deref(addr)
 	case exprBin:
-		op := expr.Op(d.uint())
+		op := expr.Op(d.enum(uint64(expr.OpAdd), maxOp))
 		a := d.exprAt(depth + 1)
 		b := d.exprAt(depth + 1)
 		if a == nil || b == nil {
@@ -537,7 +560,7 @@ func (d *dec) constraint() symexec.Constraint {
 	return symexec.Constraint{
 		L:      d.expr(),
 		R:      d.expr(),
-		Cond:   isa.Cond(d.uint()),
+		Cond:   isa.Cond(d.enum(0, maxCond)),
 		Addr:   d.u32(),
 		InLoop: d.bool(),
 	}
@@ -560,7 +583,7 @@ func (d *dec) summary() *symexec.Summary {
 	for i, n := 0, d.count(); i < n; i++ {
 		s.Calls = append(s.Calls, symexec.CallRecord{
 			Addr:   d.u32(),
-			Kind:   cfg.CallKind(d.uint()),
+			Kind:   cfg.CallKind(d.enum(0, maxCallKind)),
 			Callee: d.str(),
 			Args:   d.exprs(),
 			Ret:    d.expr(),
@@ -575,7 +598,7 @@ func (d *dec) summary() *symexec.Summary {
 		s.Types = make(map[string]expr.Type, n)
 		for i := 0; i < n; i++ {
 			k := d.str()
-			ty := expr.Type(d.uint())
+			ty := expr.Type(d.enum(0, maxType))
 			if d.err == nil {
 				s.Types[k] = ty
 			}
@@ -585,7 +608,7 @@ func (d *dec) summary() *symexec.Summary {
 		s.Fields = append(s.Fields, symexec.FieldObs{
 			Base:     d.expr(),
 			Off:      d.sint(),
-			Ty:       expr.Type(d.uint()),
+			Ty:       expr.Type(d.enum(0, maxType)),
 			FnTarget: d.str(),
 		})
 	}
@@ -616,7 +639,7 @@ func (d *dec) summary() *symexec.Summary {
 
 func (d *dec) pending() taint.PendingSink {
 	p := taint.PendingSink{
-		Class:     taint.Class(d.uint()),
+		Class:     taint.Class(d.enum(0, maxClass)),
 		Sink:      d.str(),
 		SinkFunc:  d.str(),
 		SinkAddr:  d.u32(),
@@ -636,7 +659,7 @@ func (d *dec) pending() taint.PendingSink {
 
 func (d *dec) finding() taint.Finding {
 	f := taint.Finding{
-		Class:      taint.Class(d.uint()),
+		Class:      taint.Class(d.enum(0, maxClass)),
 		Sink:       d.str(),
 		SinkFunc:   d.str(),
 		SinkAddr:   d.u32(),

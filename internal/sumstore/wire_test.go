@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dtaint/internal/cfg"
 	"dtaint/internal/expr"
 	"dtaint/internal/isa"
 	"dtaint/internal/symexec"
@@ -264,4 +265,106 @@ func TestWrongKindRejected(t *testing.T) {
 	if _, err := DecodeSummary(EncodeEntry(richEntry())); err == nil {
 		t.Fatal("summary decoder accepted an entry blob")
 	}
+}
+
+// TestUnknownEnumRejected encodes values outside their enumeration (the
+// encoder writes whatever it is given, so the CRC is valid): the
+// decoder must refuse each one rather than rebuild, say, the expression
+// (arg0 op? arg1).
+func TestUnknownEnumRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"op 99", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{expr.Bin(99, expr.Sym("arg0"), expr.Sym("arg1"))}})},
+		{"op 0", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{expr.Bin(0, expr.Sym("arg0"), expr.Sym("arg1"))}})},
+		{"cond 99", EncodeSummary(&symexec.Summary{Constraints: []symexec.Constraint{{Cond: 99}}})},
+		{"call kind 99", EncodeSummary(&symexec.Summary{Calls: []symexec.CallRecord{{Kind: 99}}})},
+		{"type 99", EncodeSummary(&symexec.Summary{Types: map[string]expr.Type{"arg0": 99}})},
+		{"field type 99", EncodeSummary(&symexec.Summary{Fields: []symexec.FieldObs{{Ty: 99}}})},
+		{"pending class 99", EncodeEntry(&Entry{Pendings: map[string][]taint.PendingSink{"f": {{Class: 99}}}})},
+		{"finding class 99", EncodeEntry(&Entry{Findings: []taint.Finding{{Class: 99}}})},
+	} {
+		var err error
+		if tc.blob[6] == kindSummary {
+			_, err = DecodeSummary(tc.blob)
+		} else {
+			_, err = DecodeEntry(tc.blob)
+		}
+		if err == nil {
+			t.Errorf("%s: decoded successfully", tc.name)
+		}
+	}
+	// The largest declared value of each enumeration still decodes.
+	ok := &symexec.Summary{
+		Rets:        []*expr.Expr{expr.Bin(expr.Op(maxOp), expr.Sym("arg0"), expr.Sym("arg1"))},
+		Constraints: []symexec.Constraint{{Cond: isa.Cond(maxCond)}},
+		Calls:       []symexec.CallRecord{{Kind: cfg.CallKind(maxCallKind)}},
+		Types:       map[string]expr.Type{"arg0": expr.Type(maxType)},
+	}
+	if _, err := DecodeSummary(EncodeSummary(ok)); err != nil {
+		t.Fatalf("largest enum values rejected: %v", err)
+	}
+	if _, err := DecodeEntry(EncodeEntry(&Entry{Findings: []taint.Finding{{Class: taint.Class(maxClass)}}})); err != nil {
+		t.Fatalf("largest class rejected: %v", err)
+	}
+}
+
+// TestEnumBoundsAreLastConstants pins each decoder bound to the last
+// named constant of its enumeration, so adding a constant without
+// raising the bound fails here instead of turning valid blobs into
+// misses.
+func TestEnumBoundsAreLastConstants(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		last, past, bad string
+	}{
+		{"op", expr.Op(maxOp).String(), expr.Op(maxOp + 1).String(), "op?"},
+		{"cond", isa.Cond(maxCond).String(), isa.Cond(maxCond + 1).String(), "cond?"},
+		{"type", expr.Type(maxType).String(), expr.Type(maxType + 1).String(), "type?"},
+		{"class", taint.Class(maxClass).String(), taint.Class(maxClass + 1).String(), "class?"},
+	} {
+		if tc.last == tc.bad || tc.past != tc.bad {
+			t.Errorf("%s: bound is not the last named constant (%q, next %q)", tc.name, tc.last, tc.past)
+		}
+	}
+}
+
+// FuzzDecode feeds arbitrary payloads to both decoders behind a valid
+// header and checksum, so inputs reach the payload parser: no input may
+// panic, and whatever decodes must re-encode to a blob that decodes and
+// re-encodes to the same bytes.
+func FuzzDecode(f *testing.F) {
+	for _, blob := range [][]byte{EncodeSummary(richSummary()), EncodeEntry(richEntry())} {
+		f.Add(blob[headerLen : len(blob)-trailerLen])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if sum, err := DecodeSummary(seal(kindSummary, payload)); err == nil {
+			blob := EncodeSummary(sum)
+			again, err := DecodeSummary(blob)
+			if err != nil {
+				t.Fatalf("re-encoded summary does not decode: %v", err)
+			}
+			if !bytes.Equal(EncodeSummary(again), blob) {
+				t.Fatal("summary re-encoding is not stable")
+			}
+		}
+		if ent, err := DecodeEntry(seal(kindEntry, payload)); err == nil {
+			blob := EncodeEntry(ent)
+			again, err := DecodeEntry(blob)
+			if err != nil {
+				t.Fatalf("re-encoded entry does not decode: %v", err)
+			}
+			if !bytes.Equal(EncodeEntry(again), blob) {
+				t.Fatal("entry re-encoding is not stable")
+			}
+		}
+	})
+}
+
+// seal wraps a payload in a valid header and CRC trailer.
+func seal(kind byte, payload []byte) []byte {
+	e := newEnc(kind)
+	e.buf = append(e.buf, payload...)
+	return e.finish()
 }

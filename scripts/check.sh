@@ -9,7 +9,9 @@
 # vocabulary spec check (the embedded default must parse, validate,
 # compile, and cover every finding class), a race-enabled test pass (so the parallel
 # bottom-up scheduler and the fleet orchestrator are always
-# race-checked), the screening-corpus precision/recall gate, a small
+# race-checked), a short fuzz of the summary-store decoder (blobs read
+# back from disk are untrusted input), the screening-corpus
+# precision/recall gate, a small
 # cold-then-warm corpus pass (warm re-scan must be faster, replay its
 # summaries entirely from the store, and report identical findings), and
 # the dtaintd smoke test. Invoked by `make check`; keep CI and local
@@ -49,6 +51,9 @@ go run ./scripts/vocabcheck
 
 echo ">> go test -race ./..."
 go test -race ./...
+
+echo ">> fuzz the summary-store decoder (disk input)"
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/sumstore
 
 echo ">> benchtab -screen (precision/recall gate)"
 go run ./cmd/benchtab -screen -min-precision 1 -min-recall 1 -bench-out off

@@ -5,7 +5,8 @@
 # server on an ephemeral port with JSON structured logging, POSTs the
 # image to /v1/scan, polls the job until it is done, and asserts the
 # report finds at least one vulnerability, /v1/metrics speaks
-# Prometheus text to a text/plain client, and the log stream contains a
+# Prometheus text to a text/plain client (report-cache and summary-store
+# counters included), and the log stream contains a
 # valid JSON line for every pipeline stage (scripts/logcheck). It then
 # POSTs the image against itself to /v1/diff: with the cache warmed by
 # the scan, the self-diff must replay everything (zero re-analyses),
@@ -128,6 +129,10 @@ printf '%s' "$promtext" | grep -q '^# TYPE dtaintd_jobs_done_total counter' ||
 	{ echo "smoke: no Prometheus exposition:"; printf '%s\n' "$promtext" | head -5; exit 1; }
 printf '%s' "$promtext" | grep -q '^dtaint_diff_binaries_replayed_total' ||
 	{ echo "smoke: no diff counters in Prometheus exposition"; exit 1; }
+printf '%s' "$promtext" | grep -q '^dtaint_cache_disk_hits_total' ||
+	{ echo "smoke: no report-cache disk-hit counter in Prometheus exposition"; exit 1; }
+printf '%s' "$promtext" | grep -q '^dtaint_sumstore_hits_total' ||
+	{ echo "smoke: no summary-store counters in Prometheus exposition"; exit 1; }
 
 echo ">> smoke: SIGTERM flips /readyz to 503 during the drain window"
 kill -TERM "$pid"
