@@ -199,7 +199,7 @@ type Result struct {
 	DefPairCount      int
 	SSATime           time.Duration
 	DDGTime           time.Duration
-	Truncated         int // functions that hit the state cap
+	Truncated         int // functions that dropped a path at the per-block bound or hit the per-function cap
 
 	// Parallel reports how the bottom-up scheduler executed (phase 3+4).
 	Parallel ParallelStats
@@ -400,7 +400,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	opts.Metrics.Counter("dtaint_findings_total",
 		"Source-to-sink findings, sanitized included.", nil).Add(uint64(len(res.Findings)))
 	opts.Metrics.Counter("dtaint_truncated_functions_total",
-		"Functions that hit the symbolic state cap.", nil).Add(uint64(res.Truncated))
+		"Functions that dropped a path at the per-block bound or hit the per-function state cap.", nil).Add(uint64(res.Truncated))
 	if opts.SummaryStore != nil {
 		opts.SummaryStore.PublishMetrics(opts.Metrics)
 	}
@@ -665,7 +665,11 @@ func calleeRet(sum *symexec.Summary, sub func(*expr.Expr) *expr.Expr, callee str
 // substitutor builds Algorithm 2's replacement: formal arguments become
 // the callsite's actual expressions, heap identities are re-hashed with
 // the callsite (unique per callsite chain), and the result is resolved
-// against the live caller state.
+// against the live caller state. The caller's state does not change
+// while the oracle runs, so the replacement depends only on the input's
+// key: each distinct callee fact is instantiated once per callsite, and
+// return values, exported definitions and pending sinks that repeat it
+// share the first result.
 func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 	site, args := uint64(ctx.Site), ctx.Args
 	// ArgIndex also parses spellings such as "arg01"; only the canonical
@@ -676,15 +680,22 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		}
 		return nil
 	}
+	var memo map[string]*expr.Expr
 	return func(e *expr.Expr) *expr.Expr {
 		if e == nil {
 			return nil
+		}
+		if r, ok := memo[e.Key()]; ok { //dtaintlint:ignore sse-key-identity expr nodes are not interned; the key is their canonical identity
+			return r
+		}
+		if memo == nil {
+			memo = make(map[string]*expr.Expr)
 		}
 		// Re-hash heap identities BEFORE substituting actuals: only heap
 		// symbols originating in the callee (its allocation sites) extend
 		// their callsite chain; heap pointers the caller passes in as
 		// arguments keep their identity.
-		e = e.MapSyms(func(name string) *expr.Expr {
+		r := e.MapSyms(func(name string) *expr.Expr {
 			if expr.IsHeapName(name) {
 				return expr.Sym(expr.RehashHeap(name, site))
 			}
@@ -692,8 +703,9 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		})
 		// Only symbol nodes can be formal arguments: one symbol walk
 		// substitutes the actuals without re-walking them.
-		e = e.MapSyms(actual)
-		return ctx.ResolveDeep(e)
+		r = ctx.ResolveDeep(r.MapSyms(actual))
+		memo[e.Key()] = r //dtaintlint:ignore sse-key-identity expr nodes are not interned; the key is their canonical identity
+		return r
 	}
 }
 

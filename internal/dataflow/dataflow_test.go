@@ -6,6 +6,8 @@ import (
 
 	"dtaint/internal/asm"
 	"dtaint/internal/cfg"
+	"dtaint/internal/expr"
+	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
 )
 
@@ -784,5 +786,55 @@ out:
 			t.Logf("finding: %s", f.String())
 		}
 		t.Fatal("oversized caller-side check treated as sanitizing")
+	}
+}
+
+// TestSubstitutorInstantiatesOnce pins the per-callsite memo: a callee
+// fact is instantiated once per callsite, and a repeat of it (equal key,
+// different node) gets the first result back without allocating.
+func TestSubstitutorInstantiatesOnce(t *testing.T) {
+	bin, err := asm.Assemble("t", `
+.arch arm
+.func f
+  MOV R0, R1
+  BL g
+  BX LR
+.endfunc
+.func g
+  BX LR
+.endfunc
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cfg.Build(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := false
+	oracle := symexec.OracleFunc(func(ctx *symexec.CallContext) symexec.CallEffect {
+		called = true
+		sub := substitutor(ctx)
+		fact := expr.Deref(expr.Add(expr.Arg(0), 0x4C))
+		repeat := expr.Deref(expr.Add(expr.Arg(0), 0x4C))
+		if fact == repeat || fact.Key() != repeat.Key() {
+			t.Fatal("want two nodes with one key")
+		}
+		first := sub(fact)
+		if want := expr.Deref(expr.Add(expr.Arg(1), 0x4C)).Key(); first.Key() != want {
+			t.Fatalf("sub(%s) = %s, want %s", fact, first, want)
+		}
+		var second *expr.Expr
+		if n := testing.AllocsPerRun(10, func() { second = sub(repeat) }); n != 0 {
+			t.Errorf("repeat instantiation allocates %v times, want 0", n)
+		}
+		if second != first {
+			t.Errorf("repeat instantiation built %p, want the first result %p", second, first)
+		}
+		return symexec.CallEffect{}
+	})
+	symexec.Analyze(prog.ByName["f"], bin, oracle, symexec.Options{})
+	if !called {
+		t.Fatal("oracle not called at the callsite")
 	}
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,36 @@ func TestConstFolding(t *testing.T) {
 				t.Fatalf("got %d, want %d", v, tt.want)
 			}
 		})
+	}
+}
+
+func TestSmallConstShared(t *testing.T) {
+	for _, v := range []int64{minSmallConst, -4, 0, 1, 0x4C, maxSmallConst - 1} {
+		if Const(v) != Const(v) {
+			t.Fatalf("Const(%d) built two nodes", v)
+		}
+		if got, want := Const(v).Key(), strconv.FormatInt(v, 10); got != want {
+			t.Fatalf("Const(%d).Key() = %q, want %q", v, got, want)
+		}
+	}
+	var sink *Expr
+	if n := testing.AllocsPerRun(100, func() { sink = Const(0x4C) }); n != 0 {
+		t.Fatalf("Const(0x4C) allocates %v times per call, want 0", n)
+	}
+	_ = sink
+	// Out of range, every call builds its own node with the right key.
+	for _, v := range []int64{minSmallConst - 1, maxSmallConst, 0x670B0, -1 << 40} {
+		c := Const(v)
+		if c == Const(v) {
+			t.Fatalf("Const(%d) is outside the table but was shared", v)
+		}
+		if got, ok := c.ConstVal(); !ok || got != v || c.Key() != strconv.FormatInt(v, 10) {
+			t.Fatalf("Const(%d) = %s (%d, %v)", v, c.Key(), got, ok)
+		}
+	}
+	// Folding lands on the shared node too.
+	if Bin(OpAdd, Const(3), Const(4)) != Const(7) || Bin(OpSub, Sym("x"), Sym("x")) != Const(0) {
+		t.Fatal("folded constant is not the shared node")
 	}
 }
 

@@ -100,7 +100,7 @@ type Summary struct {
 
 	BlocksAnalyzed int
 	StatesExplored int
-	Truncated      bool // hit the state-exploration cap
+	Truncated      bool // dropped a path at MaxStatesPerBlock or stopped at MaxStatesPerFunc
 }
 
 // Proto declares the argument and return types of a library function, one
@@ -323,7 +323,7 @@ type engine struct {
 	sum        *Summary
 	ranges     map[string]vrange.Interval // facts from oracle CallEffects
 	defSeen    map[string]bool
-	constSeen  map[string]bool
+	constSeen  map[constraintKey]bool
 	fieldSeen  map[string]bool
 	retSeen    map[string]bool
 	useSeen    map[string]bool
@@ -346,7 +346,7 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 		},
 		ranges:     make(map[string]vrange.Interval),
 		defSeen:    make(map[string]bool),
-		constSeen:  make(map[string]bool),
+		constSeen:  make(map[constraintKey]bool),
 		fieldSeen:  make(map[string]bool),
 		retSeen:    make(map[string]bool),
 		useSeen:    make(map[string]bool),
@@ -480,9 +480,15 @@ func (e *engine) initialState() *State {
 	return st
 }
 
+// workItem is a block waiting to run on a path state. The successors
+// of one block all hold their parent's state: each but the last carries
+// share and clones it when popped, and the last, popped after its
+// siblings' subtrees are done, takes it over. A dropped item copies
+// nothing.
 type workItem struct {
 	block *cfg.Block
 	st    *State
+	share bool
 }
 
 func (e *engine) run() {
@@ -514,6 +520,9 @@ func (e *engine) run() {
 			e.sum.Truncated = true
 			continue
 		}
+		if it.share {
+			st = st.clone()
+		}
 		st.visits[b.Index]++
 		e.blockSeen[b.Index]++
 		e.sum.StatesExplored++
@@ -530,7 +539,7 @@ func (e *engine) run() {
 }
 
 // execBlock executes all instructions of b over st and returns successor
-// work items.
+// work items, all on st (see workItem).
 func (e *engine) execBlock(b *cfg.Block, st *State) []workItem {
 	inLoop := e.fn.LoopBlocks[b.Index]
 	for _, li := range b.Insts {
@@ -567,30 +576,26 @@ func (e *engine) execBlock(b *cfg.Block, st *State) []workItem {
 		}
 		// Conditional: successor 0 is taken, 1 is fallthrough.
 		if takeTaken && len(b.Succs) > 0 {
-			taken := st.clone()
 			e.recordConstraint(term.Addr, st, term.Raw.Cond, inLoop)
-			items = append(items, workItem{block: b.Succs[0], st: taken})
+			items = append(items, workItem{block: b.Succs[0], st: st})
 		}
 		if takeFall && len(b.Succs) > 1 {
-			fall := st.clone()
 			e.recordConstraint(term.Addr, st, term.Raw.Cond.Negate(), inLoop)
-			items = append(items, workItem{block: b.Succs[1], st: fall})
+			items = append(items, workItem{block: b.Succs[1], st: st})
 		}
-		return items
 	default:
-		for i, s := range b.Succs {
-			next := st
-			if i > 0 {
-				next = st.clone()
-			}
-			items = append(items, workItem{block: s, st: next})
+		for _, s := range b.Succs {
+			items = append(items, workItem{block: s, st: st})
 		}
 		// A block that falls off the end of the function acts as a return.
 		if len(b.Succs) == 0 {
 			e.recordRet(st)
 		}
-		return items
 	}
+	for i := 0; i < len(items)-1; i++ {
+		items[i].share = true
+	}
+	return items
 }
 
 func (e *engine) exec(addr uint32, stmt ir.Stmt, st *State, inLoop bool) {
@@ -822,11 +827,17 @@ func (e *engine) recordDef(d, u *expr.Expr, addr uint32, size int) {
 	e.sum.DefPairs = append(e.sum.DefPairs, DefPair{D: d, U: u, Addr: addr, Size: size})
 }
 
+// constraintKey identifies a recorded branch constraint.
+type constraintKey struct {
+	l, r string
+	cond isa.Cond
+}
+
 func (e *engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop bool) {
 	if !st.hasFlag {
 		return
 	}
-	key := st.cmpL.Key() + "|" + st.cmpR.Key() + "|" + cond.String()
+	key := constraintKey{st.cmpL.Key(), st.cmpR.Key(), cond}
 	if e.constSeen[key] {
 		return
 	}

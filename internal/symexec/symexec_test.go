@@ -526,3 +526,63 @@ func TestResolveAndResolveDeep(t *testing.T) {
 type oracleFunc func(*CallContext) CallEffect
 
 func (f oracleFunc) Call(ctx *CallContext) CallEffect { return f(ctx) }
+
+// TestSharedSuccessorsDoNotAlias pins clone-on-pop: every successor of a
+// block starts from its parent's state, even though the earlier ones
+// copy it only when popped and the last one takes it over. Each arm
+// reads a register (R4 = 1) and a memory cell ([arg0+4] = 0x11) set
+// before the branch, stores them to its own slots, then overwrites both.
+// Any arm that saw an earlier arm's writes stores 2 or 0x22 instead.
+func TestSharedSuccessorsDoNotAlias(t *testing.T) {
+	slots := map[string][2]int64{"a": {0x10, 0x14}, "b": {0x20, 0x24}, "c": {0x30, 0x34}}
+	arm := func(label string) string {
+		return label + `:
+  STR R4, [R0, #` + itoa(slots[label][0]) + `]
+  LDR R6, [R0, #4]
+  STR R6, [R0, #` + itoa(slots[label][1]) + `]
+  MOV R4, #2
+  MOV R5, #0x22
+  STR R5, [R0, #4]
+  BX LR
+`
+	}
+	arms := arm("a") + arm("b") + arm("c")
+	prologue := `
+.arch arm
+.func f
+  MOV R4, #1
+  MOV R5, #0x11
+  STR R5, [R0, #4]
+`
+	check := func(t *testing.T, sum *Summary, labels ...string) {
+		t.Helper()
+		for _, l := range labels {
+			for i, want := range []int64{1, 0x11} {
+				d := expr.Deref(expr.Add(expr.Arg(0), slots[l][i])).Key()
+				defs := sum.FindDefs(d)
+				if len(defs) != 1 || defs[0].U.Key() != expr.Const(want).Key() {
+					t.Errorf("arm %s: %s defined as %v, want only %d", l, d, defs, want)
+				}
+			}
+		}
+	}
+
+	t.Run("two-way", func(t *testing.T) {
+		// Taken (b) is explored first; the fall-through (a) owns the state.
+		sum := analyze(t, prologue+"  CMP R1, #0\n  BEQ b\n"+arms+".endfunc\n", "f", nil)
+		check(t, sum, "a", "b")
+	})
+
+	t.Run("three-way", func(t *testing.T) {
+		p, bin := build(t, prologue+"  B a\n"+arms+".endfunc\n")
+		f := p.ByName["f"]
+		if len(f.Blocks) != 4 {
+			t.Fatalf("got %d blocks, want the entry and 3 arms", len(f.Blocks))
+		}
+		// Widen the entry's single edge to a three-way fan-out: a is
+		// explored first, then b, and c owns the parent's state.
+		f.Entry.Succs = f.Blocks[1:4]
+		sum := Analyze(f, bin, nil, Options{})
+		check(t, sum, "a", "b", "c")
+	})
+}

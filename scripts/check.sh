@@ -9,8 +9,9 @@
 # vocabulary spec check (the embedded default must parse, validate,
 # compile, and cover every finding class), a race-enabled test pass (so the parallel
 # bottom-up scheduler and the fleet orchestrator are always
-# race-checked), a short fuzz of the summary-store decoder (blobs read
-# back from disk are untrusted input), the screening-corpus
+# race-checked), short fuzzes of the summary-store decoder (blobs read
+# back from disk are untrusted input) and of the vocabulary parser
+# (dtaintd parses uploaded specs), the screening-corpus
 # precision/recall gate, a small
 # cold-then-warm corpus pass (warm re-scan must be faster, replay its
 # summaries entirely from the store, and report identical findings), and
@@ -54,6 +55,11 @@ go test -race ./...
 
 echo ">> fuzz the summary-store decoder (disk input)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/sumstore
+
+# The seed is the 6 KB default spec, and minimizing each new input that
+# size can take the fuzzer's whole budget, so minimization is capped.
+echo ">> fuzz the vocabulary parser (dtaintd upload input)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/vocab
 
 echo ">> benchtab -screen (precision/recall gate)"
 go run ./cmd/benchtab -screen -min-precision 1 -min-recall 1 -bench-out off
