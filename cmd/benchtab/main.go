@@ -11,8 +11,6 @@
 //	benchtab -table6            # Table VI: CPU/memory usage
 //	benchtab -table7            # Table VII: DTaint (parallel + sequential DDG) vs top-down baseline
 //	benchtab -ablate            # feature ablations (alias, sse, structsim, value ranges)
-//	benchtab -alias             # alias phase: Algorithm 1 (pairwise) vs SSE classes
-//	benchtab -fleet             # fleet orchestrator: cold vs cached image scans
 //	benchtab -corpus            # corpus-scale scans: summary store cold vs warm
 //	benchtab -diff              # differential scan of a vendor re-release
 //	benchtab -screen            # precision/recall over the screening corpus
@@ -42,21 +40,11 @@
 // non-zero when the full pipeline falls below either threshold
 // (`make check` runs it with both set to 1).
 //
-// -alias benchmarks the alias-rewriting phase in isolation: the same
-// raw definition pairs through Algorithm 1's pairwise scan and through
-// the SSE class engine, on the study image and on a dense synthetic
-// alias web, with the hash-cons table's size and hit rate recorded in
-// the benchmark archive.
-//
 // -scale (default 0.25) shrinks the filler code of the synthetic binaries;
 // detection results are scale-invariant, runtimes and size columns scale.
 //
-// Whenever a measured section runs (-table3/4/5, -table7, -fleet, or
-// -all), the run is also archived as machine-readable JSON — schema
-// "dtaint-bench/v1", documented in EXPERIMENTS.md — so benchmark runs
-// can be diffed across commits. -bench-out picks the file name; by
-// default it is BENCH_<UTC timestamp>.json in the working directory.
-// -bench-out=off disables the archive.
+// benchtab prints tables and gates; it writes no file. Performance
+// records (BENCH_*.json) come from the profbench module's -profile mode.
 package main
 
 import (
@@ -70,23 +58,20 @@ import (
 
 func main() {
 	var (
-		all      = flag.Bool("all", false, "regenerate every table and figure")
-		fig1     = flag.Bool("fig1", false, "Figure 1: emulation success by release year")
-		table1   = flag.Bool("table1", false, "Table I: sources and sinks")
-		table2   = flag.Bool("table2", false, "Table II: firmware summary")
-		table3   = flag.Bool("table3", false, "Table III: detection results")
-		table4   = flag.Bool("table4", false, "Table IV: previously-reported vulnerabilities")
-		table5   = flag.Bool("table5", false, "Table V: zero-day vulnerabilities")
-		table6   = flag.Bool("table6", false, "Table VI: resource usage")
-		table7   = flag.Bool("table7", false, "Table VII: time cost vs the top-down baseline")
-		ablate   = flag.Bool("ablate", false, "feature ablations")
-		aliasX   = flag.Bool("alias", false, "alias phase: Algorithm 1 (pairwise) vs SSE classes")
-		fleetX   = flag.Bool("fleet", false, "fleet orchestrator: cold vs cached image scans")
-		screen   = flag.Bool("screen", false, "precision/recall over a randomized screening corpus")
-		minPrec  = flag.Float64("min-precision", 0, "with -screen: exit non-zero when full-pipeline precision falls below this")
-		minRec   = flag.Float64("min-recall", 0, "with -screen: exit non-zero when full-pipeline recall falls below this")
-		scale    = flag.Float64("scale", 0.25, "corpus scale factor in (0, 1]")
-		benchOut = flag.String("bench-out", "", "benchmark record file (empty = BENCH_<timestamp>.json, off = none)")
+		all     = flag.Bool("all", false, "regenerate every table and figure")
+		fig1    = flag.Bool("fig1", false, "Figure 1: emulation success by release year")
+		table1  = flag.Bool("table1", false, "Table I: sources and sinks")
+		table2  = flag.Bool("table2", false, "Table II: firmware summary")
+		table3  = flag.Bool("table3", false, "Table III: detection results")
+		table4  = flag.Bool("table4", false, "Table IV: previously-reported vulnerabilities")
+		table5  = flag.Bool("table5", false, "Table V: zero-day vulnerabilities")
+		table6  = flag.Bool("table6", false, "Table VI: resource usage")
+		table7  = flag.Bool("table7", false, "Table VII: time cost vs the top-down baseline")
+		ablate  = flag.Bool("ablate", false, "feature ablations")
+		screen  = flag.Bool("screen", false, "precision/recall over a randomized screening corpus")
+		minPrec = flag.Float64("min-precision", 0, "with -screen: exit non-zero when full-pipeline precision falls below this")
+		minRec  = flag.Float64("min-recall", 0, "with -screen: exit non-zero when full-pipeline recall falls below this")
+		scale   = flag.Float64("scale", 0.25, "corpus scale factor in (0, 1]")
 
 		corpusX = flag.Bool("corpus", false, "corpus-scale scans: summary store cold vs warm")
 		cOpts   corpusOpts
@@ -104,7 +89,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*all, *fig1, *table1, *table2, *table3, *table4, *table5,
-		*table6, *table7, *ablate, *aliasX, *fleetX, *corpusX, *diffX, *screen, *minPrec, *minRec, *scale, *benchOut, cOpts, dOpts); err != nil {
+		*table6, *table7, *ablate, *corpusX, *diffX, *screen, *minPrec, *minRec, *scale, cOpts, dOpts); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
@@ -125,14 +110,13 @@ type diffOpts struct {
 	minSkip float64
 }
 
-func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, aliasBench, fleetScan, corpusScan, diffScan, screen bool, minPrec, minRec, scale float64, benchOut string, cOpts corpusOpts, dOpts diffOpts) error {
-	none := !(fig1 || t1 || t2 || t3 || t4 || t5 || t6 || t7 || ablate || aliasBench || fleetScan || corpusScan || diffScan || screen)
+func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, corpusScan, diffScan, screen bool, minPrec, minRec, scale float64, cOpts corpusOpts, dOpts diffOpts) error {
+	none := !(fig1 || t1 || t2 || t3 || t4 || t5 || t6 || t7 || ablate || corpusScan || diffScan || screen)
 	if all || none {
 		fig1, t1, t2, t3, t4, t5, t6, t7 = true, true, true, true, true, true, true, true
-		ablate, aliasBench, fleetScan, corpusScan, diffScan, screen = true, true, true, true, true, true
+		ablate, corpusScan, diffScan, screen = true, true, true, true
 	}
 	w := os.Stdout
-	rec := bench.NewRecord(scale)
 	if fig1 {
 		if err := bench.Figure1(w); err != nil {
 			return err
@@ -153,7 +137,6 @@ func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, aliasBench, fleetScan, c
 		if err != nil {
 			return err
 		}
-		rec.AddStudy(runs)
 		if t3 {
 			if err := bench.Table3(w, runs); err != nil {
 				return err
@@ -176,30 +159,14 @@ func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, aliasBench, fleetScan, c
 		}
 	}
 	if t7 {
-		rows, err := bench.Table7(w, scale)
-		if err != nil {
+		if err := bench.Table7(w, scale); err != nil {
 			return err
 		}
-		rec.AddTable7(rows)
 	}
 	if ablate {
 		if err := bench.Ablations(w, scale); err != nil {
 			return err
 		}
-	}
-	if aliasBench {
-		rows, err := bench.AliasBench(w, scale)
-		if err != nil {
-			return err
-		}
-		rec.Alias = rows
-	}
-	if fleetScan {
-		fr, err := bench.Fleet(w, scale)
-		if err != nil {
-			return err
-		}
-		rec.Fleet = fr
 	}
 	if corpusScan {
 		workers := cOpts.workers
@@ -210,7 +177,6 @@ func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, aliasBench, fleetScan, c
 		if err != nil {
 			return err
 		}
-		rec.Corpus = cr
 		if cr.WarmSpeedup < cOpts.minSpeedup {
 			return fmt.Errorf("corpus warm speedup %.2fx below -min-corpus-speedup %.2f", cr.WarmSpeedup, cOpts.minSpeedup)
 		}
@@ -227,7 +193,6 @@ func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, aliasBench, fleetScan, c
 		if err != nil {
 			return err
 		}
-		rec.Diff = dr
 		if dr.SkipRate < dOpts.minSkip {
 			return fmt.Errorf("diff skip rate %.3f below -min-diff-skip %.3f", dr.SkipRate, dOpts.minSkip)
 		}
@@ -243,13 +208,6 @@ func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, aliasBench, fleetScan, c
 		if stats.Recall < minRec {
 			return fmt.Errorf("screening recall %.3f below -min-recall %.3f", stats.Recall, minRec)
 		}
-	}
-	if benchOut != "off" && !rec.Empty() {
-		path, err := rec.WriteFile(benchOut)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote benchmark record to %s\n", path)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -523,8 +524,7 @@ func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "diff requires multipart/form-data with \"old\" and \"new\" image parts")
 		return
 	}
-	if err := r.ParseMultipartForm(s.cfg.maxUpload); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed multipart upload: "+err.Error())
+	if !s.parseForm(w, r) {
 		return
 	}
 	defer func() { _ = r.MultipartForm.RemoveAll() }()
@@ -605,8 +605,7 @@ func (s *server) readScanRequest(w http.ResponseWriter, r *http.Request) (data [
 		}
 		return data, nil, true
 	}
-	if err := r.ParseMultipartForm(s.cfg.maxUpload); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed multipart upload: "+err.Error())
+	if !s.parseForm(w, r) {
 		return nil, nil, false
 	}
 	defer func() { _ = r.MultipartForm.RemoveAll() }()
@@ -620,6 +619,24 @@ func (s *server) readScanRequest(w http.ResponseWriter, r *http.Request) (data [
 		return nil, nil, false
 	}
 	return data, voc, true
+}
+
+// parseForm parses a multipart upload whose body is already capped at
+// -max-upload. A body over the cap answers 413, as a raw upload does;
+// any other parse error answers 400. On failure the response has been
+// written and parseForm returns false.
+func (s *server) parseForm(w http.ResponseWriter, r *http.Request) bool {
+	err := r.ParseMultipartForm(s.cfg.maxUpload)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "multipart upload too large: "+err.Error())
+	} else {
+		httpError(w, http.StatusBadRequest, "malformed multipart upload: "+err.Error())
+	}
+	return false
 }
 
 // readVocabPart compiles the optional "vocab" part of a parsed

@@ -149,42 +149,56 @@ func TestScanEndToEnd(t *testing.T) {
 	}
 }
 
-// postMultipart POSTs /v1/scan as multipart/form-data with a firmware
-// part and, when vocabJSON is non-empty, a vocab part.
-func postMultipart(t *testing.T, ts *httptest.Server, fw []byte, vocabJSON string) *http.Response {
-	t.Helper()
+// formFile is one file part of a multipart upload.
+type formFile struct {
+	name string
+	data []byte
+}
+
+// formBody encodes files as a multipart/form-data body and returns it
+// with its Content-Type (boundary included).
+func formBody(tb testing.TB, files ...formFile) ([]byte, string) {
+	tb.Helper()
 	var body bytes.Buffer
 	mw := multipart.NewWriter(&body)
-	fp, err := mw.CreateFormFile("firmware", "image.fwimg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fp.Write(fw); err != nil {
-		t.Fatal(err)
-	}
-	if vocabJSON != "" {
-		vp, err := mw.CreateFormFile("vocab", "vocab.json")
+	for _, f := range files {
+		fp, err := mw.CreateFormFile(f.name, f.name+".bin")
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		if _, err := vp.Write([]byte(vocabJSON)); err != nil {
-			t.Fatal(err)
+		if _, err := fp.Write(f.data); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if err := mw.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/scan", mw.FormDataContentType(), &body)
+	return body.Bytes(), mw.FormDataContentType()
+}
+
+// postForm POSTs files to path as multipart/form-data and returns the
+// raw response.
+func postForm(t *testing.T, ts *httptest.Server, path string, files ...formFile) *http.Response {
+	t.Helper()
+	body, ct := formBody(t, files...)
+	resp, err := http.Post(ts.URL+path, ct, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
 }
 
-// TestScanVocabOverride: a multipart scan with a sink-free vocabulary
-// must report zero vulnerabilities on an image the default vocabulary
-// flags, and the two jobs must not share cached results even though
-// they scan byte-identical binaries through the same cache.
+// postMultipart POSTs /v1/scan as multipart/form-data with a firmware
+// part and, when vocabJSON is non-empty, a vocab part.
+func postMultipart(t *testing.T, ts *httptest.Server, fw []byte, vocabJSON string) *http.Response {
+	t.Helper()
+	files := []formFile{{"firmware", fw}}
+	if vocabJSON != "" {
+		files = append(files, formFile{"vocab", []byte(vocabJSON)})
+	}
+	return postForm(t, ts, "/v1/scan", files...)
+}
+
 // TestDaemonFingerprintMatchesCLI: the daemon starts from the options
 // dtaint.New builds, so both front ends key reports on the same options
 // fingerprint and a report cache the CLI fills serves the daemon's scan
@@ -218,6 +232,15 @@ func TestDaemonFingerprintMatchesCLI(t *testing.T) {
 	}
 }
 
+// sourceOnlyVocab declares one source and no sink.
+const sourceOnlyVocab = `{"version": 1, "functions": [
+	{"name": "read", "kind": "source",
+	 "args": [{"type": "int"}, {"type": "char*", "role": "dest"}, {"type": "int", "role": "len"}]}]}`
+
+// TestScanVocabOverride: a multipart scan with a sink-free vocabulary
+// must report zero vulnerabilities on an image the default vocabulary
+// flags, and the two jobs must not share cached results even though
+// they scan byte-identical binaries through the same cache.
 func TestScanVocabOverride(t *testing.T) {
 	cache, err := fleet.NewCache(64, "")
 	if err != nil {
@@ -237,9 +260,7 @@ func TestScanVocabOverride(t *testing.T) {
 	// Multipart scan with a vocabulary that declares sources only: the
 	// cache already holds this image's reports, but the vocabulary digest
 	// keys them apart, so this job recomputes and finds nothing.
-	resp := postMultipart(t, ts, fw, `{"version": 1, "functions": [
-		{"name": "read", "kind": "source",
-		 "args": [{"type": "int"}, {"type": "char*", "role": "dest"}, {"type": "int", "role": "len"}]}]}`)
+	resp := postMultipart(t, ts, fw, sourceOnlyVocab)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("multipart POST = %d, want 202", resp.StatusCode)
@@ -308,15 +329,7 @@ func TestScanVocabRejection(t *testing.T) {
 	}
 
 	// A multipart POST without the firmware part is also a 400.
-	var body bytes.Buffer
-	mw := multipart.NewWriter(&body)
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/scan", mw.FormDataContentType(), &body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postForm(t, ts, "/v1/scan")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("firmware-less multipart POST = %d, want 400", resp.StatusCode)
@@ -327,28 +340,7 @@ func TestScanVocabRejection(t *testing.T) {
 // parts and returns the raw response.
 func postDiff(t *testing.T, ts *httptest.Server, oldFw, newFw []byte) *http.Response {
 	t.Helper()
-	var body bytes.Buffer
-	mw := multipart.NewWriter(&body)
-	for _, part := range []struct {
-		name string
-		data []byte
-	}{{"old", oldFw}, {"new", newFw}} {
-		fp, err := mw.CreateFormFile(part.name, part.name+".fwimg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fp.Write(part.data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/diff", mw.FormDataContentType(), &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return postForm(t, ts, "/v1/diff", formFile{"old", oldFw}, formFile{"new", newFw})
 }
 
 // TestDiffEndToEnd: scan the old version to warm the shared cache, then
@@ -429,22 +421,7 @@ func TestDiffBadRequests(t *testing.T) {
 	}
 
 	// Missing "new" part.
-	var body bytes.Buffer
-	mw := multipart.NewWriter(&body)
-	fp, err := mw.CreateFormFile("old", "old.fwimg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fp.Write(testFirmware(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/v1/diff", mw.FormDataContentType(), &body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postForm(t, ts, "/v1/diff", formFile{"old", testFirmware(t)})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("one-part diff POST = %d, want 400", resp.StatusCode)
@@ -592,16 +569,26 @@ func TestBadUploads(t *testing.T) {
 	t.Fatal("junk scan never failed")
 }
 
+// An upload over -max-upload answers 413 in every form: a raw scan
+// body, a multipart scan, and a multipart diff. The one multipart form
+// carries the parts of both endpoints, so only its size is at fault.
 func TestUploadLimit(t *testing.T) {
 	_, ts := startTestServer(t, config{maxUpload: 16})
-	resp, err := http.Post(ts.URL+"/v1/scan", "application/octet-stream",
-		bytes.NewReader(bytes.Repeat([]byte("x"), 64)))
+	big := bytes.Repeat([]byte("x"), 64)
+	resp, err := http.Post(ts.URL+"/v1/scan", "application/octet-stream", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize upload = %d, want 413", resp.StatusCode)
+		t.Fatalf("oversize raw upload = %d, want 413", resp.StatusCode)
+	}
+	for _, path := range []string{"/v1/scan", "/v1/diff"} {
+		resp := postForm(t, ts, path, formFile{"firmware", big}, formFile{"old", big}, formFile{"new", big})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize multipart upload to %s = %d, want 413", path, resp.StatusCode)
+		}
 	}
 }
 

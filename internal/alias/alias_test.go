@@ -310,4 +310,15 @@ func TestRewriteDroppedCounted(t *testing.T) {
 	if len(out) != len(in)+MaxNewPairs {
 		t.Fatalf("output pairs = %d", len(out))
 	}
+
+	// The same input stays within the class engine's budget: every
+	// handoff variant is synthesized, none dropped, and the intern
+	// table both shares and creates nodes.
+	_, sst := RewriteSSE(in, types)
+	if sst.Added != 600 || sst.Dropped != 0 {
+		t.Fatalf("SSE added/dropped = %d/%d, want 600/0", sst.Added, sst.Dropped)
+	}
+	if hr := sst.Intern.HitRate(); hr <= 0 || hr >= 1 {
+		t.Fatalf("SSE intern hit ratio = %v (%+v), want strictly between 0 and 1", hr, sst.Intern)
+	}
 }

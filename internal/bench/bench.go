@@ -395,14 +395,13 @@ func table7Binary(product string, scale float64) (*image.Binary, string, error) 
 
 // Table7 prints the time-cost comparison, including the parallel
 // SCC-DAG scheduler's DDG wall-clock next to the sequential (1-worker)
-// schedule of the same pass. The measured rows are returned so callers
-// can archive them (benchtab's BENCH_*.json record).
-func Table7(w io.Writer, scale float64) ([]Table7Row, error) {
+// schedule of the same pass.
+func Table7(w io.Writer, scale float64) error {
 	fmt.Fprintln(w, "== Table VII: time cost, top-down baseline (angr-style) vs DTaint ==")
 	fmt.Fprintf(w, "(corpus scale %.2f; seconds; paper full-scale values in parentheses; DDG(1w) is the sequential bottom-up schedule)\n", scale)
 	rows, err := RunTable7(scale, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintln(w, "Program    Baseline-SSA        Baseline-DDG        DTaint-SSA          DTaint-DDG(1w)  DTaint-DDG          par     comps/crit  DDG-speedup")
 	for _, r := range rows {
@@ -431,7 +430,7 @@ func Table7(w io.Writer, scale float64) ([]Table7Row, error) {
 			speedup, note)
 	}
 	fmt.Fprintf(w, "Paper DDG speedups: cgibin 1571x, setup.cgi 448x, httpd 2502x, openssl 2377x\n\n")
-	return rows, nil
+	return nil
 }
 
 // Ablations measures the design-choice ablations DESIGN.md calls out:

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -230,37 +229,6 @@ func TestScreeningOutput(t *testing.T) {
 	}
 }
 
-// TestAliasBenchRecords checks the alias-phase microbenchmark's
-// deterministic columns: Algorithm 1 must overflow its synthesis budget
-// on the dense web (the drops the SSE engine exists to avoid) while the
-// class engine stays within budget with a populated intern table. Wall
-// columns are load-dependent and deliberately unasserted.
-func TestAliasBenchRecords(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := AliasBench(&buf, testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 workloads, got %d:\n%s", len(rows), buf.String())
-	}
-	web := rows[1]
-	if web.SeqDropped == 0 {
-		t.Fatalf("dense web did not overflow Algorithm 1's budget: %+v", web)
-	}
-	if web.SSEDropped != 0 {
-		t.Fatalf("class engine overflowed its budget on the dense web: %+v", web)
-	}
-	for _, r := range rows {
-		if r.PairsIn == 0 || r.Iterations == 0 || r.InternNodes == 0 {
-			t.Fatalf("empty microbenchmark row: %+v", r)
-		}
-		if r.InternHitRate <= 0 || r.InternHitRate >= 1 {
-			t.Fatalf("degenerate intern hit rate: %+v", r)
-		}
-	}
-}
-
 func mustScreeningCases(t *testing.T, n int) []corpus.ScreeningCase {
 	t.Helper()
 	cases, err := corpus.ScreeningCorpus(n, 20180625)
@@ -271,77 +239,3 @@ func mustScreeningCases(t *testing.T, n int) []corpus.ScreeningCase {
 }
 
 func dtaintAblated() dataflow.Options { return dataflow.Options{DisableVRange: true} }
-
-func TestFleetOutput(t *testing.T) {
-	var buf bytes.Buffer
-	rec, err := Fleet(&buf, testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"cold", "warm", "TOTAL", "cache: 6 entries, 6 hits, 6 misses"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fleet output missing %q:\n%s", want, out)
-		}
-	}
-	// The warm pass must be served entirely from the cache.
-	if !strings.Contains(out, "warm    TOTAL                6        0       6") {
-		t.Fatalf("warm pass not fully cached:\n%s", out)
-	}
-	// The returned record mirrors the printed table.
-	if len(rec.Passes) != 2 || rec.Passes[0].Name != "cold" || rec.Passes[1].Name != "warm" {
-		t.Fatalf("record passes: %+v", rec.Passes)
-	}
-	cold, warm := rec.Passes[0], rec.Passes[1]
-	if cold.Scanned != 6 || warm.Cached != 6 || warm.Scanned != 0 {
-		t.Fatalf("record totals: cold %+v warm %+v", cold, warm)
-	}
-	if cold.WallSeconds <= 0 {
-		t.Fatal("cold pass wall not measured")
-	}
-	// The cold pass analyzed binaries, so its traced stages must include
-	// the per-binary pipeline; the warm pass is cache-only.
-	for _, stage := range []string{"scan-image", "scan-binary", "parse-image",
-		"build-cfg", "function-analysis", "interproc-dataflow"} {
-		if cold.StageSeconds[stage] < 0 {
-			t.Fatalf("cold stage %q negative", stage)
-		}
-		if _, ok := cold.StageSeconds[stage]; !ok {
-			t.Fatalf("cold pass lacks stage %q: %v", stage, cold.StageSeconds)
-		}
-	}
-	if _, ok := warm.StageSeconds["parse-image"]; ok {
-		t.Fatalf("warm pass re-parsed binaries: %v", warm.StageSeconds)
-	}
-	if rec.Cache.HitRate != 0.5 {
-		t.Fatalf("cache hit rate = %v, want 0.5", rec.Cache.HitRate)
-	}
-}
-
-func TestRecordWrite(t *testing.T) {
-	rec := NewRecord(0.05)
-	if !rec.Empty() {
-		t.Fatal("fresh record not empty")
-	}
-	rec.AddTable7([]Table7Row{{Binary: "cgibin", Workers: 4, Components: 10, CriticalPath: 3}})
-	if rec.Empty() {
-		t.Fatal("record with table7 rows reported empty")
-	}
-	var buf bytes.Buffer
-	if err := rec.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Record
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != RecordSchema || back.Scale != 0.05 {
-		t.Fatalf("round trip lost header: %+v", back)
-	}
-	if back.Env.GoVersion == "" || back.Env.GOMAXPROCS <= 0 {
-		t.Fatalf("environment not stamped: %+v", back.Env)
-	}
-	if len(back.Table7) != 1 || back.Table7[0].Binary != "cgibin" {
-		t.Fatalf("table7 rows lost: %+v", back.Table7)
-	}
-}

@@ -12,6 +12,39 @@ import (
 	"dtaint/internal/sumstore"
 )
 
+// CorpusRecord is the corpus-scale measurement: the overlap corpus's
+// shape, the four passes, and the two headline numbers — the warm
+// re-scan speedup (cold wall / warm wall) and the summary-store hit rate
+// of the resummarize pass. The -corpus gate reads both.
+type CorpusRecord struct {
+	Images            int
+	Variants          int
+	UniqueBinaries    int
+	DuplicateBinaries int
+	Workers           int
+	Passes            []CorpusPass
+	WarmSpeedup       float64
+	SummaryHitRate    float64
+}
+
+// CorpusPass is one pass over the overlap corpus. Cache and summary
+// counters are per-pass deltas, not cumulative store totals.
+type CorpusPass struct {
+	Name            string
+	Images          int
+	Candidates      int
+	Scanned         int
+	Cached          int
+	Vulnerabilities int
+	VulnerablePaths int
+	CacheHits       uint64
+	CacheMisses     uint64
+	SummaryHits     uint64
+	SummaryMisses   uint64
+	WallSeconds     float64
+	BinariesPerSec  float64
+}
+
 // Corpus measures corpus-scale scanning over an overlap corpus (many
 // images cycling a few binary variants that share a common module). Four
 // passes, all through fleet orchestration with the given worker count:

@@ -11,6 +11,29 @@ import (
 	"dtaint/internal/sumstore"
 )
 
+// DiffRecord is the differential-scanning measurement over a version
+// pair: the full-rescan baseline, the prior (nightly) scan that warms
+// the tiers, and the diff itself, with its cost attribution. SkipRate is
+// the fraction of analysis units replayed instead of re-analyzed, and
+// the -diff gate reads it; DeltaCostRatio is diff wall over full-rescan
+// wall.
+type DiffRecord struct {
+	Binaries          int
+	Mutated           int
+	Workers           int
+	FullRescanSeconds float64
+	PriorScanSeconds  float64
+	DiffSeconds       float64
+	DeltaCostRatio    float64
+	SkipRate          float64
+	Replayed          int
+	Reanalyzed        int
+	SummaryHitRate    float64
+	New               int
+	Fixed             int
+	Persisting        int
+}
+
 // Diff measures differential scanning over a version pair (a vendor
 // re-release mutating a few binaries at function granularity). Three
 // steps, all with the given worker count:

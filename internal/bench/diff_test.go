@@ -34,14 +34,4 @@ func TestDiffMeasurement(t *testing.T) {
 	if !strings.Contains(out.String(), "skip rate:") {
 		t.Fatalf("table output missing summary line:\n%s", out.String())
 	}
-
-	// The record participates in the archive schema.
-	r := NewRecord(0.25)
-	if !r.Empty() {
-		t.Fatal("fresh record not empty")
-	}
-	r.Diff = rec
-	if r.Empty() {
-		t.Fatal("record with a diff section reports empty")
-	}
 }

@@ -156,14 +156,16 @@ func (o Options) StartStage(name string, attrs ...obs.Attr) *Stage {
 	return st
 }
 
-// End closes the stage span and logs completion; extra args are
-// alternating slog key/value pairs.
-func (st *Stage) End(args ...any) {
+// End closes the stage span, logs completion, and returns the stage's
+// elapsed time; extra args are alternating slog key/value pairs.
+func (st *Stage) End(args ...any) time.Duration {
+	elapsed := time.Since(st.start)
 	st.span.End()
 	if st.log != nil {
-		all := append([]any{"stage", st.name, "seconds", time.Since(st.start).Seconds()}, args...)
+		all := append([]any{"stage", st.name, "seconds", elapsed.Seconds()}, args...)
 		st.log.Info("stage done", all...)
 	}
+	return elapsed
 }
 
 // newTracker builds a tracker with the configured vocabulary and access
@@ -333,11 +335,9 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	// discarded — this phase only exists to collect layouts, types, and
 	// indirect callsites. Functions are independent, so the phase fans
 	// out across workers (each with its own tracker).
-	t0 := time.Now()
 	st := opts.StartStage("function-analysis", obs.KV("functions", len(names)))
 	phase1 := runPhase1(prog, names, opts, fp, res, st.span)
-	res.SSATime = time.Since(t0)
-	st.End("functions", len(names))
+	res.SSATime = st.End("functions", len(names))
 
 	// Phase 2: indirect-call resolution. By default each callsite is
 	// resolved from SSE equivalence classes (registration and dispatch
@@ -362,11 +362,9 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 
 	// Phase 3+4: bottom-up interprocedural data flow with alias rewriting,
 	// scheduled over the condensed call graph's SCC DAG.
-	t1 := time.Now()
 	st = opts.StartStage("interproc-dataflow", obs.KV("functions", len(names)))
 	runBottomUp(prog, names, opts, fp, res, st.span)
-	res.DDGTime = time.Since(t1)
-	st.End("workers", res.Parallel.Workers,
+	res.DDGTime = st.End("workers", res.Parallel.Workers,
 		"components", res.Parallel.Components,
 		"findings", len(res.Findings))
 

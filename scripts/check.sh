@@ -10,15 +10,18 @@
 # compile, and cover every finding class), a race-enabled test pass (so the parallel
 # bottom-up scheduler and the fleet orchestrator are always
 # race-checked), short fuzzes of the summary-store decoder (blobs read
-# back from disk are untrusted input) and of the vocabulary parser
-# (dtaintd parses uploaded specs), the screening-corpus
-# precision/recall gate, a small
+# back from disk are untrusted input), of the vocabulary parser
+# (dtaintd parses uploaded specs) and of dtaintd's scan and diff upload
+# handlers (Content-Type and body are per-request input), the
+# screening-corpus precision/recall gate, a small
 # cold-then-warm corpus pass (warm re-scan must be faster, replay its
 # summaries entirely from the store, and report identical findings), and
 # the dtaintd smoke test. Invoked by `make check`; keep CI and local
 # runs on this single path. The diff gate re-scans a vendor re-release
 # differentially and fails when the replay skip rate drops (the counters
 # are exact for the generated pair, so the threshold is deterministic).
+# benchtab only prints tables and gates; the one tool that writes a
+# BENCH_*.json performance record is profbench's -profile mode.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,14 +64,19 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/sumstore
 echo ">> fuzz the vocabulary parser (dtaintd upload input)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/vocab
 
+# Minimization is capped as for FuzzParse: uncapped, minimizing one new
+# input can stall the run for most of its budget.
+echo ">> fuzz the dtaintd upload accept path (per-request input)"
+go test -run '^$' -fuzz '^FuzzUploadRequest$' -fuzztime 10s -fuzzminimizetime 1s ./cmd/dtaintd
+
 echo ">> benchtab -screen (precision/recall gate)"
-go run ./cmd/benchtab -screen -min-precision 1 -min-recall 1 -bench-out off
+go run ./cmd/benchtab -screen -min-precision 1 -min-recall 1
 
 echo ">> benchtab -corpus (cold/warm summary-store gate)"
-go run ./cmd/benchtab -corpus -corpus-scale 0.05 -min-corpus-speedup 2 -min-corpus-hits 1 -bench-out off
+go run ./cmd/benchtab -corpus -corpus-scale 0.05 -min-corpus-speedup 2 -min-corpus-hits 1
 
 echo ">> benchtab -diff (differential re-scan skip-rate gate)"
-go run ./cmd/benchtab -diff -diff-scale 0.25 -min-diff-skip 0.6 -bench-out off
+go run ./cmd/benchtab -diff -diff-scale 0.25 -min-diff-skip 0.6
 
 echo ">> scripts/smoke.sh"
 ./scripts/smoke.sh
