@@ -300,3 +300,220 @@ out:
 		t.Fatal("length-checked flash_write reported")
 	}
 }
+
+// vendorShapes exercises every custom-vocabulary sink class and both
+// source kinds in one vendor binary: command sinks plain, guarded by a
+// ';' scan, and guarded in the caller of a helper; a format sink; path
+// sinks plain and guarded by a '.' scan; buffer sinks with and without
+// a length argument, the bounded one both unchecked and checked.
+const vendorShapes = `
+.arch arm
+.import vend_nv_get
+.import vend_recv
+.import vend_exec
+.import vend_log
+.import vend_open
+.import vend_store
+.import vend_copy
+.import strchr
+.import strlen
+.data key "wan_cmd"
+
+.func exec_plain
+  MOV R0, =key
+  BL vend_nv_get
+  BL vend_exec
+  BX LR
+.endfunc
+
+.func exec_checked
+  MOV R0, =key
+  BL vend_nv_get
+  MOV R5, R0
+  MOV R1, #0x3B
+  BL strchr
+  CMP R0, #0
+  BNE out1
+  MOV R0, R5
+  BL vend_exec
+out1:
+  BX LR
+.endfunc
+
+.func exec_helper
+  BL vend_exec
+  BX LR
+.endfunc
+
+.func exec_caller_checked
+  MOV R0, =key
+  BL vend_nv_get
+  MOV R5, R0
+  MOV R1, #0x3B
+  BL strchr
+  CMP R0, #0
+  BNE out2
+  MOV R0, R5
+  BL exec_helper
+out2:
+  BX LR
+.endfunc
+
+.func log_plain
+  MOV R0, =key
+  BL vend_nv_get
+  MOV R1, R0
+  MOV R0, #3
+  BL vend_log
+  BX LR
+.endfunc
+
+.func open_plain
+  SUB SP, SP, #0x110
+  MOV R0, #0
+  ADD R1, SP, #8
+  MOV R2, #0x100
+  BL vend_recv
+  ADD R0, SP, #8
+  MOV R1, #0
+  BL vend_open
+  BX LR
+.endfunc
+
+.func open_checked
+  SUB SP, SP, #0x110
+  MOV R0, #0
+  ADD R1, SP, #8
+  MOV R2, #0x100
+  BL vend_recv
+  ADD R0, SP, #8
+  MOV R1, #0x2E
+  BL strchr
+  CMP R0, #0
+  BNE out3
+  ADD R0, SP, #8
+  MOV R1, #0
+  BL vend_open
+out3:
+  BX LR
+.endfunc
+
+.func store_unchecked
+  MOV R0, =key
+  BL vend_nv_get
+  MOV R4, R0
+  BL strlen
+  MOV R2, R0
+  MOV R0, #0
+  MOV R1, R4
+  BL vend_store
+  BX LR
+.endfunc
+
+.func store_checked
+  MOV R0, =key
+  BL vend_nv_get
+  MOV R4, R0
+  BL strlen
+  MOV R5, R0
+  CMP R5, #0x40
+  BGE out4
+  MOV R0, #0
+  MOV R1, R4
+  MOV R2, R5
+  BL vend_store
+out4:
+  BX LR
+.endfunc
+
+.func copy_plain
+  SUB SP, SP, #0x110
+  MOV R0, #0
+  ADD R1, SP, #8
+  MOV R2, #0x100
+  BL vend_recv
+  ADD R0, SP, #8
+  BL vend_copy
+  BX LR
+.endfunc
+`
+
+// Custom sources and sinks give the same verdicts for every sink class
+// and both source kinds, whether the vocabulary is implicit or set
+// before or after them.
+func TestCustomVocabularyShapes(t *testing.T) {
+	bin, err := asm.Assemble("vendor3", vendorShapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := bin.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := []dtaint.Option{
+		dtaint.WithReturningSource("vend_nv_get"),
+		dtaint.WithBufferSource("vend_recv", 1),
+		dtaint.WithSink("vend_exec", dtaint.ClassCommandInjection, 0, -1),
+		dtaint.WithSink("vend_log", dtaint.ClassFormatString, 1, -1),
+		dtaint.WithSink("vend_open", dtaint.ClassPathTraversal, 0, -1),
+		dtaint.WithSink("vend_store", dtaint.ClassBufferOverflow, 1, 2),
+		dtaint.WithSink("vend_copy", dtaint.ClassBufferOverflow, 0, -1),
+	}
+	orders := []struct {
+		name string
+		opts []dtaint.Option
+	}{
+		{"implicit", custom},
+		{"vocabulary-first", append([]dtaint.Option{dtaint.WithVocabulary(dtaint.DefaultVocabulary())}, custom...)},
+		{"vocabulary-last", append(append([]dtaint.Option(nil), custom...), dtaint.WithVocabulary(dtaint.DefaultVocabulary()))},
+	}
+	noBound := []string{"no sanitizing bound on the tainted data"}
+	semicolon := []string{"command separator ';' checked on the tainted data"}
+	want := []struct {
+		line     string
+		class    dtaint.Class
+		evidence []string
+	}{
+		{"[VULNERABLE] vend_recv -> vend_copy in copy_plain@0x10290 (buffer-overflow) via copy_plain@0x10290(vend_copy)",
+			dtaint.ClassBufferOverflow, noBound},
+		{"[sanitized] vend_nv_get -> vend_exec in exec_helper@0x10070 (command-injection) via exec_helper@0x10070(vend_exec) <- exec_caller_checked@0x100c0(call exec_helper)",
+			dtaint.ClassCommandInjection, semicolon},
+		{"[sanitized] vend_nv_get -> vend_exec in exec_checked@0x10060 (command-injection) via exec_checked@0x10060(vend_exec)",
+			dtaint.ClassCommandInjection, semicolon},
+		{"[VULNERABLE] vend_nv_get -> vend_exec in exec_plain@0x10010 (command-injection) via exec_plain@0x10010(vend_exec)",
+			dtaint.ClassCommandInjection, nil},
+		{"[VULNERABLE] vend_nv_get -> vend_log in log_plain@0x100f0 (format-string) via log_plain@0x100f0(vend_log)",
+			dtaint.ClassFormatString, []string{"attacker-controlled format string reaches a printf-family sink"}},
+		{"[sanitized] vend_recv -> vend_open in open_checked@0x101a8 (path-traversal) via open_checked@0x101a8(vend_open)",
+			dtaint.ClassPathTraversal, []string{"path climb marker '.' probed on the tainted path"}},
+		{"[VULNERABLE] vend_recv -> vend_open in open_plain@0x10138 (path-traversal) via open_plain@0x10138(vend_open)",
+			dtaint.ClassPathTraversal, nil},
+		{"[sanitized] vend_nv_get -> vend_store in store_checked@0x10250 (buffer-overflow) via store_checked@0x10250(vend_store)",
+			dtaint.ClassBufferOverflow, []string{"magnitude check against 64 at 0x10230 (capacity unknown)"}},
+		{"[VULNERABLE] vend_nv_get -> vend_store in store_unchecked@0x101f0 (buffer-overflow) via store_unchecked@0x101f0(vend_store)",
+			dtaint.ClassBufferOverflow, noBound},
+	}
+	for _, o := range orders {
+		rep, err := dtaint.New(o.opts...).AnalyzeExecutable(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Findings) != len(want) {
+			for _, f := range rep.Findings {
+				t.Logf("%s: finding %s", o.name, f)
+			}
+			t.Fatalf("%s: %d findings, want %d", o.name, len(rep.Findings), len(want))
+		}
+		for i, w := range want {
+			f := rep.Findings[i]
+			if f.String() != w.line || f.Class != w.class ||
+				strings.Join(f.Evidence, "|") != strings.Join(w.evidence, "|") {
+				t.Errorf("%s: finding %d = %s (%s) %q, want %s (%s) %q",
+					o.name, i, f, f.Class, f.Evidence, w.line, w.class, w.evidence)
+			}
+		}
+		if rep.SinkCount != 9 {
+			t.Errorf("%s: sink count = %d, want 9", o.name, rep.SinkCount)
+		}
+	}
+}
