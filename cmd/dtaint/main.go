@@ -9,8 +9,7 @@
 //	dtaint -fw camera.fwimg -rootfs-all  # scan every executable in the image
 //
 // -ablate takes a comma-separated feature list (alias, sse, structsim,
-// vrange) and disables those analyses; -no-alias and -no-structsim are
-// the older spellings of two of them. Ablating sse turns off structured
+// vrange) and disables those analyses. Ablating sse turns off structured
 // symbolic expressions: alias rewriting falls back to the paper's
 // pairwise Algorithm 1 and indirect calls are resolved by layout
 // similarity alone. Ablating vrange turns off the
@@ -78,6 +77,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -90,6 +90,7 @@ import (
 	"dtaint/internal/obs"
 	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
+	"dtaint/internal/vocab"
 )
 
 func main() {
@@ -98,8 +99,6 @@ func main() {
 		exePath   = flag.String("exe", "", "program executable file (FWELF)")
 		binPath   = flag.String("bin", "", "path of the binary inside the firmware rootfs")
 		module    = flag.String("module", "", "restrict analysis to a study product's network module")
-		noAlias   = flag.Bool("no-alias", false, "disable pointer-alias recognition (Algorithm 1)")
-		noSim     = flag.Bool("no-structsim", false, "disable data-structure similarity resolution")
 		ablate    = flag.String("ablate", "", "comma-separated analysis features to disable: alias, sse, structsim, vrange")
 		paths     = flag.Bool("paths", false, "print every vulnerable path, not just deduplicated vulnerabilities")
 		showAll   = flag.Bool("all", false, "also print sanitized paths")
@@ -124,7 +123,11 @@ func main() {
 	flag.Parse()
 
 	if *traceFn != "" {
-		if err := runTrace(*fwPath, *exePath, *binPath, *traceFn); err != nil {
+		v, err := loadVocabulary(*vocabPath)
+		if err == nil {
+			err = runTrace(os.Stdout, *fwPath, *exePath, *binPath, *traceFn, v)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "dtaint:", err)
 			os.Exit(1)
 		}
@@ -133,7 +136,6 @@ func main() {
 	o := cliOptions{
 		fwPath: *fwPath, exePath: *exePath, binPath: *binPath,
 		module: *module, mdOut: *mdOut, workers: *workers,
-		noAlias: *noAlias, noSim: *noSim,
 		paths: *paths, showAll: *showAll, dis: *dis, jsonOut: *jsonOut,
 		cacheDir: *cacheDir, sumDir: *sumDir, traceOut: *traceOut, progress: *progress,
 		stallWait: *stallWait, debugDir: *debugDir,
@@ -582,10 +584,24 @@ func run(o cliOptions) (int, error) {
 	return vulnPaths, nil
 }
 
-// runTrace prints the per-function static symbolic analysis listing —
+// loadVocabulary reads and compiles the -vocab spec for the trace
+// listing; an empty path returns nil, the embedded default.
+func loadVocabulary(path string) (*taint.Vocabulary, error) {
+	if path == "" {
+		return nil, nil
+	}
+	spec, err := vocab.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	return taint.CompileVocabulary(spec)
+}
+
+// runTrace writes the per-function static symbolic analysis listing —
 // the same rendering as the paper's Figure 6, with evaluated symbolic
-// expressions per executed statement.
-func runTrace(fwPath, exePath, binPath, fnName string) error {
+// expressions per executed statement — under vocabulary v (nil = the
+// default).
+func runTrace(w io.Writer, fwPath, exePath, binPath, fnName string, v *taint.Vocabulary) error {
 	raw, err := loadExecutable(fwPath, exePath, binPath)
 	if err != nil {
 		return err
@@ -603,16 +619,17 @@ func runTrace(fwPath, exePath, binPath, fnName string) error {
 		return fmt.Errorf("function %q not found", fnName)
 	}
 	tracker := taint.NewTracker()
+	tracker.SetVocabulary(v)
 	tracker.BeginFunction(fnName)
 	opts := symexec.Options{
-		Prototypes: taint.Prototypes(),
+		Prototypes: taint.PrototypesFor(v),
 		Trace: func(addr uint32, line string) {
-			fmt.Printf("%06X: %s\n", addr, line)
+			fmt.Fprintf(w, "%06X: %s\n", addr, line)
 		},
 	}
-	fmt.Printf("; static symbolic analysis of %s (%s)\n", fnName, bin.Arch)
+	fmt.Fprintf(w, "; static symbolic analysis of %s (%s)\n", fnName, bin.Arch)
 	sum := symexec.Analyze(fn, bin, tracker, opts)
-	fmt.Printf("; %d states over %d blocks; %d definition pairs, %d constraints\n",
+	fmt.Fprintf(w, "; %d states over %d blocks; %d definition pairs, %d constraints\n",
 		sum.StatesExplored, sum.BlocksAnalyzed, len(sum.DefPairs), len(sum.Constraints))
 	return nil
 }

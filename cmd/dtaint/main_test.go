@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dtaint"
+	"dtaint/internal/asm"
 	"dtaint/internal/corpus"
+	"dtaint/internal/vocab"
 )
 
 func writeCorpus(t *testing.T) (fwFile, exeFile string) {
@@ -390,5 +393,70 @@ func TestProgressWriter(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// -trace follows -vocab: a source the spec adds must taint the call's
+// return value in the listing, as it does in the analysis.
+func TestRunTraceUsesVocabulary(t *testing.T) {
+	bin, err := asm.Assemble("vend", `
+.arch arm
+.import vend_get
+.import system
+.data key "k"
+
+.func f
+  MOV R0, =key
+  BL vend_get
+  BL system
+  BX LR
+.endfunc
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := bin.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	exe := filepath.Join(dir, "vend.fwelf")
+	if err := os.WriteFile(exe, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := *vocab.Default()
+	spec.Functions = append(slices.Clone(spec.Functions),
+		vocab.Func{Name: "vend_get", Kind: vocab.KindSource, RetTaint: true})
+	doc, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specFile := filepath.Join(dir, "vend.json")
+	if err := os.WriteFile(specFile, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	o := cliOptions{exePath: exe, vocabPath: specFile}
+	if n, err := run(o); err != nil || n != 1 {
+		t.Fatalf("analysis under the spec: %d vulnerable paths, err %v; want 1", n, err)
+	}
+	v, err := loadVocabulary(specFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing, plain strings.Builder
+	if err := runTrace(&listing, "", exe, "", "f", v); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(listing.String(), "call vend_get, R0 = heap_") ||
+		!strings.Contains(listing.String(), "1 definition pairs") {
+		t.Fatalf("trace under the spec does not model vend_get as a source:\n%s", listing.String())
+	}
+	// Without the spec vend_get is an unmodeled import.
+	if err := runTrace(&plain, "", exe, "", "f", nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.String(), "call vend_get, R0 = ret_vend_get_") {
+		t.Fatalf("default trace models vend_get:\n%s", plain.String())
 	}
 }

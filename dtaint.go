@@ -31,6 +31,7 @@ package dtaint
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -277,43 +278,90 @@ func WithSummaryStore(store *SummaryStore) Option {
 // WithBufferSource registers a custom input-source function that fills
 // the buffer passed as argument bufArg with attacker-controlled data
 // (read/recv-style). Vendor firmware commonly has private input wrappers
-// beyond Table I.
+// beyond Table I; like every custom source and sink, this one becomes a
+// vocabulary entry (see New).
 func WithBufferSource(name string, bufArg int) Option {
-	return func(a *Analyzer) {
-		a.opts.ExtraSources = append(a.opts.ExtraSources,
-			taint.SourceSpec{Name: name, BufArg: bufArg})
-	}
+	f := vocab.Func{Name: name, Kind: vocab.KindSource}
+	setRole(&f, vocab.RoleDest, bufArg)
+	return withEntry(f)
 }
 
 // WithReturningSource registers a custom input source that returns a
 // pointer to attacker-controlled data (getenv/nvram_get-style).
 func WithReturningSource(name string) Option {
-	return func(a *Analyzer) {
-		a.opts.ExtraSources = append(a.opts.ExtraSources,
-			taint.SourceSpec{Name: name, BufArg: -1, ViaReturn: true})
-	}
+	return withEntry(vocab.Func{Name: name, Kind: vocab.KindSource, RetTaint: true})
 }
 
 // WithSink registers a custom sensitive sink: dataArg is the argument
 // whose pointed-to content must not be attacker-controlled; lenArg is the
 // copy-bound argument whose constraint counts as sanitization (-1 when
-// the check applies to the data itself).
+// the check applies to the data itself). Only buffer-overflow sinks use
+// lenArg; any class other than command injection, format string and
+// path traversal registers a buffer-overflow sink.
 func WithSink(name string, class Class, dataArg, lenArg int) Option {
-	return func(a *Analyzer) {
-		var c taint.Class
-		switch class {
-		case ClassCommandInjection:
-			c = taint.ClassCommandInjection
-		case ClassFormatString:
-			c = taint.ClassFormatString
-		case ClassPathTraversal:
-			c = taint.ClassPathTraversal
-		default:
-			c = taint.ClassBufferOverflow
-		}
-		a.opts.ExtraSinks = append(a.opts.ExtraSinks,
-			taint.SinkSpec{Name: name, Class: c, DataArg: dataArg, LenArg: lenArg})
+	f := vocab.Func{Name: name, Kind: vocab.KindSink}
+	switch class {
+	case ClassCommandInjection:
+		f.Class = vocab.ClassCommandInjection
+		setRole(&f, vocab.RoleExec, dataArg)
+	case ClassFormatString:
+		f.Class = vocab.ClassFormatString
+		setRole(&f, vocab.RoleFormat, dataArg)
+	case ClassPathTraversal:
+		f.Class = vocab.ClassPathTraversal
+		setRole(&f, vocab.RolePath, dataArg)
+	default:
+		f.Class = vocab.ClassBufferOverflow
+		setRole(&f, vocab.RoleSrc, dataArg)
+		setRole(&f, vocab.RoleLen, lenArg)
 	}
+	return withEntry(f)
+}
+
+// withEntry records a custom vocabulary entry; a later entry of the same
+// name replaces an earlier one.
+func withEntry(f vocab.Func) Option {
+	return func(a *Analyzer) { a.custom[f.Name] = f }
+}
+
+// setRole gives f's argument i the role, declaring untyped arguments up
+// to it; a negative i declares no such argument.
+func setRole(f *vocab.Func, role string, i int) {
+	if i < 0 {
+		return
+	}
+	for len(f.Args) <= i {
+		f.Args = append(f.Args, vocab.Arg{})
+	}
+	if f.Roles == nil {
+		f.Roles = make(map[string]int)
+	}
+	f.Roles[role] = i
+}
+
+// extendVocabulary compiles base (nil = the default) with the custom
+// entries. Each entry replaces the base entry of its name, and entries
+// are appended sorted by name, so the fingerprint does not depend on
+// the order the options were given in.
+func extendVocabulary(base *taint.Vocabulary, custom map[string]vocab.Func) *taint.Vocabulary {
+	if base == nil {
+		base = taint.DefaultVocabulary()
+	}
+	spec := &vocab.Spec{Version: base.Spec().Version}
+	for _, f := range base.Spec().Functions {
+		if _, ok := custom[f.Name]; !ok {
+			spec.Functions = append(spec.Functions, f)
+		}
+	}
+	names := make([]string, 0, len(custom))
+	for name := range custom {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		spec.Functions = append(spec.Functions, custom[name])
+	}
+	return taint.MustCompileVocabulary(spec)
 }
 
 // Vocabulary is a compiled source/sink/sanitizer vocabulary (see
@@ -387,17 +435,26 @@ func WithVocabulary(v *Vocabulary) Option {
 // New.
 type Analyzer struct {
 	opts dataflow.Options
+	// custom holds the WithBufferSource/WithReturningSource/WithSink
+	// entries by name; New compiles them into opts.Vocab.
+	custom map[string]vocab.Func
 	// journal is the live-telemetry event ring attached with
 	// WithEventJournal; New wires it into the analysis options.
 	journal *events.Journal
 }
 
-// New returns an Analyzer with the paper's default configuration.
+// New returns an Analyzer with the paper's default configuration. After
+// every option has applied, custom sources and sinks become entries of
+// the configured vocabulary (or the default), so the order of
+// WithVocabulary and the With* helpers does not matter.
 func New(opts ...Option) *Analyzer {
-	a := &Analyzer{}
+	a := &Analyzer{custom: make(map[string]vocab.Func)}
 	a.opts.Symexec.LoopOnce = true
 	for _, o := range opts {
 		o(a)
+	}
+	if len(a.custom) > 0 {
+		a.opts.Vocab = extendVocabulary(a.opts.Vocab, a.custom)
 	}
 	// Wire telemetry after all options have applied, so the result does
 	// not depend on the order of WithTracer and WithEventJournal: the

@@ -1,9 +1,15 @@
 package dtaint
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"dtaint/internal/dataflow"
+	"dtaint/internal/vocab"
 )
 
 const testScale = 0.05
@@ -212,5 +218,54 @@ func TestWithStateBudgetAndLoopUnrolling(t *testing.T) {
 	}
 	if rep.FunctionsAnalyzed == 0 {
 		t.Fatal("nothing analyzed under tight budget")
+	}
+}
+
+// Custom sources and sinks compile into vocabulary entries: the option
+// order cannot change the options fingerprint, an entry replaces the
+// base entry of its name, and the extended spec is a valid vocabulary
+// document with the same fingerprint.
+func TestCustomEntriesExtendVocabulary(t *testing.T) {
+	custom := []Option{
+		WithReturningSource("nvram_get"),
+		WithBufferSource("uart_read", 0),
+		WithSink("flash_write", ClassBufferOverflow, 1, 2),
+		WithSink("vend_exec", ClassCommandInjection, 0, -1),
+	}
+	reversed := slices.Clone(custom)
+	slices.Reverse(reversed)
+	a, b := New(custom...), New(reversed...)
+	if fa, fb := dataflow.OptionsFingerprint(a.opts, ""), dataflow.OptionsFingerprint(b.opts, ""); fa != fb {
+		t.Fatalf("option order changed the fingerprint:\n  %s\n  %s", fa, fb)
+	}
+	if dataflow.OptionsFingerprint(a.opts, "") == dataflow.OptionsFingerprint(New().opts, "") {
+		t.Fatal("custom entries did not change the fingerprint")
+	}
+
+	spec := a.opts.Vocab.Spec()
+	if got, want := len(spec.Functions), len(vocab.Default().Functions)+3; got != want {
+		t.Fatalf("extended spec has %d entries, want %d (nvram_get replaced, three added)", got, want)
+	}
+	var nvram []vocab.Func
+	for _, f := range spec.Functions {
+		if f.Name == "nvram_get" {
+			nvram = append(nvram, f)
+		}
+	}
+	want := vocab.Func{Name: "nvram_get", Kind: vocab.KindSource, RetTaint: true}
+	if len(nvram) != 1 || !reflect.DeepEqual(nvram[0], want) {
+		t.Fatalf("nvram_get entries = %+v, want only %+v", nvram, want)
+	}
+
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := vocab.Parse(doc, "extended.json")
+	if err != nil {
+		t.Fatalf("extended spec does not validate: %v", err)
+	}
+	if parsed.Fingerprint() != a.opts.Vocab.Fingerprint() {
+		t.Fatal("re-parsed extended spec has a different fingerprint")
 	}
 }

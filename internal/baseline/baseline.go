@@ -98,7 +98,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	}
 	opts = opts.withDefaults()
 	if opts.Symexec.Prototypes == nil {
-		opts.Symexec.Prototypes = taint.Prototypes()
+		opts.Symexec.Prototypes = taint.PrototypesFor(nil)
 	}
 	names := make([]string, 0, len(prog.Funcs))
 	inSet := make(map[string]bool, len(prog.Funcs))

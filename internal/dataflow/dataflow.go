@@ -91,11 +91,6 @@ type Options struct {
 	// fingerprint is folded into OptionsFingerprint so vocabulary changes
 	// invalidate cached summaries and reports.
 	Vocab *taint.Vocabulary
-	// ExtraSources adds custom attacker-controlled input functions to the
-	// Table I vocabulary (e.g. vendor NVRAM getters).
-	ExtraSources []taint.SourceSpec
-	// ExtraSinks adds custom security-sensitive sinks.
-	ExtraSinks []taint.SinkSpec
 	// SummaryStore, when non-nil, caches analysis results content-
 	// addressed by function bytes + ISA + options fingerprint
 	// (internal/sumstore): phase-1 summaries per function and bottom-up
@@ -176,12 +171,6 @@ func newTracker(opts Options, bin *image.Binary) *taint.Tracker {
 	t.SetBinary(bin)
 	if opts.DisableVRange {
 		t.DisableValueRange()
-	}
-	for _, s := range opts.ExtraSources {
-		t.AddSource(s)
-	}
-	for _, s := range opts.ExtraSinks {
-		t.AddSink(s)
 	}
 	return t
 }
@@ -314,8 +303,11 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	if len(names) == 0 {
 		return nil, ErrNoProgram
 	}
+	if opts.Vocab == nil {
+		opts.Vocab = taint.DefaultVocabulary()
+	}
 	if opts.Symexec.Prototypes == nil {
-		opts.Symexec.Prototypes = taint.PrototypesFor(opts.Vocab)
+		opts.Symexec.Prototypes = opts.Vocab.Prototypes()
 	}
 
 	res := &Result{Summaries: make(map[string]*symexec.Summary, len(names))}
@@ -369,7 +361,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 		"findings", len(res.Findings))
 
 	st = opts.StartStage("count-sinks")
-	res.SinkCount = countSinks(prog, names, res.Summaries, opts)
+	res.SinkCount = countSinks(prog, names, res.Summaries, opts.Vocab)
 	st.End("sinks", res.SinkCount)
 
 	// Findings are emitted after the deterministic per-component merge,
@@ -510,17 +502,11 @@ func filteredNames(prog *cfg.Program, filter func(string) bool) []string {
 // countSinks counts static sink sites: import callsites whose callee is in
 // the vocabulary's sink census plus loop-copy stores (deduplicated by
 // address).
-func countSinks(prog *cfg.Program, names []string, sums map[string]*symexec.Summary, opts Options) int {
-	census := taint.Sinks
-	if opts.Vocab != nil {
-		census = opts.Vocab.SinkNames()
-	}
-	sinkNames := make(map[string]bool, len(census)+len(opts.ExtraSinks))
+func countSinks(prog *cfg.Program, names []string, sums map[string]*symexec.Summary, v *taint.Vocabulary) int {
+	census := v.SinkNames()
+	sinkNames := make(map[string]bool, len(census))
 	for _, s := range census {
 		sinkNames[s] = true
-	}
-	for _, s := range opts.ExtraSinks {
-		sinkNames[s.Name] = true
 	}
 	n := 0
 	for _, name := range names {

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dtaint/internal/taint"
@@ -45,17 +44,6 @@ func OptionsFingerprint(o Options, filterTag string) string {
 	fmt.Fprintf(&b, ";vocab=%s", vb.Fingerprint())
 	fmt.Fprintf(&b, ";loopOnce=%t;loopIters=%d", o.Symexec.LoopOnce, o.Symexec.MaxLoopIters)
 	fmt.Fprintf(&b, ";statesBlock=%d;statesFunc=%d", o.Symexec.MaxStatesPerBlock, o.Symexec.MaxStatesPerFunc)
-	srcs := make([]string, 0, len(o.ExtraSources))
-	for _, s := range o.ExtraSources {
-		srcs = append(srcs, fmt.Sprintf("%s:%d:%t", s.Name, s.BufArg, s.ViaReturn))
-	}
-	sort.Strings(srcs)
-	sinks := make([]string, 0, len(o.ExtraSinks))
-	for _, s := range o.ExtraSinks {
-		sinks = append(sinks, fmt.Sprintf("%s:%d:%d:%d", s.Name, int(s.Class), s.DataArg, s.LenArg))
-	}
-	sort.Strings(sinks)
-	fmt.Fprintf(&b, ";sources=%s;sinks=%s", strings.Join(srcs, ","), strings.Join(sinks, ","))
 	fmt.Fprintf(&b, ";filter=%s", filterTag)
 	return b.String()
 }

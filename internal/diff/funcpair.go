@@ -218,7 +218,7 @@ func unpaired(prog *cfg.Program, paired map[string]string) []string {
 func layoutIndex(prog *cfg.Program, names []string) map[string][]*structsim.Layout {
 	out := make(map[string][]*structsim.Layout, len(names))
 	tracker := taint.NewTracker()
-	opts := symexec.Options{Prototypes: taint.Prototypes()}
+	opts := symexec.Options{Prototypes: taint.PrototypesFor(nil)}
 	for _, name := range names {
 		fn := prog.ByName[name]
 		if fn == nil || len(fn.Blocks) == 0 {

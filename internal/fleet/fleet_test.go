@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"dtaint/internal/firmware"
 	"dtaint/internal/obs"
 	"dtaint/internal/taint"
+	"dtaint/internal/vocab"
 )
 
 // vulnSrc is a minimal vulnerable program: recv fills a buffer that
@@ -290,9 +292,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if got := dataflow.OptionsFingerprint(dataflow.Options{DisableAlias: true}, ""); got == base {
 		t.Fatal("alias ablation must change the fingerprint")
 	}
-	withSrc := dataflow.Options{ExtraSources: []taint.SourceSpec{{Name: "nvram_get", BufArg: -1, ViaReturn: true}}}
+	extended := *vocab.Default()
+	extended.Functions = append(slices.Clone(extended.Functions),
+		vocab.Func{Name: "vend_get", Kind: vocab.KindSource, RetTaint: true})
+	withSrc := dataflow.Options{Vocab: taint.MustCompileVocabulary(&extended)}
 	if got := dataflow.OptionsFingerprint(withSrc, ""); got == base {
-		t.Fatal("extra sources must change the fingerprint")
+		t.Fatal("an extra vocabulary source must change the fingerprint")
 	}
 	if got := dataflow.OptionsFingerprint(dataflow.Options{}, "module-x"); got == base {
 		t.Fatal("filter tag must change the fingerprint")

@@ -193,31 +193,6 @@ type sinkObs struct {
 	boundHint int64
 }
 
-// SourceSpec declares a custom attacker-controlled input function beyond
-// Table I — e.g. a vendor NVRAM getter. Exactly one of BufArg >= 0 or
-// ViaReturn should be set.
-type SourceSpec struct {
-	Name string
-	// BufArg is the argument index of the buffer the function fills with
-	// attacker data (-1 when unused).
-	BufArg int
-	// ViaReturn marks functions returning a pointer to attacker data
-	// (getenv-style).
-	ViaReturn bool
-}
-
-// SinkSpec declares a custom security-sensitive sink beyond Table I.
-type SinkSpec struct {
-	Name  string
-	Class Class
-	// DataArg is the argument whose pointed-to content must not be
-	// tainted (-1 when unused).
-	DataArg int
-	// LenArg is the argument carrying the copy bound; -1 means the
-	// sanitization check applies to the data content itself.
-	LenArg int
-}
-
 // Tracker is the stateful oracle half of the detector: it models library
 // calls for the symbolic engine (sources introduce taint, libc calls
 // propagate it, sinks are observed) and accumulates findings across
@@ -234,9 +209,7 @@ type Tracker struct {
 	obsSeen  map[obsKey]bool
 	frames   []trackerFrame
 
-	vocab        *Vocabulary
-	extraSources map[string]SourceSpec
-	extraSinks   map[string]SinkSpec
+	vocab *Vocabulary
 
 	bin *image.Binary
 
@@ -272,23 +245,6 @@ type guardKey struct {
 	b    byte
 }
 
-// AddSource registers a custom input source (applies to subsequent
-// analysis).
-func (t *Tracker) AddSource(s SourceSpec) {
-	if t.extraSources == nil {
-		t.extraSources = make(map[string]SourceSpec)
-	}
-	t.extraSources[s.Name] = s
-}
-
-// AddSink registers a custom sensitive sink.
-func (t *Tracker) AddSink(s SinkSpec) {
-	if t.extraSinks == nil {
-		t.extraSinks = make(map[string]SinkSpec)
-	}
-	t.extraSinks[s.Name] = s
-}
-
 var _ symexec.Oracle = (*Tracker)(nil)
 
 // NewTracker returns an empty tracker with the default vocabulary.
@@ -300,8 +256,8 @@ func NewTracker() *Tracker {
 	}
 }
 
-// Shard returns a tracker sharing t's configuration — the custom
-// source/sink vocabulary and the program image — but owning fresh
+// Shard returns a tracker sharing t's configuration — the vocabulary,
+// the program image and the value-range switch — but owning fresh
 // finding, pending, and observation state. The parallel bottom-up
 // scheduler gives every call-graph component its own shard and merges
 // the per-shard results deterministically; the shared maps are never
@@ -310,8 +266,6 @@ func (t *Tracker) Shard() *Tracker {
 	s := NewTracker()
 	s.bin = t.bin
 	s.vocab = t.vocab
-	s.extraSources = t.extraSources
-	s.extraSinks = t.extraSinks
 	s.noVRange = t.noVRange
 	return s
 }
@@ -368,12 +322,6 @@ func (t *Tracker) Pendings(fn string) []PendingSink { return t.pendings[fn] }
 // Findings returns every recorded (source, path, sink) tuple.
 func (t *Tracker) Findings() []Finding { return t.findings }
 
-// Prototypes returns the default vocabulary's library type signatures
-// (the paper's library type-inference channel) for symexec.Options.
-func Prototypes() map[string]symexec.Proto {
-	return DefaultVocabulary().Prototypes()
-}
-
 // PrototypesFor returns the prototypes of a loaded vocabulary; nil
 // falls back to the default.
 func PrototypesFor(v *Vocabulary) map[string]symexec.Proto {
@@ -397,18 +345,6 @@ func (t *Tracker) Call(ctx *symexec.CallContext) symexec.CallEffect {
 	// resolved local callee is never dispatched to the vocabulary.
 	if ctx.Kind == cfg.CallLocal {
 		return symexec.CallEffect{}
-	}
-	if s, ok := t.extraSources[ctx.Callee]; ok {
-		if s.ViaReturn {
-			return t.modelReturningSource(ctx)
-		}
-		if s.BufArg >= 0 {
-			return t.modelBufferSource(ctx, fnModel{dest: s.BufArg, lenArg: -1})
-		}
-		return symexec.CallEffect{Handled: true}
-	}
-	if s, ok := t.extraSinks[ctx.Callee]; ok {
-		return t.modelCustomSink(ctx, s)
 	}
 	m, ok := t.vocab.models[ctx.Callee]
 	if !ok {
@@ -551,34 +487,6 @@ func (t *Tracker) formatString(fmtArg *expr.Expr) (string, bool) {
 		return "", false
 	}
 	return t.bin.StringAt(uint32(addr))
-}
-
-// modelCustomSink observes a user-declared sink: the DataArg content must
-// be clean; LenArg (when present) is the bound whose constraint counts as
-// sanitization.
-func (t *Tracker) modelCustomSink(ctx *symexec.CallContext, s SinkSpec) symexec.CallEffect {
-	var data, guard *expr.Expr
-	if s.DataArg >= 0 {
-		data = content(ctx, arg(ctx, s.DataArg))
-	}
-	if s.LenArg >= 0 {
-		guard = ctx.ResolveDeep(arg(ctx, s.LenArg))
-	} else {
-		guard = data
-	}
-	taintE := data
-	if s.LenArg >= 0 {
-		taintE = orCombine(data, guard)
-	}
-	if s.Class == ClassCommandInjection || s.Class == ClassPathTraversal || s.Class == ClassFormatString {
-		guard = arg(ctx, s.DataArg)
-		taintE = orCombine(ctx.ResolveDeep(arg(ctx, s.DataArg)), data)
-	}
-	t.observe(sinkObs{
-		class: s.Class, sink: s.Name, addr: ctx.Site,
-		taint: taintE, guard: guard,
-	})
-	return symexec.CallEffect{Handled: true}
 }
 
 func (t *Tracker) modelBufferSource(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
@@ -1102,16 +1010,10 @@ func (t *Tracker) obsGuarded(o sinkObs) bool {
 }
 
 // guardByteFor returns the separator byte whose check sanitizes this
-// observation's sink: the vocabulary entry's declared guard byte, or the
-// class default (';' for command injection, '.' for path traversal).
+// observation's sink: its vocabulary entry's guard byte, which
+// CompileVocabulary always sets for command and path sinks.
 func (t *Tracker) guardByteFor(o sinkObs) byte {
-	if m, ok := t.vocab.models[o.sink]; ok && m.guardByte != 0 {
-		return m.guardByte
-	}
-	if o.class == ClassPathTraversal {
-		return DotByte
-	}
-	return SemicolonByte
+	return t.vocab.models[o.sink].guardByte
 }
 
 // isArgRooted reports whether e depends on a formal argument and can

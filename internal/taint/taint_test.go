@@ -7,6 +7,7 @@ import (
 	"dtaint/internal/expr"
 	"dtaint/internal/isa"
 	"dtaint/internal/symexec"
+	"dtaint/internal/vocab"
 )
 
 func TestTableIVocabulary(t *testing.T) {
@@ -41,7 +42,7 @@ func TestTableIVocabulary(t *testing.T) {
 }
 
 func TestPrototypesCoverVocabulary(t *testing.T) {
-	protos := Prototypes()
+	protos := PrototypesFor(nil)
 	for _, s := range Sources {
 		if _, ok := protos[s]; !ok {
 			t.Errorf("no prototype for source %s", s)
@@ -354,8 +355,11 @@ func TestVulnKeyStable(t *testing.T) {
 
 func TestTrackerShard(t *testing.T) {
 	tr := NewTracker()
-	tr.AddSource(SourceSpec{Name: "nvram_get", BufArg: -1, ViaReturn: true})
-	tr.AddSink(SinkSpec{Name: "flash_write", Class: ClassBufferOverflow, DataArg: 0, LenArg: 1})
+	custom := MustCompileVocabulary(&vocab.Spec{Version: 1, Functions: []vocab.Func{
+		{Name: "nvram_get", Kind: vocab.KindSource, RetTaint: true},
+	}})
+	tr.SetVocabulary(custom)
+	tr.DisableValueRange()
 	tr.BeginFunction("f")
 	ts := expr.Sym(expr.TaintName("recv", 9))
 	tr.observe(sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 5, taint: ts, guard: ts})
@@ -363,8 +367,8 @@ func TestTrackerShard(t *testing.T) {
 
 	s := tr.Shard()
 	// Configuration is shared...
-	if len(s.extraSources) != 1 || len(s.extraSinks) != 1 {
-		t.Fatal("shard lost the custom vocabulary")
+	if s.vocab != custom || !s.noVRange {
+		t.Fatal("shard lost the vocabulary or the value-range switch")
 	}
 	// ...but finding/pending state is not.
 	if len(s.Findings()) != 0 || len(s.Pendings("f")) != 0 {

@@ -48,20 +48,3 @@ func TestGuardRootsFlattensOr(t *testing.T) {
 		}
 	}
 }
-
-func TestAddSourceAndSinkRegistration(t *testing.T) {
-	tr := NewTracker()
-	tr.AddSource(SourceSpec{Name: "nvram_get", BufArg: -1, ViaReturn: true})
-	tr.AddSink(SinkSpec{Name: "flash_write", Class: ClassBufferOverflow, DataArg: 1, LenArg: 2})
-	if _, ok := tr.extraSources["nvram_get"]; !ok {
-		t.Fatal("source not registered")
-	}
-	if s, ok := tr.extraSinks["flash_write"]; !ok || s.LenArg != 2 {
-		t.Fatal("sink not registered")
-	}
-	// Re-registration overwrites.
-	tr.AddSink(SinkSpec{Name: "flash_write", Class: ClassCommandInjection, DataArg: 0, LenArg: -1})
-	if tr.extraSinks["flash_write"].Class != ClassCommandInjection {
-		t.Fatal("sink not overwritten")
-	}
-}

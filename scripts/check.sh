@@ -7,7 +7,8 @@
 # versioned serialization + no hard-coded vocabulary names + no
 # string-keyed identity over interned SSE nodes), the
 # vocabulary spec check (the embedded default must parse, validate,
-# compile, and cover every finding class), a race-enabled test pass (so the parallel
+# compile, and cover every finding class), a run of every program under
+# examples/ (each must exit 0), a race-enabled test pass (so the parallel
 # bottom-up scheduler and the fleet orchestrator are always
 # race-checked), short fuzzes of the summary-store decoder (blobs read
 # back from disk are untrusted input), of the vocabulary parser
@@ -52,6 +53,13 @@ go run ./cmd/dtaintlint .
 echo ">> vocabcheck (embedded default vocabulary)"
 go run ./scripts/vocabcheck internal/vocab/default.json
 go run ./scripts/vocabcheck
+
+# The examples are deliverables: run each one, not just build it.
+echo ">> examples (each must exit 0)"
+for ex in examples/*/; do
+	echo "   ${ex%/}"
+	go run "./${ex%/}" >/dev/null
+done
 
 echo ">> go test -race ./..."
 go test -race ./...
