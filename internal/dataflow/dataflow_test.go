@@ -552,6 +552,51 @@ func TestSSERequiredForDetection(t *testing.T) {
 	}
 }
 
+// Struct-sim fallback: a dispatch table indexed by a second argument
+// (tbl[i].fn, the base arg0+arg1). SSE interns only paths whose bases
+// are symbols or loads, so neither the registration nor the callsite
+// has an SSE spelling and class matching binds nothing. Layout
+// similarity still aligns the two canonical bases (ROOT+arg1) and
+// resolves the site to handler.
+const structSimFallbackSrc = `
+.arch arm
+.import recv
+.import strcpy
+
+.func handler
+  SUB SP, SP, #0x40
+  LDR R1, [R0, #0]
+  ADD R0, SP, #8
+  BL strcpy
+  BX LR
+.endfunc
+
+.func register
+  ADD R2, R0, R1
+  MOV R4, &handler
+  STR R4, [R2, #4]
+  BX LR
+.endfunc
+
+.func dispatch
+  ADD R2, R0, R1
+  LDR R9, [R2, #4]
+  BLX R9
+  BX LR
+.endfunc
+`
+
+func TestStructSimFallbackBindsWhatSSECannot(t *testing.T) {
+	res := run(t, structSimFallbackSrc, Options{})
+	if res.Resolve.BySSE != 0 || res.Resolve.ByStructSim != 1 {
+		t.Fatalf("resolve stats = %+v", res.Resolve)
+	}
+	if len(res.Resolutions) != 1 || res.Resolutions[0].Caller != "dispatch" ||
+		res.Resolutions[0].Callee != "handler" {
+		t.Fatalf("resolutions = %+v", res.Resolutions)
+	}
+}
+
 func TestHeapIdentityPerCallsiteChain(t *testing.T) {
 	// Listing 1: x = B(); y = B() must be distinct heap objects.
 	src := `
