@@ -161,16 +161,25 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary) ([]structsim.Resolutio
 	}
 
 	// Fallback: plain layout-similarity resolution, indexed by callsite.
+	// It rebuilds every layout, so it runs only once SSE leaves some
+	// callsite unbound, and then at most once.
 	type callsiteKey struct {
 		caller string
 		site   uint32
 	}
-	fallback := make(map[callsiteKey]structsim.Resolution)
-	for _, r := range structsim.ResolveIndirect(sums) {
-		k := callsiteKey{caller: r.Caller, site: r.Site}
-		if _, dup := fallback[k]; !dup {
-			fallback[k] = r
+	var fallback map[callsiteKey]structsim.Resolution
+	fallbackFor := func(k callsiteKey) (structsim.Resolution, bool) {
+		if fallback == nil {
+			fallback = make(map[callsiteKey]structsim.Resolution)
+			for _, r := range structsim.ResolveIndirect(sums) {
+				rk := callsiteKey{caller: r.Caller, site: r.Site}
+				if _, dup := fallback[rk]; !dup {
+					fallback[rk] = r
+				}
+			}
 		}
+		r, ok := fallback[k]
+		return r, ok
 	}
 
 	var out []structsim.Resolution
@@ -219,7 +228,7 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary) ([]structsim.Resolutio
 				out = append(out, best)
 				continue
 			}
-			if fb, ok := fallback[callsiteKey{caller: name, site: call.Addr}]; ok {
+			if fb, ok := fallbackFor(callsiteKey{caller: name, site: call.Addr}); ok {
 				stats.ByStructSim++
 				out = append(out, fb)
 			}

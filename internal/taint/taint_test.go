@@ -88,27 +88,27 @@ func TestOverflowGuardRules(t *testing.T) {
 	obs := sinkObs{class: ClassBufferOverflow, sink: "memcpy", addr: 1, taint: taintE, guard: taintE}
 
 	// No constraints: unsanitized.
-	if legacyOverflowGuarded(obs, nil) {
+	if legacyOverflowGuarded(obs, indexOf(nil)) {
 		t.Fatal("no constraints but guarded")
 	}
 	// EQ/NE checks (NUL scans) do not bound a copy.
 	eq := []symexec.Constraint{{L: taintE, R: expr.Const(0), Cond: isa.CondEQ}}
-	if legacyOverflowGuarded(obs, eq) {
+	if legacyOverflowGuarded(obs, indexOf(eq)) {
 		t.Fatal("EQ check treated as bound")
 	}
 	// A magnitude comparison on the tainted value sanitizes.
 	lt := []symexec.Constraint{{L: taintE, R: expr.Const(64), Cond: isa.CondLT}}
-	if !legacyOverflowGuarded(obs, lt) {
+	if !legacyOverflowGuarded(obs, indexOf(lt)) {
 		t.Fatal("LT bound not recognized")
 	}
 	// A comparison of the length symbol also sanitizes.
 	lenC := []symexec.Constraint{{L: expr.Sym(LenSymName(taintE.Key())), R: expr.Const(64), Cond: isa.CondGE}}
-	if !legacyOverflowGuarded(obs, lenC) {
+	if !legacyOverflowGuarded(obs, indexOf(lenC)) {
 		t.Fatal("strlen bound not recognized")
 	}
 	// Constraints on unrelated values do not sanitize.
 	other := []symexec.Constraint{{L: expr.Sym("other"), R: expr.Const(64), Cond: isa.CondLT}}
-	if legacyOverflowGuarded(obs, other) {
+	if legacyOverflowGuarded(obs, indexOf(other)) {
 		t.Fatal("unrelated constraint treated as guard")
 	}
 }
@@ -130,7 +130,7 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 	le := &symexec.Summary{Func: "handler", Constraints: []symexec.Constraint{
 		{L: taintE, R: expr.Const(152), Cond: isa.CondLE, Addr: 0x40},
 	}}
-	v := tr.checkObs(obs, le)
+	v := tr.checkObs(obs, le, indexOf(le.Constraints))
 	if v.sanitized || v.class != ClassOffByOne {
 		t.Fatalf("n <= 152 into cap 152: got sanitized=%v class=%v, want off-by-one finding", v.sanitized, v.class)
 	}
@@ -141,19 +141,19 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 	lt := &symexec.Summary{Func: "handler", Constraints: []symexec.Constraint{
 		{L: taintE, R: expr.Const(151), Cond: isa.CondLE, Addr: 0x40},
 	}}
-	if v := tr.checkObs(obs, lt); !v.sanitized {
+	if v := tr.checkObs(obs, lt, indexOf(lt.Constraints)); !v.sanitized {
 		t.Fatalf("n <= 151 into cap 152 must sanitize, got %+v", v)
 	}
 
 	// Explicit-length sinks (memcpy) legitimately fill the whole buffer.
 	memObs := obs
 	memObs.sink = "memcpy"
-	if v := tr.checkObs(memObs, le); !v.sanitized {
+	if v := tr.checkObs(memObs, le, indexOf(le.Constraints)); !v.sanitized {
 		t.Fatalf("memcpy of <= 152 into cap 152 must sanitize, got %+v", v)
 	}
 
 	// The ablation keeps the historical acceptance.
-	if !legacyOverflowGuarded(obs, le.Constraints) {
+	if !legacyOverflowGuarded(obs, indexOf(le.Constraints)) {
 		t.Fatal("legacy check must keep the <= acceptance under -ablate vrange")
 	}
 }
@@ -162,27 +162,27 @@ func TestCommandGuardRules(t *testing.T) {
 	ts := expr.Sym(expr.TaintName("getenv", 0x20))
 	obs := sinkObs{class: ClassCommandInjection, sink: "system", addr: 1, taint: ts, guard: expr.Sym("cmdptr")}
 
-	if separatorGuarded(obs, nil, SemicolonByte) {
+	if separatorGuarded(obs, indexOf(nil), SemicolonByte) {
 		t.Fatal("unchecked command guarded")
 	}
 	// EQ against ';' over the tainted data sanitizes.
 	semi := []symexec.Constraint{{L: ts, R: expr.Const(SemicolonByte), Cond: isa.CondEQ}}
-	if !separatorGuarded(obs, semi, SemicolonByte) {
+	if !separatorGuarded(obs, indexOf(semi), SemicolonByte) {
 		t.Fatal("';' EQ check not recognized")
 	}
 	// Reversed operand order too.
 	semiRev := []symexec.Constraint{{L: expr.Const(SemicolonByte), R: ts, Cond: isa.CondNE}}
-	if !separatorGuarded(obs, semiRev, SemicolonByte) {
+	if !separatorGuarded(obs, indexOf(semiRev), SemicolonByte) {
 		t.Fatal("reversed ';' check not recognized")
 	}
 	// A magnitude comparison against ';' does not count.
 	mag := []symexec.Constraint{{L: ts, R: expr.Const(SemicolonByte), Cond: isa.CondLT}}
-	if separatorGuarded(obs, mag, SemicolonByte) {
+	if separatorGuarded(obs, indexOf(mag), SemicolonByte) {
 		t.Fatal("magnitude ';' comparison treated as guard")
 	}
 	// A ';' check never sanitizes a path-traversal sink: the guard is
 	// keyed on the sink's own separator byte.
-	if separatorGuarded(obs, semi, DotByte) {
+	if separatorGuarded(obs, indexOf(semi), DotByte) {
 		t.Fatal("';' check accepted for a '.'-guarded sink")
 	}
 	// Deref rooted at the command pointer counts.
@@ -191,7 +191,7 @@ func TestCommandGuardRules(t *testing.T) {
 	byByte := []symexec.Constraint{{
 		L: expr.Deref(expr.Add(cmdPtr, 3)), R: expr.Const(SemicolonByte), Cond: isa.CondNE,
 	}}
-	if !separatorGuarded(obs2, byByte, SemicolonByte) {
+	if !separatorGuarded(obs2, indexOf(byByte), SemicolonByte) {
 		t.Fatal("byte-scan over cmd pointer not recognized")
 	}
 }
