@@ -86,9 +86,6 @@ type Function struct {
 	BackEdges [][2]int
 }
 
-// NumBlocks returns the number of basic blocks.
-func (f *Function) NumBlocks() int { return len(f.Blocks) }
-
 // BlockAt returns the block starting at addr.
 func (f *Function) BlockAt(addr uint32) (*Block, bool) {
 	i := sort.Search(len(f.Blocks), func(i int) bool { return f.Blocks[i].Start >= addr })

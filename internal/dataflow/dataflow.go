@@ -22,10 +22,10 @@
 //     equivalence classes (alias.RewriteSSE), under -ablate sse via the
 //     paper's pairwise Algorithm 1.
 //
-// Both analysis phases are parallel. Phase 1's units are fully
-// independent and fan out over a flat worker pool. Phases 3+4 run under a
-// dependency-counting scheduler over the condensation: sibling components
-// of the SCC DAG have no ordering constraint, so workers pull ready
+// Both analysis phases run on one dependency-counting scheduler
+// (runUnits). Phase 1's units are functions with no dependencies. Phases
+// 3+4's units are the condensation's components: sibling components of
+// the SCC DAG have no ordering constraint, so workers pull ready
 // components (all callee components summarized) from a queue and
 // decrement caller in-degrees on completion. Every component is analyzed
 // by its own taint-tracker shard and the per-component findings are
@@ -40,11 +40,8 @@ package dataflow
 import (
 	"errors"
 	"log/slog"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dtaint/internal/cfg"
@@ -303,32 +300,15 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	if len(names) == 0 {
 		return nil, ErrNoProgram
 	}
-	if opts.Vocab == nil {
-		opts.Vocab = taint.DefaultVocabulary()
-	}
-	if opts.Symexec.Prototypes == nil {
-		opts.Symexec.Prototypes = opts.Vocab.Prototypes()
-	}
-
+	opts = opts.withVocab()
 	res := &Result{Summaries: make(map[string]*symexec.Summary, len(names))}
-
-	// The summary-store fingerprinter keys both cached granularities.
-	// The filter tag is deliberately empty: a function filter only
-	// selects which functions and call-graph components exist, and both
-	// are captured structurally by the per-function and per-component
-	// digests (see sumstore.Fingerprinter).
-	var fp *sumstore.Fingerprinter
-	if opts.SummaryStore != nil {
-		fp = sumstore.NewFingerprinter(prog, OptionsFingerprint(opts, ""))
-	}
+	fp := fingerprinter(prog, opts)
 
 	// Phase 1: per-function static symbolic analysis (the paper's SSA
-	// module). Scratch trackers supply library models; their findings are
-	// discarded — this phase only exists to collect layouts, types, and
-	// indirect callsites. Functions are independent, so the phase fans
-	// out across workers (each with its own tracker).
+	// module), collecting layouts, types, and indirect callsites.
 	st := opts.StartStage("function-analysis", obs.KV("functions", len(names)))
-	phase1 := runPhase1(prog, names, opts, fp, res, st.span)
+	var phase1 map[string]*symexec.Summary
+	phase1, res.SumStore = runPhase1(prog, names, opts, fp, st.span)
 	res.SSATime = st.End("functions", len(names))
 
 	// Phase 2: indirect-call resolution. By default each callsite is
@@ -391,27 +371,64 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 		"Source-to-sink findings, sanitized included.", nil).Add(uint64(len(res.Findings)))
 	opts.Metrics.Counter("dtaint_truncated_functions_total",
 		"Functions that dropped a path at the per-block bound or hit the per-function state cap.", nil).Add(uint64(res.Truncated))
+	opts.Metrics.Counter("dtaint_alias_pairs_added_total",
+		"Alias pairs synthesized by the rewrite pass.", nil).Add(uint64(res.Alias.Added))
+	opts.Metrics.Counter("dtaint_alias_pairs_dropped_total",
+		"Synthesized alias pairs discarded past the rewrite budget.", nil).Add(uint64(res.Alias.Dropped))
 	if opts.SummaryStore != nil {
 		opts.SummaryStore.PublishMetrics(opts.Metrics)
 	}
 	return res, nil
 }
 
-// runPhase1 analyzes every function independently, in parallel. stageSpan
-// (nil when tracing is off) parents one "ssa-function" span per unit —
-// the events -progress counts against the stage's "functions" total.
-// With a summary store, each function's phase-1 key is consulted first:
-// phase 1 applies no callee summaries and its scratch tracker's
-// side-effects are discarded, so a stored summary replays the unit
-// exactly, and skipping the execution cannot affect any other unit.
-func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) map[string]*symexec.Summary {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// FunctionSummaries runs phase 1 alone over the named functions and
+// returns their summaries by name: Analyze's function-analysis stage,
+// with the same vocabulary and prototype resolution. With
+// opts.SummaryStore set it replays the summaries a scan of the binary
+// under the same options stored, and stores the rest. It opens no spans
+// and emits no progress events; opts.Metrics records every function it
+// executes.
+func FunctionSummaries(prog *cfg.Program, names []string, opts Options) map[string]*symexec.Summary {
+	opts = opts.withVocab()
+	opts.Events = nil
+	sums, _ := runPhase1(prog, names, opts, fingerprinter(prog, opts), nil)
+	return sums
+}
+
+// withVocab resolves the default vocabulary and the type prototypes the
+// vocabulary implies.
+func (o Options) withVocab() Options {
+	if o.Vocab == nil {
+		o.Vocab = taint.DefaultVocabulary()
 	}
-	if workers > len(names) {
-		workers = len(names)
+	if o.Symexec.Prototypes == nil {
+		o.Symexec.Prototypes = o.Vocab.Prototypes()
 	}
+	return o
+}
+
+// fingerprinter keys both cached granularities of opts.SummaryStore (nil
+// without a store). The filter tag is deliberately empty: a function
+// filter only selects which functions and call-graph components exist,
+// and both are captured structurally by the per-function and
+// per-component digests (see sumstore.Fingerprinter).
+func fingerprinter(prog *cfg.Program, opts Options) *sumstore.Fingerprinter {
+	if opts.SummaryStore == nil {
+		return nil
+	}
+	return sumstore.NewFingerprinter(prog, OptionsFingerprint(opts, ""))
+}
+
+// runPhase1 analyzes every named function independently on the unit
+// scheduler. Each worker's scratch tracker supplies library models; its
+// findings are discarded. stageSpan (nil when tracing is off) parents one
+// "ssa-function" span per executed unit — the events -progress counts
+// against the stage's "functions" total. With a summary store, each
+// function's phase-1 key is consulted first: phase 1 applies no callee
+// summaries and its scratch tracker's side-effects are discarded, so a
+// stored summary replays the unit exactly, and skipping the execution
+// cannot affect any other unit.
+func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, stageSpan *obs.Span) (map[string]*symexec.Summary, StoreStats) {
 	store := opts.SummaryStore
 	var keys []string
 	if store != nil {
@@ -422,70 +439,33 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 			keys[i] = fp.FuncKey(name)
 		}
 	}
-	fnSec := opts.Metrics.Histogram("dtaint_fn_ssa_seconds",
-		"Per-function symbolic analysis time (phase 1).", obs.DefTimeBuckets, nil)
-	fnStates := opts.Metrics.Histogram("dtaint_fn_states_explored",
-		"Symbolic states explored per function.", obs.ExpBuckets(1, 4, 8), nil)
-	var hits, misses atomic.Int64
-	var completed atomic.Int64
-	analyzeOne := func(scratch *taint.Tracker, i int, name string) *symexec.Summary {
-		defer func() {
-			// The atomic counter hands every unit a unique done value, so
-			// the decile-crossing progress events are deterministic for
-			// any worker interleaving.
-			opts.Events.ProgressDecile("function-analysis", int(completed.Add(1)), len(names))
-		}()
-		if store != nil {
-			if sum, ok := store.GetSummary(keys[i]); ok {
-				hits.Add(1)
-				return sum
-			}
-		}
-		sp := stageSpan.StartChild("ssa-function", obs.KV("fn", name))
-		t0 := time.Now()
-		scratch.BeginFunction(name)
-		sum := symexec.Analyze(prog.ByName[name], prog.Binary, scratch, opts.Symexec)
-		fnSec.Observe(time.Since(t0).Seconds())
-		fnStates.Observe(float64(sum.StatesExplored))
-		sp.End()
-		if store != nil {
-			misses.Add(1)
-			store.PutSummary(keys[i], sum)
-		}
-		return sum
-	}
+	rec := newFnRecorder(opts.Metrics, "ssa-function", "dtaint_fn_ssa_seconds",
+		"Per-function symbolic analysis time (phase 1).")
 	sums := make([]*symexec.Summary, len(names))
-	if workers <= 1 {
+	_, st := runUnits(opts, "function-analysis", make([]int, len(names)), nil, func() func(int) bool {
 		scratch := newTracker(opts, prog.Binary)
-		for i, name := range names {
-			sums[i] = analyzeOne(scratch, i, name)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := newTracker(opts, prog.Binary)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(names) {
-						return
-					}
-					sums[i] = analyzeOne(scratch, i, names[i])
+		return func(i int) bool {
+			if store != nil {
+				if sum, ok := store.GetSummary(keys[i]); ok {
+					sums[i] = sum
+					return true
 				}
-			}()
+			}
+			run := rec.start(stageSpan, names[i])
+			scratch.BeginFunction(names[i])
+			sums[i] = symexec.Analyze(prog.ByName[names[i]], prog.Binary, scratch, opts.Symexec)
+			run.end(sums[i])
+			if store != nil {
+				store.PutSummary(keys[i], sums[i])
+			}
+			return false
 		}
-		wg.Wait()
-	}
-	res.SumStore.Hits += int(hits.Load())
-	res.SumStore.Misses += int(misses.Load())
+	})
 	out := make(map[string]*symexec.Summary, len(names))
 	for i, name := range names {
 		out[name] = sums[i]
 	}
-	return out
+	return out, st
 }
 
 func filteredNames(prog *cfg.Program, filter func(string) bool) []string {

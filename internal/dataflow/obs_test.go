@@ -2,12 +2,16 @@ package dataflow
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/obs"
+	"dtaint/internal/obs/events"
+	"dtaint/internal/sumstore"
 )
 
 // spanSet renders the (Name, fn-attr) multiset of a trace — the part of
@@ -71,21 +75,30 @@ func TestSpanSetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Metrics collection must see every function exactly once per phase
-// regardless of worker count.
+// The shared unit scheduler's bookkeeping must not depend on the worker
+// count: every function is executed and recorded exactly once per phase
+// (each phase's time histogram counts the functions), every metric
+// matches across worker counts, and both phases' decile progress events
+// are identical at workers 1 and 8, with a cold summary store and with a
+// warm one.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	spec, _ := corpus.SpecByProduct("DIR-645")
 	bin, _, err := corpus.BuildBinary(spec, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := func(workers int) map[string]uint64 {
+	// run analyzes bin once and returns its metrics (counter values and
+	// histogram counts) and the DetKeys of its progress events. A warm
+	// store replays every unit, so no function executes.
+	run := func(workers int, store *sumstore.Store, warm bool) (map[string]uint64, []string) {
 		prog, err := cfg.Build(bin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		res, err := Analyze(prog, Options{Parallelism: workers, Metrics: reg})
+		j := events.NewJournal(0)
+		res, err := Analyze(prog, Options{Parallelism: workers, Metrics: reg,
+			SummaryStore: store, Events: j.Emitter("det")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,19 +111,69 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 				out[s.Name] = s.Count
 			}
 		}
-		if got := out["dtaint_fn_ddg_seconds"]; got != uint64(res.FunctionsAnalyzed) {
-			t.Fatalf("workers=%d: ddg histogram has %d observations, %d functions analyzed",
-				workers, got, res.FunctionsAnalyzed)
+		executed := uint64(res.FunctionsAnalyzed)
+		if warm {
+			executed = 0
 		}
-		return out
+		for _, h := range []string{"dtaint_fn_ssa_seconds", "dtaint_fn_ddg_seconds"} {
+			if out[h] != executed {
+				t.Fatalf("workers=%d: %s has %d observations, want %d (%d functions analyzed)",
+					workers, h, out[h], executed, res.FunctionsAnalyzed)
+			}
+		}
+		evs, dropped := j.Since(0)
+		if dropped != 0 {
+			t.Fatalf("journal dropped %d events", dropped)
+		}
+		var progress []events.ScanEvent
+		for _, e := range evs {
+			if e.Type == events.TypeProgress {
+				progress = append(progress, e)
+			}
+		}
+		return out, events.DetKeys(progress)
 	}
-	seq, par := counts(1), counts(8)
+	newStore := func() *sumstore.Store {
+		s, err := sumstore.NewStore(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	seq, seqProgress := run(1, nil, false)
+	par, parProgress := run(8, nil, false)
 	if len(seq) == 0 {
 		t.Fatal("no metrics collected")
 	}
 	for name, v := range seq {
 		if par[name] != v {
 			t.Fatalf("metric %s: workers=1 %d, workers=8 %d", name, v, par[name])
+		}
+	}
+	stages := map[string]bool{}
+	for _, k := range seqProgress {
+		for _, stage := range []string{"function-analysis", "interproc-dataflow"} {
+			if strings.Contains(k, "|stage="+stage+"|") {
+				stages[stage] = true
+			}
+		}
+	}
+	if len(stages) != 2 {
+		t.Fatalf("progress events cover stages %v, want function-analysis and interproc-dataflow", stages)
+	}
+	if !reflect.DeepEqual(seqProgress, parProgress) {
+		t.Fatalf("progress events differ without a store:\nworkers=1 %q\nworkers=8 %q", seqProgress, parProgress)
+	}
+
+	// Each worker count gets its own store, scanned cold, then warm.
+	seqStore, parStore := newStore(), newStore()
+	for _, warm := range []bool{false, true} {
+		_, seqKeys := run(1, seqStore, warm)
+		_, parKeys := run(8, parStore, warm)
+		if !reflect.DeepEqual(seqKeys, seqProgress) || !reflect.DeepEqual(parKeys, seqProgress) {
+			t.Fatalf("warm=%v store: progress events differ from the store-less run:\nworkers=1 %q\nworkers=8 %q\nno store  %q",
+				warm, seqKeys, parKeys, seqProgress)
 		}
 	}
 }

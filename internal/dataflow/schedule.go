@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dtaint/internal/alias"
@@ -15,14 +14,132 @@ import (
 	"dtaint/internal/taint"
 )
 
-// runBottomUp executes the bottom-up interprocedural phase (3+4) with a
-// dependency-counting scheduler over the call graph's SCC condensation.
-// Workers pull ready components — those whose callee components are all
-// summarized — from a priority queue ordered by component index and
-// decrement caller in-degrees on completion. Each component is analyzed
-// by its own tracker shard; its findings, pendings, and counters are
-// stashed per component and merged in condensation order afterwards, so
-// the result is bit-identical for every worker count.
+// runUnits is the one scheduler both analysis phases run on. It runs
+// len(deps) units on worker goroutines under dependency counting:
+// deps[i] is the number of units unit i waits for and succ[i] lists the
+// units waiting on it (phase 1's units are independent: all-zero counts,
+// nil successors). Workers pull the lowest-indexed ready unit from a
+// heap, so one worker runs the units in index order. newWorker runs once
+// on each worker goroutine and returns that worker's unit function, which
+// reports whether the unit replayed from the summary store. The finished
+// count is mutex-ordered and therefore unique per unit, so the stage's
+// decile progress events are identical for any worker count.
+func runUnits(opts Options, stage string, deps []int, succ [][]int, newWorker func() func(i int) (replayed bool)) (workers int, st StoreStats) {
+	n := len(deps)
+	workers = opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, n), 1)
+	events, counted := opts.Events, opts.SummaryStore != nil
+
+	var (
+		mu       sync.Mutex
+		cv       = sync.NewCond(&mu)
+		ready    = make(intHeap, 0, n)
+		waiting  = append([]int(nil), deps...)
+		finished int
+	)
+	for i, d := range waiting {
+		if d == 0 {
+			ready = append(ready, i)
+		}
+	}
+	heap.Init(&ready)
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := newWorker()
+			for {
+				mu.Lock()
+				for len(ready) == 0 && finished < n {
+					cv.Wait()
+				}
+				if len(ready) == 0 {
+					mu.Unlock()
+					return
+				}
+				i := heap.Pop(&ready).(int)
+				mu.Unlock()
+
+				replayed := run(i)
+
+				mu.Lock()
+				finished++
+				done := finished
+				if counted {
+					if replayed {
+						st.Hits++
+					} else {
+						st.Misses++
+					}
+				}
+				if succ != nil {
+					for _, s := range succ[i] {
+						waiting[s]--
+						if waiting[s] == 0 {
+							heap.Push(&ready, s)
+						}
+					}
+				}
+				cv.Broadcast()
+				mu.Unlock()
+				events.ProgressDecile(stage, done, n)
+			}
+		}()
+	}
+	wg.Wait()
+	return workers, st
+}
+
+// fnRecorder is the one instrument for a per-function symbolic
+// execution, in either phase: a span per function under the phase's
+// parent, the phase's time histogram, and the states-explored histogram
+// both phases share.
+type fnRecorder struct {
+	span   string
+	sec    *obs.Histogram
+	states *obs.Histogram
+}
+
+func newFnRecorder(m *obs.Registry, span, secName, secHelp string) *fnRecorder {
+	return &fnRecorder{
+		span: span,
+		sec:  m.Histogram(secName, secHelp, obs.DefTimeBuckets, nil),
+		states: m.Histogram("dtaint_fn_states_explored",
+			"Symbolic states explored per function.", obs.ExpBuckets(1, 4, 8), nil),
+	}
+}
+
+// fnRun is one recorded execution, from start to end.
+type fnRun struct {
+	rec  *fnRecorder
+	span *obs.Span
+	t0   time.Time
+}
+
+// start opens fn's span under parent (nil-safe) and starts its clock.
+func (r *fnRecorder) start(parent *obs.Span, fn string) fnRun {
+	return fnRun{rec: r, span: parent.StartChild(r.span, obs.KV("fn", fn)), t0: time.Now()}
+}
+
+// end observes the execution's time and explored states, then closes
+// its span.
+func (f fnRun) end(sum *symexec.Summary) {
+	f.rec.sec.Observe(time.Since(f.t0).Seconds())
+	f.rec.states.Observe(float64(sum.StatesExplored))
+	f.span.End()
+}
+
+// runBottomUp executes the bottom-up interprocedural phase (3+4) over the
+// call graph's SCC condensation: a component is ready once its callee
+// components are summarized. Each component is analyzed by its own
+// tracker shard; its findings, pendings, and counters are stashed per
+// component and merged in condensation order afterwards, so the result
+// is bit-identical for every worker count.
 //
 // With a summary store, each component's Merkle key (its function
 // digests chained with every callee component's key) is consulted
@@ -39,16 +156,36 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 		// the call edges they added are part of every key.
 		keys = fp.CompKeys(cond)
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	rec := newFnRecorder(opts.Metrics, "ddg-function", "dtaint_fn_ddg_seconds",
+		"Per-function interprocedural data-flow time (phase 3+4).")
+	base := newTracker(opts, prog.Binary)
+	shared := &bottomUpState{
+		summaries: res.Summaries,
+		pendings:  make(map[string][]taint.PendingSink),
 	}
-	if workers > len(cond.Comps) {
-		workers = len(cond.Comps)
+	done := make([]compResult, len(cond.Comps))
+	analyze := func(i int) bool {
+		replayed := false
+		var r compResult
+		if store != nil {
+			if ent, ok := store.GetEntry(keys[i]); ok {
+				r, replayed = entryToComp(ent), true
+			}
+		}
+		if !replayed {
+			r = analyzeComponent(prog, opts, base, shared, cond.Comps[i], i, stageSpan, rec)
+			if store != nil {
+				store.PutEntry(keys[i], compToEntry(cond.Comps[i], r))
+			}
+		}
+		shared.publish(r)
+		done[i] = r
+		return replayed
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers, st := runUnits(opts, "interproc-dataflow", cond.NumDeps, cond.Callers,
+		func() func(int) bool { return analyze })
+	res.SumStore.Hits += st.Hits
+	res.SumStore.Misses += st.Misses
 	res.Parallel = ParallelStats{
 		Workers:      workers,
 		Components:   len(cond.Comps),
@@ -56,98 +193,6 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 	}
 	stageSpan.SetAttr("workers", workers)
 	stageSpan.SetAttr("components", len(cond.Comps))
-
-	bo := bottomUpObs{
-		stage: stageSpan,
-		fnSec: opts.Metrics.Histogram("dtaint_fn_ddg_seconds",
-			"Per-function interprocedural data-flow time (phase 3+4).", obs.DefTimeBuckets, nil),
-		fnStates: opts.Metrics.Histogram("dtaint_fn_states_explored",
-			"Symbolic states explored per function.", obs.ExpBuckets(1, 4, 8), nil),
-		aliasAdded: opts.Metrics.Counter("dtaint_alias_pairs_added_total",
-			"Alias pairs synthesized by the rewrite pass.", nil),
-		aliasDropped: opts.Metrics.Counter("dtaint_alias_pairs_dropped_total",
-			"Synthesized alias pairs discarded past the rewrite budget.", nil),
-	}
-
-	base := newTracker(opts, prog.Binary)
-	shared := &bottomUpState{
-		summaries: res.Summaries,
-		pendings:  make(map[string][]taint.PendingSink),
-	}
-	done := make([]compResult, len(cond.Comps))
-
-	var (
-		mu        sync.Mutex
-		cv        = sync.NewCond(&mu)
-		ready     intHeap
-		deps      = append([]int(nil), cond.NumDeps...)
-		remaining = len(cond.Comps)
-	)
-	for i, d := range deps {
-		if d == 0 {
-			ready = append(ready, i)
-		}
-	}
-	heap.Init(&ready)
-
-	var storeHits, storeMisses atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && remaining > 0 {
-					cv.Wait()
-				}
-				if remaining == 0 && len(ready) == 0 {
-					mu.Unlock()
-					return
-				}
-				i := heap.Pop(&ready).(int)
-				mu.Unlock()
-
-				var r compResult
-				replayed := false
-				if store != nil {
-					if ent, ok := store.GetEntry(keys[i]); ok {
-						r = entryToComp(ent)
-						replayed = true
-						storeHits.Add(1)
-					}
-				}
-				if !replayed {
-					r = analyzeComponent(prog, opts, base, shared, cond.Comps[i], i, bo)
-					if store != nil {
-						storeMisses.Add(1)
-						store.PutEntry(keys[i], compToEntry(cond.Comps[i], r))
-					}
-				}
-				shared.publish(r)
-				done[i] = r
-
-				mu.Lock()
-				remaining--
-				completed := len(cond.Comps) - remaining
-				for _, caller := range cond.Callers[i] {
-					deps[caller]--
-					if deps[caller] == 0 {
-						heap.Push(&ready, caller)
-					}
-				}
-				cv.Broadcast()
-				mu.Unlock()
-				// completed is mutex-ordered and therefore unique per
-				// component, keeping the decile progress events
-				// deterministic for any worker count.
-				opts.Events.ProgressDecile("interproc-dataflow", completed, len(cond.Comps))
-			}
-		}()
-	}
-	wg.Wait()
-	res.SumStore.Hits += int(storeHits.Load())
-	res.SumStore.Misses += int(storeMisses.Load())
 
 	// Deterministic merge: concatenate per-component results in the
 	// condensation's (reverse topological) order — exactly the order the
@@ -246,22 +291,11 @@ func entryToComp(ent *sumstore.Entry) compResult {
 	return r
 }
 
-// bottomUpObs carries the bottom-up pass's observability handles into
-// component workers: the stage span to nest under, the per-function
-// histograms, and the alias-rewrite counters. All fields are nil-safe.
-type bottomUpObs struct {
-	stage        *obs.Span
-	fnSec        *obs.Histogram
-	fnStates     *obs.Histogram
-	aliasAdded   *obs.Counter
-	aliasDropped *obs.Counter
-}
-
 // analyzeComponent runs Algorithm 2 over one SCC component with a private
 // tracker shard. Functions inside the component are processed in sorted
 // order (the component's fixed order), mirroring the sequential pass;
 // lookups prefer the in-flight component, then the published state.
-func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shared *bottomUpState, comp []string, idx int, bo bottomUpObs) compResult {
+func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shared *bottomUpState, comp []string, idx int, stageSpan *obs.Span, rec *fnRecorder) compResult {
 	shard := base.Shard()
 	local := make(map[string]*symexec.Summary, len(comp))
 	oracle := &interOracle{
@@ -284,11 +318,10 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 		summaries: local,
 		pendings:  make(map[string][]taint.PendingSink, len(comp)),
 	}
-	compSpan := bo.stage.StartChild("scc-component",
+	compSpan := stageSpan.StartChild("scc-component",
 		obs.KV("index", idx), obs.KV("functions", len(comp)))
 	for _, name := range comp {
-		fnSpan := compSpan.StartChild("ddg-function", obs.KV("fn", name))
-		t0 := time.Now()
+		run := rec.start(compSpan, name)
 		shard.BeginFunction(name)
 		sum := symexec.Analyze(prog.ByName[name], prog.Binary, oracle, opts.Symexec)
 		if !opts.DisableAlias {
@@ -298,19 +331,15 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 			} else {
 				sum.DefPairs, ast = alias.RewriteSSE(sum.DefPairs, sum.Types)
 			}
-			fnSpan.SetAttr("alias_added", ast.Added)
-			fnSpan.SetAttr("alias_dropped", ast.Dropped)
-			bo.aliasAdded.Add(uint64(ast.Added))
-			bo.aliasDropped.Add(uint64(ast.Dropped))
+			run.span.SetAttr("alias_added", ast.Added)
+			run.span.SetAttr("alias_dropped", ast.Dropped)
 			out.alias.Merge(AliasStats{
 				Added: ast.Added, Dropped: ast.Dropped,
 				Classes: ast.Classes, Intern: ast.Intern,
 			})
 		}
 		shard.EndFunction(sum)
-		bo.fnSec.Observe(time.Since(t0).Seconds())
-		bo.fnStates.Observe(float64(sum.StatesExplored))
-		fnSpan.End()
+		run.end(sum)
 		local[name] = sum
 		out.defPairs += len(sum.DefPairs)
 		if sum.Truncated {
@@ -327,9 +356,9 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 	return out
 }
 
-// intHeap is a min-heap of component indices: with one worker the pop
-// order reproduces the sequential condensation order exactly, and with
-// many it keeps scheduling deterministic enough to debug.
+// intHeap is a min-heap of unit indices: with one worker the pop order
+// reproduces the sequential order exactly, and with many it keeps
+// scheduling deterministic enough to debug.
 type intHeap []int
 
 func (h intHeap) Len() int            { return len(h) }

@@ -3,7 +3,7 @@
 // SHA-256, replays unchanged binaries from the fleet report cache,
 // re-analyzes only changed ones — inside which unchanged functions
 // replay from the function-summary store — and matches findings across
-// versions via taint.VulnKey plus a function pairing, so every finding
+// versions via Finding.Key plus a function pairing, so every finding
 // classifies as new, fixed, or persisting.
 //
 // This is the "CI for firmware" workload (ROADMAP item 5): a vendor
@@ -29,7 +29,6 @@ import (
 	"dtaint/internal/fleet"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
-	"dtaint/internal/taint"
 )
 
 // Options configures a differential scan. It is fleet.Options, so a
@@ -118,7 +117,7 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 		}
 	}
 	for _, p := range pairs {
-		rep.Binaries = append(rep.Binaries, assemblePair(p, results))
+		rep.Binaries = append(rep.Binaries, assemblePair(p, results, opts))
 	}
 	rep.aggregate()
 	rep.Wall = time.Since(start)
@@ -316,7 +315,7 @@ func sourceOf(bs fleet.BinaryScan) Source {
 
 // assemblePair builds one pair's report entry, classifying its findings
 // across versions.
-func assemblePair(p *binPair, results map[string]fleet.BinaryScan) BinaryDiff {
+func assemblePair(p *binPair, results map[string]fleet.BinaryScan, opts Options) BinaryDiff {
 	bd := BinaryDiff{
 		Path: p.path, OldPath: p.oldPath, Status: p.status,
 		OldSHA256: p.oldSHA, NewSHA256: p.newSHA,
@@ -364,7 +363,7 @@ func assemblePair(p *binPair, results map[string]fleet.BinaryScan) BinaryDiff {
 			bd.Error = joinErrs(oldRes.Error, newRes.Error)
 			return bd
 		}
-		classifyChanged(&bd, p, oldRes.Analysis, newRes.Analysis)
+		classifyChanged(&bd, p, oldRes.Analysis, newRes.Analysis, opts)
 	}
 	sortFindingDiffs(bd.Findings)
 	for _, fd := range bd.Findings {
@@ -384,12 +383,12 @@ func assemblePair(p *binPair, results map[string]fleet.BinaryScan) BinaryDiff {
 // function pairing maps old function names onto new ones, and findings
 // compare on a relocation-tolerant key (mapped function, sink, sink
 // offset within the function, class).
-func classifyChanged(bd *BinaryDiff, p *binPair, oldAn, newAn *fleet.BinaryAnalysis) {
+func classifyChanged(bd *BinaryDiff, p *binPair, oldAn, newAn *fleet.BinaryAnalysis, opts Options) {
 	oldProg := buildProgram(p.oldFile)
 	newProg := buildProgram(p.newFile)
 	pairing := newPairing()
 	if oldProg != nil && newProg != nil {
-		pairing = PairFunctions(oldProg, newProg)
+		pairing = PairFunctions(oldProg, newProg, opts.Analysis)
 		bd.FuncsTotal = len(newProg.Funcs)
 		bd.FuncsExact = pairing.Exact
 		bd.FuncsRenamed = pairing.Renamed
@@ -449,7 +448,7 @@ type vulnGroup struct {
 }
 
 // vulnGroups deduplicates an analysis's unsanitized findings by
-// taint.VulnKey, in first-occurrence order.
+// Finding.Key, in first-occurrence order.
 func vulnGroups(an *fleet.BinaryAnalysis) []vulnGroup {
 	if an == nil {
 		return nil
@@ -477,17 +476,15 @@ func vulnGroups(an *fleet.BinaryAnalysis) []vulnGroup {
 // relocation), and the class. Falls back to the absolute address when
 // the function is unknown to the CFG.
 func crossKey(f fleet.Finding, prog *cfg.Program, oldToNew map[string]string) string {
-	name := f.SinkFunc
-	if mapped, ok := oldToNew[name]; ok {
-		name = mapped
-	}
-	addr := f.SinkAddr
 	if prog != nil {
 		if fn := prog.ByName[f.SinkFunc]; fn != nil && f.SinkAddr >= fn.Addr {
-			addr = f.SinkAddr - fn.Addr
+			f.SinkAddr -= fn.Addr
 		}
 	}
-	return taint.VulnKey(name, f.Sink, addr, f.Class)
+	if mapped, ok := oldToNew[f.SinkFunc]; ok {
+		f.SinkFunc = mapped
+	}
+	return f.Key()
 }
 
 // wholesale classifies every vulnerability of one analysis with a single

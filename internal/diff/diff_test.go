@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"dtaint/internal/corpus"
+	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
 	"dtaint/internal/fleet"
+	"dtaint/internal/obs"
 	"dtaint/internal/sumstore"
 )
 
@@ -337,4 +339,81 @@ func renamePath(t *testing.T, img []byte, from, to string) []byte {
 		t.Fatalf("Pack: %v", err)
 	}
 	return out
+}
+
+// TestPairingReadsScanSummaries: function pairing takes its layouts from
+// the phase-1 summaries the scans already stored, so after a scan of the
+// old image a diff executes no function beyond what its analysis units
+// execute, and the pairing is the one built without a store.
+func TestPairingReadsScanSummaries(t *testing.T) {
+	vp := buildPair(t)
+	ctx := context.Background()
+	scannedStore := func() *sumstore.Store {
+		s := newStore(t)
+		if _, err := fleet.ScanImage(ctx, vp.Old, fleet.Options{Workers: 1, SummaryStore: s}); err != nil {
+			t.Fatalf("ScanImage: %v", err)
+		}
+		return s
+	}
+	ssaCount := func(reg *obs.Registry) uint64 {
+		for _, s := range reg.Snapshot() {
+			if s.Name == "dtaint_fn_ssa_seconds" {
+				return s.Count
+			}
+		}
+		return 0
+	}
+
+	// The analysis units alone: scanning the new image over the same warm
+	// store analyzes exactly the binaries the diff re-analyzes, and
+	// replays the rest.
+	ref, refReg := scannedStore(), obs.NewRegistry()
+	m0 := ref.Stats().Misses
+	if _, err := fleet.ScanImage(ctx, vp.New, fleet.Options{Workers: 1, SummaryStore: ref,
+		Analysis: dataflow.Options{Metrics: refReg}}); err != nil {
+		t.Fatalf("ScanImage: %v", err)
+	}
+	unitMisses, unitSSA := ref.Stats().Misses-m0, ssaCount(refReg)
+	if unitMisses == 0 || unitSSA == 0 {
+		t.Fatalf("new-image scan: %d store misses, %d executions; want both > 0", unitMisses, unitSSA)
+	}
+
+	store, reg := scannedStore(), obs.NewRegistry()
+	m0 = store.Stats().Misses
+	opts := Options{Workers: 1, SummaryStore: store, Analysis: dataflow.Options{Metrics: reg}}
+	rep, err := Diff(ctx, vp.Old, vp.New, opts)
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if rep.Changed == 0 {
+		t.Fatal("no changed pair: pairing never ran")
+	}
+	if got := store.Stats().Misses - m0; got != unitMisses {
+		t.Errorf("diff made %d store misses, its analysis units alone %d", got, unitMisses)
+	}
+	if got := ssaCount(reg); got != unitSSA {
+		t.Errorf("diff executed %d functions in phase 1, its analysis units alone %d", got, unitSSA)
+	}
+
+	// The same pairing, with and without the store behind it.
+	oldProg, newProg := pairPrograms(t)
+	if err := opts.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	s0 := store.Stats()
+	stored := PairFunctions(oldProg, newProg, opts.Analysis)
+	s1 := store.Stats()
+	// Every function left over after the exact stage reads its layouts
+	// from the store.
+	leftover := len(oldProg.Funcs) + len(newProg.Funcs) - 2*stored.Exact
+	if s1.Misses != s0.Misses || int(s1.Hits-s0.Hits) != leftover {
+		t.Errorf("pairing: %d store hits and %d misses, want %d and 0",
+			s1.Hits-s0.Hits, s1.Misses-s0.Misses, leftover)
+	}
+	if stored.Similar == 0 {
+		t.Fatal("no similarity pairs: the layout stage never decided a pair")
+	}
+	if plain := PairFunctions(oldProg, newProg, dataflow.Options{}); !reflect.DeepEqual(stored, plain) {
+		t.Errorf("pairing with the store %+v, without %+v", stored, plain)
+	}
 }

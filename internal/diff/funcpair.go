@@ -15,7 +15,9 @@
 //     score against each other on callgraph identity (callee/caller name
 //     multisets, mapped through already-established pairs), CFG shape,
 //     and structsim data-structure layouts; pairs above a threshold are
-//     taken greedily in deterministic order.
+//     taken greedily in deterministic order. Layouts come from the
+//     phase-1 summaries of the diff's own analysis options, which the
+//     scan of each binary has already put in the summary store.
 package diff
 
 import (
@@ -25,9 +27,8 @@ import (
 	"sort"
 
 	"dtaint/internal/cfg"
+	"dtaint/internal/dataflow"
 	"dtaint/internal/structsim"
-	"dtaint/internal/symexec"
-	"dtaint/internal/taint"
 )
 
 // similarityThreshold is the minimum stage-2 score for a pair.
@@ -58,8 +59,10 @@ func (p *Pairing) add(oldName, newName string) {
 	p.NewToOld[newName] = oldName
 }
 
-// PairFunctions pairs oldProg's functions with newProg's.
-func PairFunctions(oldProg, newProg *cfg.Program) *Pairing {
+// PairFunctions pairs oldProg's functions with newProg's. opts are the
+// analysis options both binaries were scanned with; the similarity stage
+// builds layouts from their phase-1 summaries.
+func PairFunctions(oldProg, newProg *cfg.Program, opts dataflow.Options) *Pairing {
 	p := newPairing()
 
 	// Stage 1: exact code digests.
@@ -111,8 +114,8 @@ func PairFunctions(oldProg, newProg *cfg.Program) *Pairing {
 		len(oldLeft)*len(newLeft) > similarityBudget {
 		return p
 	}
-	oldLay := layoutIndex(oldProg, oldLeft)
-	newLay := layoutIndex(newProg, newLeft)
+	oldLay := layoutIndex(oldProg, oldLeft, opts)
+	newLay := layoutIndex(newProg, newLeft, opts)
 	type cand struct {
 		score float64
 		o, n  string
@@ -212,24 +215,13 @@ func unpaired(prog *cfg.Program, paired map[string]string) []string {
 	return out
 }
 
-// layoutIndex runs the per-function symbolic execution phase on the
-// named functions and keeps their data-structure layouts for the
-// similarity stage.
-func layoutIndex(prog *cfg.Program, names []string) map[string][]*structsim.Layout {
+// layoutIndex keeps the named functions' data-structure layouts for the
+// similarity stage, built from their phase-1 summaries.
+func layoutIndex(prog *cfg.Program, names []string, opts dataflow.Options) map[string][]*structsim.Layout {
+	sums := dataflow.FunctionSummaries(prog, names, opts)
 	out := make(map[string][]*structsim.Layout, len(names))
-	tracker := taint.NewTracker()
-	opts := symexec.Options{Prototypes: taint.PrototypesFor(nil)}
 	for _, name := range names {
-		fn := prog.ByName[name]
-		if fn == nil || len(fn.Blocks) == 0 {
-			continue
-		}
-		tracker.BeginFunction(name)
-		sum := symexec.Analyze(fn, prog.Binary, tracker, opts)
-		if sum == nil {
-			continue
-		}
-		if ls := structsim.BuildLayouts(sum); len(ls) > 0 {
+		if ls := structsim.BuildLayouts(sums[name]); len(ls) > 0 {
 			out[name] = ls
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
+	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
 	"dtaint/internal/image"
 )
@@ -45,7 +46,7 @@ func pairPrograms(t *testing.T) (*cfg.Program, *cfg.Program) {
 
 func TestPairFunctionsExactAndRenamed(t *testing.T) {
 	oldProg, newProg := pairPrograms(t)
-	p := PairFunctions(oldProg, newProg)
+	p := PairFunctions(oldProg, newProg, dataflow.Options{})
 
 	// Every stable-module function pairs with itself.
 	for _, fn := range oldProg.Funcs {

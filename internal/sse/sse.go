@@ -38,9 +38,6 @@ type Node struct {
 	delta int64
 }
 
-// IsRoot reports whether n is a root symbol node.
-func (n *Node) IsRoot() bool { return n.parent == nil }
-
 // Parent returns the parent node and step offset (zero value for roots).
 func (n *Node) Parent() (*Node, int64) { return n.parent, n.off }
 

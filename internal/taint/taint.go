@@ -17,7 +17,6 @@ import (
 	"dtaint/internal/image"
 	"dtaint/internal/isa"
 	"dtaint/internal/symexec"
-	"dtaint/internal/vocab"
 	"dtaint/internal/vrange"
 )
 
@@ -59,21 +58,6 @@ func (c Class) String() string {
 		return "path-traversal"
 	}
 	return "class?"
-}
-
-// ClassFromVocab maps a vocab sink-class string to its Class.
-func ClassFromVocab(s string) Class {
-	switch s {
-	case vocab.ClassBufferOverflow:
-		return ClassBufferOverflow
-	case vocab.ClassCommandInjection:
-		return ClassCommandInjection
-	case vocab.ClassFormatString:
-		return ClassFormatString
-	case vocab.ClassPathTraversal:
-		return ClassPathTraversal
-	}
-	return 0
 }
 
 // Sources is the default vocabulary's input-source census (Table I

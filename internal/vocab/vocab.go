@@ -145,21 +145,6 @@ func (f *Func) RoleIndex(role string) int {
 	return -1
 }
 
-// SrcIndices returns every argument index carrying the src role, in
-// positional order.
-func (f *Func) SrcIndices() []int {
-	var out []int
-	for i, a := range f.Args {
-		if a.Role == RoleSrc {
-			out = append(out, i)
-		}
-	}
-	if i, ok := f.Roles[RoleSrc]; ok {
-		out = append(out, i)
-	}
-	return out
-}
-
 // Spec is a complete vocabulary.
 type Spec struct {
 	Version   int    `json:"version"`

@@ -2,7 +2,8 @@
 # check.sh — the repository's full verification gate.
 #
 # Runs the tier-1 verify (build + tests) plus gofmt, go vet, the
-# profbench benchmark module's vet and short tests, the
+# profbench benchmark module's vet, short tests and full-size
+# store-traffic test, the
 # repo-specific dtaintlint rules (determinism + nil-safe obs handles +
 # versioned serialization + no hard-coded vocabulary names + no
 # string-keyed identity over interned SSE nodes), the
@@ -46,6 +47,12 @@ go vet ./...
 # harness unnoticed.
 echo ">> profbench: go vet ./... && go test -short ./..."
 (cd profbench && go vet ./... && go test -short ./...)
+
+# The full-size store-traffic test pins, at the benchmark's own size,
+# which units replay from the summary store and which execute (a few
+# seconds; -short skips it above).
+echo ">> profbench: full-size TestWorkloadTraffic"
+(cd profbench && go test -run TestWorkloadTraffic ./...)
 
 echo ">> dtaintlint ."
 go run ./cmd/dtaintlint .
