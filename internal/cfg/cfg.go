@@ -10,22 +10,19 @@ import (
 	"sort"
 
 	"dtaint/internal/image"
-	"dtaint/internal/ir"
 	"dtaint/internal/isa"
 )
 
-// LiftedInst pairs a decoded machine instruction with its address and its
-// IR lifting.
-type LiftedInst struct {
+// Inst pairs a decoded machine instruction with its address.
+type Inst struct {
 	Addr uint32
 	Raw  isa.Inst
-	IR   []ir.Stmt
 }
 
 // Block is a basic block.
 type Block struct {
 	Start uint32
-	Insts []LiftedInst
+	Insts []Inst
 	// Succs are the intra-procedural successors in deterministic order:
 	// for a conditional branch, the taken edge first, then fallthrough.
 	Succs []*Block
@@ -42,9 +39,9 @@ func (b *Block) End() uint32 {
 }
 
 // Terminator returns the block's final instruction.
-func (b *Block) Terminator() (LiftedInst, bool) {
+func (b *Block) Terminator() (Inst, bool) {
 	if len(b.Insts) == 0 {
-		return LiftedInst{}, false
+		return Inst{}, false
 	}
 	return b.Insts[len(b.Insts)-1], true
 }
@@ -113,10 +110,11 @@ type Program struct {
 // Errors returned by Build.
 var (
 	ErrNoFunctions = errors.New("cfg: binary has no function symbols")
-	ErrBadTarget   = errors.New("cfg: branch target outside function")
+	ErrBadTarget   = errors.New("cfg: branch target outside function or unaligned")
 )
 
-// Build decodes, lifts, and structures every function of the binary.
+// Build decodes every function of the binary and partitions it into basic
+// blocks. Lifting to IR is left to the analyses that execute a function.
 func Build(bin *image.Binary) (*Program, error) {
 	if len(bin.Funcs) == 0 {
 		return nil, ErrNoFunctions
@@ -145,17 +143,17 @@ func buildFunction(bin *image.Binary, sym image.Symbol) (*Function, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := isa.DecodeAll(bin.Arch, code, sym.Addr)
-	if err != nil {
-		return nil, err
+	if len(code)%isa.InstSize != 0 {
+		return nil, isa.ErrShortCode
 	}
-	insts := make([]LiftedInst, len(raw))
-	for i, in := range raw {
-		insts[i] = LiftedInst{
-			Addr: sym.Addr + uint32(i)*isa.InstSize,
-			Raw:  in,
-			IR:   ir.Lift(in),
+	insts := make([]Inst, len(code)/isa.InstSize)
+	for i := range insts {
+		addr := sym.Addr + uint32(i)*isa.InstSize
+		raw, err := isa.Decode(bin.Arch, code[i*isa.InstSize:(i+1)*isa.InstSize])
+		if err != nil {
+			return nil, fmt.Errorf("at %#x: %w", addr, err)
 		}
+		insts[i] = Inst{Addr: addr, Raw: raw}
 	}
 
 	fn := &Function{Name: sym.Name, Addr: sym.Addr, Size: sym.Size}
@@ -169,63 +167,65 @@ func buildFunction(bin *image.Binary, sym image.Symbol) (*Function, error) {
 
 	// Block leaders: function entry, branch targets inside the function,
 	// and instructions following terminators or conditional branches.
-	leaders := map[uint32]bool{sym.Addr: true}
-	end := sym.Addr + sym.Size
-	for _, li := range insts {
-		switch li.Raw.Op {
-		case isa.OpB:
-			t := li.Raw.Target
-			if t < sym.Addr || t >= end {
-				return nil, fmt.Errorf("%w: %#x -> %#x", ErrBadTarget, li.Addr, t)
-			}
-			leaders[t] = true
-			if li.Addr+isa.InstSize < end {
-				leaders[li.Addr+isa.InstSize] = true
-			}
-		case isa.OpBX:
-			if li.Addr+isa.InstSize < end {
-				leaders[li.Addr+isa.InstSize] = true
-			}
+	n := len(insts)
+	leader := make([]bool, n)
+	leader[0] = true
+	blocks, calls := 1, 0
+	mark := func(i int) {
+		if i < n && !leader[i] {
+			leader[i] = true
+			blocks++
 		}
+	}
+	for i, in := range insts {
+		switch in.Raw.Op {
+		case isa.OpB:
+			off := in.Raw.Target - sym.Addr // wraps for targets below the entry
+			if off >= uint32(n)*isa.InstSize || off%isa.InstSize != 0 {
+				return nil, fmt.Errorf("%w: %#x -> %#x", ErrBadTarget, in.Addr, in.Raw.Target)
+			}
+			mark(int(off / isa.InstSize))
+			mark(i + 1)
+		case isa.OpBX:
+			mark(i + 1)
+		case isa.OpBL, isa.OpBLX:
+			calls++
+		}
+	}
+	if calls > 0 {
+		fn.Calls = make([]CallSite, 0, calls)
 	}
 
-	// Materialize blocks in address order.
-	starts := make([]uint32, 0, len(leaders))
-	for a := range leaders {
-		starts = append(starts, a)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	byStart := make(map[uint32]*Block, len(starts))
-	for i, a := range starts {
-		b := &Block{Start: a, Index: i}
-		fn.Blocks = append(fn.Blocks, b)
-		byStart[a] = b
-	}
-	for i, b := range fn.Blocks {
-		stop := end
-		if i+1 < len(fn.Blocks) {
-			stop = fn.Blocks[i+1].Start
+	// Materialize blocks in address order from one slab; blockOf maps an
+	// instruction index to the index of the block holding it.
+	slab := make([]Block, blocks)
+	fn.Blocks = make([]*Block, blocks)
+	blockOf := make([]int32, n)
+	bi, lo := -1, 0
+	for i := range insts {
+		if leader[i] {
+			if i > 0 {
+				slab[bi].Insts = insts[lo:i]
+			}
+			bi, lo = bi+1, i
+			slab[bi] = Block{Start: insts[i].Addr, Index: bi}
+			fn.Blocks[bi] = &slab[bi]
 		}
-		lo := int(b.Start-sym.Addr) / isa.InstSize
-		hi := int(stop-sym.Addr) / isa.InstSize
-		b.Insts = insts[lo:hi]
+		blockOf[i] = int32(bi)
 	}
-	fn.Entry = byStart[sym.Addr]
+	slab[bi].Insts = insts[lo:]
+	fn.Entry = fn.Blocks[0]
 
 	// Edges and callsites.
 	for i, b := range fn.Blocks {
-		term, ok := b.Terminator()
-		if !ok {
-			continue
-		}
-		for _, li := range b.Insts {
-			switch li.Raw.Op {
+		for _, in := range b.Insts {
+			switch in.Raw.Op {
 			case isa.OpBL:
-				cs := CallSite{Addr: li.Addr, Target: li.Raw.Target, Block: b}
-				if tgt, ok := bin.FuncAt(li.Raw.Target); ok {
+				cs := CallSite{Addr: in.Addr, Target: in.Raw.Target, Block: b}
+				if tgt, ok := bin.FuncAt(in.Raw.Target); ok {
 					cs.Kind = CallLocal
 					cs.Callee = tgt.Name
-				} else if imp, ok := bin.ImportAt(li.Raw.Target); ok {
+				} else if imp, ok := bin.ImportAt(in.Raw.Target); ok {
 					cs.Kind = CallImport
 					cs.Callee = imp.Name
 				} else {
@@ -234,16 +234,14 @@ func buildFunction(bin *image.Binary, sym image.Symbol) (*Function, error) {
 				fn.Calls = append(fn.Calls, cs)
 			case isa.OpBLX:
 				fn.Calls = append(fn.Calls, CallSite{
-					Addr: li.Addr, Kind: CallIndirect, Reg: li.Raw.Rm, Block: b,
+					Addr: in.Addr, Kind: CallIndirect, Reg: in.Raw.Rm, Block: b,
 				})
 			}
 		}
+		term, _ := b.Terminator()
 		switch term.Raw.Op {
 		case isa.OpB:
-			tgt := byStart[term.Raw.Target]
-			if tgt == nil {
-				return nil, fmt.Errorf("%w: %#x", ErrBadTarget, term.Raw.Target)
-			}
+			tgt := fn.Blocks[blockOf[(term.Raw.Target-sym.Addr)/isa.InstSize]]
 			b.Succs = append(b.Succs, tgt)
 			if term.Raw.Cond != isa.CondAL {
 				if i+1 < len(fn.Blocks) {
@@ -267,6 +265,7 @@ func buildFunction(bin *image.Binary, sym image.Symbol) (*Function, error) {
 func (f *Function) findLoops() {
 	f.LoopBlocks = make(map[int]bool)
 	state := make([]int, len(f.Blocks)) // 0 unvisited, 1 on stack, 2 done
+	var preds [][]*Block                // built at the first back edge
 	var walk func(b *Block)
 	walk = func(b *Block) {
 		state[b.Index] = 1
@@ -278,7 +277,15 @@ func (f *Function) findLoops() {
 				// Back edge b -> s: the natural loop is s plus every node
 				// that reaches b without passing through s.
 				f.BackEdges = append(f.BackEdges, [2]int{b.Index, s.Index})
-				f.markLoop(b, s)
+				if preds == nil {
+					preds = make([][]*Block, len(f.Blocks))
+					for _, p := range f.Blocks {
+						for _, q := range p.Succs {
+							preds[q.Index] = append(preds[q.Index], p)
+						}
+					}
+				}
+				f.markLoop(b, s, preds)
 			}
 		}
 		state[b.Index] = 2
@@ -290,14 +297,7 @@ func (f *Function) findLoops() {
 
 // markLoop marks the natural loop of back edge tail->header via reverse
 // reachability from tail, stopping at the header.
-func (f *Function) markLoop(tail, header *Block) {
-	// Build predecessor lists lazily.
-	preds := make([][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			preds[s.Index] = append(preds[s.Index], b)
-		}
-	}
+func (f *Function) markLoop(tail, header *Block, preds [][]*Block) {
 	inLoop := map[int]bool{header.Index: true}
 	stack := []*Block{tail}
 	for len(stack) > 0 {

@@ -305,6 +305,38 @@ func TestBadBranchTarget(t *testing.T) {
 	}
 }
 
+// UnalignedBranchBinary returns a one-function ARM binary whose B at
+// 0x10008 targets 0x1000c, inside the function but between two
+// instructions.
+func UnalignedBranchBinary(t testing.TB) *image.Binary {
+	t.Helper()
+	var text []byte
+	for _, in := range []isa.Inst{
+		{Op: isa.OpNOP},
+		{Op: isa.OpB, Target: 0x1000c},
+		{Op: isa.OpBX, Rm: isa.LR},
+	} {
+		enc, err := isa.Encode(isa.ArchARM, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = append(text, enc[:]...)
+	}
+	return &image.Binary{
+		Name: "unaligned", Arch: isa.ArchARM, TextBase: 0x10000,
+		Text:  text,
+		Funcs: []image.Symbol{{Name: "f", Addr: 0x10000, Size: uint32(len(text))}},
+	}
+}
+
+// A branch target between two instructions starts no block; Build must
+// reject it as it rejects an out-of-range target.
+func TestUnalignedBranchTarget(t *testing.T) {
+	if _, err := Build(UnalignedBranchBinary(t)); !errors.Is(err, ErrBadTarget) {
+		t.Fatalf("want ErrBadTarget, got %v", err)
+	}
+}
+
 func TestNoFunctions(t *testing.T) {
 	bin := &image.Binary{Name: "empty", Arch: isa.ArchARM, TextBase: 0x10000}
 	if _, err := Build(bin); !errors.Is(err, ErrNoFunctions) {

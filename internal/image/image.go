@@ -196,6 +196,11 @@ func (b *Binary) Validate() error {
 	if len(b.Text)%isa.InstSize != 0 {
 		return fmt.Errorf("%w: text size %d not a multiple of %d", ErrMalformed, len(b.Text), isa.InstSize)
 	}
+	// Block and function end addresses are exclusive uint32 bounds, so the
+	// text section must end below 2^32.
+	if uint64(b.TextBase)+uint64(len(b.Text)) >= 1<<32 {
+		return fmt.Errorf("%w: text section runs past the 32-bit address space", ErrMalformed)
+	}
 	for _, s := range b.Funcs {
 		if s.Addr < b.TextBase || uint64(s.Addr)+uint64(s.Size) > uint64(b.TextBase)+uint64(len(b.Text)) {
 			return fmt.Errorf("%w: function %q out of text range", ErrMalformed, s.Name)

@@ -190,6 +190,11 @@ func TestValidate(t *testing.T) {
 	if err := bad4.Validate(); err == nil {
 		t.Error("low import stub accepted")
 	}
+	bad5 := *b
+	bad5.TextBase, bad5.Text, bad5.Funcs = 0xFFFF_FFF8, make([]byte, 8), nil
+	if err := bad5.Validate(); err == nil {
+		t.Error("text section ending at 2^32 accepted")
+	}
 }
 
 func TestSizeAccounting(t *testing.T) {

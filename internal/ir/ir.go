@@ -3,9 +3,9 @@
 // lifts firmware binaries into (Section III-B: "we first transfer the
 // binary executable file into an intermediate representation").
 //
-// Every machine instruction lifts to a short sequence of IR statements
-// over registers and memory; after lifting, nothing downstream depends on
-// the architecture flavor except the calling convention.
+// Every machine instruction lifts to one IR statement over registers and
+// memory; after lifting, nothing downstream depends on the architecture
+// flavor except the calling convention.
 package ir
 
 import (
@@ -177,50 +177,50 @@ func (Ret) String() string { return "ret" }
 // String implements fmt.Stringer.
 func (Nop) String() string { return "nop" }
 
-// Lift translates one decoded machine instruction into IR statements.
+// Lift translates one decoded machine instruction into its IR statement.
 // The lifting is total over valid instructions.
-func Lift(in isa.Inst) []Stmt {
+func Lift(in isa.Inst) Stmt {
 	switch in.Op {
 	case isa.OpNOP:
-		return []Stmt{Nop{}}
+		return Nop{}
 	case isa.OpMOV:
-		return []Stmt{Move{Dst: in.Rd, Src: srcVal(in)}}
+		return Move{Dst: in.Rd, Src: srcVal(in)}
 	case isa.OpLDR:
-		return []Stmt{Load{Dst: in.Rd, Base: in.Rn, Off: in.Imm, Size: 4}}
+		return Load{Dst: in.Rd, Base: in.Rn, Off: in.Imm, Size: 4}
 	case isa.OpLDRB:
-		return []Stmt{Load{Dst: in.Rd, Base: in.Rn, Off: in.Imm, Size: 1}}
+		return Load{Dst: in.Rd, Base: in.Rn, Off: in.Imm, Size: 1}
 	case isa.OpSTR:
-		return []Stmt{Store{Src: R(in.Rd), Base: in.Rn, Off: in.Imm, Size: 4}}
+		return Store{Src: R(in.Rd), Base: in.Rn, Off: in.Imm, Size: 4}
 	case isa.OpSTRB:
-		return []Stmt{Store{Src: R(in.Rd), Base: in.Rn, Off: in.Imm, Size: 1}}
+		return Store{Src: R(in.Rd), Base: in.Rn, Off: in.Imm, Size: 1}
 	case isa.OpADD:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperAdd, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperAdd, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpSUB:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperSub, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperSub, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpMUL:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperMul, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperMul, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpAND:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperAnd, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperAnd, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpORR:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperOr, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperOr, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpEOR:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperXor, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperXor, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpLSL:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperShl, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperShl, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpLSR:
-		return []Stmt{BinOp{Dst: in.Rd, Op: OperShr, A: R(in.Rn), B: srcVal(in)}}
+		return BinOp{Dst: in.Rd, Op: OperShr, A: R(in.Rn), B: srcVal(in)}
 	case isa.OpCMP:
-		return []Stmt{Compare{A: R(in.Rd), B: srcVal(in)}}
+		return Compare{A: R(in.Rd), B: srcVal(in)}
 	case isa.OpB:
-		return []Stmt{Branch{Cond: in.Cond, Target: in.Target}}
+		return Branch{Cond: in.Cond, Target: in.Target}
 	case isa.OpBL:
-		return []Stmt{Call{Target: in.Target}}
+		return Call{Target: in.Target}
 	case isa.OpBLX:
-		return []Stmt{Call{Indirect: true, Reg: in.Rm}}
+		return Call{Indirect: true, Reg: in.Rm}
 	case isa.OpBX:
-		return []Stmt{Ret{}}
+		return Ret{}
 	}
-	return []Stmt{Nop{}}
+	return Nop{}
 }
 
 func srcVal(in isa.Inst) Val {

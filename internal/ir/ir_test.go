@@ -35,11 +35,7 @@ func TestLiftCoversAllOpcodes(t *testing.T) {
 		{isa.Inst{Op: isa.OpNOP}, "nop"},
 	}
 	for _, tt := range tests {
-		stmts := Lift(tt.in)
-		if len(stmts) != 1 {
-			t.Fatalf("%v lifts to %d stmts", tt.in, len(stmts))
-		}
-		if got := stmts[0].String(); got != tt.want {
+		if got := Lift(tt.in).String(); got != tt.want {
 			t.Errorf("Lift(%v) = %q, want %q", tt.in, got, tt.want)
 		}
 	}

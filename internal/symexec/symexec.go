@@ -329,6 +329,8 @@ type engine struct {
 	useSeen    map[string]bool
 	blockSeen  map[int]int // total states executed per block
 	callByAddr map[uint32]cfg.CallSite
+	// stmts holds the lifting of fn's instructions in address order.
+	stmts []ir.Stmt
 }
 
 // Analyze runs the static symbolic analysis over one function.
@@ -355,6 +357,12 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 	}
 	for _, cs := range fn.Calls {
 		e.callByAddr[cs.Addr] = cs
+	}
+	e.stmts = make([]ir.Stmt, 0, fn.Size/isa.InstSize)
+	for _, b := range fn.Blocks {
+		for _, in := range b.Insts {
+			e.stmts = append(e.stmts, ir.Lift(in.Raw))
+		}
 	}
 	e.run()
 	e.sum.Ranges = DeriveRanges(e.sum.Constraints, e.ranges)
@@ -542,10 +550,9 @@ func (e *engine) run() {
 // work items, all on st (see workItem).
 func (e *engine) execBlock(b *cfg.Block, st *State) []workItem {
 	inLoop := e.fn.LoopBlocks[b.Index]
-	for _, li := range b.Insts {
-		for _, stmt := range li.IR {
-			e.exec(li.Addr, stmt, st, inLoop)
-		}
+	first := (b.Start - e.fn.Addr) / isa.InstSize
+	for i, in := range b.Insts {
+		e.exec(in.Addr, e.stmts[first+uint32(i)], st, inLoop)
 	}
 
 	term, hasTerm := b.Terminator()

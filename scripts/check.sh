@@ -12,8 +12,9 @@
 # examples/ (each must exit 0), a race-enabled test pass (so the parallel
 # bottom-up scheduler and the fleet orchestrator are always
 # race-checked), short fuzzes of the summary-store decoder (blobs read
-# back from disk are untrusted input), of the vocabulary parser
-# (dtaintd parses uploaded specs) and of dtaintd's scan and diff upload
+# back from disk are untrusted input), of the FWELF parser and the CFG
+# builder behind it (binaries come from unpacked firmware), of the
+# vocabulary parser (dtaintd parses uploaded specs) and of dtaintd's scan and diff upload
 # handlers (Content-Type and body are per-request input), the
 # screening-corpus precision/recall gate, a small
 # cold-then-warm corpus pass (warm re-scan must be faster, replay its
@@ -73,6 +74,14 @@ go test -race ./...
 
 echo ">> fuzz the summary-store decoder (disk input)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/sumstore
+
+# FuzzBuild's seed is a corpus binary; minimization is capped so one
+# new input that size cannot take the whole budget.
+echo ">> fuzz the FWELF parser (firmware input)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/image
+
+echo ">> fuzz the CFG builder on parsed binaries"
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cfg
 
 # The seed is the 6 KB default spec, and minimizing each new input that
 # size can take the fuzzer's whole budget, so minimization is capped.
