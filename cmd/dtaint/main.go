@@ -16,7 +16,10 @@
 // interval value-range domain: verdicts fall back to structural bounds
 // and the off-by-one/length-truncation classes disappear. -paths prints
 // every vulnerable path rather than the deduplicated vulnerability
-// list; -all also prints sanitized paths.
+// list; -all also prints sanitized paths. -json prints the report in
+// the schema dtaintd serves: the per-binary Report (sanitized paths
+// only with -all), the ImageReport with -rootfs-all, the DiffReport
+// with -diff.
 // -workers N sets the worker count for both parallel analysis phases —
 // the per-function pass and the bottom-up SCC-DAG scheduler (0, the
 // default, uses GOMAXPROCS; negative values are rejected).
@@ -374,9 +377,7 @@ func runFleet(o cliOptions) (int, int, error) {
 		return 0, 0, err
 	}
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return img.VulnerablePaths, img.Stalled, enc.Encode(img)
+		return img.VulnerablePaths, img.Stalled, printJSON(img)
 	}
 	fmt.Printf("image %s %s %s (%d): %d candidate binaries\n",
 		img.Vendor, img.Product, img.Version, img.Year, img.Candidates)
@@ -384,7 +385,7 @@ func runFleet(o cliOptions) (int, int, error) {
 		switch b.Status {
 		case dtaint.BinaryOK, dtaint.BinaryCached:
 			fmt.Printf("  %-32s %-7s %3d vulnerabilities, %3d paths  (%v)\n",
-				b.Path, b.Status, len(b.Report.Vulnerabilities()), len(b.Report.VulnerablePaths()), b.Duration)
+				b.Path, b.Status, len(b.Analysis.Vulnerabilities()), len(b.Analysis.VulnerablePaths()), b.Duration)
 		default:
 			fmt.Printf("  %-32s %-7s %s\n", b.Path, b.Status, b.Error)
 		}
@@ -452,9 +453,7 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
 		return rep.NewFindings, nil
 	}
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return rep.NewFindings, enc.Encode(rep)
+		return rep.NewFindings, printJSON(rep)
 	}
 	fmt.Printf("diff %s %s: %s → %s\n", rep.New.Vendor, rep.New.Product,
 		rep.Old.Version, rep.New.Version)
@@ -476,12 +475,13 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
 		}
 		fmt.Printf("  %-32s %-9s %d new, %d fixed, %d persisting\n",
 			name, b.Status, b.New, b.Fixed, b.Persisting)
-		for _, f := range b.Findings {
-			if f.Status != dtaint.FindingNew {
+		for _, fd := range b.Findings {
+			if fd.Status != dtaint.FindingNew {
 				continue
 			}
+			f := fd.Finding
 			fmt.Printf("    NEW %s: %s -> %s in %s@%#x (%d paths)\n",
-				f.Class, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, f.Paths)
+				f.Class, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, fd.Paths)
 		}
 	}
 	fmt.Printf("findings: %d new, %d fixed, %d persisting\n",
@@ -634,71 +634,22 @@ func runTrace(w io.Writer, fwPath, exePath, binPath, fnName string, v *taint.Voc
 	return nil
 }
 
-// jsonReport is the machine-readable output schema.
-type jsonReport struct {
-	Binary            string        `json:"binary"`
-	Arch              string        `json:"arch"`
-	Functions         int           `json:"functions"`
-	Blocks            int           `json:"blocks"`
-	CallEdges         int           `json:"callEdges"`
-	FunctionsAnalyzed int           `json:"functionsAnalyzed"`
-	SinkCount         int           `json:"sinkCount"`
-	IndirectResolved  int           `json:"indirectResolved"`
-	SSAMillis         int64         `json:"ssaMillis"`
-	DDGMillis         int64         `json:"ddgMillis"`
-	DDGWorkers        int           `json:"ddgWorkers"`
-	SCCComponents     int           `json:"sccComponents"`
-	CriticalPath      int           `json:"criticalPath"`
-	Findings          []jsonFinding `json:"findings"`
-}
-
-type jsonFinding struct {
-	Class     string   `json:"class"`
-	CWE       string   `json:"cwe"`
-	Sink      string   `json:"sink"`
-	SinkFunc  string   `json:"sinkFunc"`
-	SinkAddr  uint32   `json:"sinkAddr"`
-	Source    string   `json:"source"`
-	Path      []string `json:"path"`
-	Sanitized bool     `json:"sanitized"`
-	Evidence  []string `json:"evidence,omitempty"`
-}
-
+// writeJSON prints the report in the schema dtaintd serves; sanitized
+// findings are dropped unless -all asked for them.
 func writeJSON(rep *dtaint.Report, includeSanitized bool) error {
-	out := jsonReport{
-		Binary:            rep.Binary,
-		Arch:              rep.Arch,
-		Functions:         rep.Functions,
-		Blocks:            rep.Blocks,
-		CallEdges:         rep.CallEdges,
-		FunctionsAnalyzed: rep.FunctionsAnalyzed,
-		SinkCount:         rep.SinkCount,
-		IndirectResolved:  rep.IndirectResolved,
-		SSAMillis:         rep.SSATime.Milliseconds(),
-		DDGMillis:         rep.DDGTime.Milliseconds(),
-		DDGWorkers:        rep.DDGWorkers,
-		SCCComponents:     rep.SCCComponents,
-		CriticalPath:      rep.CriticalPath,
+	if !includeSanitized {
+		vulnerable := *rep
+		vulnerable.Findings = rep.VulnerablePaths()
+		rep = &vulnerable
 	}
-	for _, f := range rep.Findings {
-		if f.Sanitized && !includeSanitized {
-			continue
-		}
-		out.Findings = append(out.Findings, jsonFinding{
-			Class:     string(f.Class),
-			CWE:       f.CWE(),
-			Sink:      f.Sink,
-			SinkFunc:  f.SinkFunc,
-			SinkAddr:  f.SinkAddr,
-			Source:    f.Source,
-			Path:      f.Path,
-			Sanitized: f.Sanitized,
-			Evidence:  f.Evidence,
-		})
-	}
+	return printJSON(rep)
+}
+
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(v)
 }
 
 func loadExecutable(fwPath, exePath, binPath string) ([]byte, error) {

@@ -32,8 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
-	"time"
 
 	"dtaint/internal/corpus"
 	"dtaint/internal/dataflow"
@@ -48,8 +46,8 @@ import (
 	"dtaint/internal/vocab"
 )
 
-// Class is a vulnerability class.
-type Class string
+// Class is a vulnerability class: the value of Finding.Class.
+type Class = string
 
 // Vulnerability classes.
 const (
@@ -71,134 +69,14 @@ const (
 )
 
 // Finding is one (source, path, sink) tuple discovered by the analysis.
-type Finding struct {
-	// Class is the vulnerability class implied by the sink.
-	Class Class
-	// Sink is the sensitive function (Table I) or "loop" for loop copies.
-	Sink string
-	// SinkFunc is the firmware function containing the sink.
-	SinkFunc string
-	// SinkAddr is the sink callsite address.
-	SinkAddr uint32
-	// Source is the attacker-controlled input function.
-	Source string
-	// Path is the call-chain from the sink function up to where the taint
-	// enters, innermost first.
-	Path []string
-	// Sanitized reports whether a constraint on the tainted data was
-	// found; sanitized paths are not vulnerabilities.
-	Sanitized bool
-	// Evidence is the constraint/interval chain behind the verdict: which
-	// proven bound (or absence of one) decided Sanitized and Class.
-	Evidence []string
-}
+// It is the finding of every report — single-binary, fleet, corpus and
+// diff — and of dtaintd's and the CLI's JSON.
+type Finding = fleet.Finding
 
-// CWE returns the finding's Common Weakness Enumeration identifier:
-// CWE-121 (stack-based buffer overflow), CWE-78 (OS command injection),
-// CWE-193 (off-by-one error), CWE-197 (numeric truncation error),
-// CWE-134 (externally-controlled format string), or CWE-22 (path
-// traversal).
-func (f Finding) CWE() string {
-	switch f.Class {
-	case ClassCommandInjection:
-		return "CWE-78"
-	case ClassOffByOne:
-		return "CWE-193"
-	case ClassLengthTruncation:
-		return "CWE-197"
-	case ClassFormatString:
-		return "CWE-134"
-	case ClassPathTraversal:
-		return "CWE-22"
-	}
-	return "CWE-121"
-}
-
-// String renders the finding as a one-line report.
-func (f Finding) String() string {
-	state := "VULNERABLE"
-	if f.Sanitized {
-		state = "sanitized"
-	}
-	return fmt.Sprintf("[%s] %s -> %s in %s@%#x (%s) via %s",
-		state, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, f.Class,
-		strings.Join(f.Path, " <- "))
-}
-
-// Report is the result of analyzing one firmware binary.
-type Report struct {
-	// Binary is the analyzed executable's name.
-	Binary string
-	// Arch is the executable's architecture flavor ("ARM" or "MIPS").
-	Arch string
-	// Functions, Blocks, and CallEdges summarize the recovered program
-	// (the Table II columns).
-	Functions int
-	Blocks    int
-	CallEdges int
-	// FunctionsAnalyzed is the size of the analyzed subset.
-	FunctionsAnalyzed int
-	// SinkCount is the number of static sensitive-sink sites.
-	SinkCount int
-	// IndirectResolved counts indirect calls bound by layout similarity.
-	IndirectResolved int
-	// DefPairs is the total number of definition pairs in the generated
-	// data flow (a size measure of the DDG).
-	DefPairs int
-	// Truncated counts functions whose symbolic exploration hit the state
-	// budget (their summaries are partial; raise WithStateBudget if > 0).
-	Truncated int
-	// SSATime and DDGTime are the two analysis phases' durations
-	// (the Table VII columns).
-	SSATime time.Duration
-	DDGTime time.Duration
-	// DDGWorkers, SCCComponents, and CriticalPath describe the parallel
-	// bottom-up phase: the worker count its SCC-DAG scheduler ran with,
-	// the number of call-graph components scheduled, and the longest
-	// chain of dependent components (the parallelism ceiling).
-	DDGWorkers    int
-	SCCComponents int
-	CriticalPath  int
-	// Runtime snapshots the Go runtime (heap, goroutines, GC) at the
-	// moment the analysis finished.
-	Runtime RuntimeStats
-	// Findings are all discovered source→sink paths, including sanitized
-	// ones.
-	Findings []Finding
-}
-
-// VulnerablePaths returns the unsanitized findings (the paper's
-// "vulnerable paths").
-func (r *Report) VulnerablePaths() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if !f.Sanitized {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Vulnerabilities deduplicates vulnerable paths by sink location: several
-// paths may reach the same weak sink.
-func (r *Report) Vulnerabilities() []Finding {
-	seen := make(map[string]bool)
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Sanitized {
-			continue
-		}
-		// Same key helper as the internal Result, so the public and
-		// internal vulnerability counts cannot diverge.
-		key := taint.VulnKey(f.SinkFunc, f.Sink, f.SinkAddr, string(f.Class))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, f)
-	}
-	return out
-}
+// Report is the result of analyzing one firmware binary: the same type
+// a fleet scan carries per binary (BinaryScan.Analysis), the report
+// cache stores, and dtaintd serves.
+type Report = fleet.BinaryAnalysis
 
 // Option configures an Analyzer.
 type Option func(*Analyzer)
@@ -510,12 +388,12 @@ func (a *Analyzer) AnalyzeExecutable(data []byte) (*Report, error) {
 // analyzeFile runs the fleet's per-binary pipeline — the one every scan
 // surface shares — and adds the runtime snapshot.
 func (a *Analyzer) analyzeFile(f firmware.File) (*Report, error) {
-	an, err := fleet.AnalyzeBinary(f, a.opts)
+	rep, err := fleet.AnalyzeBinary(f, a.opts)
 	if err != nil {
 		return nil, err
 	}
-	rep := publicBinaryReport(an)
-	rep.Runtime = publicRuntimeStats(obs.CaptureRuntimeStats())
+	rt := obs.CaptureRuntimeStats()
+	rep.Runtime = &rt
 	return rep, nil
 }
 

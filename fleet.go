@@ -14,100 +14,42 @@ import (
 // evaluation (six study images, 115 binaries; a 6,529-image population).
 
 // BinaryStatus classifies one binary's outcome in an image scan.
-type BinaryStatus string
+type BinaryStatus = fleet.Status
 
 // Binary scan outcomes.
 const (
 	// BinaryOK: analyzed fresh in this run.
-	BinaryOK BinaryStatus = "ok"
+	BinaryOK = fleet.StatusOK
 	// BinaryCached: report served from the content-addressed cache.
-	BinaryCached BinaryStatus = "cached"
+	BinaryCached = fleet.StatusCached
 	// BinaryFailed: the analysis errored or panicked.
-	BinaryFailed BinaryStatus = "failed"
+	BinaryFailed = fleet.StatusFailed
 	// BinaryTimeout: the per-binary deadline elapsed.
-	BinaryTimeout BinaryStatus = "timeout"
+	BinaryTimeout = fleet.StatusTimeout
 	// BinaryStalled: the stall watchdog (WithFleetStallTimeout) fired and
 	// the in-flight analysis was abandoned — reported distinctly so a
 	// killed analysis never reads as an empty success.
-	BinaryStalled BinaryStatus = "stalled"
+	BinaryStalled = fleet.StatusStalled
 	// BinarySkipped: the scan was cancelled before this binary started.
-	BinarySkipped BinaryStatus = "skipped"
+	BinarySkipped = fleet.StatusSkipped
 )
 
-// BinaryScan is one rootfs executable's entry in an ImageReport.
-type BinaryScan struct {
-	// Path is the executable's rootfs path.
-	Path string
-	// SHA256 is the hex digest of the binary bytes.
-	SHA256 string
-	Status BinaryStatus
-	// Error describes a failed, timed-out, or skipped scan.
-	Error string
-	// Duration is the wall-clock this run spent on the binary (zero for
-	// cache hits and skips).
-	Duration time.Duration
-	// Report is the full per-binary report; nil unless Status is
-	// BinaryOK or BinaryCached.
-	Report *Report
-}
+// BinaryScan is one rootfs executable's entry in an ImageReport: its
+// path, content hash, outcome, and — when the status is BinaryOK or
+// BinaryCached — the full per-binary Report in Analysis.
+type BinaryScan = fleet.BinaryScan
 
-// CacheStats snapshots the fleet report cache's counters. Its fields
-// mirror the internal cache's counters one for one, so reports convert
-// them directly.
-type CacheStats struct {
-	// Hits counts lookups served from memory or disk; DiskHits is the
-	// subset read from the persistent tier.
-	Hits     uint64
-	DiskHits uint64
-	// Misses counts lookups that forced a fresh analysis.
-	Misses uint64
-	// Evictions counts in-memory LRU entries dropped under pressure.
-	Evictions uint64
-	// Entries is the current in-memory entry count.
-	Entries int
-}
+// CacheStats snapshots a report cache's or summary store's counters.
+type CacheStats = fleet.CacheStats
 
 // ImageReport aggregates a whole firmware image's scan: identity from
 // the container header, per-binary reports in rootfs path order, and
 // Table VI-style totals. Timings aside, it is identical for every
-// worker count.
-type ImageReport struct {
-	Vendor  string
-	Product string
-	Version string
-	Year    int
-	Arch    string
+// worker count. It is also what dtaintd serves for a scan job.
+type ImageReport = fleet.ImageReport
 
-	// Candidates is how many rootfs files looked like executables;
-	// Scanned/Cached/Failed/Stalled/Skipped partition them by outcome.
-	Candidates int
-	Scanned    int
-	Cached     int
-	Failed     int
-	Stalled    int
-	Skipped    int
-
-	// Vulnerabilities and VulnerablePaths are totals over all analyzed
-	// binaries (deduplicated per binary by sink location).
-	Vulnerabilities int
-	VulnerablePaths int
-	// FindingsByClass counts deduplicated vulnerabilities per class.
-	FindingsByClass map[Class]int
-
-	// Workers is the orchestrator pool size; Wall the whole-image time.
-	Workers int
-	Wall    time.Duration
-
-	Binaries []BinaryScan
-
-	// Cache is the report cache's counters when the scan finished (zero
-	// when the scan ran uncached).
-	Cache CacheStats
-
-	// Runtime snapshots the Go runtime (heap, goroutines, GC) when the
-	// scan finished.
-	Runtime RuntimeStats
-}
+// FleetTotals are the fleet-wide totals of a corpus scan.
+type FleetTotals = fleet.FleetTotals
 
 // FleetCache is a process-wide content-addressed report cache shared
 // across image scans: key = SHA-256(binary bytes) + analyzer-options
@@ -131,9 +73,7 @@ func NewFleetCache(maxEntries int, dir string) (*FleetCache, error) {
 }
 
 // Stats returns the cache's counters.
-func (c *FleetCache) Stats() CacheStats {
-	return CacheStats(c.c.Stats())
-}
+func (c *FleetCache) Stats() CacheStats { return c.c.Stats() }
 
 // SummaryStore is a process-wide content-addressed store of per-function
 // analysis summaries, shared across scans: key = fingerprint of the
@@ -163,9 +103,7 @@ func NewSummaryStore(maxEntries int, dir string) (*SummaryStore, error) {
 type SummaryStoreStats = CacheStats
 
 // Stats returns the store's counters.
-func (s *SummaryStore) Stats() SummaryStoreStats {
-	return CacheStats(s.s.Stats())
-}
+func (s *SummaryStore) Stats() SummaryStoreStats { return s.s.Stats() }
 
 // FleetOption configures an image scan beyond the Analyzer's own
 // options.
@@ -264,31 +202,13 @@ func WithFleetDebugDir(dir string) FleetOption {
 // and binary-sharing fleets cheap. The Analyzer's own options (filters,
 // ablations, custom sources/sinks, parallelism) apply to every binary.
 func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...FleetOption) (*ImageReport, error) {
-	rep, err := fleet.ScanImage(ctx, data, a.fleetOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return publicImageReport(rep), nil
+	return fleet.ScanImage(ctx, data, a.fleetOptions(opts))
 }
 
 // CorpusReport aggregates a whole-corpus scan: per-image reports in
-// input order, the cross-image binary dedup accounting, and final
-// snapshots of the shared cache tiers.
-type CorpusReport struct {
-	// Images holds one report per input image, in input order.
-	Images []*ImageReport
-	// UniqueBinaries and DuplicateBinaries partition the corpus's
-	// candidate executables by content; duplicates are served from the
-	// shared report cache rather than re-analyzed.
-	UniqueBinaries    int
-	DuplicateBinaries int
-	// Cache and SummaryStore snapshot the shared tiers when the corpus
-	// scan finished.
-	Cache        CacheStats
-	SummaryStore SummaryStoreStats
-	// Wall is the whole-corpus wall-clock time.
-	Wall time.Duration
-}
+// input order, fleet totals, the cross-image binary dedup accounting,
+// and final snapshots of the shared cache tiers.
+type CorpusReport = fleet.CorpusReport
 
 // ScanFirmwareCorpus scans a corpus of firmware images with one report
 // cache and one summary store shared across every image — each unique
@@ -299,92 +219,5 @@ type CorpusReport struct {
 // are scanned sequentially, each fanning its binaries across the worker
 // pool; cancelling ctx stops new work.
 func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts ...FleetOption) (*CorpusReport, error) {
-	rep, err := fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	out := &CorpusReport{
-		UniqueBinaries:    rep.UniqueBinaries,
-		DuplicateBinaries: rep.DuplicateBinaries,
-		Cache:             CacheStats(rep.Cache),
-		SummaryStore:      CacheStats(rep.SummaryStore),
-		Wall:              rep.Wall,
-	}
-	for _, ir := range rep.Images {
-		out.Images = append(out.Images, publicImageReport(ir))
-	}
-	return out, nil
-}
-
-func publicImageReport(r *fleet.ImageReport) *ImageReport {
-	out := &ImageReport{
-		Vendor:          r.Vendor,
-		Product:         r.Product,
-		Version:         r.Version,
-		Year:            r.Year,
-		Arch:            r.Arch,
-		Candidates:      r.Candidates,
-		Scanned:         r.Scanned,
-		Cached:          r.Cached,
-		Failed:          r.Failed,
-		Stalled:         r.Stalled,
-		Skipped:         r.Skipped,
-		Vulnerabilities: r.Vulnerabilities,
-		VulnerablePaths: r.VulnerablePaths,
-		FindingsByClass: make(map[Class]int, len(r.FindingsByClass)),
-		Workers:         r.Workers,
-		Wall:            r.Wall,
-		Cache:           CacheStats(r.Cache),
-		Runtime:         publicRuntimeStats(r.Runtime),
-	}
-	for class, n := range r.FindingsByClass {
-		out.FindingsByClass[Class(class)] = n
-	}
-	for _, b := range r.Binaries {
-		out.Binaries = append(out.Binaries, BinaryScan{
-			Path:     b.Path,
-			SHA256:   b.SHA256,
-			Status:   BinaryStatus(b.Status),
-			Error:    b.Error,
-			Duration: b.Duration,
-			Report:   publicBinaryReport(b.Analysis),
-		})
-	}
-	return out
-}
-
-func publicBinaryReport(a *fleet.BinaryAnalysis) *Report {
-	if a == nil {
-		return nil
-	}
-	rep := &Report{
-		Binary:            a.Binary,
-		Arch:              a.Arch,
-		Functions:         a.Functions,
-		Blocks:            a.Blocks,
-		CallEdges:         a.CallEdges,
-		FunctionsAnalyzed: a.FunctionsAnalyzed,
-		SinkCount:         a.SinkCount,
-		IndirectResolved:  a.IndirectResolved,
-		DefPairs:          a.DefPairs,
-		Truncated:         a.Truncated,
-		SSATime:           a.SSATime,
-		DDGTime:           a.DDGTime,
-		DDGWorkers:        a.DDGWorkers,
-		SCCComponents:     a.SCCComponents,
-		CriticalPath:      a.CriticalPath,
-	}
-	for _, f := range a.Findings {
-		rep.Findings = append(rep.Findings, Finding{
-			Class:     Class(f.Class),
-			Sink:      f.Sink,
-			SinkFunc:  f.SinkFunc,
-			SinkAddr:  f.SinkAddr,
-			Source:    f.Source,
-			Path:      append([]string(nil), f.Path...),
-			Sanitized: f.Sanitized,
-			Evidence:  append([]string(nil), f.Evidence...),
-		})
-	}
-	return rep
+	return fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
 }

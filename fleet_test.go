@@ -48,7 +48,7 @@ func TestScanFirmwareFleetMatchesAnalyzeFirmware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetRep := img.Binaries[0].Report
+	fleetRep := img.Binaries[0].Analysis
 	if fleetRep == nil {
 		t.Fatal("fleet scan returned no per-binary report")
 	}
@@ -72,7 +72,7 @@ func TestScanFirmwareFleetMatchesAnalyzeFirmware(t *testing.T) {
 
 	untimed := func(r *dtaint.Report) dtaint.Report {
 		c := *r
-		c.SSATime, c.DDGTime, c.Runtime = 0, 0, dtaint.RuntimeStats{}
+		c.SSATime, c.DDGTime, c.Runtime = 0, 0, nil
 		return c
 	}
 	if got, want := untimed(fleetRep), untimed(single); !reflect.DeepEqual(got, want) {

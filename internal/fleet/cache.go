@@ -45,7 +45,10 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 // folded into every key, so entries written before a report field was
 // added (findings without evidence, say) miss and are re-analyzed
 // instead of replaying a report with the field missing. Bump it whenever
-// BinaryAnalysis or Finding gains a field.
+// BinaryAnalysis or Finding gains a field that scans fill in. Runtime
+// did not bump it: only the single-binary Analyzer sets it, scans never
+// do, and a nil Runtime is omitted, so every entry a scan stores is
+// byte-identical to one stored before the field existed.
 const reportFormat = "fleet-report/2"
 
 // Key derives the content-addressed cache key for one binary under one

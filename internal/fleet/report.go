@@ -25,7 +25,8 @@
 package fleet
 
 import (
-	"sort"
+	"fmt"
+	"strings"
 	"time"
 
 	"dtaint/internal/obs"
@@ -55,19 +56,28 @@ const (
 	StatusSkipped Status = "skipped"
 )
 
-// Finding is the wire/cache form of one (source, path, sink) tuple. It
-// mirrors the public report's finding field for field, so every report
-// built from it (fleet, diff, dtaintd, the single-binary Analyzer)
-// carries the same content.
+// Finding is one (source, path, sink) tuple: the one form every report
+// carries it in — the single-binary Analyzer, fleet and corpus scans,
+// diffs, dtaintd and the report cache.
 type Finding struct {
-	Class     string   `json:"class"`
-	Sink      string   `json:"sink"`
-	SinkFunc  string   `json:"sinkFunc"`
-	SinkAddr  uint32   `json:"sinkAddr"`
-	Source    string   `json:"source"`
-	Path      []string `json:"path"`
-	Sanitized bool     `json:"sanitized"`
-	// Evidence is the constraint/interval chain behind the verdict.
+	// Class is the vulnerability class implied by the sink.
+	Class string `json:"class"`
+	// Sink is the sensitive function (Table I) or "loop" for loop copies.
+	Sink string `json:"sink"`
+	// SinkFunc is the firmware function containing the sink; SinkAddr
+	// the sink callsite address.
+	SinkFunc string `json:"sinkFunc"`
+	SinkAddr uint32 `json:"sinkAddr"`
+	// Source is the attacker-controlled input function.
+	Source string `json:"source"`
+	// Path is the call-chain from the sink function up to where the
+	// taint enters, innermost first.
+	Path []string `json:"path"`
+	// Sanitized reports whether a constraint on the tainted data was
+	// found; sanitized paths are not vulnerabilities.
+	Sanitized bool `json:"sanitized"`
+	// Evidence is the constraint/interval chain behind the verdict:
+	// which proven bound (or absence of one) decided Sanitized and Class.
 	Evidence []string `json:"evidence,omitempty"`
 }
 
@@ -77,58 +87,119 @@ func (f Finding) Key() string {
 	return taint.VulnKey(f.SinkFunc, f.Sink, f.SinkAddr, f.Class)
 }
 
+// CWE returns the finding's Common Weakness Enumeration identifier:
+// CWE-121 (stack-based buffer overflow), CWE-78 (OS command injection),
+// CWE-193 (off-by-one error), CWE-197 (numeric truncation error),
+// CWE-134 (externally-controlled format string), or CWE-22 (path
+// traversal).
+func (f Finding) CWE() string {
+	switch f.Class {
+	case "command-injection":
+		return "CWE-78"
+	case "off-by-one":
+		return "CWE-193"
+	case "length-truncation":
+		return "CWE-197"
+	case "format-string":
+		return "CWE-134"
+	case "path-traversal":
+		return "CWE-22"
+	}
+	return "CWE-121"
+}
+
+// String renders the finding as a one-line report.
+func (f Finding) String() string {
+	state := "VULNERABLE"
+	if f.Sanitized {
+		state = "sanitized"
+	}
+	return fmt.Sprintf("[%s] %s -> %s in %s@%#x (%s) via %s",
+		state, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, f.Class,
+		strings.Join(f.Path, " <- "))
+}
+
 // BinaryAnalysis is the complete, serializable result of analyzing one
-// executable. It is both the cache value and the per-binary payload of
-// the HTTP ImageReport, so a cached scan reproduces exactly what a fresh
-// scan would have reported (timings excepted: cached entries keep the
-// timings of the run that produced them).
+// executable. It is the cache value, the per-binary payload of the HTTP
+// ImageReport and the public single-binary Report, so a cached scan
+// reproduces exactly what a fresh scan would have reported (timings
+// excepted: cached entries keep the timings of the run that produced
+// them).
 type BinaryAnalysis struct {
-	Binary            string        `json:"binary"`
-	Arch              string        `json:"arch"`
-	Functions         int           `json:"functions"`
-	Blocks            int           `json:"blocks"`
-	CallEdges         int           `json:"callEdges"`
-	FunctionsAnalyzed int           `json:"functionsAnalyzed"`
-	SinkCount         int           `json:"sinkCount"`
-	IndirectResolved  int           `json:"indirectResolved"`
-	DefPairs          int           `json:"defPairs"`
-	Truncated         int           `json:"truncated"`
-	SSATime           time.Duration `json:"ssaNanos"`
-	DDGTime           time.Duration `json:"ddgNanos"`
-	DDGWorkers        int           `json:"ddgWorkers"`
-	SCCComponents     int           `json:"sccComponents"`
-	CriticalPath      int           `json:"criticalPath"`
+	// Binary is the executable's name; Arch its architecture flavor
+	// ("ARM" or "MIPS").
+	Binary string `json:"binary"`
+	Arch   string `json:"arch"`
+	// Functions, Blocks and CallEdges summarize the recovered program
+	// (the Table II columns).
+	Functions int `json:"functions"`
+	Blocks    int `json:"blocks"`
+	CallEdges int `json:"callEdges"`
+	// FunctionsAnalyzed is the size of the analyzed subset; SinkCount
+	// the number of static sensitive-sink sites; IndirectResolved the
+	// indirect calls bound by layout similarity.
+	FunctionsAnalyzed int `json:"functionsAnalyzed"`
+	SinkCount         int `json:"sinkCount"`
+	IndirectResolved  int `json:"indirectResolved"`
+	// DefPairs is the total number of definition pairs in the generated
+	// data flow (a size measure of the DDG).
+	DefPairs int `json:"defPairs"`
+	// Truncated counts functions whose symbolic exploration hit the
+	// state budget (their summaries are partial).
+	Truncated int `json:"truncated"`
+	// SSATime and DDGTime are the two analysis phases' durations (the
+	// Table VII columns).
+	SSATime time.Duration `json:"ssaNanos"`
+	DDGTime time.Duration `json:"ddgNanos"`
+	// DDGWorkers, SCCComponents and CriticalPath describe the parallel
+	// bottom-up phase: the worker count its SCC-DAG scheduler ran with,
+	// the number of call-graph components scheduled, and the longest
+	// chain of dependent components (the parallelism ceiling).
+	DDGWorkers    int `json:"ddgWorkers"`
+	SCCComponents int `json:"sccComponents"`
+	CriticalPath  int `json:"criticalPath"`
 	// SummaryHits/SummaryMisses count the producing run's function-summary
 	// store lookups (both zero when the run had no store). Like the
 	// timings, cached entries keep the values of the run that produced
 	// them — they are cost attribution, not part of the analysis result.
-	SummaryHits   int       `json:"summaryHits,omitempty"`
-	SummaryMisses int       `json:"summaryMisses,omitempty"`
-	Findings      []Finding `json:"findings"`
+	SummaryHits   int `json:"summaryHits,omitempty"`
+	SummaryMisses int `json:"summaryMisses,omitempty"`
+	// Runtime snapshots the Go runtime when a single-binary analysis
+	// finished. Scans leave it nil (the image report carries one
+	// snapshot for all binaries), so cached entries never hold it.
+	Runtime *obs.RuntimeStats `json:"runtime,omitempty"`
+	// Findings are all discovered source→sink paths, including
+	// sanitized ones.
+	Findings []Finding `json:"findings"`
 }
 
-// VulnerablePaths counts the unsanitized findings.
-func (a *BinaryAnalysis) VulnerablePaths() int {
-	n := 0
+// VulnerablePaths returns the unsanitized findings (the paper's
+// "vulnerable paths").
+func (a *BinaryAnalysis) VulnerablePaths() []Finding {
+	var out []Finding
 	for _, f := range a.Findings {
 		if !f.Sanitized {
-			n++
+			out = append(out, f)
 		}
 	}
-	return n
+	return out
 }
 
-// Vulnerabilities counts unsanitized findings deduplicated by sink
-// location, using the same key as every other report layer.
-func (a *BinaryAnalysis) Vulnerabilities() int {
+// Vulnerabilities deduplicates the vulnerable paths by sink location
+// (Finding.Key): several paths may reach the same weak sink.
+func (a *BinaryAnalysis) Vulnerabilities() []Finding {
 	seen := make(map[string]bool)
+	var out []Finding
 	for _, f := range a.Findings {
-		if f.Sanitized || seen[f.Key()] {
+		if f.Sanitized {
 			continue
 		}
-		seen[f.Key()] = true
+		if key := f.Key(); !seen[key] {
+			seen[key] = true
+			out = append(out, f)
+		}
 	}
-	return len(seen)
+	return out
 }
 
 // BinaryScan is one rootfs executable's entry in an ImageReport.
@@ -217,23 +288,26 @@ func (r *ImageReport) aggregate() {
 		if b.Analysis == nil {
 			continue
 		}
-		r.Vulnerabilities += b.Analysis.Vulnerabilities()
-		r.VulnerablePaths += b.Analysis.VulnerablePaths()
 		seen := make(map[string]bool)
 		for _, f := range b.Analysis.Findings {
-			if f.Sanitized || seen[f.Key()] {
+			if f.Sanitized {
 				continue
 			}
-			seen[f.Key()] = true
-			r.FindingsByClass[f.Class]++
+			r.VulnerablePaths++
+			if key := f.Key(); !seen[key] {
+				seen[key] = true
+				r.Vulnerabilities++
+				r.FindingsByClass[f.Class]++
+			}
 		}
 	}
 }
 
-// MergeReports folds several per-image reports into fleet-wide totals:
-// candidates, scan outcomes, and deduplicated vulnerability counts by
-// class, for a fleet run over many images (the 6,529-image population
-// workload). Per-binary detail stays in the per-image reports.
+// FleetTotals are the fleet-wide totals MergeReports folds from several
+// per-image reports: candidates, scan outcomes, and deduplicated
+// vulnerability counts by class, for a fleet run over many images (the
+// 6,529-image population workload). Per-binary detail stays in the
+// per-image reports.
 type FleetTotals struct {
 	Images          int            `json:"images"`
 	Candidates      int            `json:"candidates"`
@@ -270,15 +344,4 @@ func MergeReports(reports []*ImageReport) FleetTotals {
 		}
 	}
 	return t
-}
-
-// Classes returns the report's vulnerability classes in sorted order —
-// a stable iteration order for rendering FindingsByClass.
-func (r *ImageReport) Classes() []string {
-	out := make([]string, 0, len(r.FindingsByClass))
-	for c := range r.FindingsByClass {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

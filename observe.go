@@ -100,31 +100,7 @@ func (m *Metrics) registry() *obs.Registry {
 
 // RuntimeStats is a snapshot of the Go runtime taken when an analysis
 // finished — the memory and scheduling context embedded in reports.
-type RuntimeStats struct {
-	// HeapAllocBytes is the live heap; HeapSysBytes the heap memory
-	// obtained from the OS; TotalAllocBytes the cumulative allocation
-	// volume.
-	HeapAllocBytes  uint64
-	HeapSysBytes    uint64
-	TotalAllocBytes uint64
-	// Goroutines is the live goroutine count.
-	Goroutines int
-	// NumGC counts completed GC cycles; GCPauseTotal is the cumulative
-	// stop-the-world pause time.
-	NumGC        uint32
-	GCPauseTotal time.Duration
-}
-
-func publicRuntimeStats(s obs.RuntimeStats) RuntimeStats {
-	return RuntimeStats{
-		HeapAllocBytes:  s.HeapAllocBytes,
-		HeapSysBytes:    s.HeapSysBytes,
-		TotalAllocBytes: s.TotalAllocBytes,
-		Goroutines:      s.Goroutines,
-		NumGC:           s.NumGC,
-		GCPauseTotal:    s.GCPauseTotal,
-	}
-}
+type RuntimeStats = obs.RuntimeStats
 
 // EventJournal is a bounded in-memory ring of live telemetry events:
 // typed, sequence-numbered records of everything an analysis does —

@@ -9,11 +9,12 @@ import (
 	"dtaint/internal/taint"
 )
 
-// TestReportJSONRoundTrip: a Report survives marshal → unmarshal with
-// every finding intact — the contract dtaintd's wire format and the
-// on-disk report cache both depend on. Equality of the vulnerability
-// sets is checked through taint.VulnKey, the canonical deduplication key
-// shared by every report layer.
+// TestReportJSONRoundTrip: a Report — the per-binary type dtaintd
+// serves, the report cache stores and dtaint -json prints — survives
+// marshal → unmarshal with every field intact, the runtime snapshot
+// included. Equality of the vulnerability sets is checked through
+// taint.VulnKey, the canonical deduplication key shared by every report
+// layer.
 func TestReportJSONRoundTrip(t *testing.T) {
 	fw, err := dtaint.GenerateStudyFirmware("DIR-645", 0.05)
 	if err != nil {

@@ -12,7 +12,9 @@
 # examples/ (each must exit 0), a race-enabled test pass (so the parallel
 # bottom-up scheduler and the fleet orchestrator are always
 # race-checked), short fuzzes of the summary-store decoder (blobs read
-# back from disk are untrusted input), of the FWELF parser and the CFG
+# back from disk are untrusted input), of the firmware container scanner
+# and its root-filesystem parser (the image bytes dtaintd accepts over
+# HTTP), of the FWELF parser and the CFG
 # builder behind it (binaries come from unpacked firmware), of the
 # vocabulary parser (dtaintd parses uploaded specs) and of dtaintd's scan and diff upload
 # handlers (Content-Type and body are per-request input), the
@@ -74,6 +76,16 @@ go test -race ./...
 
 echo ">> fuzz the summary-store decoder (disk input)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/sumstore
+
+# The firmware container is what dtaintd accepts over HTTP: the scanner
+# that finds it at any offset and the rootfs parser behind it.
+# Minimization is capped as for the fuzzes below, so minimizing one new
+# input cannot take the run's budget.
+echo ">> fuzz the firmware container scanner (dtaintd upload input)"
+go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 10s -fuzzminimizetime 1s ./internal/firmware
+
+echo ">> fuzz the firmware rootfs parser (dtaintd upload input)"
+go test -run '^$' -fuzz '^FuzzParseFS$' -fuzztime 10s -fuzzminimizetime 1s ./internal/firmware
 
 # FuzzBuild's seed is a corpus binary; minimization is capped so one
 # new input that size cannot take the whole budget.
