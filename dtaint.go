@@ -5,9 +5,9 @@
 // firmware without source code and without emulation.
 //
 // The analysis pipeline is the paper's: firmware container unpacking,
-// lifting to an architecture-neutral IR, per-function static symbolic
-// analysis producing definition pairs over "base + offset" memory
-// expressions, pointer-alias recognition (Algorithm 1), indirect-call
+// decoding to one architecture-neutral instruction form, per-function
+// static symbolic analysis producing definition pairs over "base + offset"
+// memory expressions, pointer-alias recognition (Algorithm 1), indirect-call
 // resolution through data-structure layout similarity, bottom-up
 // interprocedural data-flow generation (Algorithm 2, every function
 // analyzed once), and source→sink path checking against sanitization

@@ -114,7 +114,8 @@ var (
 )
 
 // Build decodes every function of the binary and partitions it into basic
-// blocks. Lifting to IR is left to the analyses that execute a function.
+// blocks. The blocks hold the decoded instructions that symbolic execution
+// interprets.
 func Build(bin *image.Binary) (*Program, error) {
 	if len(bin.Funcs) == 0 {
 		return nil, ErrNoFunctions

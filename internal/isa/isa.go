@@ -6,8 +6,9 @@
 // with two *architecture flavors* that differ exactly where ARM and MIPS
 // differ from DTaint's point of view: instruction encoding (including byte
 // order) and calling convention (which registers carry arguments and return
-// values). Everything downstream of the lifter (internal/ir) is
-// architecture-neutral, mirroring how DTaint relies on VEX IR.
+// values). Both flavors decode into the same Inst with one opcode set, so
+// everything downstream of Decode is architecture-neutral except the
+// calling convention: Inst plays the role VEX IR plays for DTaint.
 //
 // Instructions are fixed-width 8-byte words: a 4-byte operation word and a
 // 4-byte immediate/target word. ArchARM encodes little-endian, ArchMIPS
