@@ -49,7 +49,6 @@ import (
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
-	"dtaint/internal/sse"
 	"dtaint/internal/structsim"
 	"dtaint/internal/sumstore"
 	"dtaint/internal/symexec"
@@ -195,13 +194,14 @@ type Result struct {
 	// Resolve reports how phase 2 bound indirect callsites (zero when
 	// structsim is disabled or the run ablated SSE).
 	Resolve ResolveStats
-	// Alias aggregates the alias-rewrite statistics over live-analyzed
-	// functions: pairs synthesized, pairs dropped past the budget, class
-	// counts, and intern-table shape. Components replayed from a summary
-	// store contribute zero — the field is run telemetry, deliberately
-	// kept out of stored entries so the deterministic result (findings,
-	// summaries, counters) stays byte-identical with and without a store.
-	Alias AliasStats
+	// AliasAdded and AliasDropped count, over live-analyzed functions,
+	// the alias pairs the rewrite pass synthesized and those it discarded
+	// past the engine budget (MaxNewPairs / MaxNewPairsSSE). Components
+	// replayed from a summary store contribute zero: the counts are run
+	// telemetry, deliberately kept out of stored entries so the
+	// deterministic result (findings, summaries, counters) stays
+	// byte-identical with and without a store.
+	AliasAdded, AliasDropped int
 
 	// SumStore counts this run's summary-store lookups across both
 	// phases (zero when Options.SummaryStore is nil).
@@ -216,32 +216,6 @@ type StoreStats struct {
 	// Misses is the number of units that had to be symbolically
 	// executed (and were then written back).
 	Misses int
-}
-
-// AliasStats aggregates the alias-rewrite pass's statistics across the
-// functions analyzed live in one run.
-type AliasStats struct {
-	// Added counts synthesized alias pairs appended to definition pairs.
-	Added int
-	// Dropped counts synthesized pairs discarded past the engine budget
-	// (MaxNewPairs / MaxNewPairsSSE) — previously lost silently.
-	Dropped int
-	// Classes counts alias classes with two or more members (SSE only).
-	Classes int
-	// Intern sums the per-function intern-table statistics (SSE only).
-	Intern sse.Stats
-}
-
-// Merge adds b's counts into a.
-func (a *AliasStats) Merge(b AliasStats) {
-	a.Added += b.Added
-	a.Dropped += b.Dropped
-	a.Classes += b.Classes
-	a.Intern.Nodes += b.Intern.Nodes
-	a.Intern.Hits += b.Intern.Hits
-	a.Intern.Misses += b.Intern.Misses
-	a.Intern.Unions += b.Intern.Unions
-	a.Intern.Conflicts += b.Intern.Conflicts
 }
 
 // ParallelStats describes one parallel bottom-up interprocedural pass.
@@ -372,9 +346,9 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	opts.Metrics.Counter("dtaint_truncated_functions_total",
 		"Functions that dropped a path at the per-block bound or hit the per-function state cap.", nil).Add(uint64(res.Truncated))
 	opts.Metrics.Counter("dtaint_alias_pairs_added_total",
-		"Alias pairs synthesized by the rewrite pass.", nil).Add(uint64(res.Alias.Added))
+		"Alias pairs synthesized by the rewrite pass.", nil).Add(uint64(res.AliasAdded))
 	opts.Metrics.Counter("dtaint_alias_pairs_dropped_total",
-		"Synthesized alias pairs discarded past the rewrite budget.", nil).Add(uint64(res.Alias.Dropped))
+		"Synthesized alias pairs discarded past the rewrite budget.", nil).Add(uint64(res.AliasDropped))
 	if opts.SummaryStore != nil {
 		opts.SummaryStore.PublishMetrics(opts.Metrics)
 	}

@@ -202,7 +202,8 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 		res.FunctionsAnalyzed += len(cond.Comps[i])
 		res.DefPairCount += done[i].defPairs
 		res.Truncated += done[i].truncated
-		res.Alias.Merge(done[i].alias)
+		res.AliasAdded += done[i].aliasAdded
+		res.AliasDropped += done[i].aliasDropped
 	}
 }
 
@@ -242,17 +243,18 @@ func (s *bottomUpState) publish(r compResult) {
 }
 
 // compResult is one component's contribution, stashed until the merge.
-// alias is live-run telemetry only: it is NOT round-tripped through the
-// summary store (compToEntry/entryToComp drop it), so replayed
-// components contribute zero and the deterministic result fields stay
-// byte-identical with and without a store.
+// The alias counts are live-run telemetry only: they are NOT
+// round-tripped through the summary store (compToEntry/entryToComp drop
+// them), so replayed components contribute zero and the deterministic
+// result fields stay byte-identical with and without a store.
 type compResult struct {
-	summaries map[string]*symexec.Summary
-	pendings  map[string][]taint.PendingSink
-	findings  []taint.Finding
-	defPairs  int
-	truncated int
-	alias     AliasStats
+	summaries    map[string]*symexec.Summary
+	pendings     map[string][]taint.PendingSink
+	findings     []taint.Finding
+	defPairs     int
+	truncated    int
+	aliasAdded   int
+	aliasDropped int
 }
 
 // compToEntry packages a component's contribution for the summary
@@ -333,10 +335,8 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 			}
 			run.span.SetAttr("alias_added", ast.Added)
 			run.span.SetAttr("alias_dropped", ast.Dropped)
-			out.alias.Merge(AliasStats{
-				Added: ast.Added, Dropped: ast.Dropped,
-				Classes: ast.Classes, Intern: ast.Intern,
-			})
+			out.aliasAdded += ast.Added
+			out.aliasDropped += ast.Dropped
 		}
 		shard.EndFunction(sum)
 		run.end(sum)

@@ -38,16 +38,13 @@ const (
 	resolveVariantMax   = 16
 )
 
-// ResolveStats reports how phase 2 bound indirect callsites and the
-// shape of the shared intern table the matching ran over.
+// ResolveStats reports how phase 2 bound indirect callsites.
 type ResolveStats struct {
 	// BySSE counts callsites bound through SSE path identity.
 	BySSE int
 	// ByStructSim counts callsites the class matching could not bind
 	// that layout similarity alone resolved.
 	ByStructSim int
-	// Intern is the shared (cross-function) intern table's statistics.
-	Intern sse.Stats
 }
 
 // regCandidate is one function-pointer registration reachable at an
@@ -234,6 +231,5 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary) ([]structsim.Resolutio
 			}
 		}
 	}
-	stats.Intern = shared.Stats()
 	return out, stats
 }
