@@ -14,10 +14,11 @@
 # race-checked), short fuzzes of the summary-store decoder (blobs read
 # back from disk are untrusted input), of the firmware container scanner
 # and its root-filesystem parser (the image bytes dtaintd accepts over
-# HTTP), of the FWELF parser and the CFG
-# builder behind it (binaries come from unpacked firmware), of the
-# vocabulary parser (dtaintd parses uploaded specs) and of dtaintd's scan and diff upload
-# handlers (Content-Type and body are per-request input), the
+# HTTP), of the FWELF parser, the CFG builder behind it and the whole
+# per-binary analysis after both (binaries come from unpacked firmware),
+# of the vocabulary parser (dtaintd parses uploaded specs) and of
+# dtaintd's scan and diff upload handlers (Content-Type and body are
+# per-request input), the
 # screening-corpus precision/recall gate, a small
 # cold-then-warm corpus pass (warm re-scan must be faster, replay its
 # summaries entirely from the store, and report identical findings), and
@@ -94,6 +95,10 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./inter
 
 echo ">> fuzz the CFG builder on parsed binaries"
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cfg
+
+# Screening binaries seed it: a study image analyzes at about one exec/s.
+echo ">> fuzz the whole per-binary analysis on parsed binaries"
+go test -run '^$' -fuzz '^FuzzAnalyzeBinary$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
 # The seed is the 6 KB default spec, and minimizing each new input that
 # size can take the fuzzer's whole budget, so minimization is capped.
