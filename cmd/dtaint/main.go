@@ -78,6 +78,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -124,6 +125,10 @@ func main() {
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
 	)
 	flag.Parse()
+	if err := checkArgs(*diffMode, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "dtaint:", err)
+		os.Exit(1)
+	}
 
 	if *traceFn != "" {
 		v, err := loadVocabulary(*vocabPath)
@@ -156,10 +161,6 @@ func main() {
 	var err error
 	switch {
 	case *diffMode:
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "dtaint: -diff takes exactly two image arguments: old.fwimg new.fwimg")
-			os.Exit(1)
-		}
 		vulnPaths, err = runDiff(o, flag.Arg(0), flag.Arg(1))
 	case *allBins:
 		vulnPaths, stalledBins, err = runFleet(o)
@@ -180,6 +181,21 @@ func main() {
 			os.Exit(3)
 		}
 	}
+}
+
+// checkArgs rejects positional arguments the mode does not take. The flag
+// package stops parsing at the first positional argument, so a flag
+// written after one would otherwise be dropped without a word.
+func checkArgs(diff bool, args []string) error {
+	switch {
+	case diff && len(args) < 2:
+		return errors.New("-diff takes exactly two image arguments: old.fwimg new.fwimg")
+	case diff && len(args) > 2:
+		return fmt.Errorf("unexpected argument %q after the two -diff images: flags go before positional arguments", args[2])
+	case !diff && len(args) > 0:
+		return fmt.Errorf("unexpected argument %q: flags go before positional arguments, and only -diff takes any", args[0])
+	}
+	return nil
 }
 
 // cliOptions carries the parsed analysis flags into run and runFleet.

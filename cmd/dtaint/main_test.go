@@ -245,6 +245,38 @@ func TestRunDiffErrors(t *testing.T) {
 	}
 }
 
+// TestCheckArgs pins which positional arguments each mode takes: a flag
+// written after a positional argument is not parsed, so it must fail
+// loudly, naming the argument, instead of being dropped.
+func TestCheckArgs(t *testing.T) {
+	const flagsFirst = "flags go before positional arguments"
+	tests := []struct {
+		diff bool
+		args []string
+		want []string // substrings of the error; nil means accepted
+	}{
+		{false, nil, nil},
+		{false, []string{"stray", "-json"}, []string{`"stray"`, flagsFirst}},
+		{false, []string{"-json"}, []string{`"-json"`, flagsFirst}},
+		{true, []string{"old.fwimg", "new.fwimg"}, nil},
+		{true, []string{"old.fwimg", "new.fwimg", "-json"}, []string{`"-json"`, flagsFirst}},
+		{true, []string{"old.fwimg"}, []string{"exactly two image arguments"}},
+		{true, nil, []string{"exactly two image arguments"}},
+	}
+	for _, tt := range tests {
+		err := checkArgs(tt.diff, tt.args)
+		if (err == nil) != (tt.want == nil) {
+			t.Errorf("checkArgs(%v, %q) = %v, want error containing %q", tt.diff, tt.args, err, tt.want)
+			continue
+		}
+		for _, w := range tt.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("checkArgs(%v, %q) = %v, want it to contain %s", tt.diff, tt.args, err, w)
+			}
+		}
+	}
+}
+
 func TestRunFleetErrors(t *testing.T) {
 	if _, _, err := runFleet(cliOptions{}); err == nil {
 		t.Fatal("missing -fw accepted")
