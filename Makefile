@@ -13,9 +13,10 @@ test: build
 
 # lint runs the repo-specific rules: unordered map iteration in
 # determinism-critical code, nil-guarded calls on nil-safe obs handles,
-# unversioned serialization, hard-coded vocabulary names, and
-# string-keyed identity over interned SSE nodes. gofmt and vet run
-# under `make check`.
+# unversioned serialization, hard-coded vocabulary names,
+# string-keyed identity over interned SSE nodes, and expressions built
+# around the analysis's expr.Table. gofmt and vet run under
+# `make check`.
 lint:
 	go run ./cmd/dtaintlint .
 

@@ -1,4 +1,4 @@
-// Command dtaintlint enforces five repository-specific contracts that
+// Command dtaintlint enforces six repository-specific contracts that
 // go vet cannot check:
 //
 //  1. unordered-map-range — the determinism contract. Findings, reports,
@@ -47,6 +47,16 @@
 //     comparisons where a pointer compare suffices) and can silently
 //     diverge from the union-find's view. Intern both sides and compare
 //     or key by the node pointer instead.
+//
+//  6. expr-table — the shared-construction contract. One analysis
+//     builds its expressions through one expr.Table, which builds each
+//     distinct node once. In internal/symexec, internal/taint and
+//     internal/dataflow a call of a package-level expr constructor
+//     (expr.Bin, Deref, Sym, Const, Add, Arg, Taint) or of the Expr
+//     methods Subst and MapSyms builds a fresh node instead, and the
+//     sharing is lost without any test noticing. Build through the
+//     analysis's table (symexec.Options.Table, CallContext.Table, the
+//     tracker's table) instead.
 //
 // Usage:
 //
@@ -323,6 +333,7 @@ func (w *world) lintPackage(fset *token.FileSet, dir string, files []*ast.File) 
 	allowSer := strings.Contains(filepath.ToSlash(dir), "internal/sumstore")
 	// Rule 4 applies only to the taint engine itself.
 	taintPkg := strings.Contains(filepath.ToSlash(dir), "internal/taint")
+	tablePkg := exprTableScope(dir)
 	var out []string
 	for _, f := range files {
 		importsObs := false
@@ -357,6 +368,9 @@ func (w *world) lintPackage(fset *token.FileSet, dir string, files []*ast.File) 
 		}
 		if sseScope(f) {
 			lf.lintSSEIdentity(f)
+		}
+		if tablePkg {
+			lf.lintExprTable(f)
 		}
 		out = append(out, lf.findings...)
 	}
@@ -1016,6 +1030,53 @@ func mentionsSSENode(t ast.Expr, inSSE bool) bool {
 		}
 	}
 	return false
+}
+
+// ---------------------------------------------------------------------------
+// Rule 6: expressions built around the analysis's expr.Table.
+
+// exprTableScope reports whether rule 6 applies to a package directory:
+// the packages whose constructions run inside one analysis.
+func exprTableScope(dir string) bool {
+	dir = filepath.ToSlash(dir)
+	for _, p := range []string{"internal/symexec", "internal/taint", "internal/dataflow"} {
+		if strings.HasSuffix(dir, p) || strings.Contains(dir, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// exprConstructors are the package-level expr functions that build a node.
+var exprConstructors = map[string]bool{
+	"Bin": true, "Deref": true, "Sym": true, "Const": true, "Add": true, "Arg": true, "Taint": true,
+}
+
+// lintExprTable flags constructions that bypass the analysis's table:
+// package-level expr constructors, and the Expr methods Subst (two
+// arguments) and MapSyms (one). The Table methods of the same names
+// take the expression first, one argument more, and are not flagged.
+func (l *linter) lintExprTable(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && id.Name == "expr" && exprConstructors[sel.Sel.Name] {
+			l.report(call.Pos(), "expr-table",
+				fmt.Sprintf("expr.%s builds a node outside the analysis's expr.Table; call the table's %s (//dtaintlint:ignore <reason> to waive)", sel.Sel.Name, sel.Sel.Name))
+			return true
+		}
+		if (sel.Sel.Name == "Subst" && len(call.Args) == 2) || (sel.Sel.Name == "MapSyms" && len(call.Args) == 1) {
+			l.report(call.Pos(), "expr-table",
+				fmt.Sprintf("Expr.%s builds its result outside the analysis's expr.Table; call the table's %s with the expression first (//dtaintlint:ignore <reason> to waive)", sel.Sel.Name, sel.Sel.Name))
+		}
+		return true
+	})
 }
 
 func isNil(e ast.Expr) bool {

@@ -520,3 +520,42 @@ type index struct {
 `)
 	wantRule(t, findings, "sse-key-identity", 1)
 }
+
+func TestExprTableBypassFlagged(t *testing.T) {
+	src := `package p
+
+import "dtaint/internal/expr"
+
+func build(tab *expr.Table, e *expr.Expr, f func(string) *expr.Expr) []*expr.Expr {
+	return []*expr.Expr{
+		expr.Sym("a"),
+		expr.Bin(expr.OpOr, e, e),
+		e.MapSyms(f),
+		e.Subst(e, e),
+		expr.Deref(e), //dtaintlint:ignore expr-table exercising the waiver path
+		tab.Sym("a"),
+		tab.Bin(expr.OpOr, e, e),
+		tab.MapSyms(e, f),
+		tab.Subst(e, e, e),
+		expr.Fmt(e) == "" && expr.IsTaintName("a"),
+	}
+}
+`
+	// The rule covers the packages that run inside one analysis, and
+	// no others.
+	for dir, want := range map[string]int{"internal/taint": 4, "internal/dataflow/sub": 4, "internal/alias": 0} {
+		root := t.TempDir()
+		pkg := filepath.Join(root, filepath.FromSlash(dir))
+		if err := os.MkdirAll(pkg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pkg, "fixture.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		findings, err := lintTree([]string{root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRule(t, findings, "expr-table", want)
+	}
+}

@@ -165,6 +165,7 @@ func newTracker(opts Options, bin *image.Binary) *taint.Tracker {
 	t := taint.NewTracker()
 	t.SetVocabulary(opts.Vocab)
 	t.SetBinary(bin)
+	t.SetTable(opts.Symexec.Table)
 	if opts.DisableVRange {
 		t.DisableValueRange()
 	}
@@ -274,7 +275,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	if len(names) == 0 {
 		return nil, ErrNoProgram
 	}
-	opts = opts.withVocab()
+	opts = opts.withVocab().withTable()
 	res := &Result{Summaries: make(map[string]*symexec.Summary, len(names))}
 	fp := fingerprinter(prog, opts)
 
@@ -296,7 +297,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 		if opts.DisableSSE {
 			res.Resolutions = structsim.ResolveIndirect(phase1)
 		} else {
-			res.Resolutions, res.Resolve = resolveIndirectSSE(phase1)
+			res.Resolutions, res.Resolve = resolveIndirectSSE(phase1, opts.Symexec.Table)
 			st.span.SetAttr("by_sse", res.Resolve.BySSE)
 			st.span.SetAttr("by_structsim", res.Resolve.ByStructSim)
 		}
@@ -363,7 +364,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 // and emits no progress events; opts.Metrics records every function it
 // executes.
 func FunctionSummaries(prog *cfg.Program, names []string, opts Options) map[string]*symexec.Summary {
-	opts = opts.withVocab()
+	opts = opts.withVocab().withTable()
 	opts.Events = nil
 	sums, _ := runPhase1(prog, names, opts, fingerprinter(prog, opts), nil)
 	return sums
@@ -378,6 +379,15 @@ func (o Options) withVocab() Options {
 	if o.Symexec.Prototypes == nil {
 		o.Symexec.Prototypes = o.Vocab.Prototypes()
 	}
+	return o
+}
+
+// withTable gives the analysis its own expression table, through which
+// both phases, the oracles and the trackers build every expression. It
+// lives exactly as long as the call: a table shared across analyses
+// would keep every node of every binary alive.
+func (o Options) withTable() Options {
+	o.Symexec.Table = new(expr.Table)
 	return o
 }
 
@@ -511,7 +521,7 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 	sub := substitutor(ctx)
 
 	eff := symexec.CallEffect{Handled: true}
-	eff.Ret = calleeRet(sum, sub, ctx.Callee, ctx.Site)
+	eff.Ret = calleeRet(ctx.Table(), sum, sub, ctx.Callee, ctx.Site)
 	// PushToCallSite: exported definitions (root pointer is a formal
 	// argument, a heap identity, or tainted data) are instantiated in the
 	// caller's state.
@@ -575,8 +585,8 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 // detection). When the set is too large to combine, or every substituted
 // return resolves to nil, the callee's return must not silently vanish:
 // the opaque per-callsite ret symbol (the same name the engine would
-// assign) is kept instead.
-func calleeRet(sum *symexec.Summary, sub func(*expr.Expr) *expr.Expr, callee string, site uint32) *expr.Expr {
+// assign) is kept instead. New nodes are built through tab.
+func calleeRet(tab *expr.Table, sum *symexec.Summary, sub func(*expr.Expr) *expr.Expr, callee string, site uint32) *expr.Expr {
 	var ret *expr.Expr
 	switch {
 	case len(sum.Rets) == 1:
@@ -590,12 +600,12 @@ func calleeRet(sum *symexec.Summary, sub func(*expr.Expr) *expr.Expr, callee str
 			if ret == nil {
 				ret = rs
 			} else if !ret.Equal(rs) {
-				ret = expr.Bin(expr.OpOr, ret, rs)
+				ret = tab.Bin(expr.OpOr, ret, rs)
 			}
 		}
 	}
 	if ret == nil && len(sum.Rets) > 0 {
-		ret = expr.Sym(expr.RetName(callee, uint64(site)))
+		ret = tab.Sym(expr.RetName(callee, uint64(site)))
 	}
 	return ret
 }
@@ -607,9 +617,10 @@ func calleeRet(sum *symexec.Summary, sub func(*expr.Expr) *expr.Expr, callee str
 // while the oracle runs, so the replacement depends only on the input's
 // key: each distinct callee fact is instantiated once per callsite, and
 // return values, exported definitions and pending sinks that repeat it
-// share the first result.
+// share the first result. Results are built through the analysis's
+// expression table.
 func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
-	site, args := uint64(ctx.Site), ctx.Args
+	site, args, tab := uint64(ctx.Site), ctx.Args, ctx.Table()
 	// ArgIndex also parses spellings such as "arg01"; only the canonical
 	// name is a formal argument.
 	actual := func(name string) *expr.Expr {
@@ -623,7 +634,7 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		if e == nil {
 			return nil
 		}
-		if r, ok := memo[e.Key()]; ok { //dtaintlint:ignore sse-key-identity expr nodes are not interned; the key is their canonical identity
+		if r, ok := memo[e.Key()]; ok { //dtaintlint:ignore sse-key-identity callee facts may be decoded store entries or come from another analysis, which no table interns; the key is their canonical identity
 			return r
 		}
 		if memo == nil {
@@ -633,16 +644,16 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		// symbols originating in the callee (its allocation sites) extend
 		// their callsite chain; heap pointers the caller passes in as
 		// arguments keep their identity.
-		r := e.MapSyms(func(name string) *expr.Expr {
+		r := tab.MapSyms(e, func(name string) *expr.Expr {
 			if expr.IsHeapName(name) {
-				return expr.Sym(expr.RehashHeap(name, site))
+				return tab.Sym(expr.RehashHeap(name, site))
 			}
 			return nil
 		})
 		// Only symbol nodes can be formal arguments: one symbol walk
 		// substitutes the actuals without re-walking them.
-		r = ctx.ResolveDeep(r.MapSyms(actual))
-		memo[e.Key()] = r //dtaintlint:ignore sse-key-identity expr nodes are not interned; the key is their canonical identity
+		r = ctx.ResolveDeep(tab.MapSyms(r, actual))
+		memo[e.Key()] = r //dtaintlint:ignore sse-key-identity callee facts may be decoded store entries or come from another analysis, which no table interns; the key is their canonical identity
 		return r
 	}
 }

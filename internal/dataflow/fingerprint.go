@@ -18,9 +18,9 @@ import (
 //
 // Parallelism is deliberately excluded: the analyzer produces
 // bit-identical results for every worker count, so cached entries are
-// shareable across differently parallel runs. Observability handles and
-// the summary store itself are likewise excluded — they never influence
-// results. A non-nil function filter cannot be hashed; callers that key
+// shareable across differently parallel runs. Observability handles,
+// the expression table (Symexec.Table) and the summary store itself are
+// likewise excluded — they never influence results. A non-nil function filter cannot be hashed; callers that key
 // whole-binary reports must supply a filterTag naming it (the fleet
 // orchestrator bypasses its cache for a non-nil filter with an empty
 // tag). The summary store passes an empty tag instead: a filter only

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"dtaint/internal/expr"
+	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
 	"dtaint/internal/vocab"
 )
@@ -77,5 +79,15 @@ func TestOptionsFingerprintIsolation(t *testing.T) {
 	}
 	if d == b {
 		t.Fatal("sse and alias ablations collide")
+	}
+}
+
+// How the analysis executes is not part of any cache key: the worker
+// count and the expression table leave results unchanged.
+func TestOptionsFingerprintIgnoresExecution(t *testing.T) {
+	base := OptionsFingerprint(Options{}, "")
+	run := OptionsFingerprint(Options{Parallelism: 8, Symexec: symexec.Options{Table: new(expr.Table)}}, "")
+	if run != base {
+		t.Fatalf("execution settings changed the fingerprint:\n%q\n%q", run, base)
 	}
 }

@@ -95,7 +95,7 @@ func TestCalleeRetNilFallback(t *testing.T) {
 	want := expr.RetName("callee", 0x40)
 
 	single := &symexec.Summary{Rets: []*expr.Expr{expr.Sym("arg0")}}
-	ret := calleeRet(single, nilSub, "callee", 0x40)
+	ret := calleeRet(nil, single, nilSub, "callee", 0x40)
 	if ret == nil {
 		t.Fatal("single nil-resolving return dropped")
 	}
@@ -104,7 +104,7 @@ func TestCalleeRetNilFallback(t *testing.T) {
 	}
 
 	multi := &symexec.Summary{Rets: []*expr.Expr{expr.Sym("arg0"), expr.Sym("arg1"), expr.Sym("arg2")}}
-	ret = calleeRet(multi, nilSub, "callee", 0x40)
+	ret = calleeRet(nil, multi, nilSub, "callee", 0x40)
 	if ret == nil {
 		t.Fatal("multi nil-resolving returns dropped")
 	}
@@ -114,13 +114,13 @@ func TestCalleeRetNilFallback(t *testing.T) {
 
 	// A substitution that survives is kept untouched.
 	identity := func(e *expr.Expr) *expr.Expr { return e }
-	ret = calleeRet(single, identity, "callee", 0x40)
+	ret = calleeRet(nil, single, identity, "callee", 0x40)
 	if name, ok := ret.SymName(); !ok || name != "arg0" {
 		t.Fatalf("surviving return rewritten: %v", ret)
 	}
 
 	// No recorded returns keeps nil so the engine assigns the fresh symbol.
-	if got := calleeRet(&symexec.Summary{}, identity, "callee", 0x40); got != nil {
+	if got := calleeRet(nil, &symexec.Summary{}, identity, "callee", 0x40); got != nil {
 		t.Fatalf("empty return set should stay nil, got %v", got)
 	}
 
@@ -129,7 +129,7 @@ func TestCalleeRetNilFallback(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		rets = append(rets, expr.Sym(fmt.Sprintf("arg%d", i)))
 	}
-	ret = calleeRet(&symexec.Summary{Rets: rets}, identity, "callee", 0x40)
+	ret = calleeRet(nil, &symexec.Summary{Rets: rets}, identity, "callee", 0x40)
 	if name, ok := ret.SymName(); !ok || name != want {
 		t.Fatalf("oversized return set = %v, want sym %s", ret, want)
 	}

@@ -65,8 +65,8 @@ type regKey struct {
 }
 
 // abstractRoot rewrites e's root symbol to the shared placeholder so
-// paths from different functions align.
-func abstractRoot(e *expr.Expr) (*expr.Expr, bool) {
+// paths from different functions align, building through tab.
+func abstractRoot(tab *expr.Table, e *expr.Expr) (*expr.Expr, bool) {
 	root := e.RootPointer()
 	if root == nil {
 		return nil, false
@@ -75,9 +75,9 @@ func abstractRoot(e *expr.Expr) (*expr.Expr, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.MapSyms(func(n string) *expr.Expr {
+	return tab.MapSyms(e, func(n string) *expr.Expr {
 		if n == name {
-			return expr.Sym(resolveRootSym)
+			return tab.Sym(resolveRootSym)
 		}
 		return nil
 	}), true
@@ -87,8 +87,9 @@ func abstractRoot(e *expr.Expr) (*expr.Expr, bool) {
 // analyzed functions from SSE equivalence classes, falling back to
 // structsim for callsites with no path match. At most one resolution is
 // emitted per call record; output order follows sorted function names
-// and call order, so results are deterministic.
-func resolveIndirectSSE(sums map[string]*symexec.Summary) ([]structsim.Resolution, ResolveStats) {
+// and call order, so results are deterministic. The expressions it
+// builds go through tab.
+func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]structsim.Resolution, ResolveStats) {
 	var stats ResolveStats
 	names := make([]string, 0, len(sums))
 	for name := range sums {
@@ -134,8 +135,8 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary) ([]structsim.Resolutio
 				rootName, _ = r.SymName()
 			}
 			for _, form := range li.PathExprs(pb, resolveVariantDepth, resolveVariantMax) {
-				addr := expr.Add(form, fo.Off)
-				ab, ok := abstractRoot(addr)
+				addr := tab.Add(form, fo.Off)
+				ab, ok := abstractRoot(tab, addr)
 				if !ok {
 					continue
 				}
@@ -199,7 +200,7 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary) ([]structsim.Resolutio
 				}
 				siteLayout := layoutOf(name, siteRoot)
 				for _, form := range li.PathExprs(pa, resolveVariantDepth, resolveVariantMax) {
-					ab, ok := abstractRoot(form)
+					ab, ok := abstractRoot(tab, form)
 					if !ok {
 						continue
 					}

@@ -10,11 +10,19 @@
 // Expressions are immutable; all constructors normalize their result
 // (constant folding, canonical base+offset ordering) so that structurally
 // equal program values compare equal by Key().
+//
+// Every constructor exists twice: as a package-level function, which
+// allocates a fresh node on each call, and as a method of a Table, which
+// hash-conses: each distinct node is built, and its key spelled, once per
+// table, and later constructions of it return the same pointer. The
+// analysis builds most expressions many times over (the same blocks run
+// on several path states, then again bottom-up), so one analysis owns
+// one table and routes its constructions through it. A nil *Table
+// behaves exactly like the package-level functions.
 package expr
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -77,7 +85,8 @@ type Expr struct {
 	op   Op     // KindBinOp
 	x, y *Expr  // operands: x for Deref; x,y for BinOp
 
-	depth int
+	depth int32
+	hash  uint32 // structural hash; picks a Table shard
 	key   string // canonical form, computed at construction
 }
 
@@ -138,11 +147,10 @@ func RehashHeap(name string, callsite uint64) string {
 
 // Const returns a constant expression. Values in [minSmallConst,
 // maxSmallConst) share one preallocated node each.
-func Const(v int64) *Expr {
-	if v >= minSmallConst && v < maxSmallConst {
-		return &smallConsts[v-minSmallConst]
-	}
-	return &Expr{kind: KindConst, val: v, depth: 1, key: strconv.FormatInt(v, 10)}
+func Const(v int64) *Expr { return (*Table)(nil).Const(v) }
+
+func newConst(v int64) *Expr {
+	return &Expr{kind: KindConst, val: v, depth: 1, hash: constHash(v), key: strconv.FormatInt(v, 10)}
 }
 
 // The shared constant range covers the immediates and stack-frame
@@ -160,23 +168,31 @@ var smallConsts [maxSmallConst - minSmallConst]Expr
 
 func init() {
 	for i := range smallConsts {
-		v := int64(i) + minSmallConst
-		smallConsts[i] = Expr{kind: KindConst, val: v, depth: 1, key: strconv.FormatInt(v, 10)}
+		smallConsts[i] = *newConst(int64(i) + minSmallConst)
 	}
 }
 
 // Sym returns a named symbolic value (e.g. "arg0", "ret_foo_1c", "taint").
-func Sym(name string) *Expr {
-	e := &Expr{kind: KindSym, name: name, depth: 1}
-	e.key = name
-	return e
+func Sym(name string) *Expr { return (*Table)(nil).Sym(name) }
+
+func newSym(name string, h uint32) *Expr {
+	return &Expr{kind: KindSym, name: name, depth: 1, hash: h, key: name}
 }
 
 // Arg returns the canonical symbol for the i-th formal argument.
 func Arg(i int) *Expr { return Sym(ArgName(i)) }
 
+// argNames spells arg0..arg9, the argument symbols every calling
+// convention uses, so naming one allocates nothing.
+const argNames = "arg0arg1arg2arg3arg4arg5arg6arg7arg8arg9"
+
 // ArgName returns the canonical name of the i-th formal argument symbol.
-func ArgName(i int) string { return "arg" + strconv.Itoa(i) }
+func ArgName(i int) string {
+	if i >= 0 && i < 10 {
+		return argNames[4*i : 4*i+4]
+	}
+	return "arg" + strconv.Itoa(i)
+}
 
 // ArgIndex reports whether name is a formal-argument symbol and its index.
 func ArgIndex(name string) (int, bool) {
@@ -204,23 +220,17 @@ func IsRetSym(name string) bool { return strings.HasPrefix(name, "ret_") }
 func Taint() *Expr { return Sym(TaintSym) }
 
 // Deref returns a memory access of addr.
-func Deref(addr *Expr) *Expr {
-	if addr == nil {
-		return nil
-	}
-	if addr.depth >= MaxDepth {
-		addr = truncated(addr)
-	}
-	e := &Expr{kind: KindDeref, x: addr, depth: addr.depth + 1}
-	e.key = "deref(" + addr.key + ")"
-	return e
+func Deref(addr *Expr) *Expr { return (*Table)(nil).Deref(addr) }
+
+func newDeref(addr *Expr) *Expr {
+	return &Expr{kind: KindDeref, x: addr, depth: addr.depth + 1, hash: derefHash(addr), key: "deref(" + addr.key + ")"}
 }
 
 // truncated replaces an over-deep expression with an opaque symbol whose
 // name is derived from the original key, so equal expressions still collapse
 // to equal symbols.
-func truncated(e *Expr) *Expr {
-	return Sym("opaque_" + shortHash(e.key))
+func (t *Table) truncated(e *Expr) *Expr {
+	return t.Sym("opaque_" + shortHash(e.key))
 }
 
 // Hash returns a short stable hash of s, used to derive deterministic
@@ -239,54 +249,7 @@ func shortHash(s string) string {
 }
 
 // Bin returns the normalized binary operation a op b.
-func Bin(op Op, a, b *Expr) *Expr {
-	if a == nil || b == nil {
-		return nil
-	}
-	// Constant folding.
-	if a.kind == KindConst && b.kind == KindConst {
-		if v, ok := foldConst(op, a.val, b.val); ok {
-			return Const(v)
-		}
-	}
-	switch op {
-	case OpAdd:
-		return normalizeAdd(a, b)
-	case OpSub:
-		// a - c  ==  a + (-c): keeps all base+offset forms additive.
-		if b.kind == KindConst {
-			return normalizeAdd(a, Const(-b.val))
-		}
-		if a.Equal(b) {
-			return Const(0)
-		}
-	case OpMul:
-		if a.kind == KindConst {
-			a, b = b, a // canonical: constant on the right
-		}
-		if b.kind == KindConst {
-			switch b.val {
-			case 0:
-				return Const(0)
-			case 1:
-				return a
-			}
-		}
-	case OpAnd:
-		if b.kind == KindConst && b.val == 0 {
-			return Const(0)
-		}
-	case OpOr, OpXor:
-		if b.kind == KindConst && b.val == 0 {
-			return a
-		}
-	case OpShl, OpShr:
-		if b.kind == KindConst && b.val == 0 {
-			return a
-		}
-	}
-	return rawBin(op, a, b)
-}
+func Bin(op Op, a, b *Expr) *Expr { return (*Table)(nil).Bin(op, a, b) }
 
 func foldConst(op Op, a, b int64) (int64, bool) {
 	switch op {
@@ -314,63 +277,13 @@ func foldConst(op Op, a, b int64) (int64, bool) {
 	return 0, false
 }
 
-// normalizeAdd flattens nested additions and produces the canonical
-// "base + constant" form with the constant folded and placed last.
-func normalizeAdd(a, b *Expr) *Expr {
-	var terms []*Expr
-	var c int64
-	var collect func(e *Expr)
-	collect = func(e *Expr) {
-		switch {
-		case e.kind == KindConst:
-			c += e.val
-		case e.kind == KindBinOp && e.op == OpAdd:
-			collect(e.x)
-			collect(e.y)
-		default:
-			terms = append(terms, e)
-		}
-	}
-	collect(a)
-	collect(b)
-	if len(terms) == 0 {
-		return Const(c)
-	}
-	// Canonical order for symbolic terms: sort by key so x+y == y+x.
-	sort.Slice(terms, func(i, j int) bool { return terms[i].key < terms[j].key })
-	out := terms[0]
-	for _, t := range terms[1:] {
-		out = rawBin(OpAdd, out, t)
-	}
-	if c != 0 {
-		out = rawBin(OpAdd, out, Const(c))
-	}
-	return out
-}
-
-func rawBin(op Op, a, b *Expr) *Expr {
-	d := a.depth
-	if b.depth > d {
-		d = b.depth
-	}
-	if d >= MaxDepth {
-		return truncated(rawBinNoLimit(op, a, b))
-	}
-	return rawBinNoLimit(op, a, b)
-}
-
-func rawBinNoLimit(op Op, a, b *Expr) *Expr {
-	d := a.depth
-	if b.depth > d {
-		d = b.depth
-	}
-	e := &Expr{kind: KindBinOp, op: op, x: a, y: b, depth: d + 1}
-	e.key = "(" + a.key + op.String() + b.key + ")"
-	return e
+func newBin(op Op, a, b *Expr) *Expr {
+	return &Expr{kind: KindBinOp, op: op, x: a, y: b, depth: max(a.depth, b.depth) + 1,
+		hash: binHash(op, a, b), key: "(" + a.key + op.String() + b.key + ")"}
 }
 
 // Add is shorthand for Bin(OpAdd, a, Const(off)).
-func Add(a *Expr, off int64) *Expr { return Bin(OpAdd, a, Const(off)) }
+func Add(a *Expr, off int64) *Expr { return (*Table)(nil).Add(a, off) }
 
 // Kind returns the expression kind.
 func (e *Expr) Kind() Kind { return e.kind }
@@ -408,7 +321,11 @@ func (e *Expr) BinOperands() (Op, *Expr, *Expr, bool) {
 }
 
 // Key returns the canonical string form; expressions are equal iff their
-// keys are equal.
+// keys are equal. Key, not the pointer, is the identity: nodes from the
+// package-level constructors, from a decoded summary or from different
+// tables are distinct pointers for one key, and even within one Table a
+// node built over such foreign operands is distinct from one built over
+// the table's own.
 func (e *Expr) Key() string { return e.key }
 
 // String implements fmt.Stringer.
@@ -420,12 +337,17 @@ func (e *Expr) String() string {
 }
 
 // Depth returns the nesting depth of the expression tree.
-func (e *Expr) Depth() int { return e.depth }
+func (e *Expr) Depth() int { return int(e.depth) }
 
-// Equal reports structural equality.
+// Equal reports structural equality: equal keys. One pointer is
+// trivially equal to itself, which saves the string comparison for the
+// nodes a Table shares.
 func (e *Expr) Equal(o *Expr) bool {
+	if e == o {
+		return true
+	}
 	if e == nil || o == nil {
-		return e == o
+		return false
 	}
 	return e.key == o.key
 }
@@ -491,86 +413,13 @@ func (e *Expr) Syms() []string {
 	return out
 }
 
-// DerefKeys returns the canonical keys of every deref subexpression of e
-// (including e itself), without duplicates. The def-use graph uses these
-// to connect a value expression to the definitions it reads.
-func (e *Expr) DerefKeys() []string {
-	seen := make(map[string]bool)
-	var out []string
-	var walk func(x *Expr)
-	walk = func(x *Expr) {
-		switch x.kind {
-		case KindDeref:
-			if !seen[x.key] {
-				seen[x.key] = true
-				out = append(out, x.key)
-			}
-			walk(x.x)
-		case KindBinOp:
-			walk(x.x)
-			walk(x.y)
-		}
-	}
-	walk(e)
-	return out
-}
-
 // Subst returns e with every occurrence of old replaced by new. The result
 // is re-normalized.
-func (e *Expr) Subst(old, new *Expr) *Expr {
-	if e == nil || old == nil || new == nil {
-		return e
-	}
-	if e.key == old.key {
-		return new
-	}
-	switch e.kind {
-	case KindConst, KindSym:
-		return e
-	case KindDeref:
-		nx := e.x.Subst(old, new)
-		if nx == e.x {
-			return e
-		}
-		return Deref(nx)
-	case KindBinOp:
-		nx := e.x.Subst(old, new)
-		ny := e.y.Subst(old, new)
-		if nx == e.x && ny == e.y {
-			return e
-		}
-		return Bin(e.op, nx, ny)
-	}
-	return e
-}
+func (e *Expr) Subst(old, new *Expr) *Expr { return (*Table)(nil).Subst(e, old, new) }
 
 // MapSyms rewrites every symbol in e through f; f returns nil to keep a
 // symbol unchanged. Used for heap-identity rehashing at callsites.
-func (e *Expr) MapSyms(f func(name string) *Expr) *Expr {
-	switch e.kind {
-	case KindConst:
-		return e
-	case KindSym:
-		if r := f(e.name); r != nil {
-			return r
-		}
-		return e
-	case KindDeref:
-		nx := e.x.MapSyms(f)
-		if nx == e.x {
-			return e
-		}
-		return Deref(nx)
-	case KindBinOp:
-		nx := e.x.MapSyms(f)
-		ny := e.y.MapSyms(f)
-		if nx == e.x && ny == e.y {
-			return e
-		}
-		return Bin(e.op, nx, ny)
-	}
-	return e
-}
+func (e *Expr) MapSyms(f func(name string) *Expr) *Expr { return (*Table)(nil).MapSyms(e, f) }
 
 // BasePlusOffset decomposes e into a symbolic base and a constant offset
 // (the GetBasePtr operation of Algorithm 1). For plain symbols or derefs the

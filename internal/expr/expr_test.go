@@ -251,8 +251,10 @@ func TestContainsAndSyms(t *testing.T) {
 }
 
 func TestArgHelpers(t *testing.T) {
-	if ArgName(3) != "arg3" {
-		t.Fatalf("ArgName(3) = %s", ArgName(3))
+	for i := 0; i < 13; i++ {
+		if got, want := ArgName(i), "arg"+strconv.Itoa(i); got != want {
+			t.Fatalf("ArgName(%d) = %s, want %s", i, got, want)
+		}
 	}
 	if i, ok := ArgIndex("arg7"); !ok || i != 7 {
 		t.Fatalf("ArgIndex(arg7) = %d,%v", i, ok)
@@ -287,23 +289,26 @@ func TestDepthTruncation(t *testing.T) {
 }
 
 // randomExpr builds a random expression of bounded size for property tests.
-func randomExpr(r *rand.Rand, depth int) *Expr {
+func randomExpr(r *rand.Rand, depth int) *Expr { return randomExprIn(nil, r, depth) }
+
+// randomExprIn is randomExpr built through tab.
+func randomExprIn(tab *Table, r *rand.Rand, depth int) *Expr {
 	if depth <= 0 {
 		if r.Intn(2) == 0 {
-			return Const(int64(r.Intn(256) - 128))
+			return tab.Const(int64(r.Intn(256) - 128))
 		}
-		return Sym(ArgName(r.Intn(4)))
+		return tab.Sym(ArgName(r.Intn(4)))
 	}
 	switch r.Intn(4) {
 	case 0:
-		return Const(int64(r.Intn(256) - 128))
+		return tab.Const(int64(r.Intn(256) - 128))
 	case 1:
-		return Sym(ArgName(r.Intn(4)))
+		return tab.Sym(ArgName(r.Intn(4)))
 	case 2:
-		return Deref(randomExpr(r, depth-1))
+		return tab.Deref(randomExprIn(tab, r, depth-1))
 	default:
 		ops := []Op{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor}
-		return Bin(ops[r.Intn(len(ops))], randomExpr(r, depth-1), randomExpr(r, depth-1))
+		return tab.Bin(ops[r.Intn(len(ops))], randomExprIn(tab, r, depth-1), randomExprIn(tab, r, depth-1))
 	}
 }
 

@@ -158,6 +158,10 @@ func (c *CallContext) RangeOf(key string) (vrange.Interval, bool) {
 	return iv, ok
 }
 
+// Table returns the table the analysis builds its expressions through
+// (Options.Table; nil when unset). Oracles build theirs through it too.
+func (c *CallContext) Table() *expr.Table { return c.st.tab }
+
 // Resolve returns the value stored at pointer p, or deref(p) when the
 // location has no known definition on this path.
 func (c *CallContext) Resolve(p *expr.Expr) *expr.Expr { return c.st.Resolve(p) }
@@ -215,6 +219,11 @@ type Options struct {
 	// the evaluated symbolic values — the paper's Figure 6 listing
 	// ("65C: deref(arg0+0x4C) = deref(arg1+0x24)").
 	Trace func(addr uint32, line string)
+	// Table, when non-nil, builds every expression of the analysis, so
+	// nodes repeated across path states and across analyses sharing the
+	// table are built once. Nil builds a fresh node per construction.
+	// Summaries are the same either way.
+	Table *expr.Table
 }
 
 // Defaults fills zero fields with production values.
@@ -235,23 +244,21 @@ func (o Options) withDefaults() Options {
 type State struct {
 	regs    [isa.NumRegs]*expr.Expr
 	mem     map[string]*expr.Expr // address key -> value
-	visits  map[int]int           // block index -> visits on this path
+	visits  []int32               // visits on this path, by block index
 	cmpL    *expr.Expr
 	cmpR    *expr.Expr
 	hasFlag bool
+	tab     *expr.Table
 }
 
 func (s *State) clone() *State {
-	n := &State{cmpL: s.cmpL, cmpR: s.cmpR, hasFlag: s.hasFlag}
+	n := &State{cmpL: s.cmpL, cmpR: s.cmpR, hasFlag: s.hasFlag, tab: s.tab}
 	n.regs = s.regs
 	n.mem = make(map[string]*expr.Expr, len(s.mem))
 	for k, v := range s.mem {
 		n.mem[k] = v
 	}
-	n.visits = make(map[int]int, len(s.visits))
-	for k, v := range s.visits {
-		n.visits[k] = v
-	}
+	n.visits = append([]int32(nil), s.visits...)
 	return n
 }
 
@@ -266,7 +273,7 @@ func (s *State) Resolve(p *expr.Expr) *expr.Expr {
 	if v, ok := s.mem[p.Key()]; ok {
 		return v
 	}
-	return expr.Deref(p)
+	return s.tab.Deref(p)
 }
 
 // ResolveDeep rewrites deref subexpressions of e through the path memory,
@@ -299,7 +306,7 @@ func (s *State) rewriteDerefs(e *expr.Expr, changed *bool) *expr.Expr {
 		// can hit. The next round retries the lookup.
 		na := s.rewriteDerefs(addr, changed)
 		if na != addr {
-			return expr.Deref(na)
+			return s.tab.Deref(na)
 		}
 		return e
 	case expr.KindBinOp:
@@ -309,7 +316,7 @@ func (s *State) rewriteDerefs(e *expr.Expr, changed *bool) *expr.Expr {
 		if nx == x && ny == y {
 			return e
 		}
-		return expr.Bin(op, nx, ny)
+		return s.tab.Bin(op, nx, ny)
 	}
 	return e
 }
@@ -320,6 +327,7 @@ type engine struct {
 	conv   isa.CallConv
 	oracle Oracle
 	opts   Options
+	tab    *expr.Table
 
 	sum        *Summary
 	ranges     map[string]vrange.Interval // facts from oracle CallEffects
@@ -328,7 +336,7 @@ type engine struct {
 	fieldSeen  map[string]bool
 	retSeen    map[string]bool
 	useSeen    map[string]bool
-	blockSeen  map[int]int // total states executed per block
+	blockSeen  []int // total states executed, by block index
 	callByAddr map[uint32]cfg.CallSite
 }
 
@@ -340,6 +348,7 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 		conv:   bin.Arch.Conv(),
 		oracle: oracle,
 		opts:   opts.withDefaults(),
+		tab:    opts.Table,
 		sum: &Summary{
 			Func:  fn.Name,
 			Addr:  fn.Addr,
@@ -351,7 +360,7 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 		fieldSeen:  make(map[string]bool),
 		retSeen:    make(map[string]bool),
 		useSeen:    make(map[string]bool),
-		blockSeen:  make(map[int]int),
+		blockSeen:  make([]int, len(fn.Blocks)),
 		callByAddr: make(map[uint32]cfg.CallSite, len(fn.Calls)),
 	}
 	for _, cs := range fn.Calls {
@@ -456,15 +465,16 @@ func orComponents(e *expr.Expr) []*expr.Expr {
 func (e *engine) initialState() *State {
 	st := &State{
 		mem:    make(map[string]*expr.Expr),
-		visits: make(map[int]int),
+		visits: make([]int32, len(e.fn.Blocks)),
+		tab:    e.tab,
 	}
 	// Uninitialized registers get function-unique symbols so that junk
 	// values never unify across functions.
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		st.regs[r] = expr.Sym("init_" + e.fn.Name + "_" + r.Name())
+		st.regs[r] = e.tab.Sym("init_" + e.fn.Name + "_" + r.Name())
 	}
 	for i, r := range e.conv.ArgRegs {
-		st.regs[r] = expr.Arg(i)
+		st.regs[r] = e.tab.Arg(i)
 		e.sum.Types[expr.ArgName(i)] = expr.TypeUnknown
 	}
 	if e.opts.InitialArgs != nil {
@@ -477,7 +487,7 @@ func (e *engine) initialState() *State {
 	for k, v := range e.opts.InitialMem {
 		st.mem[k] = v
 	}
-	st.regs[isa.SP] = expr.Sym(expr.StackSym)
+	st.regs[isa.SP] = e.tab.Sym(expr.StackSym)
 	return st
 }
 
@@ -513,7 +523,7 @@ func (e *engine) run() {
 		if !e.opts.LoopOnce {
 			limit = e.opts.MaxLoopIters
 		}
-		if st.visits[b.Index] >= limit {
+		if int(st.visits[b.Index]) >= limit {
 			continue
 		}
 		// Per-block merging bound across all paths.
@@ -603,7 +613,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		st.regs[in.Rd] = e.src(in, st)
 		e.traceReg(addr, in.Rd, st)
 	case isa.OpADD, isa.OpSUB, isa.OpMUL, isa.OpAND, isa.OpORR, isa.OpEOR, isa.OpLSL, isa.OpLSR:
-		st.regs[in.Rd] = expr.Bin(binOps[in.Op], st.regs[in.Rn], e.src(in, st))
+		st.regs[in.Rd] = e.tab.Bin(binOps[in.Op], st.regs[in.Rn], e.src(in, st))
 		e.traceReg(addr, in.Rd, st)
 	case isa.OpCMP:
 		st.cmpL = st.regs[in.Rd]
@@ -620,7 +630,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 	case isa.OpLDR, isa.OpLDRB:
 		size := accessSize(in.Op)
 		base := st.regs[in.Rn]
-		addrE := expr.Add(base, int64(in.Imm))
+		addrE := e.tab.Add(base, int64(in.Imm))
 		e.observeType(base, expr.TypePtr)
 		e.observeField(base, int64(in.Imm), loadType(size), "")
 		v := e.loadValue(addrE, st)
@@ -632,7 +642,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 	case isa.OpSTR, isa.OpSTRB:
 		size := accessSize(in.Op)
 		base := st.regs[in.Rn]
-		addrE := expr.Add(base, int64(in.Imm))
+		addrE := e.tab.Add(base, int64(in.Imm))
 		e.observeType(base, expr.TypePtr)
 		val := st.regs[in.Rd]
 		fieldTy := loadType(size)
@@ -651,7 +661,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		if e.opts.Trace != nil {
 			e.opts.Trace(addr, "deref("+addrE.Key()+") = "+val.Key())
 		}
-		e.recordDef(expr.Deref(addrE), val, addr, size)
+		e.recordDef(e.tab.Deref(addrE), val, addr, size)
 		if inLoop {
 			e.sum.LoopStores = append(e.sum.LoopStores, LoopStore{
 				Addr: addr, AddrExpr: addrE, Val: val, Size: size,
@@ -720,11 +730,11 @@ func (e *engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
 		if name, isSym := base.SymName(); isSym && name == expr.StackSym && off >= 0 && off%4 == 0 {
 			idx := 4 + int(off/4)
 			if idx < e.conv.MaxArgs {
-				return expr.Arg(idx)
+				return e.tab.Arg(idx)
 			}
 		}
 	}
-	v := expr.Deref(addrE)
+	v := e.tab.Deref(addrE)
 	e.recordUndefUse(v)
 	return v
 }
@@ -733,7 +743,7 @@ func (e *engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
 // has one, else register Rm.
 func (e *engine) src(in isa.Inst, st *State) *expr.Expr {
 	if in.HasImm {
-		return expr.Const(int64(in.Imm))
+		return e.tab.Const(int64(in.Imm))
 	}
 	return st.regs[in.Rm]
 }
@@ -760,7 +770,7 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		calleeName = "unknown"
 	}
 
-	retSym := expr.Sym(expr.RetName(calleeName, uint64(addr)))
+	retSym := e.tab.Sym(expr.RetName(calleeName, uint64(addr)))
 	ret := retSym
 	if e.oracle != nil {
 		ctx := &CallContext{
@@ -780,7 +790,7 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 					continue
 				}
 				st.mem[md.Addr.Key()] = md.Val
-				e.recordDef(expr.Deref(md.Addr), md.Val, addr, 0)
+				e.recordDef(e.tab.Deref(md.Addr), md.Val, addr, 0)
 			}
 			for k, iv := range eff.Ranges {
 				e.mergeRange(k, iv)
@@ -818,7 +828,7 @@ func (e *engine) collectArgs(st *State) []*expr.Expr {
 	}
 	sp := st.regs[isa.SP]
 	for j := 0; len(args) < e.conv.MaxArgs; j++ {
-		slot := expr.Add(sp, int64(j)*4)
+		slot := e.tab.Add(sp, int64(j)*4)
 		v, ok := st.mem[slot.Key()]
 		if !ok {
 			break

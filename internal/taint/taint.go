@@ -198,6 +198,10 @@ type Tracker struct {
 
 	bin *image.Binary
 
+	// tab builds the expressions the models and imports create (nil:
+	// a fresh node per construction).
+	tab *expr.Table
+
 	// noVRange disables the value-range sanitization refinement (the
 	// `-ablate vrange` mode): verdicts fall back to the pre-interval
 	// checks. Path discovery is identical in both modes — only the
@@ -212,6 +216,11 @@ func (t *Tracker) DisableValueRange() { t.noVRange = true }
 // SetBinary gives the tracker access to the program image, enabling
 // models that inspect read-only data (e.g. scanf format-width bounds).
 func (t *Tracker) SetBinary(b *image.Binary) { t.bin = b }
+
+// SetTable makes the tracker build its expressions through tab, the
+// table of the analysis it serves (see symexec.Options.Table). Shards
+// share it.
+func (t *Tracker) SetTable(tab *expr.Table) { t.tab = tab }
 
 // SetVocabulary replaces the compiled vocabulary driving source/sink
 // detection, propagation models, and sanitization verdicts. Must be
@@ -252,6 +261,7 @@ func (t *Tracker) Shard() *Tracker {
 	s.bin = t.bin
 	s.vocab = t.vocab
 	s.noVRange = t.noVRange
+	s.tab = t.tab
 	return s
 }
 
@@ -365,7 +375,7 @@ func (t *Tracker) Call(ctx *symexec.CallContext) symexec.CallEffect {
 	case kindAlloc:
 		return symexec.CallEffect{
 			Handled: true,
-			Ret:     expr.Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Func, ctx.Site))),
+			Ret:     t.tab.Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Func, ctx.Site))),
 		}
 	case kindNop:
 		return symexec.CallEffect{Handled: true}
@@ -377,12 +387,12 @@ func (t *Tracker) Call(ctx *symexec.CallContext) symexec.CallEffect {
 // p in the current path state. OR-combined pointers (a callee with
 // several alternative returns) resolve component-wise so taint behind any
 // alternative is seen.
-func content(ctx *symexec.CallContext, p *expr.Expr) *expr.Expr {
+func (t *Tracker) content(ctx *symexec.CallContext, p *expr.Expr) *expr.Expr {
 	if p == nil {
 		return nil
 	}
 	if op, x, y, ok := p.BinOperands(); ok && op == expr.OpOr {
-		return orCombine(content(ctx, x), content(ctx, y))
+		return t.orCombine(t.content(ctx, x), t.content(ctx, y))
 	}
 	return ctx.ResolveDeep(ctx.Resolve(p))
 }
@@ -396,13 +406,13 @@ func arg(ctx *symexec.CallContext, i int) *expr.Expr {
 	return ctx.Args[i]
 }
 
-func taintSym(source string, site uint32) *expr.Expr {
-	return expr.Sym(expr.TaintName(source, uint64(site)))
+func (t *Tracker) taintSym(source string, site uint32) *expr.Expr {
+	return t.tab.Sym(expr.TaintName(source, uint64(site)))
 }
 
 // orCombine folds non-nil expressions with OR, preserving every taint and
 // marker symbol of the operands.
-func orCombine(exprs ...*expr.Expr) *expr.Expr {
+func (t *Tracker) orCombine(exprs ...*expr.Expr) *expr.Expr {
 	var out *expr.Expr
 	for _, e := range exprs {
 		if e == nil {
@@ -415,7 +425,7 @@ func orCombine(exprs ...*expr.Expr) *expr.Expr {
 		if out.Equal(e) {
 			continue
 		}
-		out = expr.Bin(expr.OpOr, out, e)
+		out = t.tab.Bin(expr.OpOr, out, e)
 	}
 	return out
 }
@@ -479,7 +489,7 @@ func (t *Tracker) modelBufferSource(ctx *symexec.CallContext, m fnModel) symexec
 	if buf == nil {
 		return symexec.CallEffect{Handled: true}
 	}
-	ts := taintSym(ctx.Callee, ctx.Site)
+	ts := t.taintSym(ctx.Callee, ctx.Site)
 	eff := symexec.CallEffect{
 		Handled: true,
 		MemDefs: []symexec.MemDef{{Addr: buf, Val: ts}},
@@ -501,11 +511,11 @@ func (t *Tracker) modelBufferSource(ctx *symexec.CallContext, m fnModel) symexec
 }
 
 func (t *Tracker) modelReturningSource(ctx *symexec.CallContext) symexec.CallEffect {
-	ptr := expr.Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Callee, ctx.Site)))
+	ptr := t.tab.Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Callee, ctx.Site)))
 	return symexec.CallEffect{
 		Handled: true,
 		Ret:     ptr,
-		MemDefs: []symexec.MemDef{{Addr: ptr, Val: taintSym(ctx.Callee, ctx.Site)}},
+		MemDefs: []symexec.MemDef{{Addr: ptr, Val: t.taintSym(ctx.Callee, ctx.Site)}},
 	}
 }
 
@@ -513,7 +523,7 @@ func (t *Tracker) modelReturningSource(ctx *symexec.CallContext) symexec.CallEff
 // with the append flag set).
 func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src := arg(ctx, m.dest), arg(ctx, m.src)
-	c := content(ctx, src)
+	c := t.content(ctx, src)
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: c, guard: c, dstCap: stackCapacity(dst),
@@ -522,7 +532,7 @@ func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEff
 	if dst != nil && c != nil {
 		val := c
 		if m.appendTo {
-			val = orCombine(content(ctx, dst), c)
+			val = t.orCombine(t.content(ctx, dst), c)
 		}
 		eff.MemDefs = []symexec.MemDef{{Addr: dst, Val: val}}
 	}
@@ -533,19 +543,19 @@ func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEff
 // with the append flag set).
 func (t *Tracker) modelBoundedCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src, n := arg(ctx, m.dest), arg(ctx, m.src), arg(ctx, m.lenArg)
-	c := content(ctx, src)
+	c := t.content(ctx, src)
 	nRes := ctx.ResolveDeep(n)
 	// The copy is dangerous when the copied data is tainted and the length
 	// is not a sanitizing bound (e.g. strncpy(d, s, strlen(s))).
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: orCombine(c, nRes), guard: nRes, dstCap: stackCapacity(dst),
+		taint: t.orCombine(c, nRes), guard: nRes, dstCap: stackCapacity(dst),
 	})
 	eff := symexec.CallEffect{Handled: true, Ret: dst}
 	if dst != nil && c != nil {
 		val := c
 		if m.appendTo {
-			val = orCombine(content(ctx, dst), c)
+			val = t.orCombine(t.content(ctx, dst), c)
 		}
 		eff.MemDefs = []symexec.MemDef{{Addr: dst, Val: val}}
 	}
@@ -563,9 +573,9 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 		if a == nil {
 			continue
 		}
-		parts = append(parts, ctx.ResolveDeep(a), content(ctx, a))
+		parts = append(parts, ctx.ResolveDeep(a), t.content(ctx, a))
 	}
-	combined := orCombine(parts...)
+	combined := t.orCombine(parts...)
 	obs := sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: combined, guard: combined, dstCap: stackCapacity(dst),
@@ -579,7 +589,7 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 				obs.boundHint = v
 			}
 		}
-		obs.taint = orCombine(combined, sizeRes)
+		obs.taint = t.orCombine(combined, sizeRes)
 		obs.guard = sizeRes
 	}
 	t.observe(obs)
@@ -594,7 +604,7 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 // length alone is already a finding.
 func (t *Tracker) modelRawCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src, n := arg(ctx, m.dest), arg(ctx, m.src), arg(ctx, m.lenArg)
-	c := content(ctx, src)
+	c := t.content(ctx, src)
 	nRes := ctx.ResolveDeep(n)
 	// Two weaknesses: a tainted length (Heartbleed's payload), and tainted
 	// data copied under an unchecked length.
@@ -633,13 +643,13 @@ func propagateMemcpy(dst, c *expr.Expr) symexec.CallEffect {
 // through a format into variadic destination buffers.
 func (t *Tracker) modelScanCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	src := arg(ctx, m.src)
-	c := content(ctx, src)
+	c := t.content(ctx, src)
 	// A tainted format is attacker data reaching the copy in its own
 	// right (conversion widths under attacker control); OR it into the
 	// scanned content. Constant formats resolve taint-free and leave the
 	// observation unchanged.
-	if fc := content(ctx, arg(ctx, m.fmtArg)); fc != nil && fc.ContainsTaint() {
-		c = orCombine(c, fc)
+	if fc := t.content(ctx, arg(ctx, m.fmtArg)); fc != nil && fc.ContainsTaint() {
+		c = t.orCombine(c, fc)
 	}
 	// A conversion width in the format bounds the copy; it sanitizes only
 	// when the width (plus NUL) fits the smallest destination buffer —
@@ -675,7 +685,7 @@ func (t *Tracker) modelScanCopy(ctx *symexec.CallContext, m fnModel) symexec.Cal
 // unlink guarded by a '.' scan.
 func (t *Tracker) modelSepSink(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	data := arg(ctx, m.dataArg)
-	c := orCombine(ctx.ResolveDeep(data), content(ctx, data))
+	c := t.orCombine(ctx.ResolveDeep(data), t.content(ctx, data))
 	guarded := false
 	if c != nil {
 		for _, root := range guardRoots(c) {
@@ -695,7 +705,7 @@ func (t *Tracker) modelSepSink(ctx *symexec.CallContext, m fnModel) symexec.Call
 // finding; the copy destination is the output stream, not a buffer.
 func (t *Tracker) modelFormatSink(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	f := arg(ctx, m.fmtArg)
-	c := orCombine(ctx.ResolveDeep(f), content(ctx, f))
+	c := t.orCombine(ctx.ResolveDeep(f), t.content(ctx, f))
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: c, guard: f,
@@ -708,7 +718,7 @@ func (t *Tracker) modelFormatSink(ctx *symexec.CallContext, m fnModel) symexec.C
 // finding.
 func (t *Tracker) modelUnboundedRead(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	buf := arg(ctx, m.dest)
-	ts := taintSym(ctx.Callee, ctx.Site)
+	ts := t.taintSym(ctx.Callee, ctx.Site)
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: ts, guard: nil, dstCap: stackCapacity(buf),
@@ -721,15 +731,15 @@ func (t *Tracker) modelUnboundedRead(ctx *symexec.CallContext, m fnModel) symexe
 }
 
 func (t *Tracker) modelLenOf(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
-	c := content(ctx, arg(ctx, m.src))
+	c := t.content(ctx, arg(ctx, m.src))
 	if c == nil {
 		return symexec.CallEffect{Handled: true}
 	}
 	lenName := LenSymName(c.Key())
-	ret := expr.Sym(lenName)
+	ret := t.tab.Sym(lenName)
 	// The length of tainted data is itself attacker-controlled.
 	for _, ts := range c.TaintSyms() {
-		ret = expr.Bin(expr.OpOr, ret, expr.Sym(ts))
+		ret = t.tab.Bin(expr.OpOr, ret, t.tab.Sym(ts))
 	}
 	// A string length is never negative; met with any source-model bound
 	// (fgets) this pins the symbol to [0, n-1].
@@ -741,14 +751,14 @@ func (t *Tracker) modelLenOf(ctx *symexec.CallContext, m fnModel) symexec.CallEf
 }
 
 func (t *Tracker) modelParseInt(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
-	c := content(ctx, arg(ctx, m.src))
+	c := t.content(ctx, arg(ctx, m.src))
 	if c == nil {
 		return symexec.CallEffect{Handled: true}
 	}
 	name := "atoi_" + expr.Hash(c.Key())
-	ret := expr.Sym(name)
+	ret := t.tab.Sym(name)
 	for _, ts := range c.TaintSyms() {
-		ret = expr.Bin(expr.OpOr, ret, expr.Sym(ts))
+		ret = t.tab.Bin(expr.OpOr, ret, t.tab.Sym(ts))
 	}
 	eff := symexec.CallEffect{Handled: true, Ret: ret}
 	// strtol-family range model: when the input string's length is
@@ -799,14 +809,14 @@ func (t *Tracker) modelByteScan(ctx *symexec.CallContext, m fnModel) symexec.Cal
 	s, ch := arg(ctx, m.src), arg(ctx, m.byteArg)
 	if ch != nil {
 		if v, ok := ch.ConstVal(); ok && v >= 0 && v < 256 && t.vocab.guardBytes[byte(v)] {
-			if c := content(ctx, s); c != nil {
+			if c := t.content(ctx, s); c != nil {
 				for _, root := range guardRoots(c) {
 					t.guards[guardKey{root, byte(v)}] = true
 				}
 			}
 		}
 	}
-	return symexec.CallEffect{Handled: true, Ret: expr.Sym("strchr_" + expr.Hash(fmt.Sprintf("%x", ctx.Site)))}
+	return symexec.CallEffect{Handled: true, Ret: t.tab.Sym("strchr_" + expr.Hash(fmt.Sprintf("%x", ctx.Site)))}
 }
 
 // guardRoots returns the identity keys under which a guard on content c is
@@ -1449,7 +1459,11 @@ func contentLenBound(guard *expr.Expr, env vrange.Env) (int64, bool) {
 	}
 	best := int64(-1)
 	bounded := eachOrComp(guard, func(c *expr.Expr) bool {
-		iv := vrange.OfExpr(expr.Sym(LenSymName(c.Key())), env)
+		// vrange.OfExpr of the length symbol, without building it.
+		iv := vrange.Top()
+		if f, ok := env[LenSymName(c.Key())]; ok {
+			iv = iv.Meet(f)
+		}
 		if iv.Bounded() && iv.Hi > best {
 			best = iv.Hi
 		}
