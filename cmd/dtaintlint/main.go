@@ -55,8 +55,8 @@
 //     (expr.Bin, Deref, Sym, Const, Add, Arg, Taint) or of the Expr
 //     methods Subst and MapSyms builds a fresh node instead, and the
 //     sharing is lost without any test noticing. Build through the
-//     analysis's table (symexec.Options.Table, CallContext.Table, the
-//     tracker's table) instead.
+//     analysis's table (symexec.Options.Table, CallContext.Table)
+//     instead.
 //
 // Usage:
 //

@@ -165,7 +165,6 @@ func newTracker(opts Options, bin *image.Binary) *taint.Tracker {
 	t := taint.NewTracker()
 	t.SetVocabulary(opts.Vocab)
 	t.SetBinary(bin)
-	t.SetTable(opts.Symexec.Table)
 	if opts.DisableVRange {
 		t.DisableValueRange()
 	}

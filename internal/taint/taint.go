@@ -198,10 +198,6 @@ type Tracker struct {
 
 	bin *image.Binary
 
-	// tab builds the expressions the models and imports create (nil:
-	// a fresh node per construction).
-	tab *expr.Table
-
 	// noVRange disables the value-range sanitization refinement (the
 	// `-ablate vrange` mode): verdicts fall back to the pre-interval
 	// checks. Path discovery is identical in both modes — only the
@@ -216,11 +212,6 @@ func (t *Tracker) DisableValueRange() { t.noVRange = true }
 // SetBinary gives the tracker access to the program image, enabling
 // models that inspect read-only data (e.g. scanf format-width bounds).
 func (t *Tracker) SetBinary(b *image.Binary) { t.bin = b }
-
-// SetTable makes the tracker build its expressions through tab, the
-// table of the analysis it serves (see symexec.Options.Table). Shards
-// share it.
-func (t *Tracker) SetTable(tab *expr.Table) { t.tab = tab }
 
 // SetVocabulary replaces the compiled vocabulary driving source/sink
 // detection, propagation models, and sanitization verdicts. Must be
@@ -261,7 +252,6 @@ func (t *Tracker) Shard() *Tracker {
 	s.bin = t.bin
 	s.vocab = t.vocab
 	s.noVRange = t.noVRange
-	s.tab = t.tab
 	return s
 }
 
@@ -375,7 +365,7 @@ func (t *Tracker) Call(ctx *symexec.CallContext) symexec.CallEffect {
 	case kindAlloc:
 		return symexec.CallEffect{
 			Handled: true,
-			Ret:     t.tab.Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Func, ctx.Site))),
+			Ret:     ctx.Table().Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Func, ctx.Site))),
 		}
 	case kindNop:
 		return symexec.CallEffect{Handled: true}
@@ -387,12 +377,12 @@ func (t *Tracker) Call(ctx *symexec.CallContext) symexec.CallEffect {
 // p in the current path state. OR-combined pointers (a callee with
 // several alternative returns) resolve component-wise so taint behind any
 // alternative is seen.
-func (t *Tracker) content(ctx *symexec.CallContext, p *expr.Expr) *expr.Expr {
+func content(ctx *symexec.CallContext, p *expr.Expr) *expr.Expr {
 	if p == nil {
 		return nil
 	}
 	if op, x, y, ok := p.BinOperands(); ok && op == expr.OpOr {
-		return t.orCombine(t.content(ctx, x), t.content(ctx, y))
+		return orCombine(ctx, content(ctx, x), content(ctx, y))
 	}
 	return ctx.ResolveDeep(ctx.Resolve(p))
 }
@@ -406,13 +396,14 @@ func arg(ctx *symexec.CallContext, i int) *expr.Expr {
 	return ctx.Args[i]
 }
 
-func (t *Tracker) taintSym(source string, site uint32) *expr.Expr {
-	return t.tab.Sym(expr.TaintName(source, uint64(site)))
+// taintSym is the taint symbol of the source called at ctx.
+func taintSym(ctx *symexec.CallContext) *expr.Expr {
+	return ctx.Table().Sym(expr.TaintName(ctx.Callee, uint64(ctx.Site)))
 }
 
 // orCombine folds non-nil expressions with OR, preserving every taint and
-// marker symbol of the operands.
-func (t *Tracker) orCombine(exprs ...*expr.Expr) *expr.Expr {
+// marker symbol of the operands. It builds through ctx's table.
+func orCombine(ctx *symexec.CallContext, exprs ...*expr.Expr) *expr.Expr {
 	var out *expr.Expr
 	for _, e := range exprs {
 		if e == nil {
@@ -425,7 +416,7 @@ func (t *Tracker) orCombine(exprs ...*expr.Expr) *expr.Expr {
 		if out.Equal(e) {
 			continue
 		}
-		out = t.tab.Bin(expr.OpOr, out, e)
+		out = ctx.Table().Bin(expr.OpOr, out, e)
 	}
 	return out
 }
@@ -489,7 +480,7 @@ func (t *Tracker) modelBufferSource(ctx *symexec.CallContext, m fnModel) symexec
 	if buf == nil {
 		return symexec.CallEffect{Handled: true}
 	}
-	ts := t.taintSym(ctx.Callee, ctx.Site)
+	ts := taintSym(ctx)
 	eff := symexec.CallEffect{
 		Handled: true,
 		MemDefs: []symexec.MemDef{{Addr: buf, Val: ts}},
@@ -511,11 +502,11 @@ func (t *Tracker) modelBufferSource(ctx *symexec.CallContext, m fnModel) symexec
 }
 
 func (t *Tracker) modelReturningSource(ctx *symexec.CallContext) symexec.CallEffect {
-	ptr := t.tab.Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Callee, ctx.Site)))
+	ptr := ctx.Table().Sym(expr.HeapName(fmt.Sprintf("%s@%x", ctx.Callee, ctx.Site)))
 	return symexec.CallEffect{
 		Handled: true,
 		Ret:     ptr,
-		MemDefs: []symexec.MemDef{{Addr: ptr, Val: t.taintSym(ctx.Callee, ctx.Site)}},
+		MemDefs: []symexec.MemDef{{Addr: ptr, Val: taintSym(ctx)}},
 	}
 }
 
@@ -523,7 +514,7 @@ func (t *Tracker) modelReturningSource(ctx *symexec.CallContext) symexec.CallEff
 // with the append flag set).
 func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src := arg(ctx, m.dest), arg(ctx, m.src)
-	c := t.content(ctx, src)
+	c := content(ctx, src)
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: c, guard: c, dstCap: stackCapacity(dst),
@@ -532,7 +523,7 @@ func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEff
 	if dst != nil && c != nil {
 		val := c
 		if m.appendTo {
-			val = t.orCombine(t.content(ctx, dst), c)
+			val = orCombine(ctx, content(ctx, dst), c)
 		}
 		eff.MemDefs = []symexec.MemDef{{Addr: dst, Val: val}}
 	}
@@ -543,19 +534,19 @@ func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEff
 // with the append flag set).
 func (t *Tracker) modelBoundedCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src, n := arg(ctx, m.dest), arg(ctx, m.src), arg(ctx, m.lenArg)
-	c := t.content(ctx, src)
+	c := content(ctx, src)
 	nRes := ctx.ResolveDeep(n)
 	// The copy is dangerous when the copied data is tainted and the length
 	// is not a sanitizing bound (e.g. strncpy(d, s, strlen(s))).
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: t.orCombine(c, nRes), guard: nRes, dstCap: stackCapacity(dst),
+		taint: orCombine(ctx, c, nRes), guard: nRes, dstCap: stackCapacity(dst),
 	})
 	eff := symexec.CallEffect{Handled: true, Ret: dst}
 	if dst != nil && c != nil {
 		val := c
 		if m.appendTo {
-			val = t.orCombine(t.content(ctx, dst), c)
+			val = orCombine(ctx, content(ctx, dst), c)
 		}
 		eff.MemDefs = []symexec.MemDef{{Addr: dst, Val: val}}
 	}
@@ -573,9 +564,9 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 		if a == nil {
 			continue
 		}
-		parts = append(parts, ctx.ResolveDeep(a), t.content(ctx, a))
+		parts = append(parts, ctx.ResolveDeep(a), content(ctx, a))
 	}
-	combined := t.orCombine(parts...)
+	combined := orCombine(ctx, parts...)
 	obs := sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: combined, guard: combined, dstCap: stackCapacity(dst),
@@ -589,7 +580,7 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 				obs.boundHint = v
 			}
 		}
-		obs.taint = t.orCombine(combined, sizeRes)
+		obs.taint = orCombine(ctx, combined, sizeRes)
 		obs.guard = sizeRes
 	}
 	t.observe(obs)
@@ -604,7 +595,7 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 // length alone is already a finding.
 func (t *Tracker) modelRawCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src, n := arg(ctx, m.dest), arg(ctx, m.src), arg(ctx, m.lenArg)
-	c := t.content(ctx, src)
+	c := content(ctx, src)
 	nRes := ctx.ResolveDeep(n)
 	// Two weaknesses: a tainted length (Heartbleed's payload), and tainted
 	// data copied under an unchecked length.
@@ -643,13 +634,13 @@ func propagateMemcpy(dst, c *expr.Expr) symexec.CallEffect {
 // through a format into variadic destination buffers.
 func (t *Tracker) modelScanCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	src := arg(ctx, m.src)
-	c := t.content(ctx, src)
+	c := content(ctx, src)
 	// A tainted format is attacker data reaching the copy in its own
 	// right (conversion widths under attacker control); OR it into the
 	// scanned content. Constant formats resolve taint-free and leave the
 	// observation unchanged.
-	if fc := t.content(ctx, arg(ctx, m.fmtArg)); fc != nil && fc.ContainsTaint() {
-		c = t.orCombine(c, fc)
+	if fc := content(ctx, arg(ctx, m.fmtArg)); fc != nil && fc.ContainsTaint() {
+		c = orCombine(ctx, c, fc)
 	}
 	// A conversion width in the format bounds the copy; it sanitizes only
 	// when the width (plus NUL) fits the smallest destination buffer —
@@ -685,7 +676,7 @@ func (t *Tracker) modelScanCopy(ctx *symexec.CallContext, m fnModel) symexec.Cal
 // unlink guarded by a '.' scan.
 func (t *Tracker) modelSepSink(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	data := arg(ctx, m.dataArg)
-	c := t.orCombine(ctx.ResolveDeep(data), t.content(ctx, data))
+	c := orCombine(ctx, ctx.ResolveDeep(data), content(ctx, data))
 	guarded := false
 	if c != nil {
 		for _, root := range guardRoots(c) {
@@ -705,7 +696,7 @@ func (t *Tracker) modelSepSink(ctx *symexec.CallContext, m fnModel) symexec.Call
 // finding; the copy destination is the output stream, not a buffer.
 func (t *Tracker) modelFormatSink(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	f := arg(ctx, m.fmtArg)
-	c := t.orCombine(ctx.ResolveDeep(f), t.content(ctx, f))
+	c := orCombine(ctx, ctx.ResolveDeep(f), content(ctx, f))
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: c, guard: f,
@@ -718,7 +709,7 @@ func (t *Tracker) modelFormatSink(ctx *symexec.CallContext, m fnModel) symexec.C
 // finding.
 func (t *Tracker) modelUnboundedRead(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	buf := arg(ctx, m.dest)
-	ts := t.taintSym(ctx.Callee, ctx.Site)
+	ts := taintSym(ctx)
 	t.observe(sinkObs{
 		class: m.class, sink: ctx.Callee, addr: ctx.Site,
 		taint: ts, guard: nil, dstCap: stackCapacity(buf),
@@ -731,15 +722,16 @@ func (t *Tracker) modelUnboundedRead(ctx *symexec.CallContext, m fnModel) symexe
 }
 
 func (t *Tracker) modelLenOf(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
-	c := t.content(ctx, arg(ctx, m.src))
+	c := content(ctx, arg(ctx, m.src))
 	if c == nil {
 		return symexec.CallEffect{Handled: true}
 	}
 	lenName := LenSymName(c.Key())
-	ret := t.tab.Sym(lenName)
+	tab := ctx.Table()
+	ret := tab.Sym(lenName)
 	// The length of tainted data is itself attacker-controlled.
 	for _, ts := range c.TaintSyms() {
-		ret = t.tab.Bin(expr.OpOr, ret, t.tab.Sym(ts))
+		ret = tab.Bin(expr.OpOr, ret, tab.Sym(ts))
 	}
 	// A string length is never negative; met with any source-model bound
 	// (fgets) this pins the symbol to [0, n-1].
@@ -751,14 +743,15 @@ func (t *Tracker) modelLenOf(ctx *symexec.CallContext, m fnModel) symexec.CallEf
 }
 
 func (t *Tracker) modelParseInt(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
-	c := t.content(ctx, arg(ctx, m.src))
+	c := content(ctx, arg(ctx, m.src))
 	if c == nil {
 		return symexec.CallEffect{Handled: true}
 	}
 	name := "atoi_" + expr.Hash(c.Key())
-	ret := t.tab.Sym(name)
+	tab := ctx.Table()
+	ret := tab.Sym(name)
 	for _, ts := range c.TaintSyms() {
-		ret = t.tab.Bin(expr.OpOr, ret, t.tab.Sym(ts))
+		ret = tab.Bin(expr.OpOr, ret, tab.Sym(ts))
 	}
 	eff := symexec.CallEffect{Handled: true, Ret: ret}
 	// strtol-family range model: when the input string's length is
@@ -809,14 +802,14 @@ func (t *Tracker) modelByteScan(ctx *symexec.CallContext, m fnModel) symexec.Cal
 	s, ch := arg(ctx, m.src), arg(ctx, m.byteArg)
 	if ch != nil {
 		if v, ok := ch.ConstVal(); ok && v >= 0 && v < 256 && t.vocab.guardBytes[byte(v)] {
-			if c := t.content(ctx, s); c != nil {
+			if c := content(ctx, s); c != nil {
 				for _, root := range guardRoots(c) {
 					t.guards[guardKey{root, byte(v)}] = true
 				}
 			}
 		}
 	}
-	return symexec.CallEffect{Handled: true, Ret: t.tab.Sym("strchr_" + expr.Hash(fmt.Sprintf("%x", ctx.Site)))}
+	return symexec.CallEffect{Handled: true, Ret: ctx.Table().Sym("strchr_" + expr.Hash(fmt.Sprintf("%x", ctx.Site)))}
 }
 
 // guardRoots returns the identity keys under which a guard on content c is
