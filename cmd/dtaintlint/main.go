@@ -1039,12 +1039,8 @@ func mentionsSSENode(t ast.Expr, inSSE bool) bool {
 // the packages whose constructions run inside one analysis.
 func exprTableScope(dir string) bool {
 	dir = filepath.ToSlash(dir)
-	for _, p := range []string{"internal/symexec", "internal/taint", "internal/dataflow"} {
-		if strings.HasSuffix(dir, p) || strings.Contains(dir, p+"/") {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(dir, "internal/symexec") || strings.Contains(dir, "internal/taint") ||
+		strings.Contains(dir, "internal/dataflow")
 }
 
 // exprConstructors are the package-level expr functions that build a node.
