@@ -267,7 +267,7 @@ func (o cliOptions) observability() (opts []dtaint.Option, flush func() error, e
 		// into a journal (by dtaint.New) and the printer renders the
 		// events — the same stream dtaintd serves over SSE.
 		j := dtaint.NewEventJournal(0)
-		attachProgress(j, os.Stderr)
+		j.AttachProgressPrinter(os.Stderr)
 		opts = append(opts, dtaint.WithEventJournal(j))
 	}
 	if o.logLevel != "" {

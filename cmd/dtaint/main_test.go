@@ -409,7 +409,7 @@ func TestProgressWriter(t *testing.T) {
 	tracer := dtaint.NewTracer()
 	journal := dtaint.NewEventJournal(0)
 	var buf strings.Builder
-	attachProgress(journal, &buf)
+	journal.AttachProgressPrinter(&buf)
 	a := dtaint.New(dtaint.WithTracer(tracer), dtaint.WithEventJournal(journal))
 	if _, err := a.AnalyzeExecutable(raw); err != nil {
 		t.Fatal(err)

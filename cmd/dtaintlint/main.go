@@ -50,13 +50,14 @@
 //
 //  6. expr-table — the shared-construction contract. One analysis
 //     builds its expressions through one expr.Table, which builds each
-//     distinct node once. In internal/symexec, internal/taint and
-//     internal/dataflow a call of a package-level expr constructor
-//     (expr.Bin, Deref, Sym, Const, Add, Arg, Taint) or of the Expr
-//     methods Subst and MapSyms builds a fresh node instead, and the
-//     sharing is lost without any test noticing. Build through the
-//     analysis's table (symexec.Options.Table, CallContext.Table)
-//     instead.
+//     distinct node once. In internal/symexec, internal/taint,
+//     internal/dataflow, internal/sse, internal/alias and
+//     internal/sumstore a call of a package-level expr constructor
+//     (expr.Bin, Deref, Sym, Const, Add, Arg) or of the Expr methods
+//     Subst and MapSyms builds a fresh node instead, and the sharing is
+//     lost without any test noticing. Build through the analysis's
+//     table (symexec.Options.Table, CallContext.Table, or the table an
+//     interner, rewrite or decoder is given) instead.
 //
 // Usage:
 //
@@ -1039,13 +1040,17 @@ func mentionsSSENode(t ast.Expr, inSSE bool) bool {
 // the packages whose constructions run inside one analysis.
 func exprTableScope(dir string) bool {
 	dir = filepath.ToSlash(dir)
-	return strings.Contains(dir, "internal/symexec") || strings.Contains(dir, "internal/taint") ||
-		strings.Contains(dir, "internal/dataflow")
+	for _, pkg := range []string{"symexec", "taint", "dataflow", "sse", "alias", "sumstore"} {
+		if strings.Contains(dir, "internal/"+pkg) {
+			return true
+		}
+	}
+	return false
 }
 
 // exprConstructors are the package-level expr functions that build a node.
 var exprConstructors = map[string]bool{
-	"Bin": true, "Deref": true, "Sym": true, "Const": true, "Add": true, "Arg": true, "Taint": true,
+	"Bin": true, "Deref": true, "Sym": true, "Const": true, "Add": true, "Arg": true,
 }
 
 // lintExprTable flags constructions that bypass the analysis's table:

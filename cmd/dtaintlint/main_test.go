@@ -543,7 +543,11 @@ func build(tab *expr.Table, e *expr.Expr, f func(string) *expr.Expr) []*expr.Exp
 `
 	// The rule covers the packages that run inside one analysis, and
 	// no others.
-	for dir, want := range map[string]int{"internal/taint": 4, "internal/dataflow/sub": 4, "internal/alias": 0} {
+	for dir, want := range map[string]int{
+		"internal/taint": 4, "internal/dataflow/sub": 4,
+		"internal/sse": 4, "internal/alias": 4, "internal/sumstore": 4,
+		"internal/structsim": 0,
+	} {
 		root := t.TempDir()
 		pkg := filepath.Join(root, filepath.FromSlash(dir))
 		if err := os.MkdirAll(pkg, 0o755); err != nil {

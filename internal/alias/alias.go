@@ -75,9 +75,10 @@ type Stats struct {
 }
 
 // Rewrite returns the input definition pairs extended with the alias
-// variants of Algorithm 1. types carries the function's inferred types
-// (used for the "u is a pointer" test). The input slice is not modified.
-func Rewrite(dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPair, Stats) {
+// variants of Algorithm 1, built through tab. types carries the
+// function's inferred types (used for the "u is a pointer" test). The
+// input slice is not modified.
+func Rewrite(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPair, Stats) {
 	var st Stats
 	var aliases []aliasEntry
 	var dop []dopEntry
@@ -114,11 +115,11 @@ func Rewrite(dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPa
 					continue
 				}
 				// d.Replace(p, alias - o)
-				replacement := expr.Bin(expr.OpSub, ae.d, expr.Const(ae.off))
+				replacement := tab.Bin(expr.OpSub, ae.d, tab.Const(ae.off))
 				if replacement.Equal(ptr) {
 					continue // degenerate self-alias
 				}
-				newD := de.d.Subst(ptr, replacement)
+				newD := tab.Subst(de.d, ptr, replacement)
 				if newD.Equal(de.d) {
 					continue
 				}
@@ -140,12 +141,13 @@ func Rewrite(dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPa
 }
 
 // Classes builds the SSE query engine for a function: every
-// stored-pointer definition among dps becomes one union in an interned
-// access-path union-find. The result answers on-demand alias queries
+// stored-pointer definition among dps becomes one union in an
+// access-path union-find over tab's nodes (a nil tab gives the engine a
+// table of its own). The result answers on-demand alias queries
 // (Interner.Alias) and enumerates equivalent spellings
 // (Interner.PathExprs) without any pairwise rewriting.
-func Classes(dps []symexec.DefPair, types map[string]expr.Type) *sse.Interner {
-	in := sse.NewInterner()
+func Classes(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type) *sse.Interner {
+	in := sse.NewInterner(tab)
 	for _, p := range dps {
 		if p.D == nil || p.U == nil || !p.D.IsDeref() || !isPointerValue(p.U, types) {
 			continue
@@ -168,9 +170,17 @@ func Classes(dps []symexec.DefPair, types map[string]expr.Type) *sse.Interner {
 // class, transitively through chained facts (a shape Algorithm 1 cannot
 // reach: its synthesized pairs are never re-examined). The input slice
 // is not modified; results are deterministic for a given input order.
+// The classes get a table of their own and the rewritten definitions
+// are built on the nil table; an analysis calls RewriteSSEIn with its
+// table instead.
 func RewriteSSE(dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPair, Stats) {
+	return RewriteSSEIn(nil, dps, types)
+}
+
+// RewriteSSEIn is RewriteSSE building through tab.
+func RewriteSSEIn(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPair, Stats) {
 	var st Stats
-	in := Classes(dps, types)
+	in := Classes(tab, dps, types)
 	out := append([]symexec.DefPair(nil), dps...)
 	if in.ClassCount() == 0 {
 		// No alias facts: skip the DOP scan entirely — most functions
@@ -203,7 +213,7 @@ func RewriteSSE(dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.De
 				if form.Equal(ptr) {
 					continue
 				}
-				newD := de.d.Subst(ptr, form)
+				newD := tab.Subst(de.d, ptr, form)
 				if newD.Equal(de.d) {
 					continue
 				}

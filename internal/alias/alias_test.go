@@ -31,7 +31,7 @@ func TestStoredPointerAlias(t *testing.T) {
 		dp(expr.Deref(expr.Add(q, 4)), p), // *(q+4) = p
 		dp(expr.Deref(p), v),              // *p = 7
 	}
-	out, _ := Rewrite(in, types)
+	out, _ := Rewrite(nil, in, types)
 	want := expr.Deref(expr.Deref(expr.Add(q, 4))).Key()
 	if !hasPair(out, want, v.Key()) {
 		t.Fatalf("alias variant %s = %s missing; got %d pairs", want, v, len(out))
@@ -50,7 +50,7 @@ func TestAliasWithOffsets(t *testing.T) {
 		dp(expr.Deref(expr.Add(q, 4)), expr.Add(p, 8)),
 		dp(expr.Deref(expr.Add(p, 12)), v),
 	}
-	out, _ := Rewrite(in, types)
+	out, _ := Rewrite(nil, in, types)
 	want := expr.Deref(expr.Add(expr.Deref(expr.Add(q, 4)), 4)).Key()
 	if !hasPair(out, want, v.Key()) {
 		keys := make([]string, 0, len(out))
@@ -76,7 +76,7 @@ func TestMultiBasePointers(t *testing.T) {
 		dp(expr.Deref(g), inner), // *g = deref(arg0+0x58): alias of the inner base
 		dp(outer, v),
 	}
-	out, _ := Rewrite(in, types)
+	out, _ := Rewrite(nil, in, types)
 	// mem[g] holds the inner pointer value, so the field is reachable as
 	// deref(deref(g) + 0xEC).
 	want := expr.Deref(expr.Add(expr.Deref(g), 0xEC)).Key()
@@ -96,7 +96,7 @@ func TestNonPointerValueIgnored(t *testing.T) {
 		dp(expr.Deref(expr.Add(q, 4)), n),
 		dp(expr.Deref(n), expr.Const(1)),
 	}
-	out, _ := Rewrite(in, nil)
+	out, _ := Rewrite(nil, in, nil)
 	if len(out) != len(in) {
 		t.Fatalf("non-pointer store produced aliases: %d pairs", len(out))
 	}
@@ -111,7 +111,7 @@ func TestHeapPointerIsStructurallyPointer(t *testing.T) {
 		dp(expr.Deref(q), h),
 		dp(expr.Deref(h), v),
 	}
-	out, _ := Rewrite(in, nil)
+	out, _ := Rewrite(nil, in, nil)
 	want := expr.Deref(expr.Deref(q)).Key()
 	if !hasPair(out, want, v.Key()) {
 		t.Fatal("heap pointer alias not recognized")
@@ -126,8 +126,8 @@ func TestIdempotentOnRewrittenSet(t *testing.T) {
 		dp(expr.Deref(expr.Add(q, 4)), p),
 		dp(expr.Deref(p), expr.Const(7)),
 	}
-	once, _ := Rewrite(in, types)
-	twice, _ := Rewrite(once, types)
+	once, _ := Rewrite(nil, in, types)
+	twice, _ := Rewrite(nil, once, types)
 	// A second pass may add derived pairs but must not duplicate existing
 	// ones.
 	seen := map[string]int{}
@@ -149,7 +149,7 @@ func TestInputNotMutated(t *testing.T) {
 		dp(expr.Deref(expr.Add(q, 4)), p),
 		dp(expr.Deref(p), expr.Const(7)),
 	}
-	out, _ := Rewrite(in, types)
+	out, _ := Rewrite(nil, in, types)
 	if len(in) != 2 {
 		t.Fatal("input length changed")
 	}
@@ -171,7 +171,7 @@ func TestBlowupBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in = append(in, dp(expr.Deref(expr.Add(p, int64(i*4))), expr.Const(int64(i))))
 	}
-	out, _ := Rewrite(in, types)
+	out, _ := Rewrite(nil, in, types)
 	if len(out) > len(in)+MaxNewPairs {
 		t.Fatalf("alias blowup: %d pairs", len(out))
 	}
@@ -183,7 +183,7 @@ func TestConstantBaseIgnored(t *testing.T) {
 	in := []symexec.DefPair{
 		dp(expr.Deref(q), expr.Const(0x670B0)),
 	}
-	out, _ := Rewrite(in, map[string]expr.Type{expr.Const(0x670B0).Key(): expr.TypeIntPtr})
+	out, _ := Rewrite(nil, in, map[string]expr.Type{expr.Const(0x670B0).Key(): expr.TypeIntPtr})
 	if len(out) != 1 {
 		t.Fatalf("constant alias created: %d pairs", len(out))
 	}
@@ -249,7 +249,7 @@ func TestRewriteSSETransitiveChain(t *testing.T) {
 	}
 	chained := expr.Deref(expr.Deref(expr.Add(expr.Deref(expr.Add(a, 8)), 4))).Key()
 
-	old, _ := Rewrite(in, types)
+	old, _ := Rewrite(nil, in, types)
 	if hasPair(old, chained, v.Key()) {
 		t.Fatal("Algorithm 1 unexpectedly found the chained variant — SSE ablation would be vacuous")
 	}
@@ -300,7 +300,7 @@ func TestRewriteDroppedCounted(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		in = append(in, dp(expr.Deref(expr.Add(p, int64(i*4))), expr.Const(int64(i))))
 	}
-	out, st := Rewrite(in, types)
+	out, st := Rewrite(nil, in, types)
 	if st.Added != MaxNewPairs {
 		t.Fatalf("added = %d, want cap %d", st.Added, MaxNewPairs)
 	}

@@ -429,7 +429,7 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 		scratch := newTracker(opts, prog.Binary)
 		return func(i int) bool {
 			if store != nil {
-				if sum, ok := store.GetSummary(keys[i]); ok {
+				if sum, ok := store.GetSummary(opts.Symexec.Table, keys[i]); ok {
 					sums[i] = sum
 					return true
 				}
@@ -633,7 +633,11 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		if e == nil {
 			return nil
 		}
-		if r, ok := memo[e.Key()]; ok { //dtaintlint:ignore sse-key-identity callee facts may be decoded store entries or come from another analysis, which no table interns; the key is their canonical identity
+		// Every callee fact of an analysis, replayed ones included, is a
+		// node of its table, so the memo could key by node. It keys by
+		// spelling so that equal nodes built elsewhere (on the nil
+		// table, say) still share one result.
+		if r, ok := memo[e.Key()]; ok {
 			return r
 		}
 		if memo == nil {
@@ -652,7 +656,7 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		// Only symbol nodes can be formal arguments: one symbol walk
 		// substitutes the actuals without re-walking them.
 		r = ctx.ResolveDeep(tab.MapSyms(r, actual))
-		memo[e.Key()] = r //dtaintlint:ignore sse-key-identity callee facts may be decoded store entries or come from another analysis, which no table interns; the key is their canonical identity
+		memo[e.Key()] = r
 		return r
 	}
 }

@@ -168,7 +168,7 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 		replayed := false
 		var r compResult
 		if store != nil {
-			if ent, ok := store.GetEntry(keys[i]); ok {
+			if ent, ok := store.GetEntry(opts.Symexec.Table, keys[i]); ok {
 				r, replayed = entryToComp(ent), true
 			}
 		}
@@ -329,9 +329,9 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 		if !opts.DisableAlias {
 			var ast alias.Stats
 			if opts.DisableSSE {
-				sum.DefPairs, ast = alias.Rewrite(sum.DefPairs, sum.Types)
+				sum.DefPairs, ast = alias.Rewrite(opts.Symexec.Table, sum.DefPairs, sum.Types)
 			} else {
-				sum.DefPairs, ast = alias.RewriteSSE(sum.DefPairs, sum.Types)
+				sum.DefPairs, ast = alias.RewriteSSEIn(opts.Symexec.Table, sum.DefPairs, sum.Types)
 			}
 			run.span.SetAttr("alias_added", ast.Added)
 			run.span.SetAttr("alias_dropped", ast.Dropped)

@@ -20,14 +20,14 @@ import (
 // idiom registers under the ops argument while the dispatcher loads
 // through obj->ops. Here both sides are expanded through their
 // function's SSE alias classes into every equivalent spelling, each
-// spelling is root-abstracted and interned into one shared table, and a
-// callsite binds to a registration when their interned paths are
-// pointer-identical. Layout similarity is demoted to a tie-breaker
+// spelling is root-abstracted through the analysis's expression table,
+// and a callsite binds to a registration when their abstracted paths are
+// one table node. Layout similarity is demoted to a tie-breaker
 // between matching registrations; callsites with no SSE match fall back
 // to plain structsim resolution.
 
 // resolveRootSym is the root placeholder both sides are rewritten to
-// before interning, mirroring structsim's layout canonicalization.
+// before matching, mirroring structsim's layout canonicalization.
 const resolveRootSym = "ROOT"
 
 // Expansion bounds for spelling enumeration, matching the alias
@@ -54,14 +54,6 @@ type regCandidate struct {
 	target string
 	fn     string
 	root   string
-}
-
-// regKey addresses one abstracted access path in the shared interner.
-// The node field is the interned pointer itself: two spellings collide
-// exactly when they canonicalize to the same path.
-type regKey struct {
-	node *sse.Node
-	off  int64
 }
 
 // abstractRoot rewrites e's root symbol to the shared placeholder so
@@ -102,7 +94,7 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 	layoutsByFunc := make(map[string][]*structsim.Layout, len(names))
 	for _, name := range names {
 		sum := sums[name]
-		classes[name] = alias.Classes(sum.DefPairs, sum.Types)
+		classes[name] = alias.Classes(tab, sum.DefPairs, sum.Types)
 		layoutsByFunc[name] = structsim.BuildLayouts(sum)
 	}
 	layoutOf := func(fn, root string) *structsim.Layout {
@@ -115,10 +107,10 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 	}
 
 	// Registration index: every spelling of every function-pointer
-	// store, root-abstracted and interned into the shared table.
-	shared := sse.NewInterner()
-	regs := make(map[regKey][]regCandidate)
-	regSeen := make(map[regKey]map[string]bool)
+	// store, keyed by its root-abstracted table node. Two spellings
+	// collide exactly when they abstract to the same path.
+	regs := make(map[*expr.Expr][]regCandidate)
+	regSeen := make(map[*expr.Expr]map[string]bool)
 	for _, name := range names {
 		sum := sums[name]
 		li := classes[name]
@@ -135,16 +127,10 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 				rootName, _ = r.SymName()
 			}
 			for _, form := range li.PathExprs(pb, resolveVariantDepth, resolveVariantMax) {
-				addr := tab.Add(form, fo.Off)
-				ab, ok := abstractRoot(tab, addr)
+				k, ok := abstractRoot(tab, tab.Add(form, fo.Off))
 				if !ok {
 					continue
 				}
-				gp, ok := shared.Intern(ab)
-				if !ok {
-					continue
-				}
-				k := regKey{node: gp.Node, off: gp.Off}
 				id := fo.FnTarget + "\x00" + name
 				if regSeen[k] == nil {
 					regSeen[k] = make(map[string]bool)
@@ -204,11 +190,7 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 					if !ok {
 						continue
 					}
-					gp, ok := shared.Intern(ab)
-					if !ok {
-						continue
-					}
-					for _, c := range regs[regKey{node: gp.Node, off: gp.Off}] {
+					for _, c := range regs[ab] {
 						score := 0.0
 						if sim, ok := structsim.Similarity(siteLayout, layoutOf(c.fn, c.root)); ok {
 							score = sim

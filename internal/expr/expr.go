@@ -216,9 +216,6 @@ func RetName(callee string, site uint64) string {
 // IsRetSym reports whether name is a callsite-return symbol.
 func IsRetSym(name string) bool { return strings.HasPrefix(name, "ret_") }
 
-// Taint returns the canonical taint symbol.
-func Taint() *Expr { return Sym(TaintSym) }
-
 // Deref returns a memory access of addr.
 func Deref(addr *Expr) *Expr { return (*Table)(nil).Deref(addr) }
 

@@ -17,7 +17,7 @@ func FuzzIntern(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x01, 0x04, 0x04, 0x00, 0x03, 0x08})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		in := NewInterner()
+		in := NewInterner(nil)
 		a := expr.Sym("arg0")
 		b := expr.Sym("arg1")
 		for i := 0; i+1 < len(ops); i += 2 {

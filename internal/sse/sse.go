@@ -6,12 +6,14 @@
 //
 // An access path is a root symbol followed by dereference steps with
 // normalized constant offsets: deref(deref(arg0+0x58)+0xEC) is the node
-// chain arg0 → child(0x58) → child(0xEC). Every node is hash-consed, so
-// two canonically-equal access paths are represented by the *same* node
-// pointer and "are these the same path?" is a pointer comparison. A
-// union-find with offset potentials over the interned nodes then turns
-// "do p and q alias?" into a find-root comparison plus an offset check —
-// O(α(n)) per query instead of Algorithm 1's pairwise rewriting.
+// chain arg0 → child(0x58) → child(0xEC). The nodes are those of the
+// analysis's expr.Table, which hash-conses every expression it builds,
+// so two canonically-equal access paths are represented by the *same*
+// node pointer and "are these the same path?" is a pointer comparison.
+// This package adds only a union-find with offset potentials over the
+// table's nodes, which turns "do p and q alias?" into a find-root
+// comparison plus an offset check — O(α(n)) per query instead of
+// Algorithm 1's pairwise rewriting.
 //
 // Identity contract: within one Interner, canonical equality IS pointer
 // equality. Code building on this package must compare nodes with ==,
@@ -22,31 +24,24 @@ import (
 	"dtaint/internal/expr"
 )
 
-// Node is one interned access-path node. Roots carry a symbol name;
-// children represent deref(parent + off). Nodes are created only by an
-// Interner and are unique per (parent, off) / root name, so equality is
-// pointer identity.
+// Node is one interned access-path node: a Sym node (a root) or a
+// Deref node (a child) of the interner's expr.Table, plus its
+// union-find state. Children represent deref(value(parent) + off).
+// Nodes are created only by an Interner, one per table node, so
+// equality is pointer identity.
 type Node struct {
-	parent *Node  // nil for roots
-	off    int64  // child step: this = deref(value(parent) + off)
-	name   string // root symbol name (roots only)
 	ex     *expr.Expr
-	id     int // creation order, for deterministic tie-breaks
+	parent *Node // nil for roots
+	off    int64 // child step: this = deref(value(parent) + off)
+	id     int   // creation order, for deterministic tie-breaks
 
 	// Union-find state (see unionfind.go): value(n) = value(uf) + delta.
 	uf    *Node
 	delta int64
 }
 
-// Parent returns the parent node and step offset (zero value for roots).
-func (n *Node) Parent() (*Node, int64) { return n.parent, n.off }
-
-// Name returns the root symbol name ("" for non-roots).
-func (n *Node) Name() string { return n.name }
-
-// Expr returns the canonical expression form of the node: Sym(name) for
-// roots, deref(parentExpr + off) for children. The expression is built
-// once at interning time, so this never allocates.
+// Expr returns the node's expression: the table's Sym(name) for roots,
+// its deref(parentExpr + off) for children.
 func (n *Node) Expr() *expr.Expr { return n.ex }
 
 // Path is a canonical pointer value: an interned access-path node plus a
@@ -56,18 +51,6 @@ func (n *Node) Expr() *expr.Expr { return n.ex }
 type Path struct {
 	Node *Node
 	Off  int64
-}
-
-// Expr returns the expression form value(Node) + Off.
-func (p Path) Expr() *expr.Expr { return expr.Add(p.Node.Expr(), p.Off) }
-
-// childKey addresses one hash-cons slot: children are unique per
-// (parent identity, offset). The parent field is the interned pointer
-// itself — the table's structural sharing is what makes canonical
-// equality collapse to pointer equality.
-type childKey struct {
-	parent *Node
-	off    int64
 }
 
 // Stats reports the interner's table shape and hit rate.
@@ -88,37 +71,39 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Interner owns a hash-cons table and the union-find over its nodes.
-// It is not safe for concurrent use; analyses hold one per function (or
-// one per resolution pass) so interning stays deterministic.
+// Interner is a union-find over the access-path nodes of one
+// expr.Table. It is not safe for concurrent use; analyses hold one per
+// function (or one per resolution pass) so interning stays
+// deterministic. Several interners may share one table: each keeps its
+// own classes over the same nodes.
 type Interner struct {
-	// roots is the hash-cons slot for root nodes, keyed by the root's
-	// symbol NAME — the one string that exists before any node does.
-	roots    map[string]*Node //dtaintlint:ignore sse-key-identity the hash-cons table itself: symbol names precede node identity
-	children map[childKey]*Node
-	members  map[*Node][]*Node // class members, keyed by representative
+	tab     *expr.Table
+	nodes   map[*expr.Expr]*Node // union-find state, by table node
+	members map[*Node][]*Node    // class members, keyed by representative
 	// kids indexes each class's children by displacement relative to the
 	// representative's value, for congruence closure (see unionfind.go).
 	kids     map[*Node]map[int64]*Node
-	nodes    int
 	hits     uint64
 	misses   uint64
 	unions   int
 	conflict int
 }
 
-// NewInterner returns an empty interner. The internal tables are
-// allocated lazily on first intern: analyses hold one interner per
-// function, and most functions never intern a node, so the empty case
-// must cost nothing.
-func NewInterner() *Interner {
-	return &Interner{}
+// NewInterner returns an empty interner over tab's nodes; a nil tab
+// gives the interner a table of its own. Its maps are allocated lazily
+// on first intern: analyses hold one interner per function, and most
+// functions never intern a node, so the empty case must cost nothing.
+func NewInterner(tab *expr.Table) *Interner {
+	if tab == nil {
+		tab = new(expr.Table)
+	}
+	return &Interner{tab: tab}
 }
 
 // Stats returns the current table statistics.
 func (in *Interner) Stats() Stats {
 	return Stats{
-		Nodes:     in.nodes,
+		Nodes:     len(in.nodes),
 		Hits:      in.hits,
 		Misses:    in.misses,
 		Unions:    in.unions,
@@ -126,55 +111,34 @@ func (in *Interner) Stats() Stats {
 	}
 }
 
-func (in *Interner) newNode(n *Node) *Node {
-	n.id = in.nodes
-	in.nodes++
+// node returns the node of table node ex, creating it as the child
+// (parent, off) — or a root, for a nil parent — on first sight.
+func (in *Interner) node(ex *expr.Expr, parent *Node, off int64) *Node {
+	if n, ok := in.nodes[ex]; ok {
+		in.hits++
+		return n
+	}
+	in.misses++
+	n := &Node{ex: ex, parent: parent, off: off, id: len(in.nodes)}
 	n.uf = n
-	n.ex = canonicalExpr(n)
-	if in.members == nil {
+	if in.nodes == nil {
+		in.nodes = make(map[*expr.Expr]*Node)
 		in.members = make(map[*Node][]*Node)
 	}
+	in.nodes[ex] = n
 	in.members[n] = []*Node{n}
-	return n
-}
-
-func canonicalExpr(n *Node) *expr.Expr {
-	if n.parent == nil {
-		return expr.Sym(n.name)
+	if parent != nil {
+		in.registerChild(n)
 	}
-	return expr.Deref(expr.Add(n.parent.ex, n.off))
+	return n
 }
 
 // Root interns the root node for a symbol name.
-func (in *Interner) Root(name string) *Node {
-	if n, ok := in.roots[name]; ok {
-		in.hits++
-		return n
-	}
-	in.misses++
-	n := in.newNode(&Node{name: name})
-	if in.roots == nil {
-		in.roots = make(map[string]*Node) //dtaintlint:ignore sse-key-identity the hash-cons table itself: symbol names precede node identity
-	}
-	in.roots[name] = n
-	return n
-}
+func (in *Interner) Root(name string) *Node { return in.node(in.tab.Sym(name), nil, 0) }
 
 // Child interns the node deref(value(parent) + off).
 func (in *Interner) Child(parent *Node, off int64) *Node {
-	k := childKey{parent: parent, off: off}
-	if n, ok := in.children[k]; ok {
-		in.hits++
-		return n
-	}
-	in.misses++
-	n := in.newNode(&Node{parent: parent, off: off})
-	if in.children == nil {
-		in.children = make(map[childKey]*Node)
-	}
-	in.children[k] = n
-	in.registerChild(n)
-	return n
+	return in.node(in.tab.Deref(in.tab.Add(parent.ex, off)), parent, off)
 }
 
 // Intern canonicalizes a pointer expression into (node, offset) form.

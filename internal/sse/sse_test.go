@@ -3,6 +3,7 @@ package sse
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,28 +71,28 @@ func (s pathSpec) buildScrambled(flip uint8) *expr.Expr {
 
 func TestCanonicalizationLaws(t *testing.T) {
 	qc(t, "idempotent", func(s pathSpec) bool {
-		in := NewInterner()
+		in := NewInterner(nil)
 		p, ok := in.Intern(s.build())
 		if !ok {
 			return false
 		}
-		q, ok := in.Intern(p.Expr())
+		q, ok := in.Intern(expr.Add(p.Node.Expr(), p.Off))
 		return ok && p == q
 	})
 	qc(t, "canonical-equal is pointer-identical", func(s pathSpec) bool {
-		in := NewInterner()
+		in := NewInterner(nil)
 		p, ok1 := in.Intern(s.build())
 		q, ok2 := in.Intern(s.build())
 		return ok1 && ok2 && p.Node == q.Node && p.Off == q.Off
 	})
 	qc(t, "commutative offsets normalize identically", func(s pathSpec, flip uint8) bool {
-		in := NewInterner()
+		in := NewInterner(nil)
 		p, ok1 := in.Intern(s.build())
 		q, ok2 := in.Intern(s.buildScrambled(flip))
 		return ok1 && ok2 && p == q
 	})
 	qc(t, "alias is reflexive", func(s pathSpec) bool {
-		in := NewInterner()
+		in := NewInterner(nil)
 		p, ok := in.Intern(s.build())
 		return ok && in.Alias(p, p)
 	})
@@ -117,7 +118,7 @@ func (groupModel) Generate(r *rand.Rand, _ int) reflect.Value {
 
 func TestUnionFindMatchesModel(t *testing.T) {
 	qc(t, "alias agrees with hidden-value model", func(m groupModel, qa, qb uint8, oa, ob int8) bool {
-		in := NewInterner()
+		in := NewInterner(nil)
 		nodes := make([]*Node, len(m.Group))
 		for i := range nodes {
 			nodes[i] = in.Root(specRoots[i])
@@ -142,7 +143,7 @@ func TestUnionFindMatchesModel(t *testing.T) {
 }
 
 func TestWeightedUnion(t *testing.T) {
-	in := NewInterner()
+	in := NewInterner(nil)
 	a, b := in.Root("a"), in.Root("b")
 	// value(a) = value(b) + 8.
 	if !in.Union(a, 0, b, 8) {
@@ -164,7 +165,7 @@ func TestWeightedUnion(t *testing.T) {
 }
 
 func TestCongruenceClosure(t *testing.T) {
-	in := NewInterner()
+	in := NewInterner(nil)
 	a, b := in.Root("a"), in.Root("b")
 	ca := in.Child(a, 4)
 	in.Union(a, 0, b, 0)
@@ -189,7 +190,7 @@ func TestCongruenceClosure(t *testing.T) {
 func TestCongruenceAtInternTime(t *testing.T) {
 	// The union exists before the second spelling is interned: the new
 	// child must land in the existing class at creation time.
-	in := NewInterner()
+	in := NewInterner(nil)
 	arg0, arg1 := in.Root("arg0"), in.Root("arg1")
 	in.Union(in.Child(arg0, 8), 0, arg1, 0) // deref(arg0+8) = arg1
 	p, ok := in.Intern(expr.Deref(expr.Add(expr.Sym("arg1"), 4)))
@@ -206,7 +207,7 @@ func TestCongruenceAtInternTime(t *testing.T) {
 }
 
 func TestInternRejectsNonPaths(t *testing.T) {
-	in := NewInterner()
+	in := NewInterner(nil)
 	if _, ok := in.Intern(nil); ok {
 		t.Fatal("nil interned")
 	}
@@ -222,7 +223,7 @@ func TestInternRejectsNonPaths(t *testing.T) {
 func TestPathExprsExpandsThroughClasses(t *testing.T) {
 	// The register/dispatch shape: deref(arg0+8) = arg1 registered, then
 	// the path deref(arg1+4) must also spell as deref(deref(arg0+8)+4).
-	in := NewInterner()
+	in := NewInterner(nil)
 	arg0 := in.Root("arg0")
 	arg1 := in.Root("arg1")
 	in.Union(in.Child(arg0, 8), 0, arg1, 0)
@@ -248,7 +249,7 @@ func TestPathExprsExpandsThroughClasses(t *testing.T) {
 }
 
 func TestPathExprsBudget(t *testing.T) {
-	in := NewInterner()
+	in := NewInterner(nil)
 	base := in.Root("p")
 	for i := 0; i < 20; i++ {
 		in.Union(in.Child(in.Root(specRoots[i%len(specRoots)]), int64(i)*4), 0, base, 0)
@@ -259,7 +260,7 @@ func TestPathExprsBudget(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	in := NewInterner()
+	in := NewInterner(nil)
 	in.Root("a")
 	in.Root("a")
 	in.Child(in.Root("a"), 4)
@@ -275,5 +276,73 @@ func TestStats(t *testing.T) {
 	}
 	if (Stats{}).HitRate() != 0 {
 		t.Fatal("empty hit rate not zero")
+	}
+}
+
+// TestInternBuildsTableNodes: an interner given a table interns that
+// table's nodes, so its paths and spellings are the analysis's own
+// expressions.
+func TestInternBuildsTableNodes(t *testing.T) {
+	tab := new(expr.Table)
+	in := NewInterner(tab)
+	p, ok := in.Intern(expr.Add(expr.Deref(expr.Add(expr.Deref(expr.Add(expr.Sym("arg0"), 8)), 4)), 2))
+	if !ok {
+		t.Fatal("intern failed")
+	}
+	steps := 0
+	for n := p.Node; n.parent != nil; n = n.parent {
+		if n.Expr() != tab.Deref(tab.Add(n.parent.Expr(), n.off)) {
+			t.Fatalf("child %s is not the table's node", n.Expr())
+		}
+		steps++
+	}
+	if steps != 2 || in.Root("arg0").Expr() != tab.Sym("arg0") {
+		t.Fatalf("root is not the table's symbol after %d steps", steps)
+	}
+}
+
+// TestInternersShareTable: two interners over one table keep their own
+// classes but spell every path with the same nodes.
+func TestInternersShareTable(t *testing.T) {
+	tab := new(expr.Table)
+	spell := func() []*expr.Expr {
+		in := NewInterner(tab)
+		in.Union(in.Child(in.Root("arg0"), 8), 0, in.Root("arg1"), 0)
+		return in.PathExprs(Path{Node: in.Child(in.Root("arg1"), 4), Off: 2}, 2, 16)
+	}
+	a, b := spell(), spell()
+	if len(a) < 2 || len(a) != len(b) {
+		t.Fatalf("spellings: %v and %v", a, b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("spelling %d: %p vs %p for %s", i, a[i], b[i], a[i])
+		}
+	}
+	chained := tab.Add(tab.Deref(tab.Add(tab.Deref(tab.Add(tab.Sym("arg0"), 8)), 4)), 2)
+	if !slices.Contains(a, chained) {
+		t.Fatalf("chained spelling is not the table's node: %v", a)
+	}
+}
+
+// TestStatsSequence pins the counters of a fixed Root/Child/Intern/Union
+// sequence, congruence merges and a rejected non-path included.
+func TestStatsSequence(t *testing.T) {
+	in := NewInterner(nil)
+	a, b := in.Root("arg0"), in.Root("arg1")
+	in.Union(in.Child(a, 8), 0, b, 0)
+	in.Child(b, 4)
+	for _, e := range []*expr.Expr{
+		expr.Deref(expr.Add(expr.Deref(expr.Add(expr.Sym("arg0"), 8)), 4)),
+		expr.Add(expr.Deref(expr.Add(expr.Sym("arg1"), 4)), 12),
+		expr.Deref(expr.Sym("sp")),
+		expr.Bin(expr.OpMul, expr.Sym("arg0"), expr.Const(2)),
+	} {
+		in.Intern(e)
+	}
+	in.Root("arg0")
+	want := Stats{Nodes: 7, Hits: 5, Misses: 7, Unions: 2}
+	if got := in.Stats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }

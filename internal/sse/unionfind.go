@@ -1,6 +1,7 @@
 package sse
 
 import (
+	"slices"
 	"sort"
 
 	"dtaint/internal/expr"
@@ -165,26 +166,20 @@ const maxNodeForms = 64
 // rewriting through the alias classes of every node along the access
 // path, up to depth class substitutions per chain and at most max
 // results. The first result is always the canonical spelling itself;
-// order is deterministic (member order along the chain).
+// order is deterministic (member order along the chain). Every spelling
+// is a node of the interner's table, so equal spellings are one pointer.
 func (in *Interner) PathExprs(p Path, depth, max int) []*expr.Expr {
 	if max <= 0 {
 		max = 1
 	}
-	// Spelling-level dedup: distinct spellings of one alias class must
-	// all survive (that is the point of expansion), so the dedup key is
-	// the expression text, not the interned node.
-	//dtaintlint:ignore sse-key-identity deduping spellings, not alias identity
-	seen := make(map[string]bool)
 	var out []*expr.Expr
 	for _, ne := range in.nodeExprs(p.Node, depth) {
-		e := expr.Add(ne, p.Off)
-		// Spellings are deduplicated as expressions, not as class members:
-		// distinct spellings of one class intern to distinct nodes, so
-		// pointer identity is the wrong dedup key here.
-		if seen[e.Key()] { //dtaintlint:ignore sse-key-identity deduping expression spellings, not alias identity
+		// Distinct spellings of one class must all survive (that is the
+		// point of expansion); only repeats of one spelling are dropped.
+		e := in.tab.Add(ne, p.Off)
+		if slices.Contains(out, e) {
 			continue
 		}
-		seen[e.Key()] = true //dtaintlint:ignore sse-key-identity deduping expression spellings, not alias identity
 		out = append(out, e)
 		if len(out) >= max {
 			break
@@ -211,14 +206,14 @@ func (in *Interner) nodeExprs(n *Node, depth int) []*expr.Expr {
 		// value(n) = value(m) + (dn - dm).
 		shift := dn - dm
 		if m.parent == nil {
-			out = append(out, expr.Add(m.Expr(), shift))
+			out = append(out, in.tab.Add(m.ex, shift))
 			continue
 		}
 		for _, pe := range in.nodeExprs(m.parent, depth-1) {
 			if len(out) >= maxNodeForms {
 				break
 			}
-			out = append(out, expr.Add(expr.Deref(expr.Add(pe, m.off)), shift))
+			out = append(out, in.tab.Add(in.tab.Deref(in.tab.Add(pe, m.off)), shift))
 		}
 	}
 	return out

@@ -38,6 +38,7 @@ package sumstore
 import (
 	"fmt"
 
+	"dtaint/internal/expr"
 	"dtaint/internal/obs"
 	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
@@ -81,13 +82,14 @@ func NewStore(maxEntries int, dir string) (*Store, error) {
 	return &Store{tier: t}, nil
 }
 
-// GetSummary looks up a phase-1 function summary. Any decode failure —
-// unknown wire version, corruption, truncation, or a key that resolves
-// to a component entry — counts as a miss.
-func (s *Store) GetSummary(key string) (*symexec.Summary, bool) {
+// GetSummary looks up a phase-1 function summary, decoding its
+// expressions through tab. Any decode failure — unknown wire version,
+// corruption, truncation, or a key that resolves to a component entry —
+// counts as a miss.
+func (s *Store) GetSummary(tab *expr.Table, key string) (*symexec.Summary, bool) {
 	var sum *symexec.Summary
 	ok := s.tier.Get(key, func(blob []byte) (err error) {
-		sum, err = DecodeSummary(blob)
+		sum, err = DecodeSummary(tab, blob)
 		return err
 	})
 	return sum, ok
@@ -98,12 +100,12 @@ func (s *Store) PutSummary(key string, sum *symexec.Summary) {
 	s.tier.Put(key, EncodeSummary(sum))
 }
 
-// GetEntry looks up a bottom-up component entry. Any decode failure
-// counts as a miss.
-func (s *Store) GetEntry(key string) (*Entry, bool) {
+// GetEntry looks up a bottom-up component entry, decoding its
+// expressions through tab. Any decode failure counts as a miss.
+func (s *Store) GetEntry(tab *expr.Table, key string) (*Entry, bool) {
 	var ent *Entry
 	ok := s.tier.Get(key, func(blob []byte) (err error) {
-		ent, err = DecodeEntry(blob)
+		ent, err = DecodeEntry(tab, blob)
 		return err
 	})
 	return ent, ok

@@ -25,11 +25,12 @@ import (
 // the store counts as a miss. Payload integers are varints (unsigned)
 // or zigzag varints (signed); strings and slices are length-prefixed;
 // maps are serialized in sorted key order so encoding is deterministic.
-// Expressions are preorder trees rebuilt through package expr's public
-// constructors, which re-establish every canonical-form invariant
-// (constant folding, add normalization, depth truncation); stored trees
-// are already constructor-built fixed points, so decode(encode(x))
-// reproduces x key-for-key.
+// Expressions are preorder trees rebuilt through the caller's
+// expr.Table, whose constructors re-establish every canonical-form
+// invariant (constant folding, add normalization, depth truncation);
+// stored trees are already constructor-built fixed points, so
+// decode(encode(x)) reproduces x key-for-key, and a decoded node is the
+// table's node of that key.
 const (
 	// FormatVersion is the current wire version. Readers refuse any
 	// other value, so bumping it invalidates every persisted entry.
@@ -75,9 +76,10 @@ func EncodeSummary(sum *symexec.Summary) []byte {
 	return e.finish()
 }
 
-// DecodeSummary deserializes a phase-1 function summary.
-func DecodeSummary(blob []byte) (*symexec.Summary, error) {
-	d, err := newDec(blob, kindSummary)
+// DecodeSummary deserializes a phase-1 function summary, building its
+// expressions through tab.
+func DecodeSummary(tab *expr.Table, blob []byte) (*symexec.Summary, error) {
+	d, err := newDec(tab, blob, kindSummary)
 	if err != nil {
 		return nil, err
 	}
@@ -118,9 +120,10 @@ func EncodeEntry(ent *Entry) []byte {
 	return e.finish()
 }
 
-// DecodeEntry deserializes a bottom-up component entry.
-func DecodeEntry(blob []byte) (*Entry, error) {
-	d, err := newDec(blob, kindEntry)
+// DecodeEntry deserializes a bottom-up component entry, building its
+// expressions through tab.
+func DecodeEntry(tab *expr.Table, blob []byte) (*Entry, error) {
+	d, err := newDec(tab, blob, kindEntry)
 	if err != nil {
 		return nil, err
 	}
@@ -352,12 +355,13 @@ func (e *enc) finding(f *taint.Finding) {
 // ---------------------------------------------------------------- decoder
 
 type dec struct {
+	tab *expr.Table
 	b   []byte
 	pos int
 	err error
 }
 
-func newDec(blob []byte, kind byte) (*dec, error) {
+func newDec(tab *expr.Table, blob []byte, kind byte) (*dec, error) {
 	if len(blob) < headerLen+trailerLen {
 		return nil, fmt.Errorf("%w: short blob (%d bytes)", ErrWire, len(blob))
 	}
@@ -375,7 +379,7 @@ func newDec(blob []byte, kind byte) (*dec, error) {
 	if blob[6] != kind {
 		return nil, fmt.Errorf("%w: entry kind %d, want %d", ErrWire, blob[6], kind)
 	}
-	return &dec{b: body, pos: headerLen}, nil
+	return &dec{tab: tab, b: body, pos: headerLen}, nil
 }
 
 // close verifies the whole payload was consumed — trailing bytes mean a
@@ -507,16 +511,16 @@ func (d *dec) exprAt(depth int) *expr.Expr {
 	case exprNil:
 		return nil
 	case exprConst:
-		return expr.Const(d.sint())
+		return d.tab.Const(d.sint())
 	case exprSym:
-		return expr.Sym(d.str())
+		return d.tab.Sym(d.str())
 	case exprDeref:
 		addr := d.exprAt(depth + 1)
 		if addr == nil {
 			d.fail()
 			return nil
 		}
-		return expr.Deref(addr)
+		return d.tab.Deref(addr)
 	case exprBin:
 		op := expr.Op(d.enum(uint64(expr.OpAdd), maxOp))
 		a := d.exprAt(depth + 1)
@@ -525,7 +529,7 @@ func (d *dec) exprAt(depth int) *expr.Expr {
 			d.fail()
 			return nil
 		}
-		return expr.Bin(op, a, b)
+		return d.tab.Bin(op, a, b)
 	default:
 		d.fail()
 		return nil

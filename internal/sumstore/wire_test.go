@@ -122,7 +122,7 @@ func richEntry() *Entry {
 func TestSummaryRoundTrip(t *testing.T) {
 	want := richSummary()
 	blob := EncodeSummary(want)
-	got, err := DecodeSummary(blob)
+	got, err := DecodeSummary(nil, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 func TestEntryRoundTrip(t *testing.T) {
 	want := richEntry()
 	blob := EncodeEntry(want)
-	got, err := DecodeEntry(blob)
+	got, err := DecodeEntry(nil, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,72 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// Decoding through a table builds the table's nodes: one key is one
+// pointer within a blob, across blobs decoded into the same table, and
+// with the nodes the analysis built itself.
+func TestDecodeInternsIntoTable(t *testing.T) {
+	tab := new(expr.Table)
+	blob := EncodeEntry(richEntry())
+	a, err := DecodeEntry(tab, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeEntry(tab, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := samePointers(t, reflect.ValueOf(a), reflect.ValueOf(b)); n < 20 {
+		t.Fatalf("compared only %d expressions", n)
+	}
+	field := tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C))
+	sum := a.Summaries[0]
+	if sum.DefPairs[0].U != field || sum.Rets[1] != field || a.Pendings["rtsp_parse"][0].TaintExpr != field {
+		t.Fatal("decoded deref(arg0+0x4c) is not the table's node")
+	}
+	if !bytes.Equal(EncodeEntry(a), blob) || !bytes.Equal(EncodeEntry(b), blob) {
+		t.Fatal("re-encode of a table-decoded entry differs")
+	}
+}
+
+// samePointers walks two decoded values of one shape and fails unless
+// every expression of the first is the same pointer as its counterpart
+// in the second. It returns the number of non-nil expressions compared.
+func samePointers(t *testing.T, a, b reflect.Value) int {
+	t.Helper()
+	if a.Type() == reflect.TypeOf((*expr.Expr)(nil)) {
+		if a.Pointer() != b.Pointer() {
+			t.Fatalf("%v and %v decode to different nodes", a.Interface(), b.Interface())
+		}
+		if a.IsNil() {
+			return 0
+		}
+		return 1
+	}
+	n := 0
+	switch a.Kind() {
+	case reflect.Pointer:
+		if !a.IsNil() {
+			n += samePointers(t, a.Elem(), b.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			n += samePointers(t, a.Field(i), b.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < a.Len(); i++ {
+			n += samePointers(t, a.Index(i), b.Index(i))
+		}
+	case reflect.Map:
+		for _, k := range a.MapKeys() {
+			n += samePointers(t, a.MapIndex(k), b.MapIndex(k))
+		}
+	}
+	return n
+}
+
 func TestEmptyValuesRoundTrip(t *testing.T) {
 	sum := &symexec.Summary{Func: "empty"}
-	got, err := DecodeSummary(EncodeSummary(sum))
+	got, err := DecodeSummary(nil, EncodeSummary(sum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +225,7 @@ func TestEmptyValuesRoundTrip(t *testing.T) {
 		t.Fatalf("empty summary mismatch: %+v", got)
 	}
 	ent := &Entry{}
-	gotEnt, err := DecodeEntry(EncodeEntry(ent))
+	gotEnt, err := DecodeEntry(nil, EncodeEntry(ent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +273,13 @@ func TestGoldenWireFormat(t *testing.T) {
 func TestTruncationIsError(t *testing.T) {
 	blob := EncodeSummary(richSummary())
 	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeSummary(blob[:n]); err == nil {
+		if _, err := DecodeSummary(nil, blob[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", n, len(blob))
 		}
 	}
 	ent := EncodeEntry(richEntry())
 	for n := 0; n < len(ent); n++ {
-		if _, err := DecodeEntry(ent[:n]); err == nil {
+		if _, err := DecodeEntry(nil, ent[:n]); err == nil {
 			t.Fatalf("entry prefix of %d/%d bytes decoded successfully", n, len(ent))
 		}
 	}
@@ -229,7 +292,7 @@ func TestCorruptionIsError(t *testing.T) {
 	for i := range blob {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0x41
-		if _, err := DecodeSummary(bad); err == nil {
+		if _, err := DecodeSummary(nil, bad); err == nil {
 			t.Fatalf("flip at byte %d/%d decoded successfully", i, len(blob))
 		}
 	}
@@ -237,7 +300,7 @@ func TestCorruptionIsError(t *testing.T) {
 
 func TestTrailingBytesRejected(t *testing.T) {
 	blob := append(EncodeSummary(richSummary()), 0)
-	if _, err := DecodeSummary(blob); err == nil {
+	if _, err := DecodeSummary(nil, blob); err == nil {
 		t.Fatal("blob with trailing byte decoded successfully")
 	}
 }
@@ -251,7 +314,7 @@ func TestVersionBumpRejected(t *testing.T) {
 	binary.BigEndian.PutUint16(blob[4:6], FormatVersion+1)
 	body := blob[:len(blob)-4]
 	binary.BigEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	if _, err := DecodeSummary(blob); err == nil {
+	if _, err := DecodeSummary(nil, blob); err == nil {
 		t.Fatal("future-version blob decoded successfully")
 	}
 }
@@ -259,10 +322,10 @@ func TestVersionBumpRejected(t *testing.T) {
 func TestWrongKindRejected(t *testing.T) {
 	// A summary blob handed to the entry decoder (and vice versa) must
 	// fail even though magic, version, and CRC all check out.
-	if _, err := DecodeEntry(EncodeSummary(richSummary())); err == nil {
+	if _, err := DecodeEntry(nil, EncodeSummary(richSummary())); err == nil {
 		t.Fatal("entry decoder accepted a summary blob")
 	}
-	if _, err := DecodeSummary(EncodeEntry(richEntry())); err == nil {
+	if _, err := DecodeSummary(nil, EncodeEntry(richEntry())); err == nil {
 		t.Fatal("summary decoder accepted an entry blob")
 	}
 }
@@ -287,9 +350,9 @@ func TestUnknownEnumRejected(t *testing.T) {
 	} {
 		var err error
 		if tc.blob[6] == kindSummary {
-			_, err = DecodeSummary(tc.blob)
+			_, err = DecodeSummary(nil, tc.blob)
 		} else {
-			_, err = DecodeEntry(tc.blob)
+			_, err = DecodeEntry(nil, tc.blob)
 		}
 		if err == nil {
 			t.Errorf("%s: decoded successfully", tc.name)
@@ -302,10 +365,10 @@ func TestUnknownEnumRejected(t *testing.T) {
 		Calls:       []symexec.CallRecord{{Kind: cfg.CallKind(maxCallKind)}},
 		Types:       map[string]expr.Type{"arg0": expr.Type(maxType)},
 	}
-	if _, err := DecodeSummary(EncodeSummary(ok)); err != nil {
+	if _, err := DecodeSummary(nil, EncodeSummary(ok)); err != nil {
 		t.Fatalf("largest enum values rejected: %v", err)
 	}
-	if _, err := DecodeEntry(EncodeEntry(&Entry{Findings: []taint.Finding{{Class: taint.Class(maxClass)}}})); err != nil {
+	if _, err := DecodeEntry(nil, EncodeEntry(&Entry{Findings: []taint.Finding{{Class: taint.Class(maxClass)}}})); err != nil {
 		t.Fatalf("largest class rejected: %v", err)
 	}
 }
@@ -333,30 +396,47 @@ func TestEnumBoundsAreLastConstants(t *testing.T) {
 // FuzzDecode feeds arbitrary payloads to both decoders behind a valid
 // header and checksum, so inputs reach the payload parser: no input may
 // panic, and whatever decodes must re-encode to a blob that decodes and
-// re-encodes to the same bytes.
+// re-encodes to the same bytes. Decoding through a fresh table must
+// accept exactly the same payloads and build the same trees.
 func FuzzDecode(f *testing.F) {
 	for _, blob := range [][]byte{EncodeSummary(richSummary()), EncodeEntry(richEntry())} {
 		f.Add(blob[headerLen : len(blob)-trailerLen])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if sum, err := DecodeSummary(seal(kindSummary, payload)); err == nil {
+		sum, err := DecodeSummary(nil, seal(kindSummary, payload))
+		viaTab, tabErr := DecodeSummary(new(expr.Table), seal(kindSummary, payload))
+		if (err == nil) != (tabErr == nil) {
+			t.Fatalf("summary decode error %v, through a table %v", err, tabErr)
+		}
+		if err == nil {
 			blob := EncodeSummary(sum)
-			again, err := DecodeSummary(blob)
+			again, err := DecodeSummary(nil, blob)
 			if err != nil {
 				t.Fatalf("re-encoded summary does not decode: %v", err)
 			}
 			if !bytes.Equal(EncodeSummary(again), blob) {
 				t.Fatal("summary re-encoding is not stable")
 			}
+			if !bytes.Equal(EncodeSummary(viaTab), blob) {
+				t.Fatal("summary decoded through a table re-encodes differently")
+			}
 		}
-		if ent, err := DecodeEntry(seal(kindEntry, payload)); err == nil {
+		ent, err := DecodeEntry(nil, seal(kindEntry, payload))
+		entTab, tabErr := DecodeEntry(new(expr.Table), seal(kindEntry, payload))
+		if (err == nil) != (tabErr == nil) {
+			t.Fatalf("entry decode error %v, through a table %v", err, tabErr)
+		}
+		if err == nil {
 			blob := EncodeEntry(ent)
-			again, err := DecodeEntry(blob)
+			again, err := DecodeEntry(nil, blob)
 			if err != nil {
 				t.Fatalf("re-encoded entry does not decode: %v", err)
 			}
 			if !bytes.Equal(EncodeEntry(again), blob) {
 				t.Fatal("entry re-encoding is not stable")
+			}
+			if !bytes.Equal(EncodeEntry(entTab), blob) {
+				t.Fatal("entry decoded through a table re-encodes differently")
 			}
 		}
 	})
