@@ -13,10 +13,9 @@ test: build
 
 # lint runs the repo-specific rules: unordered map iteration in
 # determinism-critical code, nil-guarded calls on nil-safe obs handles,
-# unversioned serialization, hard-coded vocabulary names,
-# string-keyed identity over interned SSE nodes, and expressions built
-# around the analysis's expr.Table. gofmt and vet run under
-# `make check`.
+# unversioned serialization, hard-coded vocabulary names, and
+# expression identity spelled out of Key() strings in the analysis
+# packages. gofmt and vet run under `make check`.
 lint:
 	go run ./cmd/dtaintlint .
 

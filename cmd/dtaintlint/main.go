@@ -1,4 +1,4 @@
-// Command dtaintlint enforces six repository-specific contracts that
+// Command dtaintlint enforces five repository-specific contracts that
 // go vet cannot check:
 //
 //  1. unordered-map-range — the determinism contract. Findings, reports,
@@ -37,27 +37,18 @@
 //     case that a custom -vocab spec cannot override. Declare the
 //     behavior in the vocabulary spec instead.
 //
-//  5. sse-key-identity — the interned-identity contract. Inside
-//     internal/sse, canonical equality IS pointer equality: two
-//     canonically-equal access paths intern to the same *sse.Node. Code
-//     in that package or importing it that rebuilds identity out of key
-//     strings — comparing two .Key() results with ==/!=, declaring a
-//     map[string] that holds interned nodes or paths, or indexing a map
-//     by a .Key() result — defeats the hash-cons table (string
-//     comparisons where a pointer compare suffices) and can silently
-//     diverge from the union-find's view. Intern both sides and compare
-//     or key by the node pointer instead.
-//
-//  6. expr-table — the shared-construction contract. One analysis
-//     builds its expressions through one expr.Table, which builds each
-//     distinct node once. In internal/symexec, internal/taint,
-//     internal/dataflow, internal/sse, internal/alias and
-//     internal/sumstore a call of a package-level expr constructor
-//     (expr.Bin, Deref, Sym, Const, Add, Arg) or of the Expr methods
-//     Subst and MapSyms builds a fresh node instead, and the sharing is
-//     lost without any test noticing. Build through the analysis's
-//     table (symexec.Options.Table, CallContext.Table, or the table an
-//     interner, rewrite or decoder is given) instead.
+//  5. key-identity — the pointer-identity contract. One analysis
+//     builds every expression through one expr.Table, which builds each
+//     distinct node once, so inside the analysis packages
+//     (internal/symexec, taint, dataflow, sse, alias and sumstore) two
+//     expressions are equal exactly when they are one node. Rebuilding
+//     that identity out of key strings — indexing a map by a .Key()
+//     result, joining two .Key() results into one string, or comparing
+//     two .Key() results with ==/!= — spells and hashes strings where a
+//     pointer suffices. Key by the node pointer, or a struct of them,
+//     instead. Names derived from one expression (a call such as
+//     LenSymName(c.Key())) and output (a concatenation passed straight
+//     to a call, such as a trace line) are not identity and pass.
 //
 // Usage:
 //
@@ -334,7 +325,7 @@ func (w *world) lintPackage(fset *token.FileSet, dir string, files []*ast.File) 
 	allowSer := strings.Contains(filepath.ToSlash(dir), "internal/sumstore")
 	// Rule 4 applies only to the taint engine itself.
 	taintPkg := strings.Contains(filepath.ToSlash(dir), "internal/taint")
-	tablePkg := exprTableScope(dir)
+	analysisPkg := analysisScope(dir)
 	var out []string
 	for _, f := range files {
 		importsObs := false
@@ -367,11 +358,8 @@ func (w *world) lintPackage(fset *token.FileSet, dir string, files []*ast.File) 
 		if taintPkg {
 			lf.lintVocabLiterals(f)
 		}
-		if sseScope(f) {
-			lf.lintSSEIdentity(f)
-		}
-		if tablePkg {
-			lf.lintExprTable(f)
+		if analysisPkg {
+			lf.lintKeyIdentity(f)
 		}
 		out = append(out, lf.findings...)
 	}
@@ -937,49 +925,75 @@ func (l *linter) lintVocabLiterals(f *ast.File) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: string-keyed identity over interned SSE nodes.
+// Rule 5: identity spelled out of .Key() strings in the analysis packages.
 
-// sseScope reports whether rule 5 applies to a file: the sse package
-// itself and every file importing it carry the identity contract.
-func sseScope(f *ast.File) bool {
-	if f.Name.Name == "sse" {
-		return true
-	}
-	for _, imp := range f.Imports {
-		if imp.Path.Value == `"dtaint/internal/sse"` {
+// analysisScope reports whether rule 5 applies to a package directory:
+// the packages whose expressions are nodes of one analysis's table.
+func analysisScope(dir string) bool {
+	dir = filepath.ToSlash(dir)
+	for _, pkg := range []string{"symexec", "taint", "dataflow", "sse", "alias", "sumstore"} {
+		if strings.Contains(dir, "internal/"+pkg) {
 			return true
 		}
 	}
 	return false
 }
 
-// lintSSEIdentity flags code that rebuilds canonical-expression identity
-// out of key strings where internal/sse's pointer identity is the
-// contract: comparing two .Key() results, declaring a string-keyed map
-// that holds interned nodes or paths, and indexing a map by a .Key()
-// result.
-func (l *linter) lintSSEIdentity(f *ast.File) {
-	inSSE := f.Name.Name == "sse"
+// lintKeyIdentity flags expression identity rebuilt out of key strings:
+// a map indexed by a .Key() result or a concatenation holding one, two
+// .Key() results compared with == or !=, and a concatenation joining
+// two .Key() results.
+func (l *linter) lintKeyIdentity(f *ast.File) {
+	const waive = " (//dtaintlint:ignore <reason> to waive)"
+	// skip holds the concatenations not checked on their own: operands
+	// of a larger one, map indexes (checked as such) and call arguments
+	// (output, such as a trace line).
+	skip := map[ast.Expr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.BinaryExpr:
-			if (x.Op == token.EQL || x.Op == token.NEQ) && isKeyCall(x.X) && isKeyCall(x.Y) {
-				l.report(x.OpPos, "sse-key-identity",
-					"canonical expressions compared through .Key() strings; intern both sides and compare node pointers with == (//dtaintlint:ignore <reason> to waive)")
-			}
-		case *ast.MapType:
-			if isStringType(x.Key) && mentionsSSENode(x.Value, inSSE) {
-				l.report(x.Pos(), "sse-key-identity",
-					"string-keyed map holds interned sse nodes; key by the node pointer — canonical equality is pointer identity (//dtaintlint:ignore <reason> to waive)")
+		case *ast.CallExpr:
+			for _, a := range x.Args {
+				skip[ast.Unparen(a)] = true
 			}
 		case *ast.IndexExpr:
-			if keyCallInside(x.Index) {
-				l.report(x.Index.Pos(), "sse-key-identity",
-					"map indexed by a .Key() string; intern the expression and key by the node pointer (//dtaintlint:ignore <reason> to waive)")
+			skip[ast.Unparen(x.Index)] = true
+			if keyTerms(x.Index) > 0 {
+				l.report(x.Index.Pos(), "key-identity",
+					"map indexed by a .Key() spelling; key by the node pointer"+waive)
+			}
+		case *ast.BinaryExpr:
+			switch {
+			case (x.Op == token.EQL || x.Op == token.NEQ) && isKeyCall(x.X) && isKeyCall(x.Y):
+				l.report(x.OpPos, "key-identity",
+					"expressions compared through .Key() spellings; compare the node pointers with =="+waive)
+			case x.Op == token.ADD:
+				skip[ast.Unparen(x.X)], skip[ast.Unparen(x.Y)] = true, true
+				if !skip[x] && keyTerms(x) >= 2 {
+					l.report(x.Pos(), "key-identity",
+						"two .Key() spellings joined into one identity; key by a struct of node pointers"+waive)
+				}
 			}
 		}
 		return true
 	})
+}
+
+// keyTerms counts the .Key() calls a string concatenation joins
+// directly; calls nested in other calls (derived names) do not count.
+func keyTerms(e ast.Expr) int {
+	switch x := e.(type) {
+	case *ast.ParenExpr:
+		return keyTerms(x.X)
+	case *ast.BinaryExpr:
+		if x.Op == token.ADD {
+			return keyTerms(x.X) + keyTerms(x.Y)
+		}
+	default:
+		if isKeyCall(e) {
+			return 1
+		}
+	}
+	return 0
 }
 
 // isKeyCall reports whether e is a zero-argument .Key() call.
@@ -990,94 +1004,6 @@ func isKeyCall(e ast.Expr) bool {
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "Key"
-}
-
-// keyCallInside reports whether a .Key() call appears anywhere in the
-// expression (covers concatenations like a.Key()+"="+b.Key()).
-func keyCallInside(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if x, ok := n.(ast.Expr); ok && isKeyCall(x) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func isStringType(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "string"
-}
-
-// mentionsSSENode reports whether a type expression names sse.Node or
-// sse.Path (Node/Path inside package sse), looking through pointers,
-// slices, arrays, and nested maps.
-func mentionsSSENode(t ast.Expr, inSSE bool) bool {
-	switch x := t.(type) {
-	case *ast.StarExpr:
-		return mentionsSSENode(x.X, inSSE)
-	case *ast.ParenExpr:
-		return mentionsSSENode(x.X, inSSE)
-	case *ast.ArrayType:
-		return mentionsSSENode(x.Elt, inSSE)
-	case *ast.MapType:
-		return mentionsSSENode(x.Key, inSSE) || mentionsSSENode(x.Value, inSSE)
-	case *ast.Ident:
-		return inSSE && (x.Name == "Node" || x.Name == "Path")
-	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok && id.Name == "sse" {
-			return x.Sel.Name == "Node" || x.Sel.Name == "Path"
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: expressions built around the analysis's expr.Table.
-
-// exprTableScope reports whether rule 6 applies to a package directory:
-// the packages whose constructions run inside one analysis.
-func exprTableScope(dir string) bool {
-	dir = filepath.ToSlash(dir)
-	for _, pkg := range []string{"symexec", "taint", "dataflow", "sse", "alias", "sumstore"} {
-		if strings.Contains(dir, "internal/"+pkg) {
-			return true
-		}
-	}
-	return false
-}
-
-// exprConstructors are the package-level expr functions that build a node.
-var exprConstructors = map[string]bool{
-	"Bin": true, "Deref": true, "Sym": true, "Const": true, "Add": true, "Arg": true,
-}
-
-// lintExprTable flags constructions that bypass the analysis's table:
-// package-level expr constructors, and the Expr methods Subst (two
-// arguments) and MapSyms (one). The Table methods of the same names
-// take the expression first, one argument more, and are not flagged.
-func (l *linter) lintExprTable(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == "expr" && exprConstructors[sel.Sel.Name] {
-			l.report(call.Pos(), "expr-table",
-				fmt.Sprintf("expr.%s builds a node outside the analysis's expr.Table; call the table's %s (//dtaintlint:ignore <reason> to waive)", sel.Sel.Name, sel.Sel.Name))
-			return true
-		}
-		if (sel.Sel.Name == "Subst" && len(call.Args) == 2) || (sel.Sel.Name == "MapSyms" && len(call.Args) == 1) {
-			l.report(call.Pos(), "expr-table",
-				fmt.Sprintf("Expr.%s builds its result outside the analysis's expr.Table; call the table's %s with the expression first (//dtaintlint:ignore <reason> to waive)", sel.Sel.Name, sel.Sel.Name))
-		}
-		return true
-	})
 }
 
 func isNil(e ast.Expr) bool {

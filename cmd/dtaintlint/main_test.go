@@ -466,100 +466,80 @@ func f(s string) bool {
 	wantRule(t, findings, "hardcoded-vocab-name", 0)
 }
 
-func TestSSEKeyIdentityFlagged(t *testing.T) {
-	src := `package p
-
-import "dtaint/internal/sse"
-
-type index struct {
-	byKey map[string]*sse.Node
-}
-
-func same(a, b interface{ Key() string }) bool {
-	return a.Key() == b.Key()
-}
-
-func lookup(m map[string]bool, e interface{ Key() string }) bool {
-	return m[e.Key()]
-}
-`
-	findings := lintSource(t, src)
-	wantRule(t, findings, "sse-key-identity", 3)
-}
-
-func TestSSEKeyIdentityScopedToImporters(t *testing.T) {
-	// The same patterns without the sse import carry no identity
-	// contract: expr keys are the normal currency elsewhere.
-	findings := lintSource(t, `package p
-
-func same(a, b interface{ Key() string }) bool {
-	return a.Key() == b.Key()
-}
-
-func lookup(m map[string]bool, e interface{ Key() string }) bool {
-	return m[e.Key()]
-}
-`)
-	wantRule(t, findings, "sse-key-identity", 0)
-}
-
-func TestSSEKeyIdentityInSSEPackage(t *testing.T) {
-	// Inside package sse the bare Node/Path names are in scope, and the
-	// waiver directive clears a deliberate exception.
-	findings := lintSource(t, `package sse
-
-type Node struct{}
-
-type table struct {
-	slots map[string]*Node //dtaintlint:ignore sse-key-identity exercising the waiver path
-}
-
-type index struct {
-	bad map[string][]*Node
-}
-`)
-	wantRule(t, findings, "sse-key-identity", 1)
-}
-
-func TestExprTableBypassFlagged(t *testing.T) {
-	src := `package p
-
-import "dtaint/internal/expr"
-
-func build(tab *expr.Table, e *expr.Expr, f func(string) *expr.Expr) []*expr.Expr {
-	return []*expr.Expr{
-		expr.Sym("a"),
-		expr.Bin(expr.OpOr, e, e),
-		e.MapSyms(f),
-		e.Subst(e, e),
-		expr.Deref(e), //dtaintlint:ignore expr-table exercising the waiver path
-		tab.Sym("a"),
-		tab.Bin(expr.OpOr, e, e),
-		tab.MapSyms(e, f),
-		tab.Subst(e, e, e),
-		expr.Fmt(e) == "" && expr.IsTaintName("a"),
+// lintSourceIn writes one fixture file into the package directory dir
+// of a temp tree and lints the tree.
+func lintSourceIn(t *testing.T, dir, src string) []string {
+	t.Helper()
+	root := t.TempDir()
+	pkg := filepath.Join(root, filepath.FromSlash(dir))
+	if err := os.MkdirAll(pkg, 0o755); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(pkg, "fixture.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings, err := lintTree([]string{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
+
+// keyIdentitySrc spells identity out of .Key() strings four ways: a
+// map index, a comparison, a joined pair and an index by a
+// concatenation; the fifth, waived, is not reported.
+const keyIdentitySrc = `package p
+
+type expr interface{ Key() string }
+
+func same(a, b expr) bool { return a.Key() == b.Key() }
+
+func lookup(m map[string]bool, e expr) bool { return m[e.Key()] }
+
+func pair(a, b expr) string { return a.Key() + "=" + b.Key() }
+
+func field(m map[string]bool, e expr) bool { return m[e.Key()+"#4"] }
+
+func waived(m map[string]bool, e expr) bool {
+	return m[e.Key()] //dtaintlint:ignore exercising the waiver path
 }
 `
-	// The rule covers the packages that run inside one analysis, and
-	// no others.
+
+func TestKeyIdentityFlagged(t *testing.T) {
+	wantRule(t, lintSourceIn(t, "internal/symexec", keyIdentitySrc), "key-identity", 4)
+}
+
+// TestKeyIdentityScopedToAnalysisPackages: the rule covers the packages
+// whose expressions are nodes of one analysis's table, and no others;
+// elsewhere keys are the normal currency.
+func TestKeyIdentityScopedToAnalysisPackages(t *testing.T) {
 	for dir, want := range map[string]int{
 		"internal/taint": 4, "internal/dataflow/sub": 4,
 		"internal/sse": 4, "internal/alias": 4, "internal/sumstore": 4,
-		"internal/structsim": 0,
+		"internal/structsim": 0, "internal/diff": 0, "cmd/dtaint": 0,
 	} {
-		root := t.TempDir()
-		pkg := filepath.Join(root, filepath.FromSlash(dir))
-		if err := os.MkdirAll(pkg, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(pkg, "fixture.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		findings, err := lintTree([]string{root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRule(t, findings, "expr-table", want)
+		wantRule(t, lintSourceIn(t, dir, keyIdentitySrc), "key-identity", want)
 	}
+}
+
+// TestKeyIdentityAllowsDerivedNamesAndOutput: a name derived from one
+// expression's spelling and a concatenation handed straight to a call
+// (a trace line) are not identity.
+func TestKeyIdentityAllowsDerivedNamesAndOutput(t *testing.T) {
+	findings := lintSourceIn(t, "internal/taint", `package taint
+
+type expr interface{ Key() string }
+
+func LenSymName(k string) string { return "len_" + k }
+
+func derived(env map[string]int, c expr) int {
+	name := "atoi_" + LenSymName(c.Key())
+	return env[LenSymName(c.Key())] + len(name)
+}
+
+func trace(out func(string), l, r expr) {
+	out("flags = cmp(" + l.Key() + ", " + r.Key() + ")")
+}
+`)
+	wantRule(t, findings, "key-identity", 0)
 }

@@ -142,9 +142,8 @@ func Rewrite(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type)
 
 // Classes builds the SSE query engine for a function: every
 // stored-pointer definition among dps becomes one union in an
-// access-path union-find over tab's nodes (a nil tab gives the engine a
-// table of its own). The result answers on-demand alias queries
-// (Interner.Alias) and enumerates equivalent spellings
+// access-path union-find over tab's nodes. The result answers on-demand
+// alias queries (Interner.Alias) and enumerates equivalent spellings
 // (Interner.PathExprs) without any pairwise rewriting.
 func Classes(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type) *sse.Interner {
 	in := sse.NewInterner(tab)
@@ -170,14 +169,15 @@ func Classes(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type)
 // class, transitively through chained facts (a shape Algorithm 1 cannot
 // reach: its synthesized pairs are never re-examined). The input slice
 // is not modified; results are deterministic for a given input order.
-// The classes get a table of their own and the rewritten definitions
-// are built on the nil table; an analysis calls RewriteSSEIn with its
-// table instead.
+// The classes and the rewritten definitions are built through a table
+// of their own; an analysis calls RewriteSSEIn with its table instead.
 func RewriteSSE(dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPair, Stats) {
-	return RewriteSSEIn(nil, dps, types)
+	return RewriteSSEIn(new(expr.Table), dps, types)
 }
 
-// RewriteSSEIn is RewriteSSE building through tab.
+// RewriteSSEIn is RewriteSSE building through tab. The input's nodes may
+// come from another table: interning rebuilds them in tab, and the
+// rewrite compares them by spelling.
 func RewriteSSEIn(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.Type) ([]symexec.DefPair, Stats) {
 	var st Stats
 	in := Classes(tab, dps, types)
@@ -236,13 +236,17 @@ func RewriteSSEIn(tab *expr.Table, dps []symexec.DefPair, types map[string]expr.
 	return out, st
 }
 
+// pairKey spells a definition pair. RewriteSSE is given nodes of another
+// table, so pairs are told apart by spelling, not by node.
+//
+//dtaintlint:ignore key-identity the benchmark probe passes RewriteSSE another table's nodes until it builds through one table (ROADMAP item 5)
 func pairKey(d, u *expr.Expr) string { return d.Key() + "=" + u.Key() }
 
 // isPointerValue decides whether value u holds a pointer: from the type
 // map, or structurally (heap identities, the stack pointer, derefs of
 // pointer-typed locations, and base+offset forms over those).
 func isPointerValue(u *expr.Expr, types map[string]expr.Type) bool {
-	if types[u.Key()].IsPointer() { //dtaintlint:ignore sse-key-identity symexec's type map is keyed by spelling upstream of interning
+	if types[u.Key()].IsPointer() { //dtaintlint:ignore key-identity Summary.Types is spelled: the wire format stores it
 		return true
 	}
 	base, _, ok := u.BasePlusOffset()
@@ -257,7 +261,7 @@ func isPointerValue(u *expr.Expr, types map[string]expr.Type) bool {
 			return true
 		}
 	}
-	if base.IsDeref() && types[base.Key()].IsPointer() { //dtaintlint:ignore sse-key-identity symexec's type map is keyed by spelling upstream of interning
+	if base.IsDeref() && types[base.Key()].IsPointer() { //dtaintlint:ignore key-identity Summary.Types is spelled: the wire format stores it
 		return true
 	}
 	return false

@@ -8,6 +8,9 @@ import (
 	"dtaint/internal/symexec"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 func dp(d, u *expr.Expr) symexec.DefPair { return symexec.DefPair{D: d, U: u} }
 
 func hasPair(dps []symexec.DefPair, dKey, uKey string) bool {
@@ -22,17 +25,17 @@ func hasPair(dps []symexec.DefPair, dKey, uKey string) bool {
 func TestStoredPointerAlias(t *testing.T) {
 	// The paper's example: int *p = x; *(q+4) = p. After `deref(q+4) = p`
 	// the pair `deref(p) = v` must gain the variant `deref(deref(q+4)) = v`.
-	p := expr.Sym("p")
-	q := expr.Sym("q")
-	v := expr.Const(7)
+	p := tab.Sym("p")
+	q := tab.Sym("q")
+	v := tab.Const(7)
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), p), // *(q+4) = p
-		dp(expr.Deref(p), v),              // *p = 7
+		dp(tab.Deref(tab.Add(q, 4)), p), // *(q+4) = p
+		dp(tab.Deref(p), v),             // *p = 7
 	}
-	out, _ := Rewrite(nil, in, types)
-	want := expr.Deref(expr.Deref(expr.Add(q, 4))).Key()
+	out, _ := Rewrite(tab, in, types)
+	want := tab.Deref(tab.Deref(tab.Add(q, 4))).Key()
 	if !hasPair(out, want, v.Key()) {
 		t.Fatalf("alias variant %s = %s missing; got %d pairs", want, v, len(out))
 	}
@@ -41,17 +44,17 @@ func TestStoredPointerAlias(t *testing.T) {
 func TestAliasWithOffsets(t *testing.T) {
 	// deref(q+4) = p + 8; then deref(p+12) = v gains
 	// deref((deref(q+4) - 8) + 12) = deref(deref(q+4)+4) = v.
-	p := expr.Sym("p")
-	q := expr.Sym("q")
-	v := expr.Sym("val")
+	p := tab.Sym("p")
+	q := tab.Sym("q")
+	v := tab.Sym("val")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), expr.Add(p, 8)),
-		dp(expr.Deref(expr.Add(p, 12)), v),
+		dp(tab.Deref(tab.Add(q, 4)), tab.Add(p, 8)),
+		dp(tab.Deref(tab.Add(p, 12)), v),
 	}
-	out, _ := Rewrite(nil, in, types)
-	want := expr.Deref(expr.Add(expr.Deref(expr.Add(q, 4)), 4)).Key()
+	out, _ := Rewrite(tab, in, types)
+	want := tab.Deref(tab.Add(tab.Deref(tab.Add(q, 4)), 4)).Key()
 	if !hasPair(out, want, v.Key()) {
 		keys := make([]string, 0, len(out))
 		for _, o := range out {
@@ -65,21 +68,21 @@ func TestMultiBasePointers(t *testing.T) {
 	// The paper's multi-base example: deref(deref(arg0+0x58)+0xEC) has
 	// base pointers arg0 and deref(arg0+0x58); an alias for the inner
 	// base must rewrite the outer variable.
-	arg0 := expr.Arg(0)
-	inner := expr.Deref(expr.Add(arg0, 0x58))
-	outer := expr.Deref(expr.Add(inner, 0xEC))
-	g := expr.Sym("g")
-	v := expr.Sym("v")
+	arg0 := tab.Arg(0)
+	inner := tab.Deref(tab.Add(arg0, 0x58))
+	outer := tab.Deref(tab.Add(inner, 0xEC))
+	g := tab.Sym("g")
+	v := tab.Sym("v")
 	types := map[string]expr.Type{inner.Key(): expr.TypePtr}
 
 	in := []symexec.DefPair{
-		dp(expr.Deref(g), inner), // *g = deref(arg0+0x58): alias of the inner base
+		dp(tab.Deref(g), inner), // *g = deref(arg0+0x58): alias of the inner base
 		dp(outer, v),
 	}
-	out, _ := Rewrite(nil, in, types)
+	out, _ := Rewrite(tab, in, types)
 	// mem[g] holds the inner pointer value, so the field is reachable as
 	// deref(deref(g) + 0xEC).
-	want := expr.Deref(expr.Add(expr.Deref(g), 0xEC)).Key()
+	want := tab.Deref(tab.Add(tab.Deref(g), 0xEC)).Key()
 	if !hasPair(out, want, v.Key()) {
 		keys := make([]string, 0, len(out))
 		for _, o := range out {
@@ -90,13 +93,13 @@ func TestMultiBasePointers(t *testing.T) {
 }
 
 func TestNonPointerValueIgnored(t *testing.T) {
-	q := expr.Sym("q")
-	n := expr.Sym("n") // not typed as a pointer
+	q := tab.Sym("q")
+	n := tab.Sym("n") // not typed as a pointer
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), n),
-		dp(expr.Deref(n), expr.Const(1)),
+		dp(tab.Deref(tab.Add(q, 4)), n),
+		dp(tab.Deref(n), tab.Const(1)),
 	}
-	out, _ := Rewrite(nil, in, nil)
+	out, _ := Rewrite(tab, in, nil)
 	if len(out) != len(in) {
 		t.Fatalf("non-pointer store produced aliases: %d pairs", len(out))
 	}
@@ -104,30 +107,30 @@ func TestNonPointerValueIgnored(t *testing.T) {
 
 func TestHeapPointerIsStructurallyPointer(t *testing.T) {
 	// Heap identity symbols count as pointers without a type entry.
-	h := expr.Sym(expr.HeapName("site1"))
-	q := expr.Sym("q")
-	v := expr.Const(3)
+	h := tab.Sym(expr.HeapName("site1"))
+	q := tab.Sym("q")
+	v := tab.Const(3)
 	in := []symexec.DefPair{
-		dp(expr.Deref(q), h),
-		dp(expr.Deref(h), v),
+		dp(tab.Deref(q), h),
+		dp(tab.Deref(h), v),
 	}
-	out, _ := Rewrite(nil, in, nil)
-	want := expr.Deref(expr.Deref(q)).Key()
+	out, _ := Rewrite(tab, in, nil)
+	want := tab.Deref(tab.Deref(q)).Key()
 	if !hasPair(out, want, v.Key()) {
 		t.Fatal("heap pointer alias not recognized")
 	}
 }
 
 func TestIdempotentOnRewrittenSet(t *testing.T) {
-	p := expr.Sym("p")
-	q := expr.Sym("q")
+	p := tab.Sym("p")
+	q := tab.Sym("q")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), p),
-		dp(expr.Deref(p), expr.Const(7)),
+		dp(tab.Deref(tab.Add(q, 4)), p),
+		dp(tab.Deref(p), tab.Const(7)),
 	}
-	once, _ := Rewrite(nil, in, types)
-	twice, _ := Rewrite(nil, once, types)
+	once, _ := Rewrite(tab, in, types)
+	twice, _ := Rewrite(tab, once, types)
 	// A second pass may add derived pairs but must not duplicate existing
 	// ones.
 	seen := map[string]int{}
@@ -142,14 +145,14 @@ func TestIdempotentOnRewrittenSet(t *testing.T) {
 }
 
 func TestInputNotMutated(t *testing.T) {
-	p := expr.Sym("p")
-	q := expr.Sym("q")
+	p := tab.Sym("p")
+	q := tab.Sym("q")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), p),
-		dp(expr.Deref(p), expr.Const(7)),
+		dp(tab.Deref(tab.Add(q, 4)), p),
+		dp(tab.Deref(p), tab.Const(7)),
 	}
-	out, _ := Rewrite(nil, in, types)
+	out, _ := Rewrite(tab, in, types)
 	if len(in) != 2 {
 		t.Fatal("input length changed")
 	}
@@ -161,17 +164,17 @@ func TestInputNotMutated(t *testing.T) {
 func TestBlowupBounded(t *testing.T) {
 	// Many aliases of the same pointer must not explode quadratically
 	// past the cap.
-	p := expr.Sym("p")
+	p := tab.Sym("p")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	var in []symexec.DefPair
 	for i := 0; i < 100; i++ {
-		q := expr.Sym("q" + string(rune('a'+i%26)) + string(rune('a'+i/26)))
-		in = append(in, dp(expr.Deref(q), p))
+		q := tab.Sym("q" + string(rune('a'+i%26)) + string(rune('a'+i/26)))
+		in = append(in, dp(tab.Deref(q), p))
 	}
 	for i := 0; i < 100; i++ {
-		in = append(in, dp(expr.Deref(expr.Add(p, int64(i*4))), expr.Const(int64(i))))
+		in = append(in, dp(tab.Deref(tab.Add(p, int64(i*4))), tab.Const(int64(i))))
 	}
-	out, _ := Rewrite(nil, in, types)
+	out, _ := Rewrite(tab, in, types)
 	if len(out) > len(in)+MaxNewPairs {
 		t.Fatalf("alias blowup: %d pairs", len(out))
 	}
@@ -179,11 +182,11 @@ func TestBlowupBounded(t *testing.T) {
 
 func TestConstantBaseIgnored(t *testing.T) {
 	// Absolute-address pointers (constant bases) are not alias bases.
-	q := expr.Sym("q")
+	q := tab.Sym("q")
 	in := []symexec.DefPair{
-		dp(expr.Deref(q), expr.Const(0x670B0)),
+		dp(tab.Deref(q), tab.Const(0x670B0)),
 	}
-	out, _ := Rewrite(nil, in, map[string]expr.Type{expr.Const(0x670B0).Key(): expr.TypeIntPtr})
+	out, _ := Rewrite(tab, in, map[string]expr.Type{tab.Const(0x670B0).Key(): expr.TypeIntPtr})
 	if len(out) != 1 {
 		t.Fatalf("constant alias created: %d pairs", len(out))
 	}
@@ -191,16 +194,16 @@ func TestConstantBaseIgnored(t *testing.T) {
 
 func TestRewriteSSEMatchesAlgorithm1Shapes(t *testing.T) {
 	// Every Algorithm 1 shape must still fall out of the class engine.
-	p := expr.Sym("p")
-	q := expr.Sym("q")
-	v := expr.Const(7)
+	p := tab.Sym("p")
+	q := tab.Sym("q")
+	v := tab.Const(7)
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), p),
-		dp(expr.Deref(p), v),
+		dp(tab.Deref(tab.Add(q, 4)), p),
+		dp(tab.Deref(p), v),
 	}
 	out, st := RewriteSSE(in, types)
-	want := expr.Deref(expr.Deref(expr.Add(q, 4))).Key()
+	want := tab.Deref(tab.Deref(tab.Add(q, 4))).Key()
 	if !hasPair(out, want, v.Key()) {
 		t.Fatalf("alias variant %s missing; got %d pairs", want, len(out))
 	}
@@ -210,16 +213,16 @@ func TestRewriteSSEMatchesAlgorithm1Shapes(t *testing.T) {
 }
 
 func TestRewriteSSEOffsets(t *testing.T) {
-	p := expr.Sym("p")
-	q := expr.Sym("q")
-	v := expr.Sym("val")
+	p := tab.Sym("p")
+	q := tab.Sym("q")
+	v := tab.Sym("val")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(q, 4)), expr.Add(p, 8)),
-		dp(expr.Deref(expr.Add(p, 12)), v),
+		dp(tab.Deref(tab.Add(q, 4)), tab.Add(p, 8)),
+		dp(tab.Deref(tab.Add(p, 12)), v),
 	}
 	out, _ := RewriteSSE(in, types)
-	want := expr.Deref(expr.Add(expr.Deref(expr.Add(q, 4)), 4)).Key()
+	want := tab.Deref(tab.Add(tab.Deref(tab.Add(q, 4)), 4)).Key()
 	if !hasPair(out, want, v.Key()) {
 		keys := make([]string, 0, len(out))
 		for _, o := range out {
@@ -237,19 +240,19 @@ func TestRewriteSSETransitiveChain(t *testing.T) {
 	//
 	// a write through s is rewritten only to deref(b+4) — never to the
 	// a-rooted deref(deref(a+8)+4). The class engine closes the chain.
-	a := expr.Arg(0)
-	b := expr.Arg(1)
-	s := expr.Sym(expr.StackSym)
-	v := expr.Sym("taint")
+	a := tab.Arg(0)
+	b := tab.Arg(1)
+	s := tab.Sym(expr.StackSym)
+	v := tab.Sym("taint")
 	types := map[string]expr.Type{b.Key(): expr.TypePtr}
 	in := []symexec.DefPair{
-		dp(expr.Deref(expr.Add(a, 8)), b),
-		dp(expr.Deref(expr.Add(b, 4)), s),
-		dp(expr.Deref(s), v),
+		dp(tab.Deref(tab.Add(a, 8)), b),
+		dp(tab.Deref(tab.Add(b, 4)), s),
+		dp(tab.Deref(s), v),
 	}
-	chained := expr.Deref(expr.Deref(expr.Add(expr.Deref(expr.Add(a, 8)), 4))).Key()
+	chained := tab.Deref(tab.Deref(tab.Add(tab.Deref(tab.Add(a, 8)), 4))).Key()
 
-	old, _ := Rewrite(nil, in, types)
+	old, _ := Rewrite(tab, in, types)
 	if hasPair(old, chained, v.Key()) {
 		t.Fatal("Algorithm 1 unexpectedly found the chained variant — SSE ablation would be vacuous")
 	}
@@ -267,13 +270,13 @@ func TestRewriteSSETransitiveChain(t *testing.T) {
 }
 
 func TestRewriteSSEDeterministic(t *testing.T) {
-	p := expr.Sym("p")
-	q := expr.Sym("q")
+	p := tab.Sym("p")
+	q := tab.Sym("q")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	var in []symexec.DefPair
 	for i := 0; i < 40; i++ {
-		in = append(in, dp(expr.Deref(expr.Add(q, int64(i*4))), p))
-		in = append(in, dp(expr.Deref(expr.Add(p, int64(i*8))), expr.Const(int64(i))))
+		in = append(in, dp(tab.Deref(tab.Add(q, int64(i*4))), p))
+		in = append(in, dp(tab.Deref(tab.Add(p, int64(i*8))), tab.Const(int64(i))))
 	}
 	a, _ := RewriteSSE(in, types)
 	b, _ := RewriteSSE(in, types)
@@ -290,17 +293,17 @@ func TestRewriteSSEDeterministic(t *testing.T) {
 func TestRewriteDroppedCounted(t *testing.T) {
 	// Overflow the Algorithm 1 cap: the overflow must be counted, and
 	// the emitted pairs must match the historical capped output.
-	p := expr.Sym("p")
+	p := tab.Sym("p")
 	types := map[string]expr.Type{p.Key(): expr.TypeIntPtr}
 	var in []symexec.DefPair
 	for i := 0; i < 40; i++ {
-		q := expr.Sym(fmt.Sprintf("q%02d", i))
-		in = append(in, dp(expr.Deref(q), p))
+		q := tab.Sym(fmt.Sprintf("q%02d", i))
+		in = append(in, dp(tab.Deref(q), p))
 	}
 	for i := 0; i < 40; i++ {
-		in = append(in, dp(expr.Deref(expr.Add(p, int64(i*4))), expr.Const(int64(i))))
+		in = append(in, dp(tab.Deref(tab.Add(p, int64(i*4))), tab.Const(int64(i))))
 	}
-	out, st := Rewrite(nil, in, types)
+	out, st := Rewrite(tab, in, types)
 	if st.Added != MaxNewPairs {
 		t.Fatalf("added = %d, want cap %d", st.Added, MaxNewPairs)
 	}

@@ -43,7 +43,9 @@ type Options struct {
 	MaxAnalyses int
 	// Symexec tunes the underlying engine. The baseline defaults are
 	// heavier than DTaint's (loops unrolled, more states per block),
-	// mirroring angr's more exhaustive state exploration.
+	// mirroring angr's more exhaustive state exploration. Its Table is
+	// replaced by one table for the whole run: the recursive analyses
+	// pass expressions and memory snapshots to each other.
 	Symexec symexec.Options
 	// Filter restricts the analyzed functions (same semantics as
 	// dataflow.Options.Filter).
@@ -100,6 +102,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	if opts.Symexec.Prototypes == nil {
 		opts.Symexec.Prototypes = taint.PrototypesFor(nil)
 	}
+	opts.Symexec.Table = new(expr.Table)
 	names := make([]string, 0, len(prog.Funcs))
 	inSet := make(map[string]bool, len(prog.Funcs))
 	for _, fn := range prog.Funcs {
@@ -177,7 +180,7 @@ type engine struct {
 // analyzeContext analyzes fn in a specific calling context, recursing into
 // callees at every callsite. Iterations > 1 re-runs the analysis, the
 // worklist behavior that rebuilds flows for the same blocks.
-func (e *engine) analyzeContext(fn string, args []*expr.Expr, mem map[string]*expr.Expr, depth int) *symexec.Summary {
+func (e *engine) analyzeContext(fn string, args []*expr.Expr, mem map[*expr.Expr]*expr.Expr, depth int) *symexec.Summary {
 	if depth >= e.opts.MaxDepth {
 		return nil
 	}
@@ -251,7 +254,7 @@ func (o *recursiveOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 			if combined == nil {
 				combined = r
 			} else if !combined.Equal(r) {
-				combined = expr.Bin(expr.OpOr, combined, r)
+				combined = ctx.Table().Bin(expr.OpOr, combined, r)
 			}
 		}
 		eff.Ret = combined

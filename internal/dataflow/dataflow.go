@@ -613,8 +613,8 @@ func calleeRet(tab *expr.Table, sum *symexec.Summary, sub func(*expr.Expr) *expr
 // the callsite's actual expressions, heap identities are re-hashed with
 // the callsite (unique per callsite chain), and the result is resolved
 // against the live caller state. The caller's state does not change
-// while the oracle runs, so the replacement depends only on the input's
-// key: each distinct callee fact is instantiated once per callsite, and
+// while the oracle runs, so the replacement depends only on the input
+// node: each distinct callee fact is instantiated once per callsite, and
 // return values, exported definitions and pending sinks that repeat it
 // share the first result. Results are built through the analysis's
 // expression table.
@@ -628,20 +628,18 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		}
 		return nil
 	}
-	var memo map[string]*expr.Expr
+	var memo map[*expr.Expr]*expr.Expr
 	return func(e *expr.Expr) *expr.Expr {
 		if e == nil {
 			return nil
 		}
 		// Every callee fact of an analysis, replayed ones included, is a
-		// node of its table, so the memo could key by node. It keys by
-		// spelling so that equal nodes built elsewhere (on the nil
-		// table, say) still share one result.
-		if r, ok := memo[e.Key()]; ok {
+		// node of its table, so the memo keys by node.
+		if r, ok := memo[e]; ok {
 			return r
 		}
 		if memo == nil {
-			memo = make(map[string]*expr.Expr)
+			memo = make(map[*expr.Expr]*expr.Expr)
 		}
 		// Re-hash heap identities BEFORE substituting actuals: only heap
 		// symbols originating in the callee (its allocation sites) extend
@@ -656,7 +654,7 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		// Only symbol nodes can be formal arguments: one symbol walk
 		// substitutes the actuals without re-walking them.
 		r = ctx.ResolveDeep(tab.MapSyms(r, actual))
-		memo[e.Key()] = r
+		memo[e] = r
 		return r
 	}
 }

@@ -11,6 +11,9 @@ import (
 	"dtaint/internal/taint"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 func run(t *testing.T, src string, opts Options) *Result {
 	t.Helper()
 	bin, err := asm.Assemble("t", src)
@@ -835,8 +838,9 @@ out:
 }
 
 // TestSubstitutorInstantiatesOnce pins the per-callsite memo: a callee
-// fact is instantiated once per callsite, and a repeat of it (equal key,
-// different node) gets the first result back without allocating.
+// fact is instantiated once per callsite, and a repeat of it (the same
+// node: one key is one node of the analysis's table) gets the first
+// result back without allocating.
 func TestSubstitutorInstantiatesOnce(t *testing.T) {
 	bin, err := asm.Assemble("t", `
 .arch arm
@@ -859,15 +863,16 @@ func TestSubstitutorInstantiatesOnce(t *testing.T) {
 	called := false
 	oracle := symexec.OracleFunc(func(ctx *symexec.CallContext) symexec.CallEffect {
 		called = true
+		tab := ctx.Table()
 		sub := substitutor(ctx)
-		fact := expr.Deref(expr.Add(expr.Arg(0), 0x4C))
-		repeat := expr.Deref(expr.Add(expr.Arg(0), 0x4C))
-		if fact == repeat || fact.Key() != repeat.Key() {
-			t.Fatal("want two nodes with one key")
-		}
+		fact := tab.Deref(tab.Add(tab.Arg(0), 0x4C))
 		first := sub(fact)
-		if want := expr.Deref(expr.Add(expr.Arg(1), 0x4C)).Key(); first.Key() != want {
-			t.Fatalf("sub(%s) = %s, want %s", fact, first, want)
+		if want := tab.Deref(tab.Add(tab.Arg(1), 0x4C)); first != want {
+			t.Fatalf("sub(%s) = %s (%p), want the table's node %p", fact, first, first, want)
+		}
+		repeat := tab.Deref(tab.Add(tab.Arg(0), 0x4C))
+		if repeat != fact {
+			t.Fatal("one expression built twice is two nodes")
 		}
 		var second *expr.Expr
 		if n := testing.AllocsPerRun(10, func() { second = sub(repeat) }); n != 0 {

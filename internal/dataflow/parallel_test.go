@@ -94,8 +94,8 @@ func TestCalleeRetNilFallback(t *testing.T) {
 	nilSub := func(*expr.Expr) *expr.Expr { return nil }
 	want := expr.RetName("callee", 0x40)
 
-	single := &symexec.Summary{Rets: []*expr.Expr{expr.Sym("arg0")}}
-	ret := calleeRet(nil, single, nilSub, "callee", 0x40)
+	single := &symexec.Summary{Rets: []*expr.Expr{tab.Sym("arg0")}}
+	ret := calleeRet(tab, single, nilSub, "callee", 0x40)
 	if ret == nil {
 		t.Fatal("single nil-resolving return dropped")
 	}
@@ -103,8 +103,8 @@ func TestCalleeRetNilFallback(t *testing.T) {
 		t.Fatalf("fallback = %v, want sym %s", ret, want)
 	}
 
-	multi := &symexec.Summary{Rets: []*expr.Expr{expr.Sym("arg0"), expr.Sym("arg1"), expr.Sym("arg2")}}
-	ret = calleeRet(nil, multi, nilSub, "callee", 0x40)
+	multi := &symexec.Summary{Rets: []*expr.Expr{tab.Sym("arg0"), tab.Sym("arg1"), tab.Sym("arg2")}}
+	ret = calleeRet(tab, multi, nilSub, "callee", 0x40)
 	if ret == nil {
 		t.Fatal("multi nil-resolving returns dropped")
 	}
@@ -114,22 +114,22 @@ func TestCalleeRetNilFallback(t *testing.T) {
 
 	// A substitution that survives is kept untouched.
 	identity := func(e *expr.Expr) *expr.Expr { return e }
-	ret = calleeRet(nil, single, identity, "callee", 0x40)
+	ret = calleeRet(tab, single, identity, "callee", 0x40)
 	if name, ok := ret.SymName(); !ok || name != "arg0" {
 		t.Fatalf("surviving return rewritten: %v", ret)
 	}
 
 	// No recorded returns keeps nil so the engine assigns the fresh symbol.
-	if got := calleeRet(nil, &symexec.Summary{}, identity, "callee", 0x40); got != nil {
+	if got := calleeRet(tab, &symexec.Summary{}, identity, "callee", 0x40); got != nil {
 		t.Fatalf("empty return set should stay nil, got %v", got)
 	}
 
 	// Oversized return sets (> 4) keep the opaque symbol too.
 	var rets []*expr.Expr
 	for i := 0; i < 6; i++ {
-		rets = append(rets, expr.Sym(fmt.Sprintf("arg%d", i)))
+		rets = append(rets, tab.Sym(fmt.Sprintf("arg%d", i)))
 	}
-	ret = calleeRet(nil, &symexec.Summary{Rets: rets}, identity, "callee", 0x40)
+	ret = calleeRet(tab, &symexec.Summary{Rets: rets}, identity, "callee", 0x40)
 	if name, ok := ret.SymName(); !ok || name != want {
 		t.Fatalf("oversized return set = %v, want sym %s", ret, want)
 	}

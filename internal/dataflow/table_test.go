@@ -9,12 +9,14 @@ import (
 	"dtaint/internal/corpus"
 	"dtaint/internal/expr"
 	"dtaint/internal/image"
+	"dtaint/internal/sumstore"
 	"dtaint/internal/symexec"
 )
 
 // TestTableChangesNoSummary: building a binary's expressions through one
-// shared expr.Table gives every function the summary that fresh nodes
-// give, compared by key, over a screening seed and the study images.
+// shared expr.Table gives every function the summary that a table of
+// its own (a nil Options.Table) gives, compared by key, over a
+// screening seed and the study images.
 func TestTableChangesNoSummary(t *testing.T) {
 	bins := map[string]*image.Binary{}
 	cases, err := corpus.ScreeningCorpus(40, 3)
@@ -31,7 +33,6 @@ func TestTableChangesNoSummary(t *testing.T) {
 		}
 		bins[spec.Product] = bin
 	}
-
 	names := make([]string, 0, len(bins))
 	for name := range bins {
 		names = append(names, name)
@@ -39,31 +40,193 @@ func TestTableChangesNoSummary(t *testing.T) {
 	sort.Strings(names)
 	functions := 0
 	for _, name := range names {
-		prog, err := cfg.Build(bins[name])
+		functions += checkSharedTable(t, name, bins[name])
+	}
+	t.Logf("%d functions in %d binaries compared", functions, len(names))
+}
+
+// checkSharedTable analyzes every function of bin twice, with a nil
+// Options.Table and through one table shared by the binary, and fails
+// unless both summaries spell alike and neither repeats an entry. It
+// returns the number of functions compared.
+func checkSharedTable(t *testing.T, name string, bin *image.Binary) int {
+	t.Helper()
+	prog, err := cfg.Build(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Symexec: symexec.Options{LoopOnce: true}}.withVocab()
+	shared := base
+	shared.Symexec.Table = new(expr.Table)
+	plain, interned := newTracker(base, prog.Binary), newTracker(shared, prog.Binary)
+	for _, fn := range prog.Funcs {
+		plain.BeginFunction(fn.Name)
+		interned.BeginFunction(fn.Name)
+		own := symexec.Analyze(fn, prog.Binary, plain, base.Symexec)
+		got := symexec.Analyze(fn, prog.Binary, interned, shared.Symexec)
+		want, gotLines := summaryLines(own), summaryLines(got)
+		if len(gotLines) != len(want) {
+			t.Fatalf("%s/%s: %d summary lines with the shared table, %d with its own", name, fn.Name, len(gotLines), len(want))
+		}
+		for i := range want {
+			if gotLines[i] != want[i] {
+				t.Fatalf("%s/%s: with the shared table %q, with its own %q", name, fn.Name, gotLines[i], want[i])
+			}
+		}
+		if dup := spelledDuplicate(got); dup != "" {
+			t.Fatalf("%s/%s: summary repeats %q", name, fn.Name, dup)
+		}
+	}
+	return len(prog.Funcs)
+}
+
+// TestDedupMatchesSpelling: the engine and the rewrites deduplicate by
+// node pointer, which is sound only while every expression of an
+// analysis is a node of its table. A foreign node — one built in
+// another table, or decoded outside it — is a second node for a
+// spelling, and would slip past the pointer checks as a second entry.
+// So over a study binary and a screening seed, at 1 and 8 workers,
+// without a summary store and replaying from a warm one, no spelling
+// may have two nodes across an analysis's summaries and no summary may
+// repeat a spelled entry; and the phase-1 summaries must not depend on
+// the table.
+func TestDedupMatchesSpelling(t *testing.T) {
+	spec := corpus.StudyImages()[0]
+	study, _, err := corpus.BuildBinary(spec, goldenScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := []*image.Binary{study}
+	names := []string{spec.Product}
+	cases, err := corpus.ScreeningCorpus(40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		bins = append(bins, c.Binary)
+		names = append(names, c.Name)
+	}
+	for i, bin := range bins {
+		checkSharedTable(t, names[i], bin)
+	}
+	for _, workers := range []int{1, 8} {
+		store, err := sumstore.NewStore(0, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := Options{Symexec: symexec.Options{LoopOnce: true}}.withVocab()
-		shared := base
-		shared.Symexec.Table = new(expr.Table)
-		plain, interned := newTracker(base, prog.Binary), newTracker(shared, prog.Binary)
-		for _, fn := range prog.Funcs {
-			plain.BeginFunction(fn.Name)
-			interned.BeginFunction(fn.Name)
-			want := summaryLines(symexec.Analyze(fn, prog.Binary, plain, base.Symexec))
-			got := summaryLines(symexec.Analyze(fn, prog.Binary, interned, shared.Symexec))
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d summary lines with the table, %d without", name, fn.Name, len(got), len(want))
+		for i, bin := range bins {
+			prog, err := cfg.Build(bin)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: with the table %q, without %q", name, fn.Name, got[i], want[i])
+			for _, pass := range []string{"off", "cold", "warm"} {
+				opts := Options{Parallelism: workers}
+				if pass != "off" {
+					opts.SummaryStore = store
+				}
+				res, err := Analyze(prog, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pass == "warm" && res.SumStore.Misses != 0 {
+					t.Fatalf("workers=%d %s: warm pass missed the store %d times", workers, names[i], res.SumStore.Misses)
+				}
+				nodes := map[string]*expr.Expr{}
+				for fn, sum := range res.Summaries {
+					if dup := spelledDuplicate(sum); dup != "" {
+						t.Fatalf("workers=%d %s/%s, store %s: summary repeats %q", workers, names[i], fn, pass, dup)
+					}
+					if dup := secondNode(sum, nodes); dup != "" {
+						t.Fatalf("workers=%d %s/%s, store %s: two nodes spell %q", workers, names[i], fn, pass, dup)
+					}
 				}
 			}
-			functions++
 		}
 	}
-	t.Logf("%d functions in %d binaries compared", functions, len(names))
+}
+
+// secondNode records in nodes every expression of s and its
+// subexpressions by spelling, and returns a spelling that has two nodes,
+// or "" when none has.
+func secondNode(s *symexec.Summary, nodes map[string]*expr.Expr) string {
+	var walk func(e *expr.Expr) string
+	walk = func(e *expr.Expr) string {
+		if e == nil {
+			return ""
+		}
+		if n, ok := nodes[e.Key()]; ok {
+			if n != e {
+				return e.Key()
+			}
+			return ""
+		}
+		nodes[e.Key()] = e
+		if x, ok := e.DerefAddr(); ok {
+			return walk(x)
+		}
+		if _, x, y, ok := e.BinOperands(); ok {
+			if dup := walk(x); dup != "" {
+				return dup
+			}
+			return walk(y)
+		}
+		return ""
+	}
+	var all []*expr.Expr
+	all = append(all, s.Rets...)
+	all = append(all, s.UndefUses...)
+	for _, dp := range s.DefPairs {
+		all = append(all, dp.D, dp.U)
+	}
+	for _, c := range s.Constraints {
+		all = append(all, c.L, c.R)
+	}
+	for _, c := range s.Calls {
+		all = append(all, c.Ret, c.FnPtr)
+		all = append(all, c.Args...)
+	}
+	for _, f := range s.Fields {
+		all = append(all, f.Base)
+	}
+	for _, ls := range s.LoopStores {
+		all = append(all, ls.AddrExpr, ls.Val)
+	}
+	for _, e := range all {
+		if dup := walk(e); dup != "" {
+			return dup
+		}
+	}
+	return ""
+}
+
+// spelledDuplicate returns the first return value, definition pair,
+// constraint, field or unresolved use of s that spells like an earlier
+// one, or "" when none does.
+func spelledDuplicate(s *symexec.Summary) string {
+	var lines []string
+	for _, r := range s.Rets {
+		lines = append(lines, "ret "+r.Key())
+	}
+	for _, dp := range s.DefPairs {
+		lines = append(lines, "def "+dp.D.Key()+" = "+dp.U.Key())
+	}
+	for _, c := range s.Constraints {
+		lines = append(lines, fmt.Sprintf("constraint %s %v %s", c.L.Key(), c.Cond, c.R.Key()))
+	}
+	for _, f := range s.Fields {
+		lines = append(lines, fmt.Sprintf("field %s+%d %v %s", f.Base.Key(), f.Off, f.Ty, f.FnTarget))
+	}
+	for _, u := range s.UndefUses {
+		lines = append(lines, "use "+u.Key())
+	}
+	seen := make(map[string]bool, len(lines))
+	for _, l := range lines {
+		if seen[l] {
+			return l
+		}
+		seen[l] = true
+	}
+	return ""
 }
 
 // summaryLines renders every field of a summary by expression key.

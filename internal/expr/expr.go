@@ -7,18 +7,14 @@
 // memory access. For example the instruction `LDR R1, [R5, 0x4C]` is
 // described as `R1 = deref(R5 + 0x4C)`.
 //
-// Expressions are immutable; all constructors normalize their result
-// (constant folding, canonical base+offset ordering) so that structurally
-// equal program values compare equal by Key().
-//
-// Every constructor exists twice: as a package-level function, which
-// allocates a fresh node on each call, and as a method of a Table, which
-// hash-conses: each distinct node is built, and its key spelled, once per
-// table, and later constructions of it return the same pointer. The
-// analysis builds most expressions many times over (the same blocks run
-// on several path states, then again bottom-up), so one analysis owns
-// one table and routes its constructions through it. A nil *Table
-// behaves exactly like the package-level functions.
+// Expressions are immutable and built only through a Table, which
+// normalizes each result (constant folding, canonical base+offset
+// ordering) and hash-conses it: each distinct node is built, and its key
+// spelled, once per table, and later constructions of it return the same
+// pointer. One analysis owns one table, so inside it two expressions are
+// structurally equal exactly when they are the same pointer. Key() spells
+// the canonical form for output, derived names and comparisons across
+// tables.
 package expr
 
 import (
@@ -145,10 +141,6 @@ func RehashHeap(name string, callsite uint64) string {
 	return HeapName(name + "@" + strconv.FormatUint(callsite, 16))
 }
 
-// Const returns a constant expression. Values in [minSmallConst,
-// maxSmallConst) share one preallocated node each.
-func Const(v int64) *Expr { return (*Table)(nil).Const(v) }
-
 func newConst(v int64) *Expr {
 	return &Expr{kind: KindConst, val: v, depth: 1, hash: constHash(v), key: strconv.FormatInt(v, 10)}
 }
@@ -172,15 +164,9 @@ func init() {
 	}
 }
 
-// Sym returns a named symbolic value (e.g. "arg0", "ret_foo_1c", "taint").
-func Sym(name string) *Expr { return (*Table)(nil).Sym(name) }
-
 func newSym(name string, h uint32) *Expr {
 	return &Expr{kind: KindSym, name: name, depth: 1, hash: h, key: name}
 }
-
-// Arg returns the canonical symbol for the i-th formal argument.
-func Arg(i int) *Expr { return Sym(ArgName(i)) }
 
 // argNames spells arg0..arg9, the argument symbols every calling
 // convention uses, so naming one allocates nothing.
@@ -216,9 +202,6 @@ func RetName(callee string, site uint64) string {
 // IsRetSym reports whether name is a callsite-return symbol.
 func IsRetSym(name string) bool { return strings.HasPrefix(name, "ret_") }
 
-// Deref returns a memory access of addr.
-func Deref(addr *Expr) *Expr { return (*Table)(nil).Deref(addr) }
-
 func newDeref(addr *Expr) *Expr {
 	return &Expr{kind: KindDeref, x: addr, depth: addr.depth + 1, hash: derefHash(addr), key: "deref(" + addr.key + ")"}
 }
@@ -244,9 +227,6 @@ func shortHash(s string) string {
 	}
 	return strconv.FormatUint(h, 16)
 }
-
-// Bin returns the normalized binary operation a op b.
-func Bin(op Op, a, b *Expr) *Expr { return (*Table)(nil).Bin(op, a, b) }
 
 func foldConst(op Op, a, b int64) (int64, bool) {
 	switch op {
@@ -278,9 +258,6 @@ func newBin(op Op, a, b *Expr) *Expr {
 	return &Expr{kind: KindBinOp, op: op, x: a, y: b, depth: max(a.depth, b.depth) + 1,
 		hash: binHash(op, a, b), key: "(" + a.key + op.String() + b.key + ")"}
 }
-
-// Add is shorthand for Bin(OpAdd, a, Const(off)).
-func Add(a *Expr, off int64) *Expr { return (*Table)(nil).Add(a, off) }
 
 // Kind returns the expression kind.
 func (e *Expr) Kind() Kind { return e.kind }
@@ -318,11 +295,9 @@ func (e *Expr) BinOperands() (Op, *Expr, *Expr, bool) {
 }
 
 // Key returns the canonical string form; expressions are equal iff their
-// keys are equal. Key, not the pointer, is the identity: nodes from the
-// package-level constructors, from a decoded summary or from different
-// tables are distinct pointers for one key, and even within one Table a
-// node built over such foreign operands is distinct from one built over
-// the table's own.
+// keys are equal. Inside one Table the node pointer is the identity and
+// Key is only its spelling: for output and the wire format, for names
+// derived from an expression, and for comparing nodes of two tables.
 func (e *Expr) Key() string { return e.key }
 
 // String implements fmt.Stringer.
@@ -336,9 +311,9 @@ func (e *Expr) String() string {
 // Depth returns the nesting depth of the expression tree.
 func (e *Expr) Depth() int { return int(e.depth) }
 
-// Equal reports structural equality: equal keys. One pointer is
-// trivially equal to itself, which saves the string comparison for the
-// nodes a Table shares.
+// Equal reports structural equality: equal keys. Nodes of one table are
+// equal only when they are one pointer, so that case skips the string
+// comparison; nodes of two tables compare by spelling.
 func (e *Expr) Equal(o *Expr) bool {
 	if e == o {
 		return true
@@ -409,14 +384,6 @@ func (e *Expr) Syms() []string {
 	walk(e)
 	return out
 }
-
-// Subst returns e with every occurrence of old replaced by new. The result
-// is re-normalized.
-func (e *Expr) Subst(old, new *Expr) *Expr { return (*Table)(nil).Subst(e, old, new) }
-
-// MapSyms rewrites every symbol in e through f; f returns nil to keep a
-// symbol unchanged. Used for heap-identity rehashing at callsites.
-func (e *Expr) MapSyms(f func(name string) *Expr) *Expr { return (*Table)(nil).MapSyms(e, f) }
 
 // BasePlusOffset decomposes e into a symbolic base and a constant offset
 // (the GetBasePtr operation of Algorithm 1). For plain symbols or derefs the

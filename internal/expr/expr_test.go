@@ -8,21 +8,24 @@ import (
 	"testing/quick"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(Table)
+
 func TestConstFolding(t *testing.T) {
 	tests := []struct {
 		name string
 		got  *Expr
 		want int64
 	}{
-		{"add", Bin(OpAdd, Const(3), Const(4)), 7},
-		{"sub", Bin(OpSub, Const(3), Const(4)), -1},
-		{"mul", Bin(OpMul, Const(3), Const(4)), 12},
-		{"and", Bin(OpAnd, Const(0xF0), Const(0x3C)), 0x30},
-		{"or", Bin(OpOr, Const(0xF0), Const(0x0C)), 0xFC},
-		{"xor", Bin(OpXor, Const(0xFF), Const(0x0F)), 0xF0},
-		{"shl", Bin(OpShl, Const(1), Const(4)), 16},
-		{"shr", Bin(OpShr, Const(16), Const(4)), 1},
-		{"nested", Bin(OpAdd, Bin(OpMul, Const(2), Const(3)), Const(1)), 7},
+		{"add", tab.Bin(OpAdd, tab.Const(3), tab.Const(4)), 7},
+		{"sub", tab.Bin(OpSub, tab.Const(3), tab.Const(4)), -1},
+		{"mul", tab.Bin(OpMul, tab.Const(3), tab.Const(4)), 12},
+		{"and", tab.Bin(OpAnd, tab.Const(0xF0), tab.Const(0x3C)), 0x30},
+		{"or", tab.Bin(OpOr, tab.Const(0xF0), tab.Const(0x0C)), 0xFC},
+		{"xor", tab.Bin(OpXor, tab.Const(0xFF), tab.Const(0x0F)), 0xF0},
+		{"shl", tab.Bin(OpShl, tab.Const(1), tab.Const(4)), 16},
+		{"shr", tab.Bin(OpShr, tab.Const(16), tab.Const(4)), 1},
+		{"nested", tab.Bin(OpAdd, tab.Bin(OpMul, tab.Const(2), tab.Const(3)), tab.Const(1)), 7},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -39,80 +42,81 @@ func TestConstFolding(t *testing.T) {
 
 func TestSmallConstShared(t *testing.T) {
 	for _, v := range []int64{minSmallConst, -4, 0, 1, 0x4C, maxSmallConst - 1} {
-		if Const(v) != Const(v) {
-			t.Fatalf("Const(%d) built two nodes", v)
+		if tab.Const(v) != new(Table).Const(v) {
+			t.Fatalf("Const(%d) built two nodes in two tables", v)
 		}
-		if got, want := Const(v).Key(), strconv.FormatInt(v, 10); got != want {
+		if got, want := tab.Const(v).Key(), strconv.FormatInt(v, 10); got != want {
 			t.Fatalf("Const(%d).Key() = %q, want %q", v, got, want)
 		}
 	}
 	var sink *Expr
-	if n := testing.AllocsPerRun(100, func() { sink = Const(0x4C) }); n != 0 {
+	fresh := new(Table)
+	if n := testing.AllocsPerRun(100, func() { sink = fresh.Const(0x4C) }); n != 0 {
 		t.Fatalf("Const(0x4C) allocates %v times per call, want 0", n)
 	}
 	_ = sink
-	// Out of range, every call builds its own node with the right key.
+	// Out of range, each table builds its own node with the right key.
 	for _, v := range []int64{minSmallConst - 1, maxSmallConst, 0x670B0, -1 << 40} {
-		c := Const(v)
-		if c == Const(v) {
-			t.Fatalf("Const(%d) is outside the table but was shared", v)
+		c := tab.Const(v)
+		if c == new(Table).Const(v) {
+			t.Fatalf("Const(%d) is outside the shared range but two tables share it", v)
 		}
 		if got, ok := c.ConstVal(); !ok || got != v || c.Key() != strconv.FormatInt(v, 10) {
 			t.Fatalf("Const(%d) = %s (%d, %v)", v, c.Key(), got, ok)
 		}
 	}
 	// Folding lands on the shared node too.
-	if Bin(OpAdd, Const(3), Const(4)) != Const(7) || Bin(OpSub, Sym("x"), Sym("x")) != Const(0) {
+	if tab.Bin(OpAdd, tab.Const(3), tab.Const(4)) != tab.Const(7) || tab.Bin(OpSub, tab.Sym("x"), tab.Sym("x")) != tab.Const(0) {
 		t.Fatal("folded constant is not the shared node")
 	}
 }
 
 func TestAddNormalization(t *testing.T) {
-	a := Sym("arg0")
-	b := Sym("arg1")
-	left := Bin(OpAdd, a, b)
-	right := Bin(OpAdd, b, a)
+	a := tab.Sym("arg0")
+	b := tab.Sym("arg1")
+	left := tab.Bin(OpAdd, a, b)
+	right := tab.Bin(OpAdd, b, a)
 	if !left.Equal(right) {
 		t.Fatalf("addition not commutative after normalization: %s vs %s", left, right)
 	}
 
 	// (arg0 + 4) + 8 == arg0 + 12
-	e1 := Add(Add(a, 4), 8)
-	e2 := Add(a, 12)
+	e1 := tab.Add(tab.Add(a, 4), 8)
+	e2 := tab.Add(a, 12)
 	if !e1.Equal(e2) {
 		t.Fatalf("constants not folded across nesting: %s vs %s", e1, e2)
 	}
 
 	// arg0 - 4 == arg0 + (-4)
-	e3 := Bin(OpSub, a, Const(4))
-	e4 := Add(a, -4)
+	e3 := tab.Bin(OpSub, a, tab.Const(4))
+	e4 := tab.Add(a, -4)
 	if !e3.Equal(e4) {
 		t.Fatalf("subtraction of constant not canonicalized: %s vs %s", e3, e4)
 	}
 }
 
 func TestIdentities(t *testing.T) {
-	a := Sym("x")
-	if got := Bin(OpMul, a, Const(1)); !got.Equal(a) {
+	a := tab.Sym("x")
+	if got := tab.Bin(OpMul, a, tab.Const(1)); !got.Equal(a) {
 		t.Errorf("x*1 = %s, want x", got)
 	}
-	if got := Bin(OpMul, a, Const(0)); !got.Equal(Const(0)) {
+	if got := tab.Bin(OpMul, a, tab.Const(0)); !got.Equal(tab.Const(0)) {
 		t.Errorf("x*0 = %s, want 0", got)
 	}
-	if got := Bin(OpOr, a, Const(0)); !got.Equal(a) {
+	if got := tab.Bin(OpOr, a, tab.Const(0)); !got.Equal(a) {
 		t.Errorf("x|0 = %s, want x", got)
 	}
-	if got := Bin(OpShl, a, Const(0)); !got.Equal(a) {
+	if got := tab.Bin(OpShl, a, tab.Const(0)); !got.Equal(a) {
 		t.Errorf("x<<0 = %s, want x", got)
 	}
-	if got := Bin(OpSub, a, a); !got.Equal(Const(0)) {
+	if got := tab.Bin(OpSub, a, a); !got.Equal(tab.Const(0)) {
 		t.Errorf("x-x = %s, want 0", got)
 	}
 }
 
 func TestDerefString(t *testing.T) {
 	// The paper's running example: R1 = deref(R5 + 0x4C).
-	e := Deref(Add(Sym("arg1"), 0x4C))
+	e := tab.Deref(tab.Add(tab.Sym("arg1"), 0x4C))
 	if e.String() != "deref((arg1+76))" {
 		t.Fatalf("unexpected canonical form: %s", e)
 	}
@@ -132,8 +136,8 @@ func TestDerefString(t *testing.T) {
 func TestBasePointers(t *testing.T) {
 	// deref(deref(arg0+0x58)+0xEC) has base pointers arg0 and
 	// deref(arg0+0x58) — the paper's multi-base example.
-	inner := Deref(Add(Sym("arg0"), 0x58))
-	e := Deref(Add(inner, 0xEC))
+	inner := tab.Deref(tab.Add(tab.Sym("arg0"), 0x58))
+	e := tab.Deref(tab.Add(inner, 0xEC))
 	ptrs := e.BasePointers()
 	if len(ptrs) != 2 {
 		t.Fatalf("got %d base pointers (%v), want 2", len(ptrs), ptrs)
@@ -148,8 +152,8 @@ func TestBasePointers(t *testing.T) {
 }
 
 func TestRootPointer(t *testing.T) {
-	inner := Deref(Add(Sym("arg0"), 0x58))
-	e := Deref(Add(inner, 0xEC))
+	inner := tab.Deref(tab.Add(tab.Sym("arg0"), 0x58))
+	e := tab.Deref(tab.Add(inner, 0xEC))
 	root := e.RootPointer()
 	if root == nil {
 		t.Fatal("nil root")
@@ -162,29 +166,29 @@ func TestRootPointer(t *testing.T) {
 func TestSubst(t *testing.T) {
 	// Substituting a formal argument with an actual at a callsite:
 	// deref(arg0+0x4C) with arg0 -> deref(sp+(-0x100)) becomes nested.
-	formal := Deref(Add(Sym("arg0"), 0x4C))
-	actual := Deref(Add(Sym(StackSym), -0x100))
-	got := formal.Subst(Sym("arg0"), actual)
-	want := Deref(Add(actual, 0x4C))
-	if !got.Equal(want) {
+	formal := tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C))
+	actual := tab.Deref(tab.Add(tab.Sym(StackSym), -0x100))
+	got := tab.Subst(formal, tab.Sym("arg0"), actual)
+	want := tab.Deref(tab.Add(actual, 0x4C))
+	if got != want {
 		t.Fatalf("got %s, want %s", got, want)
 	}
 	// No-op substitution returns the receiver unchanged.
-	if formal.Subst(Sym("argX"), actual) != formal {
+	if tab.Subst(formal, tab.Sym("argX"), actual) != formal {
 		t.Fatal("no-op substitution should return the same pointer")
 	}
 }
 
 func TestMapSymsSinglePass(t *testing.T) {
 	// a -> b and b -> c applied simultaneously must not chain a -> c.
-	e := Bin(OpAdd, Sym("a"), Sym("b"))
+	e := tab.Bin(OpAdd, tab.Sym("a"), tab.Sym("b"))
 	m := map[string]*Expr{
-		"a": Sym("b"),
-		"b": Sym("c"),
+		"a": tab.Sym("b"),
+		"b": tab.Sym("c"),
 	}
-	got := e.MapSyms(func(name string) *Expr { return m[name] })
-	want := Bin(OpAdd, Sym("b"), Sym("c"))
-	if !got.Equal(want) {
+	got := tab.MapSyms(e, func(name string) *Expr { return m[name] })
+	want := tab.Bin(OpAdd, tab.Sym("b"), tab.Sym("c"))
+	if got != want {
 		t.Fatalf("got %s, want %s", got, want)
 	}
 }
@@ -192,9 +196,9 @@ func TestMapSymsSinglePass(t *testing.T) {
 func TestAnySym(t *testing.T) {
 	isArg := func(s string) bool { _, ok := ArgIndex(s); return ok }
 	// Nested past MaxDepth, arg1 is cut into an opaque symbol.
-	deep := Sym("arg1")
+	deep := tab.Sym("arg1")
 	for i := 0; i < 2*MaxDepth; i++ {
-		deep = Deref(deep)
+		deep = tab.Deref(deep)
 	}
 	isOpaque := func(s string) bool { return strings.HasPrefix(s, "opaque_") }
 	for _, tc := range []struct {
@@ -203,13 +207,13 @@ func TestAnySym(t *testing.T) {
 		pred func(string) bool
 		want bool
 	}{
-		{"const", Const(7), func(string) bool { return true }, false},
-		{"sym match", Sym("arg0"), isArg, true},
-		{"sym miss", Sym("sp"), isArg, false},
-		{"deref", Deref(Add(Sym("arg2"), 0x4C)), isArg, true},
-		{"right operand", Bin(OpAdd, Sym("sp"), Sym("taint_recv_10")), IsTaintName, true},
-		{"binop miss", Bin(OpMul, Sym("i"), Sym("j")), IsTaintName, false},
-		{"nested", Deref(Deref(Add(Sym("arg1"), 8))), isArg, true},
+		{"const", tab.Const(7), func(string) bool { return true }, false},
+		{"sym match", tab.Sym("arg0"), isArg, true},
+		{"sym miss", tab.Sym("sp"), isArg, false},
+		{"deref", tab.Deref(tab.Add(tab.Sym("arg2"), 0x4C)), isArg, true},
+		{"right operand", tab.Bin(OpAdd, tab.Sym("sp"), tab.Sym("taint_recv_10")), IsTaintName, true},
+		{"binop miss", tab.Bin(OpMul, tab.Sym("i"), tab.Sym("j")), IsTaintName, false},
+		{"nested", tab.Deref(tab.Deref(tab.Add(tab.Sym("arg1"), 8))), isArg, true},
 		{"truncated arg", deep, isArg, false},
 		{"truncated opaque", deep, isOpaque, true},
 	} {
@@ -225,7 +229,7 @@ func TestAnySym(t *testing.T) {
 			t.Errorf("%s: Syms loop = %v, want %v", tc.name, loop, tc.want)
 		}
 	}
-	e := Deref(Bin(OpSub, Sym("a"), Bin(OpMul, Sym("b"), Sym("c"))))
+	e := tab.Deref(tab.Bin(OpSub, tab.Sym("a"), tab.Bin(OpMul, tab.Sym("b"), tab.Sym("c"))))
 	var seen []string
 	e.AnySym(func(s string) bool { seen = append(seen, s); return s == "b" })
 	if strings.Join(seen, ",") != "a,b" {
@@ -237,7 +241,7 @@ func TestAnySym(t *testing.T) {
 }
 
 func TestContainsAndSyms(t *testing.T) {
-	e := Deref(Bin(OpAdd, Sym("arg2"), Bin(OpMul, Sym("i"), Const(4))))
+	e := tab.Deref(tab.Bin(OpAdd, tab.Sym("arg2"), tab.Bin(OpMul, tab.Sym("i"), tab.Const(4))))
 	if !e.ContainsSym("arg2") || !e.ContainsSym("i") || e.ContainsSym("j") {
 		t.Fatalf("ContainsSym wrong for %s", e)
 	}
@@ -245,7 +249,7 @@ func TestContainsAndSyms(t *testing.T) {
 	if len(syms) != 2 {
 		t.Fatalf("Syms = %v, want 2 entries", syms)
 	}
-	if Deref(Sym(TaintSym)).ContainsTaint() != true {
+	if tab.Deref(tab.Sym(TaintSym)).ContainsTaint() != true {
 		t.Fatal("taint not detected")
 	}
 }
@@ -271,17 +275,17 @@ func TestArgHelpers(t *testing.T) {
 }
 
 func TestDepthTruncation(t *testing.T) {
-	e := Sym("p")
+	e := tab.Sym("p")
 	for i := 0; i < MaxDepth*3; i++ {
-		e = Deref(e)
+		e = tab.Deref(e)
 	}
 	if e.Depth() > MaxDepth+2 {
 		t.Fatalf("depth %d exceeds bound", e.Depth())
 	}
 	// Truncation must be deterministic: building it again gives an equal key.
-	f := Sym("p")
+	f := tab.Sym("p")
 	for i := 0; i < MaxDepth*3; i++ {
-		f = Deref(f)
+		f = tab.Deref(f)
 	}
 	if !e.Equal(f) {
 		t.Fatal("truncation is not deterministic")
@@ -289,9 +293,9 @@ func TestDepthTruncation(t *testing.T) {
 }
 
 // randomExpr builds a random expression of bounded size for property tests.
-func randomExpr(r *rand.Rand, depth int) *Expr { return randomExprIn(nil, r, depth) }
+func randomExpr(r *rand.Rand, depth int) *Expr { return randomExprIn(tab, r, depth) }
 
-// randomExprIn is randomExpr built through tab.
+// randomExprIn is randomExpr built through t.
 func randomExprIn(tab *Table, r *rand.Rand, depth int) *Expr {
 	if depth <= 0 {
 		if r.Intn(2) == 0 {
@@ -313,11 +317,19 @@ func randomExprIn(tab *Table, r *rand.Rand, depth int) *Expr {
 }
 
 func TestPropertyKeyDeterminism(t *testing.T) {
-	// Rebuilding an expression from the same random stream yields the same key.
+	// Rebuilding an expression from the same random stream yields the
+	// same node in one table and the same key in another.
 	f := func(seed int64) bool {
-		a := randomExpr(rand.New(rand.NewSource(seed)), 5)
-		b := randomExpr(rand.New(rand.NewSource(seed)), 5)
-		return a.Equal(b) && a.Key() == b.Key()
+		other := new(Table)
+		for _, depth := range []int{5, 20} {
+			a := randomExpr(rand.New(rand.NewSource(seed)), depth)
+			b := randomExpr(rand.New(rand.NewSource(seed)), depth)
+			c := randomExprIn(other, rand.New(rand.NewSource(seed)), depth)
+			if a != b || !a.Equal(c) || a.Key() != c.Key() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -328,7 +340,7 @@ func TestPropertyAddCommutative(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		a := randomExpr(rand.New(rand.NewSource(s1)), 4)
 		b := randomExpr(rand.New(rand.NewSource(s2)), 4)
-		return Bin(OpAdd, a, b).Equal(Bin(OpAdd, b, a))
+		return tab.Bin(OpAdd, a, b).Equal(tab.Bin(OpAdd, b, a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -338,8 +350,8 @@ func TestPropertyAddCommutative(t *testing.T) {
 func TestPropertyAddAssociativeWithConstants(t *testing.T) {
 	f := func(seed int64, c1, c2 int32) bool {
 		a := randomExpr(rand.New(rand.NewSource(seed)), 3)
-		l := Add(Add(a, int64(c1)), int64(c2))
-		r := Add(a, int64(c1)+int64(c2))
+		l := tab.Add(tab.Add(a, int64(c1)), int64(c2))
+		r := tab.Add(a, int64(c1)+int64(c2))
 		return l.Equal(r)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -351,7 +363,7 @@ func TestPropertySubstIdentity(t *testing.T) {
 	// Substituting a symbol that does not occur is the identity.
 	f := func(seed int64) bool {
 		a := randomExpr(rand.New(rand.NewSource(seed)), 4)
-		return a.Subst(Sym("never_occurs"), Const(42)).Equal(a)
+		return tab.Subst(a, tab.Sym("never_occurs"), tab.Const(42)) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -366,7 +378,7 @@ func TestPropertySubstRemovesSymbol(t *testing.T) {
 		if a.Depth() >= MaxDepth {
 			return true
 		}
-		got := a.Subst(Sym("arg0"), Const(7))
+		got := tab.Subst(a, tab.Sym("arg0"), tab.Const(7))
 		return !got.ContainsSym("arg0")
 	}
 	if err := quick.Check(f, nil); err != nil {

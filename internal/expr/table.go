@@ -5,19 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// Table hash-conses expression nodes. Its constructors normalize exactly
-// as the package-level ones do, but build each distinct node once: a
-// repeated construction finds the node by its kind's identity (a
-// constant by value, a symbol by name, a deref by its operand's pointer,
-// a binary op by operator and operand pointers) and returns it without
-// allocating or spelling its key again.
+// Table hash-conses expression nodes. Its constructors normalize their
+// result and build each distinct node once: a repeated construction
+// finds the node by its kind's identity (a constant by value, a symbol
+// by name, a deref by its operand's pointer, a binary op by operator and
+// operand pointers) and returns it without allocating or spelling its
+// key again.
 //
 // A table is meant to live as long as one analysis: it holds every node
 // it built until it is dropped. It is safe for concurrent use by that
 // analysis's workers; the nodes are spread over independently locked
 // shards. The zero Table is ready to use and allocates nothing before
-// its first construction. A nil *Table builds a fresh node on every call,
-// like the package-level constructors.
+// its first construction.
 type Table struct {
 	shards atomic.Pointer[[tableShards]tableShard]
 }
@@ -59,9 +58,6 @@ func (t *Table) Const(v int64) *Expr {
 	if v >= minSmallConst && v < maxSmallConst {
 		return &smallConsts[v-minSmallConst]
 	}
-	if t == nil {
-		return newConst(v)
-	}
 	s := t.shard(constHash(v))
 	s.mu.Lock()
 	e, ok := s.consts[v]
@@ -79,9 +75,6 @@ func (t *Table) Const(v int64) *Expr {
 // Sym returns the symbol named name.
 func (t *Table) Sym(name string) *Expr {
 	h := strHash(name)
-	if t == nil {
-		return newSym(name, h)
-	}
 	s := t.shard(h)
 	s.mu.Lock()
 	e, ok := s.syms[name]
@@ -106,9 +99,6 @@ func (t *Table) Deref(addr *Expr) *Expr {
 	}
 	if addr.depth >= MaxDepth {
 		addr = t.truncated(addr)
-	}
-	if t == nil {
-		return newDeref(addr)
 	}
 	s := t.shard(derefHash(addr))
 	s.mu.Lock()
@@ -225,9 +215,6 @@ func (t *Table) rawBin(op Op, a, b *Expr) *Expr {
 }
 
 func (t *Table) rawBinNoLimit(op Op, a, b *Expr) *Expr {
-	if t == nil {
-		return newBin(op, a, b)
-	}
 	s := t.shard(binHash(op, a, b))
 	k := binKey{op, a, b}
 	s.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 // TestTableSharesNodes pins hash-consing: a repeated construction
@@ -88,30 +87,10 @@ func TestTableSubstMapSyms(t *testing.T) {
 	if got != want {
 		t.Errorf("MapSyms built %s (%p), want the table's node %p", got, got, want)
 	}
-	// A package-built operand is rewritten into table nodes too.
-	if got := tab.Subst(Deref(Add(Arg(0), 0x58)), Arg(0), tab.Arg(1)); got != tab.Deref(tab.Add(tab.Arg(1), 0x58)) {
-		t.Errorf("Subst over package nodes built %s (%p), not the table's node", got, got)
-	}
-}
-
-// TestPropertyTableKeysMatchPackage: building an expression through a
-// table gives the key the package-level constructors give, and
-// building it again gives the same node.
-func TestPropertyTableKeysMatchPackage(t *testing.T) {
-	tab := new(Table)
-	f := func(seed int64) bool {
-		for _, depth := range []int{5, 20} {
-			a := randomExpr(rand.New(rand.NewSource(seed)), depth)
-			b := randomExprIn(tab, rand.New(rand.NewSource(seed)), depth)
-			c := randomExprIn(tab, rand.New(rand.NewSource(seed)), depth)
-			if a.Key() != b.Key() || b != c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	// Another table's operand is rewritten into this table's nodes too.
+	other := new(Table)
+	if got := tab.Subst(other.Deref(other.Add(other.Arg(0), 0x58)), other.Arg(0), tab.Arg(1)); got != tab.Deref(tab.Add(tab.Arg(1), 0x58)) {
+		t.Errorf("Subst over another table's nodes built %s (%p), not the table's node", got, got)
 	}
 }
 
@@ -139,18 +118,6 @@ func TestTableConcurrentBuilders(t *testing.T) {
 				t.Fatalf("seed %d: worker %d built %p, worker 0 built %p for %s", s, w, got[w][s], got[0][s], got[0][s])
 			}
 		}
-	}
-}
-
-// TestNilTableBuildsFresh: a nil table shares nothing beyond the small
-// constants, like the package-level constructors.
-func TestNilTableBuildsFresh(t *testing.T) {
-	var tab *Table
-	if tab.Sym("x") == tab.Sym("x") || tab.Const(0x670B0) == tab.Const(0x670B0) {
-		t.Fatal("a nil table shared a node")
-	}
-	if tab.Const(4) != Const(4) {
-		t.Fatal("a nil table did not return the shared small constant")
 	}
 }
 

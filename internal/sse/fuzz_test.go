@@ -17,16 +17,17 @@ func FuzzIntern(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x01, 0x04, 0x04, 0x00, 0x03, 0x08})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		in := NewInterner(nil)
-		a := expr.Sym("arg0")
-		b := expr.Sym("arg1")
+		tab := new(expr.Table)
+		in := NewInterner(tab)
+		a := tab.Sym("arg0")
+		b := tab.Sym("arg1")
 		for i := 0; i+1 < len(ops); i += 2 {
 			arg := int64(int8(ops[i+1]))
 			switch ops[i] % 5 {
 			case 0: // a = deref(a + k)
-				a = expr.Deref(expr.Add(a, arg))
+				a = tab.Deref(tab.Add(a, arg))
 			case 1: // b = deref(b + k)
-				b = expr.Deref(expr.Add(b, arg))
+				b = tab.Deref(tab.Add(b, arg))
 			case 2: // swap
 				a, b = b, a
 			case 3: // fact: value(a) = value(b) + k
@@ -36,7 +37,7 @@ func FuzzIntern(f *testing.F) {
 					in.Union(pa.Node, pa.Off, pb.Node, pb.Off+arg)
 				}
 			case 4: // reset one side to a fresh root
-				a = expr.Sym("sp")
+				a = tab.Sym("sp")
 			}
 			if a.Depth() > 10 || b.Depth() > 10 {
 				break

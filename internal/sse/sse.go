@@ -89,16 +89,11 @@ type Interner struct {
 	conflict int
 }
 
-// NewInterner returns an empty interner over tab's nodes; a nil tab
-// gives the interner a table of its own. Its maps are allocated lazily
-// on first intern: analyses hold one interner per function, and most
-// functions never intern a node, so the empty case must cost nothing.
-func NewInterner(tab *expr.Table) *Interner {
-	if tab == nil {
-		tab = new(expr.Table)
-	}
-	return &Interner{tab: tab}
-}
+// NewInterner returns an empty interner over tab's nodes. Its maps are
+// allocated lazily on first intern: analyses hold one interner per
+// function, and most functions never intern a node, so the empty case
+// must cost nothing.
+func NewInterner(tab *expr.Table) *Interner { return &Interner{tab: tab} }
 
 // Stats returns the current table statistics.
 func (in *Interner) Stats() Stats {

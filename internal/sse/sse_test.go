@@ -10,6 +10,9 @@ import (
 	"dtaint/internal/expr"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 func qc(t *testing.T, name string, f interface{}) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
@@ -42,57 +45,57 @@ func (pathSpec) Generate(r *rand.Rand, _ int) reflect.Value {
 
 // build constructs the spec's expression in the canonical spelling.
 func (s pathSpec) build() *expr.Expr {
-	e := expr.Sym(specRoots[s.Root%uint8(len(specRoots))])
+	e := tab.Sym(specRoots[s.Root%uint8(len(specRoots))])
 	for _, st := range s.Steps {
-		e = expr.Deref(expr.Add(e, int64(st)))
+		e = tab.Deref(tab.Add(e, int64(st)))
 	}
-	return expr.Add(e, int64(s.Off))
+	return tab.Add(e, int64(s.Off))
 }
 
 // buildScrambled constructs the same value with commuted additions and
 // subtractive offset spellings: base+off written as off+base, or as
 // base-(-off).
 func (s pathSpec) buildScrambled(flip uint8) *expr.Expr {
-	e := expr.Sym(specRoots[s.Root%uint8(len(specRoots))])
+	e := tab.Sym(specRoots[s.Root%uint8(len(specRoots))])
 	mix := func(base *expr.Expr, off int64, bit uint8) *expr.Expr {
 		switch bit % 3 {
 		case 1:
-			return expr.Bin(expr.OpAdd, expr.Const(off), base)
+			return tab.Bin(expr.OpAdd, tab.Const(off), base)
 		case 2:
-			return expr.Bin(expr.OpSub, base, expr.Const(-off))
+			return tab.Bin(expr.OpSub, base, tab.Const(-off))
 		}
-		return expr.Add(base, off)
+		return tab.Add(base, off)
 	}
 	for i, st := range s.Steps {
-		e = expr.Deref(mix(e, int64(st), flip>>(uint(i)%6)))
+		e = tab.Deref(mix(e, int64(st), flip>>(uint(i)%6)))
 	}
 	return mix(e, int64(s.Off), flip>>6)
 }
 
 func TestCanonicalizationLaws(t *testing.T) {
 	qc(t, "idempotent", func(s pathSpec) bool {
-		in := NewInterner(nil)
+		in := NewInterner(tab)
 		p, ok := in.Intern(s.build())
 		if !ok {
 			return false
 		}
-		q, ok := in.Intern(expr.Add(p.Node.Expr(), p.Off))
+		q, ok := in.Intern(tab.Add(p.Node.Expr(), p.Off))
 		return ok && p == q
 	})
 	qc(t, "canonical-equal is pointer-identical", func(s pathSpec) bool {
-		in := NewInterner(nil)
+		in := NewInterner(tab)
 		p, ok1 := in.Intern(s.build())
 		q, ok2 := in.Intern(s.build())
 		return ok1 && ok2 && p.Node == q.Node && p.Off == q.Off
 	})
 	qc(t, "commutative offsets normalize identically", func(s pathSpec, flip uint8) bool {
-		in := NewInterner(nil)
+		in := NewInterner(tab)
 		p, ok1 := in.Intern(s.build())
 		q, ok2 := in.Intern(s.buildScrambled(flip))
 		return ok1 && ok2 && p == q
 	})
 	qc(t, "alias is reflexive", func(s pathSpec) bool {
-		in := NewInterner(nil)
+		in := NewInterner(tab)
 		p, ok := in.Intern(s.build())
 		return ok && in.Alias(p, p)
 	})
@@ -118,7 +121,7 @@ func (groupModel) Generate(r *rand.Rand, _ int) reflect.Value {
 
 func TestUnionFindMatchesModel(t *testing.T) {
 	qc(t, "alias agrees with hidden-value model", func(m groupModel, qa, qb uint8, oa, ob int8) bool {
-		in := NewInterner(nil)
+		in := NewInterner(tab)
 		nodes := make([]*Node, len(m.Group))
 		for i := range nodes {
 			nodes[i] = in.Root(specRoots[i])
@@ -143,7 +146,7 @@ func TestUnionFindMatchesModel(t *testing.T) {
 }
 
 func TestWeightedUnion(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	a, b := in.Root("a"), in.Root("b")
 	// value(a) = value(b) + 8.
 	if !in.Union(a, 0, b, 8) {
@@ -165,7 +168,7 @@ func TestWeightedUnion(t *testing.T) {
 }
 
 func TestCongruenceClosure(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	a, b := in.Root("a"), in.Root("b")
 	ca := in.Child(a, 4)
 	in.Union(a, 0, b, 0)
@@ -190,14 +193,14 @@ func TestCongruenceClosure(t *testing.T) {
 func TestCongruenceAtInternTime(t *testing.T) {
 	// The union exists before the second spelling is interned: the new
 	// child must land in the existing class at creation time.
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	arg0, arg1 := in.Root("arg0"), in.Root("arg1")
 	in.Union(in.Child(arg0, 8), 0, arg1, 0) // deref(arg0+8) = arg1
-	p, ok := in.Intern(expr.Deref(expr.Add(expr.Sym("arg1"), 4)))
+	p, ok := in.Intern(tab.Deref(tab.Add(tab.Sym("arg1"), 4)))
 	if !ok {
 		t.Fatal("intern failed")
 	}
-	q, ok := in.Intern(expr.Deref(expr.Add(expr.Deref(expr.Add(expr.Sym("arg0"), 8)), 4)))
+	q, ok := in.Intern(tab.Deref(tab.Add(tab.Deref(tab.Add(tab.Sym("arg0"), 8)), 4)))
 	if !ok {
 		t.Fatal("intern failed")
 	}
@@ -207,14 +210,14 @@ func TestCongruenceAtInternTime(t *testing.T) {
 }
 
 func TestInternRejectsNonPaths(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	if _, ok := in.Intern(nil); ok {
 		t.Fatal("nil interned")
 	}
-	if _, ok := in.Intern(expr.Const(7)); ok {
+	if _, ok := in.Intern(tab.Const(7)); ok {
 		t.Fatal("constant interned")
 	}
-	mul := expr.Bin(expr.OpMul, expr.Sym("a"), expr.Sym("b"))
+	mul := tab.Bin(expr.OpMul, tab.Sym("a"), tab.Sym("b"))
 	if _, ok := in.Intern(mul); ok {
 		t.Fatal("non-additive form interned")
 	}
@@ -223,13 +226,13 @@ func TestInternRejectsNonPaths(t *testing.T) {
 func TestPathExprsExpandsThroughClasses(t *testing.T) {
 	// The register/dispatch shape: deref(arg0+8) = arg1 registered, then
 	// the path deref(arg1+4) must also spell as deref(deref(arg0+8)+4).
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	arg0 := in.Root("arg0")
 	arg1 := in.Root("arg1")
 	in.Union(in.Child(arg0, 8), 0, arg1, 0)
 	c := in.Child(arg1, 4)
 	forms := in.PathExprs(Path{Node: c, Off: 0}, 2, 16)
-	want := expr.Deref(expr.Add(expr.Deref(expr.Add(expr.Sym("arg0"), 8)), 4))
+	want := tab.Deref(tab.Add(tab.Deref(tab.Add(tab.Sym("arg0"), 8)), 4))
 	found := false
 	for _, f := range forms {
 		if f.Equal(want) {
@@ -249,7 +252,7 @@ func TestPathExprsExpandsThroughClasses(t *testing.T) {
 }
 
 func TestPathExprsBudget(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	base := in.Root("p")
 	for i := 0; i < 20; i++ {
 		in.Union(in.Child(in.Root(specRoots[i%len(specRoots)]), int64(i)*4), 0, base, 0)
@@ -260,7 +263,7 @@ func TestPathExprsBudget(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	in.Root("a")
 	in.Root("a")
 	in.Child(in.Root("a"), 4)
@@ -280,23 +283,23 @@ func TestStats(t *testing.T) {
 }
 
 // TestInternBuildsTableNodes: an interner given a table interns that
-// table's nodes, so its paths and spellings are the analysis's own
-// expressions.
+// table's nodes, even for input built in another table, so its paths
+// and spellings are the analysis's own expressions.
 func TestInternBuildsTableNodes(t *testing.T) {
-	tab := new(expr.Table)
-	in := NewInterner(tab)
-	p, ok := in.Intern(expr.Add(expr.Deref(expr.Add(expr.Deref(expr.Add(expr.Sym("arg0"), 8)), 4)), 2))
+	own := new(expr.Table)
+	in := NewInterner(own)
+	p, ok := in.Intern(tab.Add(tab.Deref(tab.Add(tab.Deref(tab.Add(tab.Sym("arg0"), 8)), 4)), 2))
 	if !ok {
 		t.Fatal("intern failed")
 	}
 	steps := 0
 	for n := p.Node; n.parent != nil; n = n.parent {
-		if n.Expr() != tab.Deref(tab.Add(n.parent.Expr(), n.off)) {
+		if n.Expr() != own.Deref(own.Add(n.parent.Expr(), n.off)) {
 			t.Fatalf("child %s is not the table's node", n.Expr())
 		}
 		steps++
 	}
-	if steps != 2 || in.Root("arg0").Expr() != tab.Sym("arg0") {
+	if steps != 2 || in.Root("arg0").Expr() != own.Sym("arg0") {
 		t.Fatalf("root is not the table's symbol after %d steps", steps)
 	}
 }
@@ -328,15 +331,15 @@ func TestInternersShareTable(t *testing.T) {
 // TestStatsSequence pins the counters of a fixed Root/Child/Intern/Union
 // sequence, congruence merges and a rejected non-path included.
 func TestStatsSequence(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner(tab)
 	a, b := in.Root("arg0"), in.Root("arg1")
 	in.Union(in.Child(a, 8), 0, b, 0)
 	in.Child(b, 4)
 	for _, e := range []*expr.Expr{
-		expr.Deref(expr.Add(expr.Deref(expr.Add(expr.Sym("arg0"), 8)), 4)),
-		expr.Add(expr.Deref(expr.Add(expr.Sym("arg1"), 4)), 12),
-		expr.Deref(expr.Sym("sp")),
-		expr.Bin(expr.OpMul, expr.Sym("arg0"), expr.Const(2)),
+		tab.Deref(tab.Add(tab.Deref(tab.Add(tab.Sym("arg0"), 8)), 4)),
+		tab.Add(tab.Deref(tab.Add(tab.Sym("arg1"), 4)), 12),
+		tab.Deref(tab.Sym("sp")),
+		tab.Bin(expr.OpMul, tab.Sym("arg0"), tab.Const(2)),
 	} {
 		in.Intern(e)
 	}

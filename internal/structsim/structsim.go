@@ -57,11 +57,13 @@ func (l *Layout) baseSet() []string {
 	return out
 }
 
-// Canonicalize rewrites an expression's root symbol to the placeholder.
-func canonicalize(e *expr.Expr, rootName string) string {
-	return e.MapSyms(func(name string) *expr.Expr {
+// canonicalize spells an expression with its root symbol rewritten to
+// the placeholder. The rewrite re-normalizes, so it is built, through
+// tab; only its spelling is kept.
+func canonicalize(tab *expr.Table, e *expr.Expr, rootName string) string {
+	return tab.MapSyms(e, func(name string) *expr.Expr {
 		if name == rootName {
-			return expr.Sym(rootPlaceholder)
+			return tab.Sym(rootPlaceholder)
 		}
 		return nil
 	}).Key()
@@ -72,6 +74,7 @@ func canonicalize(e *expr.Expr, rootName string) string {
 // values, or the stack pointer all qualify — the paper builds stack
 // layouts when a stack pointer is passed to a callee.
 func BuildLayouts(sum *symexec.Summary) []*Layout {
+	tab := new(expr.Table)
 	byRoot := make(map[string]*Layout)
 	for _, fo := range sum.Fields {
 		root := fo.Base.RootPointer()
@@ -92,7 +95,7 @@ func BuildLayouts(sum *symexec.Summary) []*Layout {
 			}
 			byRoot[rootName] = l
 		}
-		baseKey := canonicalize(fo.Base, rootName)
+		baseKey := canonicalize(tab, fo.Base, rootName)
 		fm := l.Fields[baseKey]
 		if fm == nil {
 			fm = make(map[int64]expr.Type)
@@ -203,6 +206,7 @@ func ResolveIndirect(sums map[string]*symexec.Summary) []Resolution {
 		}
 	}
 
+	tab := new(expr.Table)
 	var out []Resolution
 	for _, name := range names {
 		sum := sums[name]
@@ -237,7 +241,7 @@ func ResolveIndirect(sums map[string]*symexec.Summary) []Resolution {
 			if siteLayout == nil {
 				continue
 			}
-			baseKey := canonicalize(base, rootName)
+			baseKey := canonicalize(tab, base, rootName)
 
 			best := Resolution{Caller: name, Site: call.Addr, Score: -1}
 			for _, o := range all {

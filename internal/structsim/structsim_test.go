@@ -10,6 +10,9 @@ import (
 	"dtaint/internal/symexec"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 func layoutFrom(fn string, fields []symexec.FieldObs) *Layout {
 	sum := &symexec.Summary{Func: fn, Fields: fields}
 	ls := BuildLayouts(sum)
@@ -24,12 +27,12 @@ func obs(base *expr.Expr, off int64, ty expr.Type) symexec.FieldObs {
 }
 
 func TestBuildLayoutsGroupsByRoot(t *testing.T) {
-	a0 := expr.Arg(0)
-	a1 := expr.Arg(1)
+	a0 := tab.Arg(0)
+	a1 := tab.Arg(1)
 	sum := &symexec.Summary{Func: "f", Fields: []symexec.FieldObs{
 		obs(a0, 0, expr.TypePtr),
 		obs(a0, 4, expr.TypeInt),
-		obs(expr.Deref(expr.Add(a0, 0)), 8, expr.TypeChar), // nested base, same root
+		obs(tab.Deref(tab.Add(a0, 0)), 8, expr.TypeChar), // nested base, same root
 		obs(a1, 0, expr.TypeInt),
 	}}
 	ls := BuildLayouts(sum)
@@ -58,8 +61,8 @@ func TestCanonicalAlignmentAcrossFunctions(t *testing.T) {
 			obs(root, 8, expr.TypeCharPtr),
 		})
 	}
-	a := mk(expr.Arg(0), "f")
-	b := mk(expr.Arg(2), "g")
+	a := mk(tab.Arg(0), "f")
+	b := mk(tab.Arg(2), "g")
 	sigma, ok := Similarity(a, b)
 	if !ok || math.Abs(sigma-1.0) > 1e-9 {
 		t.Fatalf("σ = %v, ok=%v; want 1.0", sigma, ok)
@@ -68,14 +71,14 @@ func TestCanonicalAlignmentAcrossFunctions(t *testing.T) {
 
 func TestSimilarityPartialOverlap(t *testing.T) {
 	a := layoutFrom("f", []symexec.FieldObs{
-		obs(expr.Arg(0), 0, expr.TypeInt),
-		obs(expr.Arg(0), 4, expr.TypeInt),
+		obs(tab.Arg(0), 0, expr.TypeInt),
+		obs(tab.Arg(0), 4, expr.TypeInt),
 	})
 	b := layoutFrom("g", []symexec.FieldObs{
-		obs(expr.Arg(0), 0, expr.TypeInt),
-		obs(expr.Arg(0), 4, expr.TypeInt),
-		obs(expr.Arg(0), 8, expr.TypeInt),
-		obs(expr.Arg(0), 12, expr.TypeInt),
+		obs(tab.Arg(0), 0, expr.TypeInt),
+		obs(tab.Arg(0), 4, expr.TypeInt),
+		obs(tab.Arg(0), 8, expr.TypeInt),
+		obs(tab.Arg(0), 12, expr.TypeInt),
 	})
 	sigma, ok := Similarity(a, b)
 	if !ok {
@@ -92,8 +95,8 @@ func TestSimilarityPartialOverlap(t *testing.T) {
 }
 
 func TestTypeConflictRejects(t *testing.T) {
-	a := layoutFrom("f", []symexec.FieldObs{obs(expr.Arg(0), 4, expr.TypeInt)})
-	b := layoutFrom("g", []symexec.FieldObs{obs(expr.Arg(0), 4, expr.TypeCharPtr)})
+	a := layoutFrom("f", []symexec.FieldObs{obs(tab.Arg(0), 4, expr.TypeInt)})
+	b := layoutFrom("g", []symexec.FieldObs{obs(tab.Arg(0), 4, expr.TypeCharPtr)})
 	if _, ok := Similarity(a, b); ok {
 		t.Fatal("conflicting field types must make layouts incomparable")
 	}
@@ -101,18 +104,18 @@ func TestTypeConflictRejects(t *testing.T) {
 
 func TestBaseSubsetRule(t *testing.T) {
 	// Layout a has bases {ROOT}, b has {ROOT, deref(ROOT+0)} -> a ⊆ b: ok.
-	a := layoutFrom("f", []symexec.FieldObs{obs(expr.Arg(0), 0, expr.TypePtr)})
+	a := layoutFrom("f", []symexec.FieldObs{obs(tab.Arg(0), 0, expr.TypePtr)})
 	b := layoutFrom("g", []symexec.FieldObs{
-		obs(expr.Arg(0), 0, expr.TypePtr),
-		obs(expr.Deref(expr.Add(expr.Arg(0), 0)), 4, expr.TypeInt),
+		obs(tab.Arg(0), 0, expr.TypePtr),
+		obs(tab.Deref(tab.Add(tab.Arg(0), 0)), 4, expr.TypeInt),
 	})
 	if _, ok := Similarity(a, b); !ok {
 		t.Fatal("subset base sets must be comparable")
 	}
 	// Disjoint-ish base sets: {ROOT, deref(ROOT+0)} vs {ROOT, deref(ROOT+8)}.
 	c := layoutFrom("h", []symexec.FieldObs{
-		obs(expr.Arg(0), 8, expr.TypePtr),
-		obs(expr.Deref(expr.Add(expr.Arg(0), 8)), 4, expr.TypeInt),
+		obs(tab.Arg(0), 8, expr.TypePtr),
+		obs(tab.Deref(tab.Add(tab.Arg(0), 8)), 4, expr.TypeInt),
 	})
 	if _, ok := Similarity(b, c); ok {
 		t.Fatal("non-nested base sets must be incomparable")
@@ -124,7 +127,7 @@ func TestSimilarityDegenerate(t *testing.T) {
 		t.Fatal("nil layouts comparable")
 	}
 	empty := &Layout{Fields: map[string]map[int64]expr.Type{}}
-	a := layoutFrom("f", []symexec.FieldObs{obs(expr.Arg(0), 0, expr.TypeInt)})
+	a := layoutFrom("f", []symexec.FieldObs{obs(tab.Arg(0), 0, expr.TypeInt)})
 	if _, ok := Similarity(a, empty); ok {
 		t.Fatal("empty layout comparable")
 	}

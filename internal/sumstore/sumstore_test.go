@@ -16,11 +16,11 @@ func TestStoreHitMissCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetSummary(nil, "p1-absent"); ok {
+	if _, ok := s.GetSummary(tab, "p1-absent"); ok {
 		t.Fatal("lookup in empty store hit")
 	}
 	s.PutSummary("p1-a", richSummary())
-	got, ok := s.GetSummary(nil, "p1-a")
+	got, ok := s.GetSummary(tab, "p1-a")
 	if !ok {
 		t.Fatal("stored summary missing")
 	}
@@ -41,14 +41,14 @@ func TestStoreLRUEviction(t *testing.T) {
 	sum := richSummary()
 	s.PutSummary("p1-a", sum)
 	s.PutSummary("p1-b", sum)
-	if _, ok := s.GetSummary(nil, "p1-a"); !ok { // touch a: b becomes LRU
+	if _, ok := s.GetSummary(tab, "p1-a"); !ok { // touch a: b becomes LRU
 		t.Fatal("p1-a missing before eviction")
 	}
 	s.PutSummary("p1-c", sum) // evicts b
-	if _, ok := s.GetSummary(nil, "p1-b"); ok {
+	if _, ok := s.GetSummary(tab, "p1-b"); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, ok := s.GetSummary(nil, "p1-a"); !ok {
+	if _, ok := s.GetSummary(tab, "p1-a"); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
 	st := s.Stats()
@@ -73,11 +73,11 @@ func TestStoreDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, ok := s2.GetSummary(nil, "p1-a")
+	sum, ok := s2.GetSummary(tab, "p1-a")
 	if !ok || !reflect.DeepEqual(sum, richSummary()) {
 		t.Fatalf("disk summary: ok=%v", ok)
 	}
-	ent, ok := s2.GetEntry(nil, "bu-x")
+	ent, ok := s2.GetEntry(tab, "bu-x")
 	if !ok || !reflect.DeepEqual(ent, richEntry()) {
 		t.Fatalf("disk entry: ok=%v", ok)
 	}
@@ -86,7 +86,7 @@ func TestStoreDiskTier(t *testing.T) {
 		t.Fatalf("stats after disk promote = %+v", st)
 	}
 	// Promoted entries now serve from memory.
-	if _, ok := s2.GetSummary(nil, "p1-a"); !ok {
+	if _, ok := s2.GetSummary(tab, "p1-a"); !ok {
 		t.Fatal("promoted entry missing")
 	}
 	if got := s2.Stats(); got.DiskHits != 2 || got.Hits != 3 {
@@ -128,7 +128,7 @@ func TestStoreCorruptDiskFileIsMiss(t *testing.T) {
 			t.Fatalf("DiskHits %d > Hits %d", st.DiskHits, st.Hits)
 		}
 	}
-	if _, ok := s2.GetSummary(nil, "p1-a"); ok {
+	if _, ok := s2.GetSummary(tab, "p1-a"); ok {
 		t.Fatal("corrupt disk file served as a hit")
 	}
 	check(Stats{Misses: 1})
@@ -136,7 +136,7 @@ func TestStoreCorruptDiskFileIsMiss(t *testing.T) {
 	if err := os.WriteFile(path, valid, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sum, ok := s2.GetSummary(nil, "p1-a")
+	sum, ok := s2.GetSummary(tab, "p1-a")
 	if !ok || !reflect.DeepEqual(sum, richSummary()) {
 		t.Fatalf("repaired disk file: ok=%v", ok)
 	}
@@ -151,7 +151,7 @@ func TestStoreKindConfusionIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.PutSummary("k", richSummary())
-	if _, ok := s.GetEntry(nil, "k"); ok {
+	if _, ok := s.GetEntry(tab, "k"); ok {
 		t.Fatal("summary blob served as an entry")
 	}
 	if st := s.Stats(); st != (Stats{Misses: 1, Entries: 1}) {
@@ -180,8 +180,8 @@ func TestStorePublishMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.PutSummary("p1-a", richSummary())
-	s.GetSummary(nil, "p1-a")
-	s.GetSummary(nil, "p1-b")
+	s.GetSummary(tab, "p1-a")
+	s.GetSummary(tab, "p1-b")
 
 	reg := obs.NewRegistry()
 	s.PublishMetrics(reg)

@@ -18,50 +18,53 @@ import (
 	"dtaint/internal/vrange"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 var regen = flag.Bool("regen", false, "regenerate golden wire-format files")
 
 // richSummary exercises every summary field, including deep and
 // normalized expression trees (the codec must reproduce constructor
 // fixed points exactly).
 func richSummary() *symexec.Summary {
-	arg0 := expr.Sym("arg0")
-	field := expr.Deref(expr.Add(arg0, 0x4C))
-	deep := expr.Deref(expr.Bin(expr.OpAdd, field, expr.Sym("idx")))
+	arg0 := tab.Sym("arg0")
+	field := tab.Deref(tab.Add(arg0, 0x4C))
+	deep := tab.Deref(tab.Bin(expr.OpAdd, field, tab.Sym("idx")))
 	return &symexec.Summary{
 		Func: "tls1_process_heartbeat",
 		Addr: 0x1000_0040,
 		DefPairs: []DefPairAlias{
-			{D: expr.Deref(expr.Add(expr.Sym("SP0"), 8)), U: field, Addr: 0x1000_0060, Size: 4},
-			{D: expr.Sym("R0"), U: deep, Addr: 0x1000_0064, Size: 1},
+			{D: tab.Deref(tab.Add(tab.Sym("SP0"), 8)), U: field, Addr: 0x1000_0060, Size: 4},
+			{D: tab.Sym("R0"), U: deep, Addr: 0x1000_0064, Size: 1},
 		},
-		Rets: []*expr.Expr{expr.Const(0), field},
+		Rets: []*expr.Expr{tab.Const(0), field},
 		Calls: []symexec.CallRecord{
 			{
 				Addr: 0x1000_0070, Kind: 1, Callee: "memcpy",
-				Args:   []*expr.Expr{expr.Sym("dst"), field, expr.Const(0x200)},
-				Ret:    expr.Sym("ret_memcpy_10000070"),
+				Args:   []*expr.Expr{tab.Sym("dst"), field, tab.Const(0x200)},
+				Ret:    tab.Sym("ret_memcpy_10000070"),
 				FnPtr:  nil,
 				InLoop: true,
 			},
 			{Addr: 0x1000_0080, Kind: 2, Callee: "", FnPtr: deep},
 		},
 		Constraints: []symexec.Constraint{
-			{L: field, R: expr.Const(0x100), Cond: isa.CondLT, Addr: 0x1000_0068, InLoop: false},
-			{L: expr.Sym("n"), R: nil, Cond: isa.CondGE, Addr: 0x1000_006C, InLoop: true},
+			{L: field, R: tab.Const(0x100), Cond: isa.CondLT, Addr: 0x1000_0068, InLoop: false},
+			{L: tab.Sym("n"), R: nil, Cond: isa.CondGE, Addr: 0x1000_006C, InLoop: true},
 		},
 		Types: map[string]expr.Type{
-			"arg0":              expr.TypeCharPtr,
-			field.Key():         expr.TypeUnknown,
-			expr.Sym("n").Key(): expr.TypeConflict,
+			"arg0":             expr.TypeCharPtr,
+			field.Key():        expr.TypeUnknown,
+			tab.Sym("n").Key(): expr.TypeConflict,
 		},
 		Fields: []symexec.FieldObs{
 			{Base: arg0, Off: 0x4C, Ty: expr.TypeFuncPtr, FnTarget: "handler"},
 			{Base: field, Off: -8, Ty: expr.TypeUnknown, FnTarget: ""},
 		},
 		LoopStores: []symexec.LoopStore{
-			{Addr: 0x1000_0090, AddrExpr: expr.Add(expr.Sym("p"), 1), Val: deep, Size: 1},
+			{Addr: 0x1000_0090, AddrExpr: tab.Add(tab.Sym("p"), 1), Val: deep, Size: 1},
 		},
-		UndefUses: []*expr.Expr{expr.Sym("R11")},
+		UndefUses: []*expr.Expr{tab.Sym("R11")},
 		Ranges: map[string]vrange.Interval{
 			"arg0":      {Lo: 0, Hi: 0xFFFF},
 			field.Key(): vrange.Bottom(),
@@ -87,11 +90,11 @@ func richEntry() *Entry {
 				{
 					Class: taint.ClassBufferOverflow, Sink: "memcpy",
 					SinkFunc: "rtsp_parse", SinkAddr: 0x1000_0100,
-					TaintExpr: expr.Deref(expr.Add(expr.Sym("arg0"), 0x4C)),
-					GuardExpr: expr.Sym("g"),
+					TaintExpr: tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C)),
+					GuardExpr: tab.Sym("g"),
 					Path:      step,
 					Constraints: []symexec.Constraint{
-						{L: expr.Sym("len"), R: expr.Const(64), Cond: isa.CondGE, Addr: 0x1000_00F0},
+						{L: tab.Sym("len"), R: tab.Const(64), Cond: isa.CondGE, Addr: 0x1000_00F0},
 					},
 					Guarded: true, Depth: 3, DstCap: 152, BoundHint: -1,
 				},
@@ -102,7 +105,7 @@ func richEntry() *Entry {
 				Class: taint.ClassCommandInjection, Sink: "system",
 				SinkFunc: "cgi_exec", SinkAddr: 0x1000_0300,
 				Source: "getenv", SourceAddr: 0x1000_0280,
-				TaintExpr: expr.Sym("env"),
+				TaintExpr: tab.Sym("env"),
 				Path:      step[:1],
 				Sanitized: false,
 				Evidence:  []string{"no ';' scan on any path", "interval [0,65535]"},
@@ -122,7 +125,7 @@ func richEntry() *Entry {
 func TestSummaryRoundTrip(t *testing.T) {
 	want := richSummary()
 	blob := EncodeSummary(want)
-	got, err := DecodeSummary(nil, blob)
+	got, err := DecodeSummary(tab, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 func TestEntryRoundTrip(t *testing.T) {
 	want := richEntry()
 	blob := EncodeEntry(want)
-	got, err := DecodeEntry(nil, blob)
+	got, err := DecodeEntry(tab, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func samePointers(t *testing.T, a, b reflect.Value) int {
 
 func TestEmptyValuesRoundTrip(t *testing.T) {
 	sum := &symexec.Summary{Func: "empty"}
-	got, err := DecodeSummary(nil, EncodeSummary(sum))
+	got, err := DecodeSummary(tab, EncodeSummary(sum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +228,7 @@ func TestEmptyValuesRoundTrip(t *testing.T) {
 		t.Fatalf("empty summary mismatch: %+v", got)
 	}
 	ent := &Entry{}
-	gotEnt, err := DecodeEntry(nil, EncodeEntry(ent))
+	gotEnt, err := DecodeEntry(tab, EncodeEntry(ent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +276,13 @@ func TestGoldenWireFormat(t *testing.T) {
 func TestTruncationIsError(t *testing.T) {
 	blob := EncodeSummary(richSummary())
 	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeSummary(nil, blob[:n]); err == nil {
+		if _, err := DecodeSummary(tab, blob[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", n, len(blob))
 		}
 	}
 	ent := EncodeEntry(richEntry())
 	for n := 0; n < len(ent); n++ {
-		if _, err := DecodeEntry(nil, ent[:n]); err == nil {
+		if _, err := DecodeEntry(tab, ent[:n]); err == nil {
 			t.Fatalf("entry prefix of %d/%d bytes decoded successfully", n, len(ent))
 		}
 	}
@@ -292,7 +295,7 @@ func TestCorruptionIsError(t *testing.T) {
 	for i := range blob {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0x41
-		if _, err := DecodeSummary(nil, bad); err == nil {
+		if _, err := DecodeSummary(tab, bad); err == nil {
 			t.Fatalf("flip at byte %d/%d decoded successfully", i, len(blob))
 		}
 	}
@@ -300,7 +303,7 @@ func TestCorruptionIsError(t *testing.T) {
 
 func TestTrailingBytesRejected(t *testing.T) {
 	blob := append(EncodeSummary(richSummary()), 0)
-	if _, err := DecodeSummary(nil, blob); err == nil {
+	if _, err := DecodeSummary(tab, blob); err == nil {
 		t.Fatal("blob with trailing byte decoded successfully")
 	}
 }
@@ -314,7 +317,7 @@ func TestVersionBumpRejected(t *testing.T) {
 	binary.BigEndian.PutUint16(blob[4:6], FormatVersion+1)
 	body := blob[:len(blob)-4]
 	binary.BigEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	if _, err := DecodeSummary(nil, blob); err == nil {
+	if _, err := DecodeSummary(tab, blob); err == nil {
 		t.Fatal("future-version blob decoded successfully")
 	}
 }
@@ -322,10 +325,10 @@ func TestVersionBumpRejected(t *testing.T) {
 func TestWrongKindRejected(t *testing.T) {
 	// A summary blob handed to the entry decoder (and vice versa) must
 	// fail even though magic, version, and CRC all check out.
-	if _, err := DecodeEntry(nil, EncodeSummary(richSummary())); err == nil {
+	if _, err := DecodeEntry(tab, EncodeSummary(richSummary())); err == nil {
 		t.Fatal("entry decoder accepted a summary blob")
 	}
-	if _, err := DecodeSummary(nil, EncodeEntry(richEntry())); err == nil {
+	if _, err := DecodeSummary(tab, EncodeEntry(richEntry())); err == nil {
 		t.Fatal("summary decoder accepted an entry blob")
 	}
 }
@@ -339,8 +342,8 @@ func TestUnknownEnumRejected(t *testing.T) {
 		name string
 		blob []byte
 	}{
-		{"op 99", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{expr.Bin(99, expr.Sym("arg0"), expr.Sym("arg1"))}})},
-		{"op 0", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{expr.Bin(0, expr.Sym("arg0"), expr.Sym("arg1"))}})},
+		{"op 99", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{tab.Bin(99, tab.Sym("arg0"), tab.Sym("arg1"))}})},
+		{"op 0", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{tab.Bin(0, tab.Sym("arg0"), tab.Sym("arg1"))}})},
 		{"cond 99", EncodeSummary(&symexec.Summary{Constraints: []symexec.Constraint{{Cond: 99}}})},
 		{"call kind 99", EncodeSummary(&symexec.Summary{Calls: []symexec.CallRecord{{Kind: 99}}})},
 		{"type 99", EncodeSummary(&symexec.Summary{Types: map[string]expr.Type{"arg0": 99}})},
@@ -350,9 +353,9 @@ func TestUnknownEnumRejected(t *testing.T) {
 	} {
 		var err error
 		if tc.blob[6] == kindSummary {
-			_, err = DecodeSummary(nil, tc.blob)
+			_, err = DecodeSummary(tab, tc.blob)
 		} else {
-			_, err = DecodeEntry(nil, tc.blob)
+			_, err = DecodeEntry(tab, tc.blob)
 		}
 		if err == nil {
 			t.Errorf("%s: decoded successfully", tc.name)
@@ -360,15 +363,15 @@ func TestUnknownEnumRejected(t *testing.T) {
 	}
 	// The largest declared value of each enumeration still decodes.
 	ok := &symexec.Summary{
-		Rets:        []*expr.Expr{expr.Bin(expr.Op(maxOp), expr.Sym("arg0"), expr.Sym("arg1"))},
+		Rets:        []*expr.Expr{tab.Bin(expr.Op(maxOp), tab.Sym("arg0"), tab.Sym("arg1"))},
 		Constraints: []symexec.Constraint{{Cond: isa.Cond(maxCond)}},
 		Calls:       []symexec.CallRecord{{Kind: cfg.CallKind(maxCallKind)}},
 		Types:       map[string]expr.Type{"arg0": expr.Type(maxType)},
 	}
-	if _, err := DecodeSummary(nil, EncodeSummary(ok)); err != nil {
+	if _, err := DecodeSummary(tab, EncodeSummary(ok)); err != nil {
 		t.Fatalf("largest enum values rejected: %v", err)
 	}
-	if _, err := DecodeEntry(nil, EncodeEntry(&Entry{Findings: []taint.Finding{{Class: taint.Class(maxClass)}}})); err != nil {
+	if _, err := DecodeEntry(tab, EncodeEntry(&Entry{Findings: []taint.Finding{{Class: taint.Class(maxClass)}}})); err != nil {
 		t.Fatalf("largest class rejected: %v", err)
 	}
 }
@@ -403,14 +406,14 @@ func FuzzDecode(f *testing.F) {
 		f.Add(blob[headerLen : len(blob)-trailerLen])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		sum, err := DecodeSummary(nil, seal(kindSummary, payload))
+		sum, err := DecodeSummary(tab, seal(kindSummary, payload))
 		viaTab, tabErr := DecodeSummary(new(expr.Table), seal(kindSummary, payload))
 		if (err == nil) != (tabErr == nil) {
 			t.Fatalf("summary decode error %v, through a table %v", err, tabErr)
 		}
 		if err == nil {
 			blob := EncodeSummary(sum)
-			again, err := DecodeSummary(nil, blob)
+			again, err := DecodeSummary(tab, blob)
 			if err != nil {
 				t.Fatalf("re-encoded summary does not decode: %v", err)
 			}
@@ -421,14 +424,14 @@ func FuzzDecode(f *testing.F) {
 				t.Fatal("summary decoded through a table re-encodes differently")
 			}
 		}
-		ent, err := DecodeEntry(nil, seal(kindEntry, payload))
+		ent, err := DecodeEntry(tab, seal(kindEntry, payload))
 		entTab, tabErr := DecodeEntry(new(expr.Table), seal(kindEntry, payload))
 		if (err == nil) != (tabErr == nil) {
 			t.Fatalf("entry decode error %v, through a table %v", err, tabErr)
 		}
 		if err == nil {
 			blob := EncodeEntry(ent)
-			again, err := DecodeEntry(nil, blob)
+			again, err := DecodeEntry(tab, blob)
 			if err != nil {
 				t.Fatalf("re-encoded entry does not decode: %v", err)
 			}

@@ -158,8 +158,8 @@ func (c *CallContext) RangeOf(key string) (vrange.Interval, bool) {
 	return iv, ok
 }
 
-// Table returns the table the analysis builds its expressions through
-// (Options.Table; nil when unset). Oracles build theirs through it too.
+// Table returns the table the analysis builds its expressions through.
+// Oracles build theirs through it too.
 func (c *CallContext) Table() *expr.Table { return c.st.tab }
 
 // Resolve returns the value stored at pointer p, or deref(p) when the
@@ -169,11 +169,11 @@ func (c *CallContext) Resolve(p *expr.Expr) *expr.Expr { return c.st.Resolve(p) 
 // ResolveDeep resolves nested derefs against the path state, bounded.
 func (c *CallContext) ResolveDeep(e *expr.Expr) *expr.Expr { return c.st.ResolveDeep(e) }
 
-// MemSnapshot copies the path's memory state (address key -> value). The
+// MemSnapshot copies the path's memory state (address -> value). The
 // top-down baseline passes it into recursive callee analyses for full
-// context sensitivity.
-func (c *CallContext) MemSnapshot() map[string]*expr.Expr {
-	out := make(map[string]*expr.Expr, len(c.st.mem))
+// context sensitivity; they must build through the same table.
+func (c *CallContext) MemSnapshot() map[*expr.Expr]*expr.Expr {
+	out := make(map[*expr.Expr]*expr.Expr, len(c.st.mem))
 	for k, v := range c.st.mem {
 		out[k] = v
 	}
@@ -214,15 +214,17 @@ type Options struct {
 	// with the caller's actual expressions.
 	InitialArgs []*expr.Expr
 	// InitialMem, when non-nil, seeds the entry memory state (copied).
-	InitialMem map[string]*expr.Expr
+	// Its addresses must be nodes of Table.
+	InitialMem map[*expr.Expr]*expr.Expr
 	// Trace, when non-nil, receives one line per executed statement with
 	// the evaluated symbolic values — the paper's Figure 6 listing
 	// ("65C: deref(arg0+0x4C) = deref(arg1+0x24)").
 	Trace func(addr uint32, line string)
-	// Table, when non-nil, builds every expression of the analysis, so
-	// nodes repeated across path states and across analyses sharing the
-	// table are built once. Nil builds a fresh node per construction.
-	// Summaries are the same either way.
+	// Table builds every expression of the analysis, so nodes repeated
+	// across path states and across analyses sharing the table are built
+	// once; nil gives the analysis a table of its own. InitialArgs,
+	// InitialMem and every expression an Oracle returns must be nodes of
+	// it: the engine tells locations and values apart by node pointer.
 	Table *expr.Table
 }
 
@@ -242,9 +244,9 @@ func (o Options) withDefaults() Options {
 
 // State is one symbolic machine state along a path.
 type State struct {
-	regs    [isa.NumRegs]*expr.Expr
-	mem     map[string]*expr.Expr // address key -> value
-	visits  []int32               // visits on this path, by block index
+	regs    [isa.NumRegs]*expr.Expr   // nil: not written yet (see engine.reg)
+	mem     map[*expr.Expr]*expr.Expr // address -> value
+	visits  []int32                   // visits on this path, by block index
 	cmpL    *expr.Expr
 	cmpR    *expr.Expr
 	hasFlag bool
@@ -254,7 +256,7 @@ type State struct {
 func (s *State) clone() *State {
 	n := &State{cmpL: s.cmpL, cmpR: s.cmpR, hasFlag: s.hasFlag, tab: s.tab}
 	n.regs = s.regs
-	n.mem = make(map[string]*expr.Expr, len(s.mem))
+	n.mem = make(map[*expr.Expr]*expr.Expr, len(s.mem))
 	for k, v := range s.mem {
 		n.mem[k] = v
 	}
@@ -262,15 +264,12 @@ func (s *State) clone() *State {
 	return n
 }
 
-// Reg returns the symbolic value of a register.
-func (s *State) Reg(r isa.Reg) *expr.Expr { return s.regs[r] }
-
 // Resolve returns the value at pointer p on this path, or deref(p).
 func (s *State) Resolve(p *expr.Expr) *expr.Expr {
 	if p == nil {
 		return nil
 	}
-	if v, ok := s.mem[p.Key()]; ok {
+	if v, ok := s.mem[p]; ok {
 		return v
 	}
 	return s.tab.Deref(p)
@@ -297,7 +296,7 @@ func (s *State) rewriteDerefs(e *expr.Expr, changed *bool) *expr.Expr {
 	switch e.Kind() {
 	case expr.KindDeref:
 		addr, _ := e.DerefAddr()
-		if v, ok := s.mem[addr.Key()]; ok && !v.Equal(e) {
+		if v, ok := s.mem[addr]; ok && v != e {
 			*changed = true
 			return v
 		}
@@ -331,17 +330,21 @@ type engine struct {
 
 	sum        *Summary
 	ranges     map[string]vrange.Interval // facts from oracle CallEffects
-	defSeen    map[string]bool
+	defSeen    map[DefPair]bool           // keyed with Addr and Size zero
 	constSeen  map[constraintKey]bool
-	fieldSeen  map[string]bool
-	retSeen    map[string]bool
-	useSeen    map[string]bool
-	blockSeen  []int // total states executed, by block index
+	fieldSeen  map[FieldObs]bool
+	retSeen    map[*expr.Expr]bool
+	useSeen    map[*expr.Expr]bool
+	blockSeen  []int                   // total states executed, by block index
+	initRegs   [isa.NumRegs]*expr.Expr // init_<fn>_<reg> symbols built so far
 	callByAddr map[uint32]cfg.CallSite
 }
 
 // Analyze runs the static symbolic analysis over one function.
 func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *Summary {
+	if opts.Table == nil {
+		opts.Table = new(expr.Table)
+	}
 	e := &engine{
 		fn:     fn,
 		bin:    bin,
@@ -355,11 +358,11 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 			Types: make(map[string]expr.Type),
 		},
 		ranges:     make(map[string]vrange.Interval),
-		defSeen:    make(map[string]bool),
+		defSeen:    make(map[DefPair]bool),
 		constSeen:  make(map[constraintKey]bool),
-		fieldSeen:  make(map[string]bool),
-		retSeen:    make(map[string]bool),
-		useSeen:    make(map[string]bool),
+		fieldSeen:  make(map[FieldObs]bool),
+		retSeen:    make(map[*expr.Expr]bool),
+		useSeen:    make(map[*expr.Expr]bool),
 		blockSeen:  make([]int, len(fn.Blocks)),
 		callByAddr: make(map[uint32]cfg.CallSite, len(fn.Calls)),
 	}
@@ -464,14 +467,9 @@ func orComponents(e *expr.Expr) []*expr.Expr {
 
 func (e *engine) initialState() *State {
 	st := &State{
-		mem:    make(map[string]*expr.Expr),
+		mem:    make(map[*expr.Expr]*expr.Expr),
 		visits: make([]int32, len(e.fn.Blocks)),
 		tab:    e.tab,
-	}
-	// Uninitialized registers get function-unique symbols so that junk
-	// values never unify across functions.
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		st.regs[r] = e.tab.Sym("init_" + e.fn.Name + "_" + r.Name())
 	}
 	for i, r := range e.conv.ArgRegs {
 		st.regs[r] = e.tab.Arg(i)
@@ -489,6 +487,20 @@ func (e *engine) initialState() *State {
 	}
 	st.regs[isa.SP] = e.tab.Sym(expr.StackSym)
 	return st
+}
+
+// reg reads register r on st. Uninitialized registers hold
+// function-unique symbols, so that junk values never unify across
+// functions; each is built on its first read, since most functions
+// write most registers before reading them.
+func (e *engine) reg(st *State, r isa.Reg) *expr.Expr {
+	if v := st.regs[r]; v != nil {
+		return v
+	}
+	if e.initRegs[r] == nil {
+		e.initRegs[r] = e.tab.Sym("init_" + e.fn.Name + "_" + r.Name())
+	}
+	return e.initRegs[r]
 }
 
 // workItem is a block waiting to run on a path state. The successors
@@ -613,10 +625,10 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		st.regs[in.Rd] = e.src(in, st)
 		e.traceReg(addr, in.Rd, st)
 	case isa.OpADD, isa.OpSUB, isa.OpMUL, isa.OpAND, isa.OpORR, isa.OpEOR, isa.OpLSL, isa.OpLSR:
-		st.regs[in.Rd] = e.tab.Bin(binOps[in.Op], st.regs[in.Rn], e.src(in, st))
+		st.regs[in.Rd] = e.tab.Bin(binOps[in.Op], e.reg(st, in.Rn), e.src(in, st))
 		e.traceReg(addr, in.Rd, st)
 	case isa.OpCMP:
-		st.cmpL = st.regs[in.Rd]
+		st.cmpL = e.reg(st, in.Rd)
 		st.cmpR = e.src(in, st)
 		st.hasFlag = true
 		if e.opts.Trace != nil {
@@ -629,7 +641,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		}
 	case isa.OpLDR, isa.OpLDRB:
 		size := accessSize(in.Op)
-		base := st.regs[in.Rn]
+		base := e.reg(st, in.Rn)
 		addrE := e.tab.Add(base, int64(in.Imm))
 		e.observeType(base, expr.TypePtr)
 		e.observeField(base, int64(in.Imm), loadType(size), "")
@@ -641,10 +653,10 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		}
 	case isa.OpSTR, isa.OpSTRB:
 		size := accessSize(in.Op)
-		base := st.regs[in.Rn]
+		base := e.reg(st, in.Rn)
 		addrE := e.tab.Add(base, int64(in.Imm))
 		e.observeType(base, expr.TypePtr)
-		val := st.regs[in.Rd]
+		val := e.reg(st, in.Rd)
 		fieldTy := loadType(size)
 		fnTarget := ""
 		if c, ok := val.ConstVal(); ok && size == 4 {
@@ -657,7 +669,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 			fieldTy = expr.TypePtr
 		}
 		e.observeField(base, int64(in.Imm), fieldTy, fnTarget)
-		st.mem[addrE.Key()] = val
+		st.mem[addrE] = val
 		if e.opts.Trace != nil {
 			e.opts.Trace(addr, "deref("+addrE.Key()+") = "+val.Key())
 		}
@@ -722,7 +734,7 @@ func loadType(size int) expr.Type {
 // loadValue reads memory at addrE, falling back to the symbolic deref and
 // recognizing stack-passed incoming arguments.
 func (e *engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
-	if v, ok := st.mem[addrE.Key()]; ok {
+	if v, ok := st.mem[addrE]; ok {
 		return v
 	}
 	// Incoming stack arguments: [sp0 + j*4] is arg(4+j).
@@ -745,7 +757,7 @@ func (e *engine) src(in isa.Inst, st *State) *expr.Expr {
 	if in.HasImm {
 		return e.tab.Const(int64(in.Imm))
 	}
-	return st.regs[in.Rm]
+	return e.reg(st, in.Rm)
 }
 
 func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
@@ -761,7 +773,7 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 	}
 	calleeName := cs.Callee
 	if cs.Kind == cfg.CallIndirect {
-		rec.FnPtr = st.regs[in.Rm]
+		rec.FnPtr = e.reg(st, in.Rm)
 		if calleeName == "" {
 			calleeName = "indirect"
 		}
@@ -789,7 +801,7 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 				if md.Addr == nil || md.Val == nil {
 					continue
 				}
-				st.mem[md.Addr.Key()] = md.Val
+				st.mem[md.Addr] = md.Val
 				e.recordDef(e.tab.Deref(md.Addr), md.Val, addr, 0)
 			}
 			for k, iv := range eff.Ranges {
@@ -824,12 +836,12 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 func (e *engine) collectArgs(st *State) []*expr.Expr {
 	args := make([]*expr.Expr, 0, e.conv.MaxArgs)
 	for _, r := range e.conv.ArgRegs {
-		args = append(args, st.regs[r])
+		args = append(args, e.reg(st, r))
 	}
-	sp := st.regs[isa.SP]
+	sp := e.reg(st, isa.SP)
 	for j := 0; len(args) < e.conv.MaxArgs; j++ {
 		slot := e.tab.Add(sp, int64(j)*4)
-		v, ok := st.mem[slot.Key()]
+		v, ok := st.mem[slot]
 		if !ok {
 			break
 		}
@@ -849,18 +861,15 @@ func (e *engine) traceReg(addr uint32, r isa.Reg, st *State) {
 }
 
 func (e *engine) recordRet(st *State) {
-	v := st.regs[e.conv.RetReg]
-	if v == nil {
-		return
-	}
-	if !e.retSeen[v.Key()] {
-		e.retSeen[v.Key()] = true
+	v := e.reg(st, e.conv.RetReg)
+	if !e.retSeen[v] {
+		e.retSeen[v] = true
 		e.sum.Rets = append(e.sum.Rets, v)
 	}
 }
 
 func (e *engine) recordDef(d, u *expr.Expr, addr uint32, size int) {
-	key := d.Key() + "=" + u.Key()
+	key := DefPair{D: d, U: u}
 	if e.defSeen[key] {
 		return
 	}
@@ -870,7 +879,7 @@ func (e *engine) recordDef(d, u *expr.Expr, addr uint32, size int) {
 
 // constraintKey identifies a recorded branch constraint.
 type constraintKey struct {
-	l, r string
+	l, r *expr.Expr
 	cond isa.Cond
 }
 
@@ -878,7 +887,7 @@ func (e *engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop 
 	if !st.hasFlag {
 		return
 	}
-	key := constraintKey{st.cmpL.Key(), st.cmpR.Key(), cond}
+	key := constraintKey{st.cmpL, st.cmpR, cond}
 	if e.constSeen[key] {
 		return
 	}
@@ -900,10 +909,10 @@ func (e *engine) recordUndefUse(u *expr.Expr) {
 	if _, isArg := expr.ArgIndex(name); !isArg && !expr.IsHeapName(name) && !expr.IsTaintName(name) {
 		return
 	}
-	if e.useSeen[u.Key()] {
+	if e.useSeen[u] {
 		return
 	}
-	e.useSeen[u.Key()] = true
+	e.useSeen[u] = true
 	e.sum.UndefUses = append(e.sum.UndefUses, u)
 }
 
@@ -925,12 +934,12 @@ func (e *engine) observeField(base *expr.Expr, off int64, ty expr.Type, fnTarget
 	if _, isConst := base.ConstVal(); isConst {
 		return
 	}
-	key := base.Key() + "#" + itoa(off) + "#" + ty.String() + "#" + fnTarget
-	if e.fieldSeen[key] {
+	fo := FieldObs{Base: base, Off: off, Ty: ty, FnTarget: fnTarget}
+	if e.fieldSeen[fo] {
 		return
 	}
-	e.fieldSeen[key] = true
-	e.sum.Fields = append(e.sum.Fields, FieldObs{Base: base, Off: off, Ty: ty, FnTarget: fnTarget})
+	e.fieldSeen[fo] = true
+	e.sum.Fields = append(e.sum.Fields, fo)
 }
 
 // isPointerValue guesses whether a value expression is a pointer: known
@@ -940,7 +949,7 @@ func (e *engine) isPointerValue(v *expr.Expr) bool {
 	if v == nil {
 		return false
 	}
-	if e.sum.Types[v.Key()].IsPointer() {
+	if e.sum.Types[v.Key()].IsPointer() { //dtaintlint:ignore key-identity Summary.Types is spelled: the wire format stores it
 		return true
 	}
 	if name, ok := v.SymName(); ok {
@@ -954,29 +963,6 @@ func (e *engine) isPointerValue(v *expr.Expr) bool {
 		}
 	}
 	return false
-}
-
-func itoa(v int64) string {
-	// small local helper to avoid strconv import churn
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // SortedDefKeys returns the definition-pair destination keys in sorted

@@ -22,7 +22,7 @@ func TestAbsoluteAddressVariables(t *testing.T) {
 .endfunc
 `, "f", nil)
 	// The global def is recorded at the constant address.
-	want := expr.Deref(expr.Const(0x670B0)).Key()
+	want := tab.Deref(tab.Const(0x670B0)).Key()
 	defs := sum.FindDefs(want)
 	if len(defs) != 1 {
 		t.Fatalf("global def missing: %v", sum.SortedDefKeys())
@@ -31,7 +31,7 @@ func TestAbsoluteAddressVariables(t *testing.T) {
 		t.Fatalf("global value = %s", defs[0].U)
 	}
 	// And the load forwards it into the local store.
-	local := expr.Deref(expr.Add(expr.Sym(expr.StackSym), -4)).Key()
+	local := tab.Deref(tab.Add(tab.Sym(expr.StackSym), -4)).Key()
 	lds := sum.FindDefs(local)
 	if len(lds) != 1 {
 		t.Fatalf("local def missing")

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 	"dtaint/internal/image"
 	"dtaint/internal/isa"
 )
+
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
 
 func build(t *testing.T, src string) (*cfg.Program, *image.Binary) {
 	t.Helper()
@@ -31,7 +35,7 @@ func analyze(t *testing.T, src, fn string, o Oracle) *Summary {
 	if f == nil {
 		t.Fatalf("function %s not found", fn)
 	}
-	return Analyze(f, bin, o, Options{})
+	return Analyze(f, bin, o, Options{Table: tab})
 }
 
 // recvOracle models recv(fd, buf, n): the buffer contents become tainted.
@@ -43,7 +47,7 @@ func (recvOracle) Call(ctx *CallContext) CallEffect {
 	}
 	return CallEffect{
 		Handled: true,
-		MemDefs: []MemDef{{Addr: ctx.Args[1], Val: expr.Sym(expr.TaintName("recv", uint64(ctx.Site)))}},
+		MemDefs: []MemDef{{Addr: ctx.Args[1], Val: tab.Sym(expr.TaintName("recv", uint64(ctx.Site)))}},
 	}
 }
 
@@ -63,8 +67,8 @@ func TestVariableDescription(t *testing.T) {
 .endfunc
 `, "woo", recvOracle{})
 
-	wantD := expr.Deref(expr.Add(expr.Arg(0), 0x4C)).Key()
-	wantU := expr.Deref(expr.Add(expr.Arg(1), 0x24)).Key()
+	wantD := tab.Deref(tab.Add(tab.Arg(0), 0x4C)).Key()
+	wantU := tab.Deref(tab.Add(tab.Arg(1), 0x24)).Key()
 	var found bool
 	for _, dp := range sum.DefPairs {
 		if dp.D.Key() == wantD && dp.U.Key() == wantU {
@@ -76,7 +80,7 @@ func TestVariableDescription(t *testing.T) {
 	}
 
 	// recv taints deref(deref(arg1+0x24)).
-	taintD := expr.Deref(expr.Deref(expr.Add(expr.Arg(1), 0x24))).Key()
+	taintD := tab.Deref(tab.Deref(tab.Add(tab.Arg(1), 0x24))).Key()
 	defs := sum.FindDefs(taintD)
 	if len(defs) != 1 || !defs[0].U.ContainsTaint() {
 		t.Fatalf("taint def missing: %v", sum.SortedDefKeys())
@@ -98,7 +102,7 @@ func TestCallingConventionARMvsMIPS(t *testing.T) {
   BX LR
 .endfunc
 `, "f", nil)
-	want := expr.Deref(expr.Add(expr.Sym(expr.StackSym), -8)).Key()
+	want := tab.Deref(tab.Add(tab.Sym(expr.StackSym), -8)).Key()
 	for name, sum := range map[string]*Summary{"arm": armSum, "mips": mipsSum} {
 		defs := sum.FindDefs(want)
 		if len(defs) != 1 {
@@ -179,7 +183,7 @@ func TestStackArgumentsInAndOut(t *testing.T) {
 	}
 
 	calleeSum := Analyze(p.ByName["callee"], bin, nil, Options{})
-	want := expr.Deref(expr.Add(expr.Sym(expr.StackSym), -4)).Key()
+	want := tab.Deref(tab.Add(tab.Sym(expr.StackSym), -4)).Key()
 	defs := calleeSum.FindDefs(want)
 	if len(defs) != 1 {
 		t.Fatalf("callee defs = %v", calleeSum.SortedDefKeys())
@@ -235,7 +239,7 @@ done:
   BX LR
 .endfunc
 `, "f", nil)
-	want := expr.Deref(expr.Add(expr.Sym(expr.StackSym), -4)).Key()
+	want := tab.Deref(tab.Add(tab.Sym(expr.StackSym), -4)).Key()
 	defs := sum.FindDefs(want)
 	if len(defs) != 2 {
 		t.Fatalf("want defs from both paths, got %v", defs)
@@ -295,7 +299,7 @@ func TestTypeInference(t *testing.T) {
 			"strcpy": {Args: []expr.Type{expr.TypeCharPtr, expr.TypeCharPtr}, Ret: expr.TypeCharPtr},
 		},
 	})
-	loaded := expr.Deref(expr.Add(expr.Arg(0), 8)).Key()
+	loaded := tab.Deref(tab.Add(tab.Arg(0), 8)).Key()
 	if sum2.Types[loaded] != expr.TypeCharPtr {
 		t.Errorf("deref(arg0+8) type = %s, want char*", sum2.Types[loaded])
 	}
@@ -385,7 +389,7 @@ func TestIndirectCallRecorded(t *testing.T) {
 	if c.Kind != cfg.CallIndirect {
 		t.Fatalf("kind = %v", c.Kind)
 	}
-	want := expr.Deref(expr.Add(expr.Arg(0), 8)).Key()
+	want := tab.Deref(tab.Add(tab.Arg(0), 8)).Key()
 	if c.FnPtr.Key() != want {
 		t.Fatalf("fnptr = %s, want %s", c.FnPtr, want)
 	}
@@ -402,7 +406,7 @@ func TestUndefUseRecorded(t *testing.T) {
 	if len(sum.UndefUses) != 1 {
 		t.Fatalf("undef uses = %v", sum.UndefUses)
 	}
-	want := expr.Deref(expr.Add(expr.Arg(0), 0x4C)).Key()
+	want := tab.Deref(tab.Add(tab.Arg(0), 0x4C)).Key()
 	if sum.UndefUses[0].Key() != want {
 		t.Fatalf("use = %s, want %s", sum.UndefUses[0], want)
 	}
@@ -433,7 +437,7 @@ func TestMemoryForwarding(t *testing.T) {
   BX LR
 .endfunc
 `, "f", nil)
-	want := expr.Deref(expr.Add(expr.Sym(expr.StackSym), -4)).Key()
+	want := tab.Deref(tab.Add(tab.Sym(expr.StackSym), -4)).Key()
 	defs := sum.FindDefs(want)
 	if len(defs) != 1 {
 		t.Fatalf("defs = %v", sum.SortedDefKeys())
@@ -490,7 +494,7 @@ func TestResolveAndResolveDeep(t *testing.T) {
 		captured = ctx
 		if ctx.Callee == "recv" {
 			return CallEffect{Handled: true, MemDefs: []MemDef{
-				{Addr: ctx.Args[1], Val: expr.Sym(expr.TaintName("recv", uint64(ctx.Site)))},
+				{Addr: ctx.Args[1], Val: tab.Sym(expr.TaintName("recv", uint64(ctx.Site)))},
 			}}
 		}
 		return CallEffect{}
@@ -517,7 +521,7 @@ func TestResolveAndResolveDeep(t *testing.T) {
 	if !got.ContainsTaint() {
 		t.Fatalf("Resolve(%s) = %s, want taint", captured.Args[1], got)
 	}
-	deep := captured.ResolveDeep(expr.Deref(expr.Arg(0)))
+	deep := captured.ResolveDeep(tab.Deref(tab.Arg(0)))
 	if !deep.ContainsTaint() {
 		t.Fatalf("ResolveDeep = %s, want taint", deep)
 	}
@@ -537,9 +541,9 @@ func TestSharedSuccessorsDoNotAlias(t *testing.T) {
 	slots := map[string][2]int64{"a": {0x10, 0x14}, "b": {0x20, 0x24}, "c": {0x30, 0x34}}
 	arm := func(label string) string {
 		return label + `:
-  STR R4, [R0, #` + itoa(slots[label][0]) + `]
+  STR R4, [R0, #` + strconv.FormatInt(slots[label][0], 10) + `]
   LDR R6, [R0, #4]
-  STR R6, [R0, #` + itoa(slots[label][1]) + `]
+  STR R6, [R0, #` + strconv.FormatInt(slots[label][1], 10) + `]
   MOV R4, #2
   MOV R5, #0x22
   STR R5, [R0, #4]
@@ -558,9 +562,9 @@ func TestSharedSuccessorsDoNotAlias(t *testing.T) {
 		t.Helper()
 		for _, l := range labels {
 			for i, want := range []int64{1, 0x11} {
-				d := expr.Deref(expr.Add(expr.Arg(0), slots[l][i])).Key()
+				d := tab.Deref(tab.Add(tab.Arg(0), slots[l][i])).Key()
 				defs := sum.FindDefs(d)
-				if len(defs) != 1 || defs[0].U.Key() != expr.Const(want).Key() {
+				if len(defs) != 1 || defs[0].U.Key() != tab.Const(want).Key() {
 					t.Errorf("arm %s: %s defined as %v, want only %d", l, d, defs, want)
 				}
 			}

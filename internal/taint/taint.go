@@ -812,12 +812,12 @@ func (t *Tracker) modelByteScan(ctx *symexec.CallContext, m fnModel) symexec.Cal
 	return symexec.CallEffect{Handled: true, Ret: ctx.Table().Sym("strchr_" + expr.Hash(fmt.Sprintf("%x", ctx.Site)))}
 }
 
-// guardRoots returns the identity keys under which a guard on content c is
-// registered and looked up: the content's own key, the keys of each
-// OR-combined component (command expressions combine the pointer value
-// and its pointee), plus its taint symbols.
+// guardRoots returns the keys under which a guard on content c is
+// registered and looked up: the keys of each OR-combined component
+// (command expressions combine the pointer value and its pointee), plus
+// the names of its taint symbols. A key may repeat; callers use them as
+// set members.
 func guardRoots(c *expr.Expr) []string {
-	seen := map[string]bool{}
 	var roots []string
 	var add func(e *expr.Expr)
 	add = func(e *expr.Expr) {
@@ -826,35 +826,27 @@ func guardRoots(c *expr.Expr) []string {
 			add(y)
 			return
 		}
-		if !seen[e.Key()] {
-			seen[e.Key()] = true
-			roots = append(roots, e.Key())
-		}
+		roots = append(roots, e.Key())
 	}
 	add(c)
-	for _, ts := range c.TaintSyms() {
-		if !seen[ts] {
-			seen[ts] = true
-			roots = append(roots, ts)
-		}
-	}
-	return roots
+	return append(roots, c.TaintSyms()...)
 }
 
 // obsKey identifies one sink observation: the observing function, the
 // sink and its site, and the taint expression reaching it.
 type obsKey struct {
-	fn, sink, taint string
-	addr            uint32
+	fn, sink string
+	taint    *expr.Expr
+	addr     uint32
 }
 
 // observe stages a sink observation for the current function, deduplicated
-// by (site, taint key).
+// by (site, taint node).
 func (t *Tracker) observe(o sinkObs) {
 	if o.taint == nil {
 		return
 	}
-	key := obsKey{t.curFunc, o.sink, o.taint.Key(), o.addr}
+	key := obsKey{t.curFunc, o.sink, o.taint, o.addr}
 	if t.obsSeen[key] {
 		return
 	}
@@ -877,7 +869,7 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 			continue
 		}
 		taintE := sub(p.TaintExpr)
-		if taintE == nil || t.obsSeen[obsKey{t.curFunc, p.Sink, taintE.Key(), p.SinkAddr}] {
+		if taintE == nil || t.obsSeen[obsKey{t.curFunc, p.Sink, taintE, p.SinkAddr}] {
 			continue
 		}
 		guardE := p.GuardExpr

@@ -10,6 +10,9 @@ import (
 	"dtaint/internal/vocab"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 func TestTableIVocabulary(t *testing.T) {
 	// The exact Table I sets open the census, in paper order; the
 	// vocabulary extensions (NVRAM getters, printf family, file ops)
@@ -84,7 +87,7 @@ func TestFindingString(t *testing.T) {
 }
 
 func TestOverflowGuardRules(t *testing.T) {
-	taintE := expr.Sym(expr.TaintName("recv", 0x100))
+	taintE := tab.Sym(expr.TaintName("recv", 0x100))
 	obs := sinkObs{class: ClassBufferOverflow, sink: "memcpy", addr: 1, taint: taintE, guard: taintE}
 
 	// No constraints: unsanitized.
@@ -92,22 +95,22 @@ func TestOverflowGuardRules(t *testing.T) {
 		t.Fatal("no constraints but guarded")
 	}
 	// EQ/NE checks (NUL scans) do not bound a copy.
-	eq := []symexec.Constraint{{L: taintE, R: expr.Const(0), Cond: isa.CondEQ}}
+	eq := []symexec.Constraint{{L: taintE, R: tab.Const(0), Cond: isa.CondEQ}}
 	if legacyOverflowGuarded(obs, indexOf(eq)) {
 		t.Fatal("EQ check treated as bound")
 	}
 	// A magnitude comparison on the tainted value sanitizes.
-	lt := []symexec.Constraint{{L: taintE, R: expr.Const(64), Cond: isa.CondLT}}
+	lt := []symexec.Constraint{{L: taintE, R: tab.Const(64), Cond: isa.CondLT}}
 	if !legacyOverflowGuarded(obs, indexOf(lt)) {
 		t.Fatal("LT bound not recognized")
 	}
 	// A comparison of the length symbol also sanitizes.
-	lenC := []symexec.Constraint{{L: expr.Sym(LenSymName(taintE.Key())), R: expr.Const(64), Cond: isa.CondGE}}
+	lenC := []symexec.Constraint{{L: tab.Sym(LenSymName(taintE.Key())), R: tab.Const(64), Cond: isa.CondGE}}
 	if !legacyOverflowGuarded(obs, indexOf(lenC)) {
 		t.Fatal("strlen bound not recognized")
 	}
 	// Constraints on unrelated values do not sanitize.
-	other := []symexec.Constraint{{L: expr.Sym("other"), R: expr.Const(64), Cond: isa.CondLT}}
+	other := []symexec.Constraint{{L: tab.Sym("other"), R: tab.Const(64), Cond: isa.CondLT}}
 	if legacyOverflowGuarded(obs, indexOf(other)) {
 		t.Fatal("unrelated constraint treated as guard")
 	}
@@ -123,12 +126,12 @@ func TestOverflowGuardRules(t *testing.T) {
 func TestOffByOneBoundaryGuard(t *testing.T) {
 	tr := NewTracker()
 	tr.BeginFunction("handler")
-	taintE := expr.Sym(expr.TaintName("recv", 0x100))
+	taintE := tab.Sym(expr.TaintName("recv", 0x100))
 	obs := sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 1,
 		taint: taintE, guard: taintE, dstCap: 152}
 
 	le := &symexec.Summary{Func: "handler", Constraints: []symexec.Constraint{
-		{L: taintE, R: expr.Const(152), Cond: isa.CondLE, Addr: 0x40},
+		{L: taintE, R: tab.Const(152), Cond: isa.CondLE, Addr: 0x40},
 	}}
 	v := tr.checkObs(obs, le, indexOf(le.Constraints))
 	if v.sanitized || v.class != ClassOffByOne {
@@ -139,7 +142,7 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 	}
 
 	lt := &symexec.Summary{Func: "handler", Constraints: []symexec.Constraint{
-		{L: taintE, R: expr.Const(151), Cond: isa.CondLE, Addr: 0x40},
+		{L: taintE, R: tab.Const(151), Cond: isa.CondLE, Addr: 0x40},
 	}}
 	if v := tr.checkObs(obs, lt, indexOf(lt.Constraints)); !v.sanitized {
 		t.Fatalf("n <= 151 into cap 152 must sanitize, got %+v", v)
@@ -159,24 +162,24 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 }
 
 func TestCommandGuardRules(t *testing.T) {
-	ts := expr.Sym(expr.TaintName("getenv", 0x20))
-	obs := sinkObs{class: ClassCommandInjection, sink: "system", addr: 1, taint: ts, guard: expr.Sym("cmdptr")}
+	ts := tab.Sym(expr.TaintName("getenv", 0x20))
+	obs := sinkObs{class: ClassCommandInjection, sink: "system", addr: 1, taint: ts, guard: tab.Sym("cmdptr")}
 
 	if separatorGuarded(obs, indexOf(nil), SemicolonByte) {
 		t.Fatal("unchecked command guarded")
 	}
 	// EQ against ';' over the tainted data sanitizes.
-	semi := []symexec.Constraint{{L: ts, R: expr.Const(SemicolonByte), Cond: isa.CondEQ}}
+	semi := []symexec.Constraint{{L: ts, R: tab.Const(SemicolonByte), Cond: isa.CondEQ}}
 	if !separatorGuarded(obs, indexOf(semi), SemicolonByte) {
 		t.Fatal("';' EQ check not recognized")
 	}
 	// Reversed operand order too.
-	semiRev := []symexec.Constraint{{L: expr.Const(SemicolonByte), R: ts, Cond: isa.CondNE}}
+	semiRev := []symexec.Constraint{{L: tab.Const(SemicolonByte), R: ts, Cond: isa.CondNE}}
 	if !separatorGuarded(obs, indexOf(semiRev), SemicolonByte) {
 		t.Fatal("reversed ';' check not recognized")
 	}
 	// A magnitude comparison against ';' does not count.
-	mag := []symexec.Constraint{{L: ts, R: expr.Const(SemicolonByte), Cond: isa.CondLT}}
+	mag := []symexec.Constraint{{L: ts, R: tab.Const(SemicolonByte), Cond: isa.CondLT}}
 	if separatorGuarded(obs, indexOf(mag), SemicolonByte) {
 		t.Fatal("magnitude ';' comparison treated as guard")
 	}
@@ -186,10 +189,10 @@ func TestCommandGuardRules(t *testing.T) {
 		t.Fatal("';' check accepted for a '.'-guarded sink")
 	}
 	// Deref rooted at the command pointer counts.
-	cmdPtr := expr.Sym("cmdptr")
+	cmdPtr := tab.Sym("cmdptr")
 	obs2 := sinkObs{class: ClassCommandInjection, sink: "system", addr: 1, taint: ts, guard: cmdPtr}
 	byByte := []symexec.Constraint{{
-		L: expr.Deref(expr.Add(cmdPtr, 3)), R: expr.Const(SemicolonByte), Cond: isa.CondNE,
+		L: tab.Deref(tab.Add(cmdPtr, 3)), R: tab.Const(SemicolonByte), Cond: isa.CondNE,
 	}}
 	if !separatorGuarded(obs2, indexOf(byByte), SemicolonByte) {
 		t.Fatal("byte-scan over cmd pointer not recognized")
@@ -201,47 +204,47 @@ func TestLoopGuardRules(t *testing.T) {
 		return symexec.Constraint{L: l, R: r, Cond: cond, InLoop: inLoop}
 	}
 	// Small const-const bound (loop-once concretized induction): guarded.
-	if !loopGuarded([]symexec.Constraint{mk(expr.Const(1), expr.Const(16), isa.CondLT, true)}) {
+	if !loopGuarded([]symexec.Constraint{mk(tab.Const(1), tab.Const(16), isa.CondLT, true)}) {
 		t.Fatal("small fixed loop not guarded")
 	}
 	// Large bound: unguarded.
-	if loopGuarded([]symexec.Constraint{mk(expr.Const(1), expr.Const(2048), isa.CondLT, true)}) {
+	if loopGuarded([]symexec.Constraint{mk(tab.Const(1), tab.Const(2048), isa.CondLT, true)}) {
 		t.Fatal("2048-byte loop treated as safe")
 	}
 	// Tainted symbolic bound: unguarded.
-	ts := expr.Sym(expr.TaintName("read", 1))
-	if loopGuarded([]symexec.Constraint{mk(ts, expr.Const(16), isa.CondLT, true)}) {
+	ts := tab.Sym(expr.TaintName("read", 1))
+	if loopGuarded([]symexec.Constraint{mk(ts, tab.Const(16), isa.CondLT, true)}) {
 		t.Fatal("tainted bound treated as safe")
 	}
 	// Symbolic untainted vs small const: guarded.
-	if !loopGuarded([]symexec.Constraint{mk(expr.Sym("i"), expr.Const(32), isa.CondLT, true)}) {
+	if !loopGuarded([]symexec.Constraint{mk(tab.Sym("i"), tab.Const(32), isa.CondLT, true)}) {
 		t.Fatal("symbolic small bound not guarded")
 	}
 	// Out-of-loop constraints are ignored.
-	if loopGuarded([]symexec.Constraint{mk(expr.Const(1), expr.Const(16), isa.CondLT, false)}) {
+	if loopGuarded([]symexec.Constraint{mk(tab.Const(1), tab.Const(16), isa.CondLT, false)}) {
 		t.Fatal("out-of-loop constraint counted")
 	}
 }
 
 func TestIsArgRooted(t *testing.T) {
-	if !isArgRooted(expr.Deref(expr.Add(expr.Arg(2), 8))) {
+	if !isArgRooted(tab.Deref(tab.Add(tab.Arg(2), 8))) {
 		t.Fatal("arg deref not detected")
 	}
-	if isArgRooted(expr.Deref(expr.Sym("heap_x"))) {
+	if isArgRooted(tab.Deref(tab.Sym("heap_x"))) {
 		t.Fatal("heap deref wrongly arg-rooted")
 	}
 }
 
 func TestPrimarySource(t *testing.T) {
-	e := expr.Bin(expr.OpOr,
-		expr.Sym(expr.TaintName("recv", 0x200)),
-		expr.Sym(expr.TaintName("getenv", 0x100)))
+	e := tab.Bin(expr.OpOr,
+		tab.Sym(expr.TaintName("recv", 0x200)),
+		tab.Sym(expr.TaintName("getenv", 0x100)))
 	src, site := primarySource(e)
 	// Lexicographically smallest taint symbol wins: getenv < recv.
 	if src != "getenv" || site != 0x100 {
 		t.Fatalf("source = %s@%#x", src, site)
 	}
-	if src, _ := primarySource(expr.Const(1)); src != "" {
+	if src, _ := primarySource(tab.Const(1)); src != "" {
 		t.Fatal("untainted expr has a source")
 	}
 }
@@ -251,7 +254,7 @@ func TestPendingDepthBound(t *testing.T) {
 	tr.BeginFunction("f")
 	deep := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 1,
-		TaintExpr: expr.Deref(expr.Arg(0)), Depth: MaxPendingDepth,
+		TaintExpr: tab.Deref(tab.Arg(0)), Depth: MaxPendingDepth,
 	}
 	tr.ImportPending([]PendingSink{deep}, func(e *expr.Expr) *expr.Expr { return e }, 0x10)
 	sum := &symexec.Summary{Func: "f", Types: map[string]expr.Type{}}
@@ -264,7 +267,7 @@ func TestPendingDepthBound(t *testing.T) {
 func TestObservationDedup(t *testing.T) {
 	tr := NewTracker()
 	tr.BeginFunction("f")
-	ts := expr.Sym(expr.TaintName("recv", 9))
+	ts := tab.Sym(expr.TaintName("recv", 9))
 	o := sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 5, taint: ts, guard: ts}
 	tr.observe(o)
 	tr.observe(o)
@@ -280,20 +283,20 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 	// constraints and paths. The second is a duplicate observation: only
 	// its taint is substituted, and the first import's path and carried
 	// constraints survive.
-	taintE := expr.Deref(expr.Arg(0))
+	taintE := tab.Deref(tab.Arg(0))
 	first := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "a", SinkAddr: 0x40,
-		TaintExpr: taintE, GuardExpr: expr.Arg(1),
+		TaintExpr: taintE, GuardExpr: tab.Arg(1),
 		Path:        []Step{{Func: "a", Addr: 0x40, Note: "strcpy"}},
-		Constraints: []symexec.Constraint{{L: expr.Arg(1), R: expr.Const(8), Cond: isa.CondLT}},
+		Constraints: []symexec.Constraint{{L: tab.Arg(1), R: tab.Const(8), Cond: isa.CondLT}},
 	}
 	dup := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "b", SinkAddr: 0x40,
-		TaintExpr: taintE, GuardExpr: expr.Arg(2),
+		TaintExpr: taintE, GuardExpr: tab.Arg(2),
 		Path: []Step{{Func: "b", Addr: 0x40, Note: "strcpy"}},
 		Constraints: []symexec.Constraint{
-			{L: expr.Arg(2), R: expr.Const(16), Cond: isa.CondLT},
-			{L: expr.Arg(3), R: expr.Const(32), Cond: isa.CondGE},
+			{L: tab.Arg(2), R: tab.Const(16), Cond: isa.CondLT},
+			{L: tab.Arg(3), R: tab.Const(32), Cond: isa.CondGE},
 		},
 	}
 	var subbed []*expr.Expr
@@ -303,7 +306,7 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 	tr.BeginFunction("f")
 	tr.ImportPending([]PendingSink{first, dup}, sub, 0x10)
 	// first: taint, guard, and both sides of its one constraint; dup: taint.
-	want := []*expr.Expr{taintE, expr.Arg(1), expr.Arg(1), expr.Const(8), taintE}
+	want := []*expr.Expr{taintE, tab.Arg(1), tab.Arg(1), tab.Const(8), taintE}
 	if len(subbed) != len(want) {
 		t.Fatalf("sub called %d times on %v, want %d", len(subbed), subbed, len(want))
 	}
@@ -325,7 +328,7 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 	if len(p.Path) != 2 || p.Path[0] != first.Path[0] || p.Path[1] != (Step{Func: "f", Addr: 0x10, Note: "call a"}) {
 		t.Fatalf("path = %v, want the first import's path plus the callsite", p.Path)
 	}
-	if len(p.Constraints) != 1 || !p.Constraints[0].L.Equal(expr.Arg(1)) {
+	if len(p.Constraints) != 1 || !p.Constraints[0].L.Equal(tab.Arg(1)) {
 		t.Fatalf("constraints = %v, want the first import's", p.Constraints)
 	}
 }
@@ -361,7 +364,7 @@ func TestTrackerShard(t *testing.T) {
 	tr.SetVocabulary(custom)
 	tr.DisableValueRange()
 	tr.BeginFunction("f")
-	ts := expr.Sym(expr.TaintName("recv", 9))
+	ts := tab.Sym(expr.TaintName("recv", 9))
 	tr.observe(sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 5, taint: ts, guard: ts})
 	tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
 

@@ -214,7 +214,7 @@ func refContentLenBound(guard *expr.Expr, env vrange.Env) (int64, bool) {
 	}
 	best := int64(-1)
 	for _, c := range comps {
-		iv := vrange.OfExpr(expr.Sym(LenSymName(c.Key())), env)
+		iv := vrange.OfExpr(tab.Sym(LenSymName(c.Key())), env)
 		if !iv.Bounded() {
 			return 0, false
 		}
@@ -373,9 +373,9 @@ func newVerdictGen(seed int64) *verdictGen {
 	return &verdictGen{
 		r: rand.New(rand.NewSource(seed)),
 		atoms: []*expr.Expr{
-			expr.Sym(expr.TaintName("recv", 0x10)),
-			expr.Sym(expr.TaintName("getenv", 0x20)),
-			expr.Arg(0), expr.Arg(1), expr.Sym("cmdptr"),
+			tab.Sym(expr.TaintName("recv", 0x10)),
+			tab.Sym(expr.TaintName("getenv", 0x20)),
+			tab.Arg(0), tab.Arg(1), tab.Sym("cmdptr"),
 		},
 	}
 }
@@ -388,13 +388,13 @@ func (g *verdictGen) value(d int) *expr.Expr {
 	}
 	switch g.r.Intn(6) {
 	case 0:
-		return expr.Deref(expr.Add(g.value(d-1), int64(g.r.Intn(3)*4)))
+		return tab.Deref(tab.Add(g.value(d-1), int64(g.r.Intn(3)*4)))
 	case 1:
-		return expr.Bin(expr.OpOr, g.value(d-1), g.value(d-1))
+		return tab.Bin(expr.OpOr, g.value(d-1), g.value(d-1))
 	case 2:
-		return expr.Sym(LenSymName(g.value(d - 1).Key()))
+		return tab.Sym(LenSymName(g.value(d - 1).Key()))
 	case 3:
-		return expr.Add(g.value(d-1), int64(g.r.Intn(8)))
+		return tab.Add(g.value(d-1), int64(g.r.Intn(8)))
 	}
 	return a
 }
@@ -409,11 +409,11 @@ func (g *verdictGen) side(guards []*expr.Expr) *expr.Expr {
 	case 0:
 		return gd
 	case 1:
-		return expr.Sym(LenSymName(gd.Key()))
+		return tab.Sym(LenSymName(gd.Key()))
 	case 2:
-		return expr.Deref(expr.Add(gd, int64(g.r.Intn(4))))
+		return tab.Deref(tab.Add(gd, int64(g.r.Intn(4))))
 	case 3, 4:
-		return expr.Const(verdictConsts[g.r.Intn(len(verdictConsts))])
+		return tab.Const(verdictConsts[g.r.Intn(len(verdictConsts))])
 	}
 	return g.value(2)
 }

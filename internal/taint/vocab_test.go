@@ -12,13 +12,13 @@ func TestReadsGlobal(t *testing.T) {
 		e    *expr.Expr
 		want bool
 	}{
-		{"plain global", expr.Deref(expr.Const(0x20000)), true},
-		{"global field", expr.Deref(expr.Add(expr.Const(0x20000), 8)), true},
-		{"nested global", expr.Deref(expr.Deref(expr.Const(0x20000))), true},
-		{"or-combined", expr.Bin(expr.OpOr, expr.Sym("x"), expr.Deref(expr.Const(4))), true},
-		{"arg deref", expr.Deref(expr.Arg(0)), false},
-		{"plain const", expr.Const(0x20000), false},
-		{"symbol", expr.Sym("arg0"), false},
+		{"plain global", tab.Deref(tab.Const(0x20000)), true},
+		{"global field", tab.Deref(tab.Add(tab.Const(0x20000), 8)), true},
+		{"nested global", tab.Deref(tab.Deref(tab.Const(0x20000))), true},
+		{"or-combined", tab.Bin(expr.OpOr, tab.Sym("x"), tab.Deref(tab.Const(4))), true},
+		{"arg deref", tab.Deref(tab.Arg(0)), false},
+		{"plain const", tab.Const(0x20000), false},
+		{"symbol", tab.Sym("arg0"), false},
 		{"nil", nil, false},
 	}
 	for _, tt := range tests {
@@ -31,10 +31,10 @@ func TestReadsGlobal(t *testing.T) {
 }
 
 func TestGuardRootsFlattensOr(t *testing.T) {
-	a := expr.Deref(expr.Sym("p"))
-	b := expr.Deref(expr.Deref(expr.Sym("p")))
-	ts := expr.Sym(expr.TaintName("getenv", 1))
-	combined := expr.Bin(expr.OpOr, expr.Bin(expr.OpOr, a, b), ts)
+	a := tab.Deref(tab.Sym("p"))
+	b := tab.Deref(tab.Deref(tab.Sym("p")))
+	ts := tab.Sym(expr.TaintName("getenv", 1))
+	combined := tab.Bin(expr.OpOr, tab.Bin(expr.OpOr, a, b), ts)
 	roots := guardRoots(combined)
 	want := map[string]bool{a.Key(): false, b.Key(): false, ts.Key(): false}
 	for _, r := range roots {

@@ -7,8 +7,11 @@ import (
 	"dtaint/internal/isa"
 )
 
+// tab builds the expressions of this package's tests.
+var tab = new(expr.Table)
+
 func TestFromConstraint(t *testing.T) {
-	n := expr.Sym("len_abc")
+	n := tab.Sym("len_abc")
 	tests := []struct {
 		name string
 		l, r *expr.Expr
@@ -17,20 +20,20 @@ func TestFromConstraint(t *testing.T) {
 		iv   Interval
 		ok   bool
 	}{
-		{"lt", n, expr.Const(152), isa.CondLT, "len_abc", AtMost(151), true},
-		{"le", n, expr.Const(151), isa.CondLE, "len_abc", AtMost(151), true},
-		{"eq", n, expr.Const(7), isa.CondEQ, "len_abc", Point(7), true},
-		{"gt lower bound only", n, expr.Const(4), isa.CondGT, "len_abc", AtLeast(5), true},
-		{"ge lower bound only", n, expr.Const(4), isa.CondGE, "len_abc", AtLeast(4), true},
-		{"ne unsupported", n, expr.Const(4), isa.CondNE, "", Interval{}, false},
-		{"al unsupported", n, expr.Const(4), isa.CondAL, "", Interval{}, false},
-		{"mirrored const left", expr.Const(152), n, isa.CondGT, "len_abc", AtMost(151), true},
-		{"mirrored le", expr.Const(10), n, isa.CondLE, "len_abc", AtLeast(10), true},
-		{"offset shifted", expr.Add(n, 1), expr.Const(64), isa.CondLE, "len_abc", AtMost(63), true},
-		{"offset shifted lt", expr.Add(n, 1), expr.Const(64), isa.CondLT, "len_abc", AtMost(62), true},
-		{"two symbols", n, expr.Sym("cap"), isa.CondLT, "", Interval{}, false},
-		{"two consts", expr.Const(1), expr.Const(2), isa.CondLT, "", Interval{}, false},
-		{"deref base", expr.Deref(expr.Sym("p")), expr.Const(9), isa.CondLE, expr.Deref(expr.Sym("p")).Key(), AtMost(9), true},
+		{"lt", n, tab.Const(152), isa.CondLT, "len_abc", AtMost(151), true},
+		{"le", n, tab.Const(151), isa.CondLE, "len_abc", AtMost(151), true},
+		{"eq", n, tab.Const(7), isa.CondEQ, "len_abc", Point(7), true},
+		{"gt lower bound only", n, tab.Const(4), isa.CondGT, "len_abc", AtLeast(5), true},
+		{"ge lower bound only", n, tab.Const(4), isa.CondGE, "len_abc", AtLeast(4), true},
+		{"ne unsupported", n, tab.Const(4), isa.CondNE, "", Interval{}, false},
+		{"al unsupported", n, tab.Const(4), isa.CondAL, "", Interval{}, false},
+		{"mirrored const left", tab.Const(152), n, isa.CondGT, "len_abc", AtMost(151), true},
+		{"mirrored le", tab.Const(10), n, isa.CondLE, "len_abc", AtLeast(10), true},
+		{"offset shifted", tab.Add(n, 1), tab.Const(64), isa.CondLE, "len_abc", AtMost(63), true},
+		{"offset shifted lt", tab.Add(n, 1), tab.Const(64), isa.CondLT, "len_abc", AtMost(62), true},
+		{"two symbols", n, tab.Sym("cap"), isa.CondLT, "", Interval{}, false},
+		{"two consts", tab.Const(1), tab.Const(2), isa.CondLT, "", Interval{}, false},
+		{"deref base", tab.Deref(tab.Sym("p")), tab.Const(9), isa.CondLE, tab.Deref(tab.Sym("p")).Key(), AtMost(9), true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -54,12 +57,12 @@ func TestFromConstraint(t *testing.T) {
 // by one. FromConstraint must report Hi == 151 exactly so the detector
 // can make that call.
 func TestFromConstraintOffByOneBoundary(t *testing.T) {
-	n := expr.Sym("n")
-	_, iv, ok := FromConstraint(n, expr.Const(152), isa.CondLE)
+	n := tab.Sym("n")
+	_, iv, ok := FromConstraint(n, tab.Const(152), isa.CondLE)
 	if !ok || iv.Hi != 152 {
 		t.Fatalf("n <= 152: got %v, %v", iv, ok)
 	}
-	_, iv, ok = FromConstraint(n, expr.Const(152), isa.CondLT)
+	_, iv, ok = FromConstraint(n, tab.Const(152), isa.CondLT)
 	if !ok || iv.Hi != 151 {
 		t.Fatalf("n < 152: got %v, %v", iv, ok)
 	}
@@ -78,9 +81,9 @@ func FuzzIntervalFromConstraint(f *testing.F) {
 	f.Add(DomainMax, uint8(isa.CondGT), int64(5), DomainMax, true)
 	f.Fuzz(func(t *testing.T, c int64, condRaw uint8, off int64, v int64, mirrored bool) {
 		cond := isa.Cond(condRaw % 7)
-		n := expr.Sym("n")
-		lhs := expr.Add(n, off%1024) // keep the offset small enough to not clamp
-		rhs := expr.Const(c)
+		n := tab.Sym("n")
+		lhs := tab.Add(n, off%1024) // keep the offset small enough to not clamp
+		rhs := tab.Const(c)
 		var key string
 		var iv Interval
 		var ok bool

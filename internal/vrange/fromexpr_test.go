@@ -12,27 +12,27 @@ import (
 // formerly implemented as expr.MaxValue and now a thin wrapper over
 // OfExpr.
 func TestMaxValue(t *testing.T) {
-	taintE := expr.Sym(expr.TaintName("recv", 1))
+	taintE := tab.Sym(expr.TaintName("recv", 1))
 	tests := []struct {
 		name  string
 		e     *expr.Expr
 		bound int64
 		ok    bool
 	}{
-		{"const", expr.Const(42), 42, true},
-		{"negative const", expr.Const(-1), 0, false},
-		{"symbol", expr.Sym("n"), 0, false},
-		{"mask", expr.Bin(expr.OpAnd, taintE, expr.Const(7)), 7, true},
-		{"mask reversed", expr.Bin(expr.OpAnd, expr.Const(0xFF), taintE), 255, true},
-		{"mask of bounded", expr.Bin(expr.OpAnd, expr.Const(3), expr.Const(0xFF)), 3, true},
-		{"shr", expr.Bin(expr.OpShr, expr.Bin(expr.OpAnd, taintE, expr.Const(0xFF)), expr.Const(4)), 15, true},
-		{"shl", expr.Bin(expr.OpShl, expr.Bin(expr.OpAnd, taintE, expr.Const(3)), expr.Const(2)), 12, true},
-		{"sum", expr.Bin(expr.OpAdd, expr.Bin(expr.OpAnd, taintE, expr.Const(7)), expr.Bin(expr.OpAnd, expr.Sym("x"), expr.Const(8))), 15, true},
-		{"sum unbounded", expr.Bin(expr.OpAdd, expr.Sym("x"), expr.Const(7)), 0, false},
-		{"mul", expr.Bin(expr.OpMul, expr.Bin(expr.OpAnd, taintE, expr.Const(3)), expr.Const(4)), 12, true},
-		{"or", expr.Bin(expr.OpOr, expr.Bin(expr.OpAnd, taintE, expr.Const(7)), expr.Bin(expr.OpAnd, expr.Sym("x"), expr.Const(8))), 15, true},
-		{"or unbounded", expr.Bin(expr.OpOr, taintE, expr.Const(7)), 0, false},
-		{"deref", expr.Deref(expr.Sym("p")), 0, false},
+		{"const", tab.Const(42), 42, true},
+		{"negative const", tab.Const(-1), 0, false},
+		{"symbol", tab.Sym("n"), 0, false},
+		{"mask", tab.Bin(expr.OpAnd, taintE, tab.Const(7)), 7, true},
+		{"mask reversed", tab.Bin(expr.OpAnd, tab.Const(0xFF), taintE), 255, true},
+		{"mask of bounded", tab.Bin(expr.OpAnd, tab.Const(3), tab.Const(0xFF)), 3, true},
+		{"shr", tab.Bin(expr.OpShr, tab.Bin(expr.OpAnd, taintE, tab.Const(0xFF)), tab.Const(4)), 15, true},
+		{"shl", tab.Bin(expr.OpShl, tab.Bin(expr.OpAnd, taintE, tab.Const(3)), tab.Const(2)), 12, true},
+		{"sum", tab.Bin(expr.OpAdd, tab.Bin(expr.OpAnd, taintE, tab.Const(7)), tab.Bin(expr.OpAnd, tab.Sym("x"), tab.Const(8))), 15, true},
+		{"sum unbounded", tab.Bin(expr.OpAdd, tab.Sym("x"), tab.Const(7)), 0, false},
+		{"mul", tab.Bin(expr.OpMul, tab.Bin(expr.OpAnd, taintE, tab.Const(3)), tab.Const(4)), 12, true},
+		{"or", tab.Bin(expr.OpOr, tab.Bin(expr.OpAnd, taintE, tab.Const(7)), tab.Bin(expr.OpAnd, tab.Sym("x"), tab.Const(8))), 15, true},
+		{"or unbounded", tab.Bin(expr.OpOr, taintE, tab.Const(7)), 0, false},
+		{"deref", tab.Deref(tab.Sym("p")), 0, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -45,21 +45,21 @@ func TestMaxValue(t *testing.T) {
 }
 
 func TestOfExprEnv(t *testing.T) {
-	n := expr.Sym("len_abc")
+	n := tab.Sym("len_abc")
 	env := Env{"len_abc": AtMost(151)}
 	if iv := OfExpr(n, env); !iv.Eq(AtMost(151)) {
 		t.Fatalf("env lookup: got %v", iv)
 	}
 	// (len+1) under len <= 151 is <= 152.
-	if iv := OfExpr(expr.Add(n, 1), env); iv.Hi != 152 || !iv.Bounded() {
+	if iv := OfExpr(tab.Add(n, 1), env); iv.Hi != 152 || !iv.Bounded() {
 		t.Fatalf("shifted bound: got %v", iv)
 	}
 	// A symbol without a proven range stays Top and poisons the sum.
-	if iv := OfExpr(expr.Bin(expr.OpAdd, n, expr.Sym("other")), env); iv.Bounded() {
+	if iv := OfExpr(tab.Bin(expr.OpAdd, n, tab.Sym("other")), env); iv.Bounded() {
 		t.Fatalf("unbounded term must poison the sum: got %v", iv)
 	}
 	// Deref keys resolve through the env too.
-	d := expr.Deref(expr.Add(expr.Sym("sp"), -64))
+	d := tab.Deref(tab.Add(tab.Sym("sp"), -64))
 	env[d.Key()] = Range(0, 31)
 	if iv := OfExpr(d, env); !iv.Eq(Range(0, 31)) {
 		t.Fatalf("deref env lookup: got %v", iv)
@@ -69,7 +69,7 @@ func TestOfExprEnv(t *testing.T) {
 func TestOfExprSubtraction(t *testing.T) {
 	// The domain is non-relational: n-m subtracts interval endpoints.
 	env := Env{"n": Range(10, 20), "m": Range(1, 2)}
-	iv := OfExpr(expr.Bin(expr.OpSub, expr.Sym("n"), expr.Sym("m")), env)
+	iv := OfExpr(tab.Bin(expr.OpSub, tab.Sym("n"), tab.Sym("m")), env)
 	if !iv.Eq(Range(8, 19)) {
 		t.Fatalf("sub: got %v", iv)
 	}
@@ -86,13 +86,13 @@ func TestMaxValueSoundness(t *testing.T) {
 	}
 	build := func(r *rand.Rand) (*expr.Expr, []leaf) {
 		leaves := []leaf{
-			{expr.Sym("a"), int64(r.Intn(255) + 1)},
-			{expr.Sym("b"), int64(r.Intn(255) + 1)},
+			{tab.Sym("a"), int64(r.Intn(255) + 1)},
+			{tab.Sym("b"), int64(r.Intn(255) + 1)},
 		}
-		e1 := expr.Bin(expr.OpAnd, leaves[0].sym, expr.Const(leaves[0].mask))
-		e2 := expr.Bin(expr.OpAnd, leaves[1].sym, expr.Const(leaves[1].mask))
+		e1 := tab.Bin(expr.OpAnd, leaves[0].sym, tab.Const(leaves[0].mask))
+		e2 := tab.Bin(expr.OpAnd, leaves[1].sym, tab.Const(leaves[1].mask))
 		ops := []expr.Op{expr.OpAdd, expr.OpMul, expr.OpOr}
-		return expr.Bin(ops[r.Intn(len(ops))], e1, e2), leaves
+		return tab.Bin(ops[r.Intn(len(ops))], e1, e2), leaves
 	}
 	eval := func(e *expr.Expr, env map[string]int64) int64 {
 		var ev func(x *expr.Expr) int64

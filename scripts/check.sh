@@ -6,9 +6,8 @@
 # store-traffic test, the
 # repo-specific dtaintlint rules (determinism + nil-safe obs handles +
 # versioned serialization + no hard-coded vocabulary names + no
-# string-keyed identity over interned SSE nodes + expressions built
-# through the analysis's expr.Table in symexec, taint, dataflow, sse,
-# alias and sumstore), the
+# expression identity spelled out of Key() strings in symexec, taint,
+# dataflow, sse, alias and sumstore), the
 # vocabulary spec check (the embedded default must parse, validate,
 # compile, and cover every finding class), a run of every program under
 # examples/ (each must exit 0), a race-enabled test pass (so the parallel
