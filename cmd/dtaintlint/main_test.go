@@ -509,6 +509,47 @@ func TestKeyIdentityFlagged(t *testing.T) {
 	wantRule(t, lintSourceIn(t, "internal/symexec", keyIdentitySrc), "key-identity", 4)
 }
 
+// TestSSEKeyIdentityFlagged: code in internal/sse that spells path or
+// node identity out of .Key() strings is reported; a map keyed by
+// string is not, on its own.
+func TestSSEKeyIdentityFlagged(t *testing.T) {
+	findings := lintSourceIn(t, "internal/sse", `package sse
+
+type Node struct{}
+
+type index struct {
+	byKey map[string]*Node
+}
+
+func same(a, b interface{ Key() string }) bool {
+	return a.Key() == b.Key()
+}
+
+func lookup(m map[string]bool, e interface{ Key() string }) bool {
+	return m[e.Key()]
+}
+`)
+	wantRule(t, findings, "key-identity", 2)
+}
+
+// TestSSEKeyIdentityInSSEPackage: inside package sse the waiver
+// directive clears a deliberate exception and leaves the rest reported.
+func TestSSEKeyIdentityInSSEPackage(t *testing.T) {
+	findings := lintSourceIn(t, "internal/sse", `package sse
+
+type path interface{ Key() string }
+
+func waived(slots map[string]bool, p path) bool {
+	return slots[p.Key()] //dtaintlint:ignore exercising the waiver path
+}
+
+func bad(slots map[string]bool, p path) bool {
+	return slots[p.Key()]
+}
+`)
+	wantRule(t, findings, "key-identity", 1)
+}
+
 // TestKeyIdentityScopedToAnalysisPackages: the rule covers the packages
 // whose expressions are nodes of one analysis's table, and no others;
 // elsewhere keys are the normal currency.

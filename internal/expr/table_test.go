@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // TestTableSharesNodes pins hash-consing: a repeated construction
@@ -91,6 +92,28 @@ func TestTableSubstMapSyms(t *testing.T) {
 	other := new(Table)
 	if got := tab.Subst(other.Deref(other.Add(other.Arg(0), 0x58)), other.Arg(0), tab.Arg(1)); got != tab.Deref(tab.Add(tab.Arg(1), 0x58)) {
 		t.Errorf("Subst over another table's nodes built %s (%p), not the table's node", got, got)
+	}
+}
+
+// TestPropertyTableKeysMatchPackage: keys are the package's canonical
+// spelling, not a table's: building an expression through a fresh
+// table gives the key and the structure the shared test table gives,
+// and building it again gives the same node.
+func TestPropertyTableKeysMatchPackage(t *testing.T) {
+	fresh := new(Table)
+	f := func(seed int64) bool {
+		for _, depth := range []int{5, 20} {
+			a := randomExpr(rand.New(rand.NewSource(seed)), depth)
+			b := randomExprIn(fresh, rand.New(rand.NewSource(seed)), depth)
+			c := randomExprIn(fresh, rand.New(rand.NewSource(seed)), depth)
+			if a.Key() != b.Key() || !a.Equal(b) || b != c {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
