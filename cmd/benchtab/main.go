@@ -198,7 +198,7 @@ func run(all, fig1, t1, t2, t3, t4, t5, t6, t7, ablate, corpusScan, diffScan, sc
 		}
 	}
 	if screen {
-		stats, err := bench.Screening(w, 200)
+		stats, err := bench.Screening(w, bench.ScreeningSize)
 		if err != nil {
 			return err
 		}

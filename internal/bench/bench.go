@@ -499,6 +499,9 @@ type ScreeningStats struct {
 	Precision, Recall float64
 }
 
+// ScreeningSize is the number of binaries benchtab -screen scores.
+const ScreeningSize = 200
+
 // Screening runs the detector over a randomized corpus of vulnerable and
 // sanitized binaries with known ground truth and reports precision and
 // recall — the quantitative form of the paper's "more vulnerabilities,

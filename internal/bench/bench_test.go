@@ -229,6 +229,29 @@ func TestScreeningOutput(t *testing.T) {
 	}
 }
 
+// TestScreeningAblationRows pins the exact confusion counts of the two
+// ablation rows benchtab -screen prints, at its corpus size and seed.
+func TestScreeningAblationRows(t *testing.T) {
+	cases := mustScreeningCases(t, ScreeningSize)
+	for _, row := range []struct {
+		name           string
+		opts           dataflow.Options
+		tp, fp, fn, tn int
+	}{
+		{"-ablate vrange", dtaintAblated(), 89, 5, 11, 95},
+		{"-ablate sse", dataflow.Options{DisableSSE: true}, 85, 0, 15, 100},
+	} {
+		s, err := screeningRun(cases, row.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.TP != row.tp || s.FP != row.fp || s.FN != row.fn || s.TN != row.tn {
+			t.Errorf("%s: tp %d fp %d fn %d tn %d, want tp %d fp %d fn %d tn %d",
+				row.name, s.TP, s.FP, s.FN, s.TN, row.tp, row.fp, row.fn, row.tn)
+		}
+	}
+}
+
 func mustScreeningCases(t *testing.T, n int) []corpus.ScreeningCase {
 	t.Helper()
 	cases, err := corpus.ScreeningCorpus(n, 20180625)

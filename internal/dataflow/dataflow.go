@@ -3,8 +3,11 @@
 // analysis pipeline:
 //
 //  1. Function analysis — every function is symbolically analyzed once
-//     (package symexec), yielding definition pairs, types, and
-//     data-structure field observations.
+//     (package symexec), yielding definition pairs, types, data-structure
+//     field observations and indirect dispatches. Only phase 2 reads
+//     these summaries, so they are recorded under
+//     symexec.Options.ForResolution: no branch constraints, no ranges,
+//     and no direct or import call records.
 //  2. Indirect-call resolution (sseresolve.go): callsites are matched to
 //     function-pointer registrations through SSE equivalence classes
 //     (package sse) with data-structure layout similarity (package
@@ -370,7 +373,8 @@ func FunctionSummaries(prog *cfg.Program, names []string, opts Options) map[stri
 }
 
 // withVocab resolves the default vocabulary and the type prototypes the
-// vocabulary implies.
+// vocabulary implies; the prototype map is the vocabulary's own,
+// read-only.
 func (o Options) withVocab() Options {
 	if o.Vocab == nil {
 		o.Vocab = taint.DefaultVocabulary()
@@ -403,14 +407,16 @@ func fingerprinter(prog *cfg.Program, opts Options) *sumstore.Fingerprinter {
 }
 
 // runPhase1 analyzes every named function independently on the unit
-// scheduler. Each worker's scratch tracker supplies library models; its
-// findings are discarded. stageSpan (nil when tracing is off) parents one
-// "ssa-function" span per executed unit — the events -progress counts
-// against the stage's "functions" total. With a summary store, each
-// function's phase-1 key is consulted first: phase 1 applies no callee
-// summaries and its scratch tracker's side-effects are discarded, so a
-// stored summary replays the unit exactly, and skipping the execution
-// cannot affect any other unit.
+// scheduler, recording only what indirect-call resolution and layout
+// similarity read (symexec.Options.ForResolution). Each worker's scratch
+// tracker supplies library models; its findings are discarded.
+// stageSpan (nil when tracing is off) parents one "ssa-function" span
+// per executed unit — the events -progress counts against the stage's
+// "functions" total. With a summary store, each function's phase-1 key
+// is consulted first: phase 1 applies no callee summaries and its
+// scratch tracker's side-effects are discarded, so a stored summary
+// replays the unit exactly, and skipping the execution cannot affect any
+// other unit.
 func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, stageSpan *obs.Span) (map[string]*symexec.Summary, StoreStats) {
 	store := opts.SummaryStore
 	var keys []string
@@ -424,6 +430,7 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 	}
 	rec := newFnRecorder(opts.Metrics, "ssa-function", "dtaint_fn_ssa_seconds",
 		"Per-function symbolic analysis time (phase 1).")
+	symOpts := opts.Symexec.ForResolution()
 	sums := make([]*symexec.Summary, len(names))
 	_, st := runUnits(opts, "function-analysis", make([]int, len(names)), nil, func() func(int) bool {
 		scratch := newTracker(opts, prog.Binary)
@@ -436,7 +443,7 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 			}
 			run := rec.start(stageSpan, names[i])
 			scratch.BeginFunction(names[i])
-			sums[i] = symexec.Analyze(prog.ByName[names[i]], prog.Binary, scratch, opts.Symexec)
+			sums[i] = symexec.Analyze(prog.ByName[names[i]], prog.Binary, scratch, symOpts)
 			run.end(sums[i])
 			if store != nil {
 				store.PutSummary(keys[i], sums[i])

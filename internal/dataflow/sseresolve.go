@@ -80,12 +80,18 @@ func abstractRoot(tab *expr.Table, e *expr.Expr) (*expr.Expr, bool) {
 // structsim for callsites with no path match. At most one resolution is
 // emitted per call record; output order follows sorted function names
 // and call order, so results are deterministic. The expressions it
-// builds go through tab.
+// builds go through tab. When no summary holds an indirect dispatch it
+// builds no classes or layouts and returns nothing.
 func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]structsim.Resolution, ResolveStats) {
 	var stats ResolveStats
 	names := make([]string, 0, len(sums))
-	for name := range sums {
+	dispatches := false
+	for name, sum := range sums {
 		names = append(names, name)
+		dispatches = dispatches || hasDispatch(sum)
+	}
+	if !dispatches {
+		return nil, stats
 	}
 	sort.Strings(names)
 
@@ -215,4 +221,14 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 		}
 	}
 	return out, stats
+}
+
+// hasDispatch reports whether sum records an indirect dispatch.
+func hasDispatch(sum *symexec.Summary) bool {
+	for _, call := range sum.Calls {
+		if call.FnPtr != nil {
+			return true
+		}
+	}
+	return false
 }

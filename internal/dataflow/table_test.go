@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"dtaint/internal/asm"
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/expr"
@@ -80,24 +81,80 @@ func checkSharedTable(t *testing.T, name string, bin *image.Binary) int {
 	return len(prog.Funcs)
 }
 
+// heapChainSrc allocates in mk and passes the object up three call
+// levels. Every caller reaches its callsite on two paths, so each level
+// re-hashes the same heap symbols at the same site more than once.
+const heapChainSrc = `
+.arch arm
+.import malloc
+
+.func mk
+  MOV R4, R0
+  MOV R5, R1
+  MOV R0, #16
+  BL malloc
+  STR R0, [R4, #0]
+  STR R5, [R0, #4]
+  BX LR
+.endfunc
+
+.func lvl1
+  MOV R6, R0
+  CMP R1, #0
+  BEQ l1
+  MOV R7, #1
+l1:
+  BL mk
+  STR R0, [R6, #8]
+  BX LR
+.endfunc
+
+.func lvl2
+  MOV R6, R0
+  CMP R1, #4
+  BGE l2
+  MOV R7, #2
+l2:
+  BL lvl1
+  STR R0, [R6, #12]
+  BX LR
+.endfunc
+
+.func lvl3
+  MOV R6, R0
+  CMP R1, #8
+  BLT l3
+  MOV R7, #3
+l3:
+  BL lvl2
+  LDR R1, [R6, #0]
+  STR R1, [R6, #16]
+  BX LR
+.endfunc
+`
+
 // TestDedupMatchesSpelling: the engine and the rewrites deduplicate by
 // node pointer, which is sound only while every expression of an
 // analysis is a node of its table. A foreign node — one built in
 // another table, or decoded outside it — is a second node for a
 // spelling, and would slip past the pointer checks as a second entry.
-// So over a study binary and a screening seed, at 1 and 8 workers,
-// without a summary store and replaying from a warm one, no spelling
-// may have two nodes across an analysis's summaries and no summary may
-// repeat a spelled entry; and the phase-1 summaries must not depend on
-// the table.
+// So over a study binary, a screening seed and a heap object climbing
+// three call levels, at 1 and 8 workers, without a summary store and
+// replaying from a warm one, no spelling may have two nodes across an
+// analysis's summaries and no summary may repeat a spelled entry; and
+// the phase-1 summaries must not depend on the table.
 func TestDedupMatchesSpelling(t *testing.T) {
 	spec := corpus.StudyImages()[0]
 	study, _, err := corpus.BuildBinary(spec, goldenScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins := []*image.Binary{study}
-	names := []string{spec.Product}
+	heapChain, err := asm.Assemble("heap-chain", heapChainSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := []*image.Binary{study, heapChain}
+	names := []string{spec.Product, "heap-chain"}
 	cases, err := corpus.ScreeningCorpus(40, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,8 @@
 // applies the paper's loop heuristic — blocks in the same loop are only
 // analyzed once (per path) — producing for each function its definition
 // pairs, branch constraints, callsites, inferred types, and data-structure
-// field observations.
+// field observations. A pass whose summaries feed only indirect-call
+// resolution records less (Options.ForResolution).
 package symexec
 
 import (
@@ -78,14 +79,21 @@ type LoopStore struct {
 	Size     int
 }
 
-// Summary is the result of analyzing one function.
+// Summary is the result of analyzing one function. An analysis under
+// Options.ForResolution leaves Constraints and Ranges empty and keeps
+// only the Calls that have an FnPtr; every other field is recorded as
+// by a default analysis.
 type Summary struct {
 	Func string
 	Addr uint32
 
-	DefPairs    []DefPair
-	Rets        []*expr.Expr
-	Calls       []CallRecord
+	DefPairs []DefPair
+	Rets     []*expr.Expr
+	// Calls holds one record per executed callsite on every path; under
+	// ForResolution, only the indirect dispatches (FnPtr set).
+	Calls []CallRecord
+	// Constraints are the branch conditions of every explored path; empty
+	// under ForResolution.
 	Constraints []Constraint
 	Types       map[string]expr.Type
 	Fields      []FieldObs
@@ -96,7 +104,7 @@ type Summary struct {
 	// bounds observed inside loops), plus facts contributed by library
 	// models and summarized callees through CallEffect.Ranges. Keys are
 	// expression keys (symbol names, deref keys, or whole-expression
-	// keys for callee return values).
+	// keys for callee return values). Nil under ForResolution.
 	Ranges map[string]vrange.Interval
 
 	BlocksAnalyzed int
@@ -207,6 +215,8 @@ type Options struct {
 	LoopOnce     bool
 	MaxLoopIters int
 	// Prototypes maps library function names to their type signatures.
+	// The engine only looks names up in it, so one map may serve every
+	// analysis; it must not be modified while any analysis reads it.
 	Prototypes map[string]Proto
 	// InitialArgs, when non-nil, seeds the argument registers with the
 	// given expressions instead of the symbolic arg0..arg3 — used by the
@@ -226,6 +236,21 @@ type Options struct {
 	// InitialMem and every expression an Oracle returns must be nodes of
 	// it: the engine tells locations and values apart by node pointer.
 	Table *expr.Table
+
+	// resolutionOnly records only what indirect-call resolution reads
+	// (see ForResolution).
+	resolutionOnly bool
+}
+
+// ForResolution returns o for a pass whose summaries are read only by
+// indirect-call resolution and layout similarity: the engine records no
+// branch constraints, derives no Ranges, and keeps only the call records
+// of indirect dispatches (those with an FnPtr). Definition pairs, types,
+// fields, returns, loop stores, unresolved uses and the exploration
+// counters are recorded exactly as under o.
+func (o Options) ForResolution() Options {
+	o.resolutionOnly = true
+	return o
 }
 
 // Defaults fills zero fields with production values.
@@ -359,7 +384,6 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 		},
 		ranges:     make(map[string]vrange.Interval),
 		defSeen:    make(map[DefPair]bool),
-		constSeen:  make(map[constraintKey]bool),
 		fieldSeen:  make(map[FieldObs]bool),
 		retSeen:    make(map[*expr.Expr]bool),
 		useSeen:    make(map[*expr.Expr]bool),
@@ -369,8 +393,13 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 	for _, cs := range fn.Calls {
 		e.callByAddr[cs.Addr] = cs
 	}
+	if !opts.resolutionOnly {
+		e.constSeen = make(map[constraintKey]bool)
+	}
 	e.run()
-	e.sum.Ranges = DeriveRanges(e.sum.Constraints, e.ranges)
+	if !opts.resolutionOnly {
+		e.sum.Ranges = DeriveRanges(e.sum.Constraints, e.ranges)
+	}
 	return e.sum
 }
 
@@ -828,7 +857,9 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 	if e.opts.Trace != nil {
 		e.opts.Trace(addr, "call "+calleeName+", "+e.conv.RetReg.Name()+" = "+ret.Key())
 	}
-	e.sum.Calls = append(e.sum.Calls, rec)
+	if rec.FnPtr != nil || !e.opts.resolutionOnly {
+		e.sum.Calls = append(e.sum.Calls, rec)
+	}
 }
 
 // collectArgs gathers register arguments plus any stack-passed arguments
@@ -884,7 +915,7 @@ type constraintKey struct {
 }
 
 func (e *engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop bool) {
-	if !st.hasFlag {
+	if !st.hasFlag || e.opts.resolutionOnly {
 		return
 	}
 	key := constraintKey{st.cmpL, st.cmpR, cond}

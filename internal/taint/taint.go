@@ -308,7 +308,8 @@ func (t *Tracker) Pendings(fn string) []PendingSink { return t.pendings[fn] }
 func (t *Tracker) Findings() []Finding { return t.findings }
 
 // PrototypesFor returns the prototypes of a loaded vocabulary; nil
-// falls back to the default.
+// falls back to the default. The map is read-only (see
+// Vocabulary.Prototypes).
 func PrototypesFor(v *Vocabulary) map[string]symexec.Proto {
 	if v == nil {
 		v = DefaultVocabulary()

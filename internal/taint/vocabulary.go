@@ -147,14 +147,10 @@ func (v *Vocabulary) SinkNames() []string {
 }
 
 // Prototypes returns the library type signatures derived from the
-// vocabulary's declared argument and return types.
-func (v *Vocabulary) Prototypes() map[string]symexec.Proto {
-	out := make(map[string]symexec.Proto, len(v.protos))
-	for k, p := range v.protos {
-		out[k] = p
-	}
-	return out
-}
+// vocabulary's declared argument and return types. The map is the
+// vocabulary's own, shared by every analysis it serves, and must not be
+// modified.
+func (v *Vocabulary) Prototypes() map[string]symexec.Proto { return v.protos }
 
 // compileFunc classifies one entry into its dispatch kind.
 func compileFunc(f *vocab.Func) (fnModel, error) {
