@@ -19,11 +19,14 @@
 //     instantiated by replacing formal arguments arg0..arg9 and
 //     ret_callsite symbols with the caller's actual expressions
 //     (Algorithm 2's ReplaceFormalArgs / ReplaceRetVariable), with heap
-//     identities re-hashed per callsite chain.
+//     identities re-hashed per callsite chain. A function is published
+//     as soon as it ends: its summary and the pending sinks
+//     taint.Tracker.EndFunction returns go into the one shared state
+//     that its callers and the later functions of its component read.
 //  4. Pointer-alias rewriting (package alias) extends each function's
 //     definition pairs before they are exported — by default from SSE
-//     equivalence classes (alias.RewriteSSE), under -ablate sse via the
-//     paper's pairwise Algorithm 1.
+//     equivalence classes (alias.RewriteSSEIn), under -ablate sse via
+//     the paper's pairwise Algorithm 1.
 //
 // Both analysis phases run on one dependency-counting scheduler
 // (runUnits). Phase 1's units are functions with no dependencies. Phases
@@ -500,15 +503,14 @@ func countSinks(prog *cfg.Program, names []string, sums map[string]*symexec.Summ
 }
 
 // interOracle composes the taint tracker's library models with callee
-// summary application for local calls (Algorithm 2). The summary and
-// pending lookups are injected by the scheduler so a component worker
-// sees its own in-flight component first and the published global state
-// behind it.
+// summary application for local calls (Algorithm 2). Callee summaries
+// and pending sinks are read from the bottom-up pass's published state,
+// which holds every function that has ended: the callee components and
+// the earlier functions of the worker's own component.
 type interOracle struct {
-	tracker  *taint.Tracker
-	lookup   func(name string) (*symexec.Summary, bool)
-	pendings func(name string) []taint.PendingSink
-	noVRange bool
+	tracker   *taint.Tracker
+	published *bottomUpState
+	noVRange  bool
 }
 
 var _ symexec.Oracle = (*interOracle)(nil)
@@ -518,7 +520,7 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 	if ctx.Kind == cfg.CallImport || ctx.Kind == cfg.CallUnknown {
 		return o.tracker.Call(ctx)
 	}
-	sum, ok := o.lookup(ctx.Callee)
+	sum, pending, ok := o.published.lookup(ctx.Callee)
 	if !ok {
 		// Within an SCC (recursion) the callee may not be summarized yet;
 		// the engine falls back to a fresh return symbol.
@@ -580,7 +582,7 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 		}
 	}
 	// Pending sinks climb from the callee into this function.
-	o.tracker.ImportPending(o.pendings(ctx.Callee), sub, ctx.Site)
+	o.tracker.ImportPending(pending, sub, ctx.Site)
 	return eff
 }
 

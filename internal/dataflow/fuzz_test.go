@@ -6,14 +6,18 @@ import (
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/image"
+	"dtaint/internal/sumstore"
 	"dtaint/internal/symexec"
 )
 
 // FuzzAnalyzeBinary drives arbitrary FWELF bytes through the whole
 // per-binary analysis: image.Parse, cfg.Build, then both analysis phases
 // under small budgets, so the decoded registers, offsets and targets of
-// any parseable binary reach symbolic execution. It must never panic.
-// The seeds are screening binaries, small enough to keep the fuzzer fast.
+// any parseable binary reach symbolic execution. It must never panic,
+// and the result must not depend on the schedule or the summary store:
+// 4 workers, a fresh store and the same store warm must each give the
+// fingerprint of the 1-worker store-less run. The seeds are screening
+// binaries, small enough to keep the fuzzer fast.
 func FuzzAnalyzeBinary(f *testing.F) {
 	cases, err := corpus.ScreeningCorpus(8, 1)
 	if err != nil {
@@ -32,17 +36,43 @@ func FuzzAnalyzeBinary(f *testing.F) {
 			MaxStatesPerBlock: 2,
 			MaxStatesPerFunc:  64,
 		},
-		Parallelism: 1,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bin, err := image.Parse(data)
 		if err != nil {
 			return
 		}
-		prog, err := cfg.Build(bin)
-		if err != nil {
+		if _, err := cfg.Build(bin); err != nil {
 			return
 		}
-		_, _ = Analyze(prog, opts) // an error is an answer; a panic is a bug
+		// Each run builds its own program: Analyze adds the call edges
+		// it resolves.
+		analyze := func(workers int, store *sumstore.Store) string {
+			prog, err := cfg.Build(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := opts
+			o.Parallelism, o.SummaryStore = workers, store
+			res, err := Analyze(prog, o)
+			if err != nil {
+				return "error: " + err.Error() // an error is an answer; a panic is a bug
+			}
+			return fingerprint(res)
+		}
+		want := analyze(1, nil)
+		store, err := sumstore.NewStore(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name    string
+			workers int
+			store   *sumstore.Store
+		}{{"4 workers", 4, nil}, {"store cold", 1, store}, {"store warm", 1, store}} {
+			if got := analyze(run.workers, run.store); got != want {
+				t.Fatalf("%s: result diverges from 1 worker without a store:\n--- got ---\n%s--- want ---\n%s", run.name, got, want)
+			}
+		}
 	})
 }

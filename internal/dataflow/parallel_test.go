@@ -8,6 +8,7 @@ import (
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/expr"
+	"dtaint/internal/sumstore"
 	"dtaint/internal/symexec"
 )
 
@@ -82,6 +83,83 @@ func TestBottomUpSchedulerDeterministic(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("workers=%d: result diverges from workers=1:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+		}
+	}
+}
+
+// mutualRecursionSrc is one two-function component: even(cmd, n) runs
+// system(cmd) and then odd(cmd, n-1), odd calls even, and main passes
+// getenv's result to odd. Functions of a component run in name order, so
+// odd carries even's pending sink only because even ended earlier in the
+// same component.
+const mutualRecursionSrc = `
+.arch arm
+.import getenv
+.import system
+.data k "K"
+
+.func even
+  MOV R4, R0
+  MOV R5, R1
+  BL system
+  CMP R5, #0
+  BEQ done
+  MOV R0, R4
+  SUB R1, R5, #1
+  BL odd
+done:
+  BX LR
+.endfunc
+
+.func odd
+  CMP R1, #0
+  BEQ done
+  SUB R1, R1, #1
+  BL even
+done:
+  BX LR
+.endfunc
+
+.func main
+  MOV R0, =k
+  BL getenv
+  MOV R1, #5
+  BL odd
+  BX LR
+.endfunc
+`
+
+// A function is published to the rest of its component as soon as it
+// ends: main's finding exists only because odd imported the pending sink
+// of even, which ran before it in the same component. It must read the
+// same at 1 and 8 workers, with the summary store off, cold and warm.
+func TestComponentSeesItsEndedFunctions(t *testing.T) {
+	bin, err := asm.Assemble("t", mutualRecursionSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "[VULNERABLE] getenv -> system in even@0x10010 (command-injection) path=even@0x10010(system) <- odd@0x10060(call even) <- main@0x10088(call even)"
+	for _, workers := range []int{1, 8} {
+		store, err := sumstore.NewStore(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []struct {
+			name  string
+			store *sumstore.Store
+		}{{"off", nil}, {"cold", store}, {"warm", store}} {
+			prog, err := cfg.Build(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Analyze(prog, Options{Parallelism: workers, SummaryStore: pass.store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vulns := res.VulnerablePaths()
+			if len(vulns) != 1 || vulns[0].String() != want {
+				t.Errorf("workers=%d store %s: vulnerable paths = %v, want [%s]", workers, pass.name, vulns, want)
+			}
 		}
 	}
 }

@@ -137,16 +137,17 @@ func (f fnRun) end(sum *symexec.Summary) {
 // runBottomUp executes the bottom-up interprocedural phase (3+4) over the
 // call graph's SCC condensation: a component is ready once its callee
 // components are summarized. Each component is analyzed by its own
-// tracker shard; its findings, pendings, and counters are stashed per
-// component and merged in condensation order afterwards, so the result
-// is bit-identical for every worker count.
+// tracker shard, which publishes every function's summary and pending
+// sinks as soon as the function ends; the component's store entry holds
+// its findings and counters until they are merged in condensation order,
+// so the result is bit-identical for every worker count.
 //
 // With a summary store, each component's Merkle key (its function
 // digests chained with every callee component's key) is consulted
-// before analysis: a stored entry replays the component's complete
-// contribution — exported summaries, climbing pending sinks, findings,
-// and counters — so the published state and the merged result are
-// byte-for-byte what a fresh execution would produce.
+// before analysis: a stored entry is published as a whole and replays
+// the component's complete contribution — exported summaries, climbing
+// pending sinks, findings, and counters — so the published state and the
+// merged result are byte-for-byte what a fresh execution would produce.
 func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) {
 	cond := prog.Condense(names)
 	store := opts.SummaryStore
@@ -165,22 +166,20 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 	}
 	done := make([]compResult, len(cond.Comps))
 	analyze := func(i int) bool {
-		replayed := false
-		var r compResult
 		if store != nil {
 			if ent, ok := store.GetEntry(opts.Symexec.Table, keys[i]); ok {
-				r, replayed = entryToComp(ent), true
+				for _, sum := range ent.Summaries {
+					shared.publish(sum, ent.Pendings[sum.Func])
+				}
+				done[i].Entry = ent
+				return true
 			}
 		}
-		if !replayed {
-			r = analyzeComponent(prog, opts, base, shared, cond.Comps[i], i, stageSpan, rec)
-			if store != nil {
-				store.PutEntry(keys[i], compToEntry(cond.Comps[i], r))
-			}
+		done[i] = analyzeComponent(prog, opts, base, shared, cond.Comps[i], i, stageSpan, rec)
+		if store != nil {
+			store.PutEntry(keys[i], done[i].Entry)
 		}
-		shared.publish(r)
-		done[i] = r
-		return replayed
+		return false
 	}
 	workers, st := runUnits(opts, "interproc-dataflow", cond.NumDeps, cond.Callers,
 		func() func(int) bool { return analyze })
@@ -198,128 +197,66 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 	// condensation's (reverse topological) order — exactly the order the
 	// sequential schedule produces them in.
 	for i := range done {
-		res.Findings = append(res.Findings, done[i].findings...)
+		res.Findings = append(res.Findings, done[i].Findings...)
 		res.FunctionsAnalyzed += len(cond.Comps[i])
-		res.DefPairCount += done[i].defPairs
-		res.Truncated += done[i].truncated
+		res.DefPairCount += done[i].DefPairs
+		res.Truncated += done[i].Truncated
 		res.AliasAdded += done[i].aliasAdded
 		res.AliasDropped += done[i].aliasDropped
 	}
 }
 
-// bottomUpState is the published cross-component state: summaries and
-// pending sinks of every completed component. The scheduler's dependency
-// counting guarantees a caller component only starts after its callee
-// components have published, so readers always find what they need.
+// bottomUpState is the one copy of what the bottom-up pass publishes:
+// the summary and pending sinks of every function that has ended. Each
+// function is published as soon as it ends, so later functions of its
+// own component read it here; dependency counting starts a caller
+// component only after its callee components have ended. A component
+// running concurrently never looks these facts up: a lookup follows a
+// call edge, and a call edge is a dependency.
 type bottomUpState struct {
 	mu        sync.RWMutex
 	summaries map[string]*symexec.Summary
 	pendings  map[string][]taint.PendingSink
 }
 
-func (s *bottomUpState) summary(name string) (*symexec.Summary, bool) {
+// lookup returns a published function's summary and pending sinks.
+func (s *bottomUpState) lookup(name string) (*symexec.Summary, []taint.PendingSink, bool) {
 	s.mu.RLock()
 	sum, ok := s.summaries[name]
-	s.mu.RUnlock()
-	return sum, ok
-}
-
-func (s *bottomUpState) pending(name string) []taint.PendingSink {
-	s.mu.RLock()
 	ps := s.pendings[name]
 	s.mu.RUnlock()
-	return ps
+	return sum, ps, ok
 }
 
-func (s *bottomUpState) publish(r compResult) {
+// publish records an ended function's summary and pending sinks.
+func (s *bottomUpState) publish(sum *symexec.Summary, ps []taint.PendingSink) {
 	s.mu.Lock()
-	for name, sum := range r.summaries {
-		s.summaries[name] = sum
-	}
-	for name, ps := range r.pendings {
-		s.pendings[name] = ps
+	s.summaries[sum.Func] = sum
+	if len(ps) > 0 {
+		s.pendings[sum.Func] = ps
 	}
 	s.mu.Unlock()
 }
 
-// compResult is one component's contribution, stashed until the merge.
-// The alias counts are live-run telemetry only: they are NOT
-// round-tripped through the summary store (compToEntry/entryToComp drop
-// them), so replayed components contribute zero and the deterministic
-// result fields stay byte-identical with and without a store.
+// compResult is one component's contribution, kept until the merge: its
+// summary-store entry plus the alias counts. The alias counts are
+// live-run telemetry only and never stored, so replayed components
+// contribute zero and the deterministic result fields stay
+// byte-identical with and without a store.
 type compResult struct {
-	summaries    map[string]*symexec.Summary
-	pendings     map[string][]taint.PendingSink
-	findings     []taint.Finding
-	defPairs     int
-	truncated    int
+	*sumstore.Entry
 	aliasAdded   int
 	aliasDropped int
 }
 
-// compToEntry packages a component's contribution for the summary
-// store. Summaries are listed in the component's fixed function order
-// so encoding is deterministic.
-func compToEntry(comp []string, r compResult) *sumstore.Entry {
-	ent := &sumstore.Entry{
-		Pendings:  r.pendings,
-		Findings:  r.findings,
-		DefPairs:  r.defPairs,
-		Truncated: r.truncated,
-	}
-	for _, name := range comp {
-		if sum, ok := r.summaries[name]; ok {
-			ent.Summaries = append(ent.Summaries, sum)
-		}
-	}
-	return ent
-}
-
-// entryToComp replays a stored component contribution.
-func entryToComp(ent *sumstore.Entry) compResult {
-	r := compResult{
-		summaries: make(map[string]*symexec.Summary, len(ent.Summaries)),
-		pendings:  ent.Pendings,
-		findings:  ent.Findings,
-		defPairs:  ent.DefPairs,
-		truncated: ent.Truncated,
-	}
-	if r.pendings == nil {
-		r.pendings = make(map[string][]taint.PendingSink)
-	}
-	for _, sum := range ent.Summaries {
-		r.summaries[sum.Func] = sum
-	}
-	return r
-}
-
 // analyzeComponent runs Algorithm 2 over one SCC component with a private
 // tracker shard. Functions inside the component are processed in sorted
-// order (the component's fixed order), mirroring the sequential pass;
-// lookups prefer the in-flight component, then the published state.
+// order (the component's fixed order), mirroring the sequential pass, and
+// each is published as soon as EndFunction returns its pending sinks.
 func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shared *bottomUpState, comp []string, idx int, stageSpan *obs.Span, rec *fnRecorder) compResult {
 	shard := base.Shard()
-	local := make(map[string]*symexec.Summary, len(comp))
-	oracle := &interOracle{
-		tracker: shard,
-		lookup: func(name string) (*symexec.Summary, bool) {
-			if sum, ok := local[name]; ok {
-				return sum, true
-			}
-			return shared.summary(name)
-		},
-		pendings: func(name string) []taint.PendingSink {
-			if _, ok := local[name]; ok {
-				return shard.Pendings(name)
-			}
-			return shared.pending(name)
-		},
-		noVRange: opts.DisableVRange,
-	}
-	out := compResult{
-		summaries: local,
-		pendings:  make(map[string][]taint.PendingSink, len(comp)),
-	}
+	oracle := &interOracle{tracker: shard, published: shared, noVRange: opts.DisableVRange}
+	out := compResult{Entry: &sumstore.Entry{Summaries: make([]*symexec.Summary, 0, len(comp))}}
 	compSpan := stageSpan.StartChild("scc-component",
 		obs.KV("index", idx), obs.KV("functions", len(comp)))
 	for _, name := range comp {
@@ -338,21 +275,23 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 			out.aliasAdded += ast.Added
 			out.aliasDropped += ast.Dropped
 		}
-		shard.EndFunction(sum)
+		ps := shard.EndFunction(sum)
 		run.end(sum)
-		local[name] = sum
-		out.defPairs += len(sum.DefPairs)
+		shared.publish(sum, ps)
+		out.Summaries = append(out.Summaries, sum)
+		if len(ps) > 0 {
+			if out.Pendings == nil {
+				out.Pendings = make(map[string][]taint.PendingSink)
+			}
+			out.Pendings[name] = ps
+		}
+		out.DefPairs += len(sum.DefPairs)
 		if sum.Truncated {
-			out.truncated++
+			out.Truncated++
 		}
 	}
 	compSpan.End()
-	for _, name := range comp {
-		if ps := shard.Pendings(name); len(ps) > 0 {
-			out.pendings[name] = ps
-		}
-	}
-	out.findings = shard.Findings()
+	out.Findings = shard.Findings()
 	return out
 }
 

@@ -142,7 +142,11 @@ l3:
 // three call levels, at 1 and 8 workers, without a summary store and
 // replaying from a warm one, no spelling may have two nodes across an
 // analysis's summaries and no summary may repeat a spelled entry; and
-// the phase-1 summaries must not depend on the table.
+// the phase-1 summaries must not depend on the table. A table that
+// outlives its analysis would hash-cons too, so each spelling would
+// still have one node: the store-less pass of a binary and each pass
+// through the store are two analyses, and they may share no node but
+// the preallocated small constants.
 func TestDedupMatchesSpelling(t *testing.T) {
 	spec := corpus.StudyImages()[0]
 	study, _, err := corpus.BuildBinary(spec, goldenScale)
@@ -176,6 +180,7 @@ func TestDedupMatchesSpelling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var offNodes map[*expr.Expr]bool
 			for _, pass := range []string{"off", "cold", "warm"} {
 				opts := Options{Parallelism: workers}
 				if pass != "off" {
@@ -197,6 +202,11 @@ func TestDedupMatchesSpelling(t *testing.T) {
 						t.Fatalf("workers=%d %s/%s, store %s: two nodes spell %q", workers, names[i], fn, pass, dup)
 					}
 				}
+				if pass == "off" {
+					offNodes = resultNodes(res)
+				} else if n := sharedNode(offNodes, resultNodes(res)); n != "" {
+					t.Fatalf("workers=%d %s, store %s: node %s is shared by two analyses", workers, names[i], pass, n)
+				}
 			}
 		}
 	}
@@ -206,29 +216,73 @@ func TestDedupMatchesSpelling(t *testing.T) {
 // subexpressions by spelling, and returns a spelling that has two nodes,
 // or "" when none has.
 func secondNode(s *symexec.Summary, nodes map[string]*expr.Expr) string {
-	var walk func(e *expr.Expr) string
-	walk = func(e *expr.Expr) string {
-		if e == nil {
-			return ""
-		}
-		if n, ok := nodes[e.Key()]; ok {
-			if n != e {
-				return e.Key()
+	dup := ""
+	for _, e := range summaryExprs(s) {
+		eachNode(e, func(n *expr.Expr) bool {
+			if m, ok := nodes[n.Key()]; ok {
+				if m != n && dup == "" {
+					dup = n.Key()
+				}
+				return false
 			}
-			return ""
+			nodes[n.Key()] = n
+			return true
+		})
+		if dup != "" {
+			return dup
 		}
-		nodes[e.Key()] = e
-		if x, ok := e.DerefAddr(); ok {
-			return walk(x)
+	}
+	return ""
+}
+
+// resultNodes returns every node of res: the expressions secondNode
+// walks in each summary plus each finding's taint and guard, with their
+// subexpressions.
+func resultNodes(res *Result) map[*expr.Expr]bool {
+	nodes := map[*expr.Expr]bool{}
+	add := func(n *expr.Expr) bool {
+		if nodes[n] {
+			return false
 		}
-		if _, x, y, ok := e.BinOperands(); ok {
-			if dup := walk(x); dup != "" {
-				return dup
-			}
-			return walk(y)
+		nodes[n] = true
+		return true
+	}
+	for _, sum := range res.Summaries {
+		for _, e := range summaryExprs(sum) {
+			eachNode(e, add)
 		}
+	}
+	for _, f := range res.Findings {
+		eachNode(f.TaintExpr, add)
+		eachNode(f.GuardExpr, add)
+	}
+	return nodes
+}
+
+// sharedNode returns the spelling of a node of b that a also holds,
+// other than the preallocated small constants every table shares, or ""
+// when the two analyses share none.
+func sharedNode(a, b map[*expr.Expr]bool) string {
+	var shared []string
+	for n := range b {
+		if !a[n] {
+			continue
+		}
+		if v, ok := n.ConstVal(); ok && new(expr.Table).Const(v) == n {
+			continue
+		}
+		shared = append(shared, n.Key())
+	}
+	if len(shared) == 0 {
 		return ""
 	}
+	sort.Strings(shared)
+	return shared[0]
+}
+
+// summaryExprs lists the expressions of s's return values, unresolved
+// uses, definition pairs, constraints, calls, fields and loop stores.
+func summaryExprs(s *symexec.Summary) []*expr.Expr {
 	var all []*expr.Expr
 	all = append(all, s.Rets...)
 	all = append(all, s.UndefUses...)
@@ -248,12 +302,21 @@ func secondNode(s *symexec.Summary, nodes map[string]*expr.Expr) string {
 	for _, ls := range s.LoopStores {
 		all = append(all, ls.AddrExpr, ls.Val)
 	}
-	for _, e := range all {
-		if dup := walk(e); dup != "" {
-			return dup
-		}
+	return all
+}
+
+// eachNode calls visit on e and, while visit returns true, on its
+// subexpressions. A nil e visits nothing.
+func eachNode(e *expr.Expr, visit func(*expr.Expr) bool) {
+	if e == nil || !visit(e) {
+		return
 	}
-	return ""
+	if x, ok := e.DerefAddr(); ok {
+		eachNode(x, visit)
+	} else if _, x, y, ok := e.BinOperands(); ok {
+		eachNode(x, visit)
+		eachNode(y, visit)
+	}
 }
 
 // spelledDuplicate returns the first return value, definition pair,

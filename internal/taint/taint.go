@@ -190,7 +190,6 @@ type Tracker struct {
 	guards  map[guardKey]bool // guarded content roots (strchr-style checks), per separator byte
 
 	findings []Finding
-	pendings map[string][]PendingSink
 	obsSeen  map[obsKey]bool
 	frames   []trackerFrame
 
@@ -235,15 +234,14 @@ var _ symexec.Oracle = (*Tracker)(nil)
 // NewTracker returns an empty tracker with the default vocabulary.
 func NewTracker() *Tracker {
 	return &Tracker{
-		vocab:    DefaultVocabulary(),
-		pendings: make(map[string][]PendingSink),
-		obsSeen:  make(map[obsKey]bool),
+		vocab:   DefaultVocabulary(),
+		obsSeen: make(map[obsKey]bool),
 	}
 }
 
 // Shard returns a tracker sharing t's configuration — the vocabulary,
 // the program image and the value-range switch — but owning fresh
-// finding, pending, and observation state. The parallel bottom-up
+// finding and observation state. The parallel bottom-up
 // scheduler gives every call-graph component its own shard and merges
 // the per-shard results deterministically; the shared maps are never
 // mutated after configuration, so shards are safe to use concurrently.
@@ -289,7 +287,8 @@ func (t *Tracker) PushFrame(name string) {
 }
 
 // PopFrame finalizes the nested function against its summary (as
-// EndFunction does) and restores the suspended caller state.
+// EndFunction does, dropping its pending sinks) and restores the
+// suspended caller state.
 func (t *Tracker) PopFrame(sum *symexec.Summary) {
 	t.EndFunction(sum)
 	if n := len(t.frames); n > 0 {
@@ -300,9 +299,6 @@ func (t *Tracker) PopFrame(sum *symexec.Summary) {
 		t.guards = fr.guards
 	}
 }
-
-// Pendings returns the pending sinks exported by a summarized function.
-func (t *Tracker) Pendings(fn string) []PendingSink { return t.pendings[fn] }
 
 // Findings returns every recorded (source, path, sink) tuple.
 func (t *Tracker) Findings() []Finding { return t.findings }
@@ -898,9 +894,9 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 
 // EndFunction finalizes the function's observations against its completed
 // summary: tainted sinks become findings, argument-rooted sinks become
-// pending sinks for the callers, and loop-copy stores are checked as the
-// structural "loop" sink of Table I.
-func (t *Tracker) EndFunction(sum *symexec.Summary) {
+// the pending sinks it returns for the callers to import, and loop-copy
+// stores are checked as the structural "loop" sink of Table I.
+func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
 	// Structural loop-copy sinks.
 	for _, ls := range sum.LoopStores {
 		if ls.Val == nil || (!ls.Val.ContainsTaint() && !isArgRooted(ls.Val)) {
@@ -929,6 +925,7 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) {
 	// One constraint index serves every observation of this function; it
 	// is built on the first scan that needs it and dropped on return.
 	ix := constraintIndex{cs: sum.Constraints}
+	var pending []PendingSink
 	for _, o := range t.obs {
 		switch {
 		case o.taint.ContainsTaint():
@@ -952,7 +949,7 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) {
 			// evaluate it now, while the local length-symbol names still
 			// match (ReplaceFormalArgs cannot rewrite hashed names).
 			guarded := o.guarded || t.checkObs(o, sum, &ix).sanitized
-			t.pendings[sum.Func] = append(t.pendings[sum.Func], PendingSink{
+			pending = append(pending, PendingSink{
 				Class:       o.class,
 				Sink:        o.sink,
 				SinkFunc:    sinkFuncOf(o, sum.Func),
@@ -969,6 +966,7 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) {
 		}
 	}
 	t.obs = nil
+	return pending
 }
 
 func sinkFuncOf(o sinkObs, cur string) string {

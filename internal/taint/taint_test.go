@@ -258,8 +258,7 @@ func TestPendingDepthBound(t *testing.T) {
 	}
 	tr.ImportPending([]PendingSink{deep}, func(e *expr.Expr) *expr.Expr { return e }, 0x10)
 	sum := &symexec.Summary{Func: "f", Types: map[string]expr.Type{}}
-	tr.EndFunction(sum)
-	if len(tr.Pendings("f")) != 0 || len(tr.Findings()) != 0 {
+	if ps := tr.EndFunction(sum); len(ps) != 0 || len(tr.Findings()) != 0 {
 		t.Fatal("over-deep pending not dropped")
 	}
 }
@@ -316,8 +315,7 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 		}
 	}
 
-	tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
-	ps := tr.Pendings("f")
+	ps := tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
 	if len(ps) != 1 {
 		t.Fatalf("pendings = %d, want 1", len(ps))
 	}
@@ -373,8 +371,8 @@ func TestTrackerShard(t *testing.T) {
 	if s.vocab != custom || !s.noVRange {
 		t.Fatal("shard lost the vocabulary or the value-range switch")
 	}
-	// ...but finding/pending state is not.
-	if len(s.Findings()) != 0 || len(s.Pendings("f")) != 0 {
+	// ...but finding state is not.
+	if len(s.Findings()) != 0 {
 		t.Fatal("shard inherited finding state")
 	}
 	s.BeginFunction("g")

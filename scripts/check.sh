@@ -98,7 +98,9 @@ echo ">> fuzz the CFG builder on parsed binaries"
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cfg
 
 # Screening binaries seed it: a study image analyzes at about one exec/s.
-echo ">> fuzz the whole per-binary analysis on parsed binaries"
+# Each input runs at 1 and 4 workers and through a cold and a warm
+# summary store, and all four results must agree.
+echo ">> fuzz the whole per-binary analysis and its determinism on parsed binaries"
 go test -run '^$' -fuzz '^FuzzAnalyzeBinary$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
 # The seed is the 6 KB default spec, and minimizing each new input that
