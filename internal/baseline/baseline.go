@@ -78,8 +78,6 @@ type Result struct {
 	// with context-sensitive re-analysis this greatly exceeds the number
 	// of functions.
 	Analyses int
-	// DefUseEdges counts the per-variable dependence edges built.
-	DefUseEdges int
 	// Findings are the taint findings the baseline discovered.
 	Findings []taint.Finding
 	// SSATime is the per-function symbolic-analysis phase.
@@ -202,9 +200,6 @@ func (e *engine) analyzeContext(fn string, args []*expr.Expr, mem map[*expr.Expr
 		oracle := &recursiveOracle{e: e, depth: depth}
 		sum = symexec.Analyze(f, e.prog.Binary, oracle, so)
 	}
-	// Per-variable dependence edges: one per definition pair and one per
-	// unresolved use.
-	e.res.DefUseEdges += len(sum.DefPairs) + len(sum.UndefUses)
 	return sum
 }
 

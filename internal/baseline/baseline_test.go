@@ -200,14 +200,11 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestDefUseEdgesCounted(t *testing.T) {
+func TestPhasesTimed(t *testing.T) {
 	prog := buildProg(t, vulnSrc)
 	res, err := Analyze(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.DefUseEdges < 0 {
-		t.Fatal("negative edges")
 	}
 	if res.SSATime <= 0 || res.DDGTime <= 0 {
 		t.Fatalf("phases not timed: %+v", res)

@@ -6,8 +6,8 @@
 //     (package symexec), yielding definition pairs, types, data-structure
 //     field observations and indirect dispatches. Only phase 2 reads
 //     these summaries, so they are recorded under
-//     symexec.Options.ForResolution: no branch constraints, no ranges,
-//     and no direct or import call records.
+//     symexec.Options.ForResolution: no branch constraints and no
+//     ranges.
 //  2. Indirect-call resolution (sseresolve.go): callsites are matched to
 //     function-pointer registrations through SSE equivalence classes
 //     (package sse) with data-structure layout similarity (package
@@ -23,6 +23,9 @@
 //     as soon as it ends: its summary and the pending sinks
 //     taint.Tracker.EndFunction returns go into the one shared state
 //     that its callers and the later functions of its component read.
+//     Its own branch constraints are dropped once EndFunction has made
+//     the verdict; callers read its ranges and the constraints its
+//     pending sinks carry.
 //  4. Pointer-alias rewriting (package alias) extends each function's
 //     definition pairs before they are exported — by default from SSE
 //     equivalence classes (alias.RewriteSSEIn), under -ablate sse via

@@ -627,14 +627,18 @@ func TestHeapIdentityPerCallsiteChain(t *testing.T) {
 	if sumA == nil {
 		t.Fatal("A not summarized")
 	}
+	// A stores what each call to B returned into its own local.
 	var keys []string
-	for _, c := range sumA.Calls {
-		if c.Callee == "B" {
-			keys = append(keys, c.Ret.Key())
+	for _, off := range []int64{-4, -8} {
+		defs := sumA.FindDefs(tab.Deref(tab.Add(tab.Sym(expr.StackSym), off)).Key())
+		if len(defs) != 1 {
+			t.Fatalf("defs of the local at SP%d = %v (all: %v)", off, defs, sumA.SortedDefKeys())
 		}
-	}
-	if len(keys) != 2 {
-		t.Fatalf("calls to B = %d", len(keys))
+		name, ok := defs[0].U.SymName()
+		if !ok || !expr.IsHeapName(name) {
+			t.Fatalf("local at SP%d holds %s, want a heap identity", off, defs[0].U)
+		}
+		keys = append(keys, name)
 	}
 	if keys[0] == keys[1] {
 		t.Fatalf("heap identities collide across callsites: %s", keys[0])

@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
 	"testing"
 
 	"dtaint/internal/cfg"
@@ -16,8 +19,9 @@ import (
 // any parseable binary reach symbolic execution. It must never panic,
 // and the result must not depend on the schedule or the summary store:
 // 4 workers, a fresh store and the same store warm must each give the
-// fingerprint of the 1-worker store-less run. The seeds are screening
-// binaries, small enough to keep the fuzzer fast.
+// fingerprint and the summary digests of the 1-worker store-less run.
+// The seeds are screening binaries, small enough to keep the fuzzer
+// fast.
 func FuzzAnalyzeBinary(f *testing.F) {
 	cases, err := corpus.ScreeningCorpus(8, 1)
 	if err != nil {
@@ -58,7 +62,7 @@ func FuzzAnalyzeBinary(f *testing.F) {
 			if err != nil {
 				return "error: " + err.Error() // an error is an answer; a panic is a bug
 			}
-			return fingerprint(res)
+			return fingerprint(res) + summaryDigests(res)
 		}
 		want := analyze(1, nil)
 		store, err := sumstore.NewStore(0, "")
@@ -75,4 +79,19 @@ func FuzzAnalyzeBinary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// summaryDigests lists a SHA-256 of the wire encoding of every summary
+// in res, in function-name order.
+func summaryDigests(res *Result) string {
+	names := make([]string, 0, len(res.Summaries))
+	for name := range res.Summaries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := ""
+	for _, name := range names {
+		out += fmt.Sprintf("S %s %x\n", name, sha256.Sum256(sumstore.EncodeSummary(res.Summaries[name])))
+	}
+	return out
 }

@@ -276,6 +276,9 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 			out.aliasDropped += ast.Dropped
 		}
 		ps := shard.EndFunction(sum)
+		// The verdict was the constraints' last reader: callers read Ranges
+		// and the constraints each pending sink carries.
+		sum.Constraints = nil
 		run.end(sum)
 		shared.publish(sum, ps)
 		out.Summaries = append(out.Summaries, sum)

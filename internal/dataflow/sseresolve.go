@@ -78,8 +78,8 @@ func abstractRoot(tab *expr.Table, e *expr.Expr) (*expr.Expr, bool) {
 // resolveIndirectSSE resolves every indirect callsite across the
 // analyzed functions from SSE equivalence classes, falling back to
 // structsim for callsites with no path match. At most one resolution is
-// emitted per call record; output order follows sorted function names
-// and call order, so results are deterministic. The expressions it
+// emitted per dispatch; output order follows sorted function names and
+// dispatch order, so results are deterministic. The expressions it
 // builds go through tab. When no summary holds an indirect dispatch it
 // builds no classes or layouts and returns nothing.
 func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]structsim.Resolution, ResolveStats) {
@@ -88,7 +88,7 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 	dispatches := false
 	for name, sum := range sums {
 		names = append(names, name)
-		dispatches = dispatches || hasDispatch(sum)
+		dispatches = dispatches || len(sum.Dispatches) > 0
 	}
 	if !dispatches {
 		return nil, stats
@@ -176,10 +176,7 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 	for _, name := range names {
 		sum := sums[name]
 		li := classes[name]
-		for _, call := range sum.Calls {
-			if call.FnPtr == nil {
-				continue
-			}
+		for _, call := range sum.Dispatches {
 			addr, ok := call.FnPtr.DerefAddr()
 			if !ok {
 				continue
@@ -221,14 +218,4 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 		}
 	}
 	return out, stats
-}
-
-// hasDispatch reports whether sum records an indirect dispatch.
-func hasDispatch(sum *symexec.Summary) bool {
-	for _, call := range sum.Calls {
-		if call.FnPtr != nil {
-			return true
-		}
-	}
-	return false
 }

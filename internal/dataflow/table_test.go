@@ -280,27 +280,25 @@ func sharedNode(a, b map[*expr.Expr]bool) string {
 	return shared[0]
 }
 
-// summaryExprs lists the expressions of s's return values, unresolved
-// uses, definition pairs, constraints, calls, fields and loop stores.
+// summaryExprs lists the expressions of s's return values, definition
+// pairs, constraints, dispatches, fields and loop stores.
 func summaryExprs(s *symexec.Summary) []*expr.Expr {
 	var all []*expr.Expr
 	all = append(all, s.Rets...)
-	all = append(all, s.UndefUses...)
 	for _, dp := range s.DefPairs {
 		all = append(all, dp.D, dp.U)
 	}
 	for _, c := range s.Constraints {
 		all = append(all, c.L, c.R)
 	}
-	for _, c := range s.Calls {
-		all = append(all, c.Ret, c.FnPtr)
-		all = append(all, c.Args...)
+	for _, d := range s.Dispatches {
+		all = append(all, d.FnPtr)
 	}
 	for _, f := range s.Fields {
 		all = append(all, f.Base)
 	}
 	for _, ls := range s.LoopStores {
-		all = append(all, ls.AddrExpr, ls.Val)
+		all = append(all, ls.Val)
 	}
 	return all
 }
@@ -320,8 +318,8 @@ func eachNode(e *expr.Expr, visit func(*expr.Expr) bool) {
 }
 
 // spelledDuplicate returns the first return value, definition pair,
-// constraint, field or unresolved use of s that spells like an earlier
-// one, or "" when none does.
+// constraint or field of s that spells like an earlier one, or "" when
+// none does.
 func spelledDuplicate(s *symexec.Summary) string {
 	var lines []string
 	for _, r := range s.Rets {
@@ -335,9 +333,6 @@ func spelledDuplicate(s *symexec.Summary) string {
 	}
 	for _, f := range s.Fields {
 		lines = append(lines, fmt.Sprintf("field %s+%d %v %s", f.Base.Key(), f.Off, f.Ty, f.FnTarget))
-	}
-	for _, u := range s.UndefUses {
-		lines = append(lines, "use "+u.Key())
 	}
 	seen := make(map[string]bool, len(lines))
 	for _, l := range lines {
@@ -361,21 +356,14 @@ func summaryLines(s *symexec.Summary) []string {
 	for _, r := range s.Rets {
 		out = append(out, "ret "+r.Key())
 	}
-	for _, c := range s.Calls {
-		line := fmt.Sprintf("call %s kind=%v @%x loop=%t ret=%s", c.Callee, c.Kind, c.Addr, c.InLoop, expr.Fmt(c.Ret))
-		for _, a := range c.Args {
-			line += " arg=" + expr.Fmt(a)
-		}
-		out = append(out, line+" fnptr="+expr.Fmt(c.FnPtr))
+	for _, d := range s.Dispatches {
+		out = append(out, fmt.Sprintf("dispatch @%x fnptr=%s", d.Addr, d.FnPtr.Key()))
 	}
 	for _, f := range s.Fields {
 		out = append(out, fmt.Sprintf("field %s+%d %v %s", f.Base.Key(), f.Off, f.Ty, f.FnTarget))
 	}
 	for _, ls := range s.LoopStores {
-		out = append(out, fmt.Sprintf("loopstore %s = %s @%x size=%d", ls.AddrExpr.Key(), ls.Val.Key(), ls.Addr, ls.Size))
-	}
-	for _, u := range s.UndefUses {
-		out = append(out, "use "+u.Key())
+		out = append(out, fmt.Sprintf("loopstore %s @%x", ls.Val.Key(), ls.Addr))
 	}
 	var keyed []string
 	for k, ty := range s.Types {

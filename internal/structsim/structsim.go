@@ -210,10 +210,7 @@ func ResolveIndirect(sums map[string]*symexec.Summary) []Resolution {
 	var out []Resolution
 	for _, name := range names {
 		sum := sums[name]
-		for _, call := range sum.Calls {
-			if call.FnPtr == nil {
-				continue
-			}
+		for _, call := range sum.Dispatches {
 			addr, ok := call.FnPtr.DerefAddr()
 			if !ok {
 				continue

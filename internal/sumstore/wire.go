@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"sort"
 
-	"dtaint/internal/cfg"
 	"dtaint/internal/expr"
 	"dtaint/internal/isa"
 	"dtaint/internal/symexec"
@@ -15,7 +14,7 @@ import (
 	"dtaint/internal/vrange"
 )
 
-// Wire format, version 1:
+// Wire format, version 2:
 //
 //	"DTSS" | u16be version | u8 kind | payload | u32be CRC32-C
 //
@@ -30,11 +29,13 @@ import (
 // invariant (constant folding, add normalization, depth truncation);
 // stored trees are already constructor-built fixed points, so
 // decode(encode(x)) reproduces x key-for-key, and a decoded node is the
-// table's node of that key.
+// table's node of that key. A summary's own Constraints are not carried:
+// phase 1 records none, and the bottom-up pass drops them once the
+// verdict is made. Pending sinks carry theirs.
 const (
 	// FormatVersion is the current wire version. Readers refuse any
 	// other value, so bumping it invalidates every persisted entry.
-	FormatVersion = 1
+	FormatVersion = 2
 
 	kindSummary byte = 1
 	kindEntry   byte = 2
@@ -49,16 +50,14 @@ const (
 )
 
 // Largest value of each enumeration the payload carries. The encoder
-// writes only declared constants (and, for call kinds and classes, the
-// zero value), so a larger value — or operator 0 — is corruption that
-// slipped past the CRC. It decodes to an error, not to an expression
-// like (arg0 op? arg1).
+// writes only declared constants (and, for classes, the zero value), so
+// a larger value — or operator 0 — is corruption that slipped past the
+// CRC. It decodes to an error, not to an expression like (arg0 op? arg1).
 const (
-	maxOp       = uint64(expr.OpShr)
-	maxCond     = uint64(isa.CondLE)
-	maxCallKind = uint64(cfg.CallUnknown)
-	maxClass    = uint64(taint.ClassPathTraversal)
-	maxType     = uint64(expr.TypeConflict)
+	maxOp    = uint64(expr.OpShr)
+	maxCond  = uint64(isa.CondLE)
+	maxClass = uint64(taint.ClassPathTraversal)
+	maxType  = uint64(expr.TypeConflict)
 )
 
 var wireMagic = [4]byte{'D', 'T', 'S', 'S'}
@@ -258,20 +257,10 @@ func (e *enc) summary(s *symexec.Summary) {
 		e.sint(int64(dp.Size))
 	}
 	e.exprs(s.Rets)
-	e.uint(uint64(len(s.Calls)))
-	for i := range s.Calls {
-		c := &s.Calls[i]
-		e.uint(uint64(c.Addr))
-		e.uint(uint64(c.Kind))
-		e.str(c.Callee)
-		e.exprs(c.Args)
-		e.expr(c.Ret)
-		e.expr(c.FnPtr)
-		e.bool(c.InLoop)
-	}
-	e.uint(uint64(len(s.Constraints)))
-	for i := range s.Constraints {
-		e.constraint(&s.Constraints[i])
+	e.uint(uint64(len(s.Dispatches)))
+	for i := range s.Dispatches {
+		e.uint(uint64(s.Dispatches[i].Addr))
+		e.expr(s.Dispatches[i].FnPtr)
 	}
 	tkeys := make([]string, 0, len(s.Types))
 	for k := range s.Types {
@@ -293,13 +282,9 @@ func (e *enc) summary(s *symexec.Summary) {
 	}
 	e.uint(uint64(len(s.LoopStores)))
 	for i := range s.LoopStores {
-		ls := &s.LoopStores[i]
-		e.uint(uint64(ls.Addr))
-		e.expr(ls.AddrExpr)
-		e.expr(ls.Val)
-		e.sint(int64(ls.Size))
+		e.uint(uint64(s.LoopStores[i].Addr))
+		e.expr(s.LoopStores[i].Val)
 	}
-	e.exprs(s.UndefUses)
 	rkeys := make([]string, 0, len(s.Ranges))
 	for k := range s.Ranges {
 		rkeys = append(rkeys, k)
@@ -585,18 +570,7 @@ func (d *dec) summary() *symexec.Summary {
 	}
 	s.Rets = d.exprs()
 	for i, n := 0, d.count(); i < n; i++ {
-		s.Calls = append(s.Calls, symexec.CallRecord{
-			Addr:   d.u32(),
-			Kind:   cfg.CallKind(d.enum(0, maxCallKind)),
-			Callee: d.str(),
-			Args:   d.exprs(),
-			Ret:    d.expr(),
-			FnPtr:  d.expr(),
-			InLoop: d.bool(),
-		})
-	}
-	for i, n := 0, d.count(); i < n; i++ {
-		s.Constraints = append(s.Constraints, d.constraint())
+		s.Dispatches = append(s.Dispatches, symexec.Dispatch{Addr: d.u32(), FnPtr: d.expr()})
 	}
 	if n := d.count(); n > 0 {
 		s.Types = make(map[string]expr.Type, n)
@@ -617,14 +591,8 @@ func (d *dec) summary() *symexec.Summary {
 		})
 	}
 	for i, n := 0, d.count(); i < n; i++ {
-		s.LoopStores = append(s.LoopStores, symexec.LoopStore{
-			Addr:     d.u32(),
-			AddrExpr: d.expr(),
-			Val:      d.expr(),
-			Size:     int(d.sint()),
-		})
+		s.LoopStores = append(s.LoopStores, symexec.LoopStore{Addr: d.u32(), Val: d.expr()})
 	}
-	s.UndefUses = d.exprs()
 	if n := d.count(); n > 0 {
 		s.Ranges = make(map[string]vrange.Interval, n)
 		for i := 0; i < n; i++ {

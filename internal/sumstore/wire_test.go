@@ -3,14 +3,15 @@ package sumstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"dtaint/internal/cfg"
 	"dtaint/internal/expr"
 	"dtaint/internal/isa"
 	"dtaint/internal/symexec"
@@ -23,9 +24,10 @@ var tab = new(expr.Table)
 
 var regen = flag.Bool("regen", false, "regenerate golden wire-format files")
 
-// richSummary exercises every summary field, including deep and
+// richSummary exercises every encoded summary field, including deep and
 // normalized expression trees (the codec must reproduce constructor
-// fixed points exactly).
+// fixed points exactly). Constraints stay empty: the codec does not
+// carry a summary's own.
 func richSummary() *symexec.Summary {
 	arg0 := tab.Sym("arg0")
 	field := tab.Deref(tab.Add(arg0, 0x4C))
@@ -38,19 +40,10 @@ func richSummary() *symexec.Summary {
 			{D: tab.Sym("R0"), U: deep, Addr: 0x1000_0064, Size: 1},
 		},
 		Rets: []*expr.Expr{tab.Const(0), field},
-		Calls: []symexec.CallRecord{
-			{
-				Addr: 0x1000_0070, Kind: 1, Callee: "memcpy",
-				Args:   []*expr.Expr{tab.Sym("dst"), field, tab.Const(0x200)},
-				Ret:    tab.Sym("ret_memcpy_10000070"),
-				FnPtr:  nil,
-				InLoop: true,
-			},
-			{Addr: 0x1000_0080, Kind: 2, Callee: "", FnPtr: deep},
-		},
-		Constraints: []symexec.Constraint{
-			{L: field, R: tab.Const(0x100), Cond: isa.CondLT, Addr: 0x1000_0068, InLoop: false},
-			{L: tab.Sym("n"), R: nil, Cond: isa.CondGE, Addr: 0x1000_006C, InLoop: true},
+		Dispatches: []symexec.Dispatch{
+			{Addr: 0x1000_0070, FnPtr: field},
+			{Addr: 0x1000_0080, FnPtr: deep},
+			{Addr: 0x1000_0080, FnPtr: tab.Deref(tab.Add(tab.Sym("ops"), 8))},
 		},
 		Types: map[string]expr.Type{
 			"arg0":             expr.TypeCharPtr,
@@ -62,9 +55,9 @@ func richSummary() *symexec.Summary {
 			{Base: field, Off: -8, Ty: expr.TypeUnknown, FnTarget: ""},
 		},
 		LoopStores: []symexec.LoopStore{
-			{Addr: 0x1000_0090, AddrExpr: tab.Add(tab.Sym("p"), 1), Val: deep, Size: 1},
+			{Addr: 0x1000_0090, Val: deep},
+			{Addr: 0x1000_0094, Val: tab.Add(tab.Sym("p"), 1)},
 		},
-		UndefUses: []*expr.Expr{tab.Sym("R11")},
 		Ranges: map[string]vrange.Interval{
 			"arg0":      {Lo: 0, Hi: 0xFFFF},
 			field.Key(): vrange.Bottom(),
@@ -95,6 +88,8 @@ func richEntry() *Entry {
 					Path:      step,
 					Constraints: []symexec.Constraint{
 						{L: tab.Sym("len"), R: tab.Const(64), Cond: isa.CondGE, Addr: 0x1000_00F0},
+						{L: tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C)), R: tab.Const(0x100), Cond: isa.CondLT, Addr: 0x1000_0068},
+						{L: tab.Sym("n"), R: nil, Cond: isa.CondLE, Addr: 0x1000_006C, InLoop: true},
 					},
 					Guarded: true, Depth: 3, DstCap: 152, BoundHint: -1,
 				},
@@ -237,16 +232,17 @@ func TestEmptyValuesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenWireFormat pins the v1 encoding byte-for-byte. If this test
-// fails because the format deliberately changed, bump FormatVersion and
-// regenerate with: go test ./internal/sumstore -run Golden -regen
+// TestGoldenWireFormat pins the v2 encoding byte-for-byte. If this test
+// fails because the format deliberately changed, bump FormatVersion,
+// keep the old golden files for TestOldVersionsRefused, and generate the
+// new ones with: go test ./internal/sumstore -run Golden -regen
 func TestGoldenWireFormat(t *testing.T) {
 	for _, tc := range []struct {
 		file string
 		blob []byte
 	}{
-		{"summary_v1.golden", EncodeSummary(richSummary())},
-		{"entry_v1.golden", EncodeEntry(richEntry())},
+		{"summary_v2.golden", EncodeSummary(richSummary())},
+		{"entry_v2.golden", EncodeEntry(richEntry())},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		if *regen {
@@ -266,6 +262,28 @@ func TestGoldenWireFormat(t *testing.T) {
 		if !bytes.Equal(tc.blob, want) {
 			t.Errorf("%s: encoding changed (%d bytes vs golden %d); bump FormatVersion and regenerate",
 				tc.file, len(tc.blob), len(want))
+		}
+	}
+}
+
+// TestOldVersionsRefused decodes the blobs an older build wrote: each
+// must fail with ErrWire on its version, so a store left on disk by that
+// build replays as misses, never as summaries of the wrong shape.
+func TestOldVersionsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		decode func(*expr.Table, []byte) error
+	}{
+		{"summary_v1.golden", func(tab *expr.Table, b []byte) error { _, err := DecodeSummary(tab, b); return err }},
+		{"entry_v1.golden", func(tab *expr.Table, b []byte) error { _, err := DecodeEntry(tab, b); return err }},
+	} {
+		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.decode(new(expr.Table), blob)
+		if !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "unknown version 1") {
+			t.Errorf("%s: decode error %v, want ErrWire for unknown version 1", tc.file, err)
 		}
 	}
 }
@@ -344,8 +362,7 @@ func TestUnknownEnumRejected(t *testing.T) {
 	}{
 		{"op 99", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{tab.Bin(99, tab.Sym("arg0"), tab.Sym("arg1"))}})},
 		{"op 0", EncodeSummary(&symexec.Summary{Rets: []*expr.Expr{tab.Bin(0, tab.Sym("arg0"), tab.Sym("arg1"))}})},
-		{"cond 99", EncodeSummary(&symexec.Summary{Constraints: []symexec.Constraint{{Cond: 99}}})},
-		{"call kind 99", EncodeSummary(&symexec.Summary{Calls: []symexec.CallRecord{{Kind: 99}}})},
+		{"cond 99", EncodeEntry(&Entry{Pendings: map[string][]taint.PendingSink{"f": {{Constraints: []symexec.Constraint{{Cond: 99}}}}}})},
 		{"type 99", EncodeSummary(&symexec.Summary{Types: map[string]expr.Type{"arg0": 99}})},
 		{"field type 99", EncodeSummary(&symexec.Summary{Fields: []symexec.FieldObs{{Ty: 99}}})},
 		{"pending class 99", EncodeEntry(&Entry{Pendings: map[string][]taint.PendingSink{"f": {{Class: 99}}}})},
@@ -363,16 +380,18 @@ func TestUnknownEnumRejected(t *testing.T) {
 	}
 	// The largest declared value of each enumeration still decodes.
 	ok := &symexec.Summary{
-		Rets:        []*expr.Expr{tab.Bin(expr.Op(maxOp), tab.Sym("arg0"), tab.Sym("arg1"))},
-		Constraints: []symexec.Constraint{{Cond: isa.Cond(maxCond)}},
-		Calls:       []symexec.CallRecord{{Kind: cfg.CallKind(maxCallKind)}},
-		Types:       map[string]expr.Type{"arg0": expr.Type(maxType)},
+		Rets:  []*expr.Expr{tab.Bin(expr.Op(maxOp), tab.Sym("arg0"), tab.Sym("arg1"))},
+		Types: map[string]expr.Type{"arg0": expr.Type(maxType)},
 	}
 	if _, err := DecodeSummary(tab, EncodeSummary(ok)); err != nil {
 		t.Fatalf("largest enum values rejected: %v", err)
 	}
-	if _, err := DecodeEntry(tab, EncodeEntry(&Entry{Findings: []taint.Finding{{Class: taint.Class(maxClass)}}})); err != nil {
-		t.Fatalf("largest class rejected: %v", err)
+	okEnt := &Entry{
+		Pendings: map[string][]taint.PendingSink{"f": {{Constraints: []symexec.Constraint{{Cond: isa.Cond(maxCond)}}}}},
+		Findings: []taint.Finding{{Class: taint.Class(maxClass)}},
+	}
+	if _, err := DecodeEntry(tab, EncodeEntry(okEnt)); err != nil {
+		t.Fatalf("largest cond and class rejected: %v", err)
 	}
 }
 

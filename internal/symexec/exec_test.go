@@ -11,10 +11,11 @@ import (
 )
 
 // TestExecEveryOpcode runs a one-block function per opcode under both
-// encodings and pins the summary and trace each produces. The bodies name
-// argument registers {a0}..{a3} and the return register {ret}, so both
-// flavors must render the same: a dropped opcode case, a swapped operator
-// or a misread operand field changes the rendering.
+// encodings and pins the summary, the calls an oracle sees and the trace
+// each produces. The bodies name argument registers {a0}..{a3} and the
+// return register {ret}, so both flavors must render the same: a dropped
+// opcode case, a swapped operator or a misread operand field changes the
+// rendering.
 func TestExecEveryOpcode(t *testing.T) {
 	tests := []struct {
 		name, body, want string
@@ -60,9 +61,9 @@ func TestExecEveryOpcode(t *testing.T) {
 		{"CMP imm", "CMP {a1}, #8",
 			"rets: arg0\ntypes: arg1:int\ntrace: flags = cmp(arg1, 8)"},
 		{"LDR", "LDR {ret}, [{a1}, #0x10]",
-			"rets: deref((arg1+16))\nfields: arg1+16:unknown\ntypes: arg1:void*\nuses: deref((arg1+16))\ntrace: {ret} = deref((arg1+16))"},
+			"rets: deref((arg1+16))\nfields: arg1+16:unknown\ntypes: arg1:void*\ntrace: {ret} = deref((arg1+16))"},
 		{"LDRB", "LDRB {ret}, [{a1}, #0x10]",
-			"rets: deref((arg1+16))\nfields: arg1+16:char\ntypes: arg1:void* deref((arg1+16)):char\nuses: deref((arg1+16))\ntrace: {ret} = deref((arg1+16))"},
+			"rets: deref((arg1+16))\nfields: arg1+16:char\ntypes: arg1:void* deref((arg1+16)):char\ntrace: {ret} = deref((arg1+16))"},
 		{"STR", "STR {a1}, [{a0}, #8]",
 			"rets: arg0\ndefs: deref((arg0+8))=arg1/4\nfields: arg0+8:unknown\ntypes: arg0:void*\ntrace: deref((arg0+8)) = arg1"},
 		{"STRB", "STRB {a1}, [{a0}, #8]",
@@ -70,9 +71,9 @@ func TestExecEveryOpcode(t *testing.T) {
 		{"STR function address", "MOV {a2}, &handler\n  STR {a2}, [{a0}, #12]",
 			"rets: arg0\ndefs: deref((arg0+12))=65536/4\nfields: arg0+12:func*:handler\ntypes: 65536:func* arg0:void*\ntrace: {a2} = 65536; deref((arg0+12)) = 65536"},
 		{"BL", "BL g",
-			"rets: ret_g_10018\ncalls: g ret=ret_g_10018 args=[arg0 arg1 arg2 arg3]\ntrace: call g, {ret} = ret_g_10018"},
+			"rets: ret_g_10018\ncalls: g args=[arg0 arg1 arg2 arg3]\ntrace: call g, {ret} = ret_g_10018"},
 		{"BLX", "BLX {a1}",
-			"rets: ret_indirect_10018\ncalls: indirect ret=ret_indirect_10018 args=[arg0 arg1 arg2 arg3] fnptr=arg1\ntrace: call indirect, {ret} = ret_indirect_10018"},
+			"rets: ret_indirect_10018\ncalls: indirect args=[arg0 arg1 arg2 arg3]\ndispatches: 10018 fnptr=arg1\ntrace: call indirect, {ret} = ret_indirect_10018"},
 		{"NOP", "NOP",
 			"rets: arg0"},
 	}
@@ -106,10 +107,11 @@ func TestExecEveryOpcode(t *testing.T) {
 					t.Fatalf("f has %d blocks, want 1", len(f.Blocks))
 				}
 				var trace []string
-				sum := Analyze(f, bin, nil, Options{Trace: func(_ uint32, line string) {
+				var calls callLog
+				sum := Analyze(f, bin, &calls, Options{Trace: func(_ uint32, line string) {
 					trace = append(trace, line)
 				}})
-				got := describeExec(sum, trace[1:]) // drop the prologue's line
+				got := describeExec(sum, calls, trace[1:]) // drop the prologue's line
 				if want := regs.Replace(tt.want); got != want {
 					t.Errorf("summary:\n%s\nwant:\n%s", got, want)
 				}
@@ -118,31 +120,27 @@ func TestExecEveryOpcode(t *testing.T) {
 	}
 }
 
-// describeExec renders the parts of a summary one instruction can change,
-// one line per non-empty part.
-func describeExec(sum *Summary, trace []string) string {
+// describeExec renders the parts of a summary one instruction can change
+// and the calls the oracle saw, one line per non-empty part.
+func describeExec(sum *Summary, calls callLog, trace []string) string {
 	var lines []string
 	add := func(label string, items []string) {
 		if len(items) > 0 {
 			lines = append(lines, label+": "+strings.Join(items, " "))
 		}
 	}
-	var rets, defs, calls, conds, fields, types, uses []string
+	var rets, defs, callees, dispatches, conds, fields, types []string
 	for _, r := range sum.Rets {
 		rets = append(rets, r.Key())
 	}
 	for _, dp := range sum.DefPairs {
 		defs = append(defs, fmt.Sprintf("%s=%s/%d", dp.D.Key(), dp.U.Key(), dp.Size))
 	}
-	for _, c := range sum.Calls {
-		s := fmt.Sprintf("%s ret=%s args=%v", c.Callee, c.Ret.Key(), exprKeys(c.Args))
-		if c.Callee == "" {
-			s = fmt.Sprintf("indirect ret=%s args=%v", c.Ret.Key(), exprKeys(c.Args))
-		}
-		if c.FnPtr != nil {
-			s += " fnptr=" + c.FnPtr.Key()
-		}
-		calls = append(calls, s)
+	for _, c := range calls {
+		callees = append(callees, fmt.Sprintf("%s args=%v", c.Callee, exprKeys(c.Args)))
+	}
+	for _, d := range sum.Dispatches {
+		dispatches = append(dispatches, fmt.Sprintf("%x fnptr=%s", d.Addr, d.FnPtr.Key()))
 	}
 	for _, c := range sum.Constraints {
 		conds = append(conds, fmt.Sprintf("%s %s %s", c.L.Key(), c.Cond, c.R.Key()))
@@ -160,16 +158,13 @@ func describeExec(sum *Summary, trace []string) string {
 		}
 	}
 	sort.Strings(types)
-	for _, u := range sum.UndefUses {
-		uses = append(uses, u.Key())
-	}
 	add("rets", rets)
 	add("defs", defs)
-	add("calls", calls)
+	add("calls", callees)
+	add("dispatches", dispatches)
 	add("constraints", conds)
 	add("fields", fields)
 	add("types", types)
-	add("uses", uses)
 	if len(trace) > 0 {
 		lines = append(lines, "trace: "+strings.Join(trace, "; "))
 	}

@@ -13,9 +13,9 @@
 // The engine explores both directions of each conditional branch and
 // applies the paper's loop heuristic — blocks in the same loop are only
 // analyzed once (per path) — producing for each function its definition
-// pairs, branch constraints, callsites, inferred types, and data-structure
-// field observations. A pass whose summaries feed only indirect-call
-// resolution records less (Options.ForResolution).
+// pairs, branch constraints, indirect dispatches, inferred types, and
+// data-structure field observations. A pass whose summaries feed only
+// indirect-call resolution records less (Options.ForResolution).
 package symexec
 
 import (
@@ -46,17 +46,12 @@ type Constraint struct {
 	InLoop bool
 }
 
-// CallRecord is a callsite with its evaluated actual arguments.
-type CallRecord struct {
-	Addr   uint32
-	Kind   cfg.CallKind
-	Callee string // empty for unresolved indirect calls
-	Args   []*expr.Expr
-	Ret    *expr.Expr // value left in the return register
-	// FnPtr is the symbolic value of the call-target register for
-	// indirect calls (typically deref(obj + off)).
-	FnPtr  *expr.Expr
-	InLoop bool
+// Dispatch is an executed indirect callsite. FnPtr is the symbolic value
+// of its call-target register (typically deref(obj + off)), which
+// indirect-call resolution matches against function-pointer stores.
+type Dispatch struct {
+	Addr  uint32
+	FnPtr *expr.Expr
 }
 
 // FieldObs is one observed data-structure field access in 'base + offset'
@@ -73,32 +68,28 @@ type FieldObs struct {
 // LoopStore is a store executed inside a natural loop; the detector uses
 // these to recognize loop-copy sinks (Table I's "loop" sink).
 type LoopStore struct {
-	Addr     uint32
-	AddrExpr *expr.Expr
-	Val      *expr.Expr
-	Size     int
+	Addr uint32
+	Val  *expr.Expr
 }
 
 // Summary is the result of analyzing one function. An analysis under
-// Options.ForResolution leaves Constraints and Ranges empty and keeps
-// only the Calls that have an FnPtr; every other field is recorded as
-// by a default analysis.
+// Options.ForResolution leaves Constraints and Ranges empty; every other
+// field is recorded as by a default analysis.
 type Summary struct {
 	Func string
 	Addr uint32
 
 	DefPairs []DefPair
 	Rets     []*expr.Expr
-	// Calls holds one record per executed callsite on every path; under
-	// ForResolution, only the indirect dispatches (FnPtr set).
-	Calls []CallRecord
+	// Dispatches holds one record per executed indirect callsite on
+	// every path.
+	Dispatches []Dispatch
 	// Constraints are the branch conditions of every explored path; empty
-	// under ForResolution.
+	// under ForResolution. The wire format does not carry them.
 	Constraints []Constraint
 	Types       map[string]expr.Type
 	Fields      []FieldObs
 	LoopStores  []LoopStore
-	UndefUses   []*expr.Expr
 	// Ranges are the per-symbol value intervals proven for this function:
 	// upper-bound evidence from branch constraints (with widening for
 	// bounds observed inside loops), plus facts contributed by library
@@ -244,10 +235,9 @@ type Options struct {
 
 // ForResolution returns o for a pass whose summaries are read only by
 // indirect-call resolution and layout similarity: the engine records no
-// branch constraints, derives no Ranges, and keeps only the call records
-// of indirect dispatches (those with an FnPtr). Definition pairs, types,
-// fields, returns, loop stores, unresolved uses and the exploration
-// counters are recorded exactly as under o.
+// branch constraints and derives no Ranges. Definition pairs, returns,
+// dispatches, types, fields, loop stores and the exploration counters
+// are recorded exactly as under o.
 func (o Options) ForResolution() Options {
 	o.resolutionOnly = true
 	return o
@@ -359,7 +349,6 @@ type engine struct {
 	constSeen  map[constraintKey]bool
 	fieldSeen  map[FieldObs]bool
 	retSeen    map[*expr.Expr]bool
-	useSeen    map[*expr.Expr]bool
 	blockSeen  []int                   // total states executed, by block index
 	initRegs   [isa.NumRegs]*expr.Expr // init_<fn>_<reg> symbols built so far
 	callByAddr map[uint32]cfg.CallSite
@@ -386,7 +375,6 @@ func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *
 		defSeen:    make(map[DefPair]bool),
 		fieldSeen:  make(map[FieldObs]bool),
 		retSeen:    make(map[*expr.Expr]bool),
-		useSeen:    make(map[*expr.Expr]bool),
 		blockSeen:  make([]int, len(fn.Blocks)),
 		callByAddr: make(map[uint32]cfg.CallSite, len(fn.Calls)),
 	}
@@ -704,9 +692,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		}
 		e.recordDef(e.tab.Deref(addrE), val, addr, size)
 		if inLoop {
-			e.sum.LoopStores = append(e.sum.LoopStores, LoopStore{
-				Addr: addr, AddrExpr: addrE, Val: val, Size: size,
-			})
+			e.sum.LoopStores = append(e.sum.LoopStores, LoopStore{Addr: addr, Val: val})
 		}
 	case isa.OpBL, isa.OpBLX:
 		e.execCall(addr, in, st, inLoop)
@@ -775,9 +761,7 @@ func (e *engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
 			}
 		}
 	}
-	v := e.tab.Deref(addrE)
-	e.recordUndefUse(v)
-	return v
+	return e.tab.Deref(addrE)
 }
 
 // src evaluates an instruction's second operand: the immediate when it
@@ -793,16 +777,9 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 	cs := e.callByAddr[addr]
 	args := e.collectArgs(st)
 
-	rec := CallRecord{
-		Addr:   addr,
-		Kind:   cs.Kind,
-		Callee: cs.Callee,
-		Args:   args,
-		InLoop: inLoop,
-	}
 	calleeName := cs.Callee
 	if cs.Kind == cfg.CallIndirect {
-		rec.FnPtr = e.reg(st, in.Rm)
+		e.sum.Dispatches = append(e.sum.Dispatches, Dispatch{Addr: addr, FnPtr: e.reg(st, in.Rm)})
 		if calleeName == "" {
 			calleeName = "indirect"
 		}
@@ -853,12 +830,8 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 		}
 	}
 	st.regs[e.conv.RetReg] = ret
-	rec.Ret = ret
 	if e.opts.Trace != nil {
 		e.opts.Trace(addr, "call "+calleeName+", "+e.conv.RetReg.Name()+" = "+ret.Key())
-	}
-	if rec.FnPtr != nil || !e.opts.resolutionOnly {
-		e.sum.Calls = append(e.sum.Calls, rec)
 	}
 }
 
@@ -926,25 +899,6 @@ func (e *engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop 
 	e.sum.Constraints = append(e.sum.Constraints, Constraint{
 		L: st.cmpL, R: st.cmpR, Cond: cond, Addr: addr, InLoop: inLoop,
 	})
-}
-
-func (e *engine) recordUndefUse(u *expr.Expr) {
-	root := u.RootPointer()
-	if root == nil {
-		return
-	}
-	name, ok := root.SymName()
-	if !ok {
-		return
-	}
-	if _, isArg := expr.ArgIndex(name); !isArg && !expr.IsHeapName(name) && !expr.IsTaintName(name) {
-		return
-	}
-	if e.useSeen[u] {
-		return
-	}
-	e.useSeen[u] = true
-	e.sum.UndefUses = append(e.sum.UndefUses, u)
 }
 
 func (e *engine) observeType(v *expr.Expr, ty expr.Type) {

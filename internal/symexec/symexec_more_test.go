@@ -54,12 +54,14 @@ func TestUnknownCalleeHandled(t *testing.T) {
   BX LR
 .endfunc
 `, "f", nil)
-	if len(sum.Calls) != 1 {
-		t.Fatalf("calls = %+v", sum.Calls)
+	// The value the call left in R0 is stored to the local.
+	defs := sum.FindDefs(tab.Deref(tab.Add(tab.Sym(expr.StackSym), -4)).Key())
+	if len(defs) != 1 {
+		t.Fatalf("defs = %v", sum.SortedDefKeys())
 	}
-	name, ok := sum.Calls[0].Ret.SymName()
+	name, ok := defs[0].U.SymName()
 	if !ok || !expr.IsRetSym(name) {
-		t.Fatalf("indirect ret = %s", sum.Calls[0].Ret)
+		t.Fatalf("indirect ret = %s", defs[0].U)
 	}
 }
 

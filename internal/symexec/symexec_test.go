@@ -51,6 +51,15 @@ func (recvOracle) Call(ctx *CallContext) CallEffect {
 	}
 }
 
+// callLog is an Oracle that models nothing and keeps the context of
+// every call it is asked about, in execution order.
+type callLog []*CallContext
+
+func (l *callLog) Call(ctx *CallContext) CallEffect {
+	*l = append(*l, ctx)
+	return CallEffect{}
+}
+
 func TestVariableDescription(t *testing.T) {
 	// The paper's running example: woo(arg0, arg1) stores
 	// deref(arg0+0x4C) = deref(arg1+0x24).
@@ -115,7 +124,7 @@ func TestCallingConventionARMvsMIPS(t *testing.T) {
 }
 
 func TestReturnValueSymbolPerCallsite(t *testing.T) {
-	sum := analyze(t, `
+	p, bin := build(t, `
 .arch arm
 .func f
   BL g
@@ -128,18 +137,23 @@ func TestReturnValueSymbolPerCallsite(t *testing.T) {
   MOV R0, #7
   BX LR
 .endfunc
-`, "f", nil)
-	if len(sum.Calls) != 2 {
-		t.Fatalf("calls = %d", len(sum.Calls))
+`)
+	// The trace names the value each call leaves in R0.
+	var rets []string
+	Analyze(p.ByName["f"], bin, nil, Options{Trace: func(_ uint32, line string) {
+		if r, ok := strings.CutPrefix(line, "call g, R0 = "); ok {
+			rets = append(rets, r)
+		}
+	}})
+	if len(rets) != 2 {
+		t.Fatalf("calls to g = %q", rets)
 	}
-	r1, r2 := sum.Calls[0].Ret, sum.Calls[1].Ret
-	if r1.Equal(r2) {
-		t.Fatalf("distinct callsites must produce distinct ret symbols: %s", r1)
+	if rets[0] == rets[1] {
+		t.Fatalf("distinct callsites must produce distinct ret symbols: %s", rets[0])
 	}
-	for _, r := range []*expr.Expr{r1, r2} {
-		name, _ := r.SymName()
+	for _, name := range rets {
 		if !expr.IsRetSym(name) || !strings.Contains(name, "g") {
-			t.Fatalf("ret sym = %s", r)
+			t.Fatalf("ret sym = %s", name)
 		}
 	}
 }
@@ -168,11 +182,12 @@ func TestStackArgumentsInAndOut(t *testing.T) {
   BX LR
 .endfunc
 `)
-	callerSum := Analyze(p.ByName["caller"], bin, nil, Options{})
-	if len(callerSum.Calls) != 1 {
-		t.Fatalf("calls = %+v", callerSum.Calls)
+	var calls callLog
+	Analyze(p.ByName["caller"], bin, &calls, Options{})
+	if len(calls) != 1 {
+		t.Fatalf("calls = %d", len(calls))
 	}
-	args := callerSum.Calls[0].Args
+	args := calls[0].Args
 	if len(args) != 6 {
 		t.Fatalf("collected %d args, want 6 (%v)", len(args), args)
 	}
@@ -374,54 +389,31 @@ func TestFunctionPointerStoreObserved(t *testing.T) {
 }
 
 func TestIndirectCallRecorded(t *testing.T) {
-	sum := analyze(t, `
+	p, bin := build(t, `
 .arch arm
+.func g
+  BX LR
+.endfunc
 .func dispatch
   LDR R9, [R0, #8]
   BLX R9
+  BL g
   BX LR
 .endfunc
-`, "dispatch", nil)
-	if len(sum.Calls) != 1 {
-		t.Fatalf("calls = %+v", sum.Calls)
+`)
+	fn := p.ByName["dispatch"]
+	sum := Analyze(fn, bin, nil, Options{Table: tab})
+	// One dispatch, at the indirect callsite; the direct call is none.
+	if len(sum.Dispatches) != 1 {
+		t.Fatalf("dispatches = %+v", sum.Dispatches)
 	}
-	c := sum.Calls[0]
-	if c.Kind != cfg.CallIndirect {
-		t.Fatalf("kind = %v", c.Kind)
+	d := sum.Dispatches[0]
+	if site := fn.Calls[0]; site.Kind != cfg.CallIndirect || d.Addr != site.Addr {
+		t.Fatalf("dispatch at %#x, want the indirect callsite %+v", d.Addr, site)
 	}
 	want := tab.Deref(tab.Add(tab.Arg(0), 8)).Key()
-	if c.FnPtr.Key() != want {
-		t.Fatalf("fnptr = %s, want %s", c.FnPtr, want)
-	}
-}
-
-func TestUndefUseRecorded(t *testing.T) {
-	sum := analyze(t, `
-.arch arm
-.func f
-  LDR R4, [R0, #0x4C]
-  BX LR
-.endfunc
-`, "f", nil)
-	if len(sum.UndefUses) != 1 {
-		t.Fatalf("undef uses = %v", sum.UndefUses)
-	}
-	want := tab.Deref(tab.Add(tab.Arg(0), 0x4C)).Key()
-	if sum.UndefUses[0].Key() != want {
-		t.Fatalf("use = %s, want %s", sum.UndefUses[0], want)
-	}
-	// Loads from locals previously stored are not undefined uses.
-	sum2 := analyze(t, `
-.arch arm
-.func f
-  MOV R4, #7
-  STR R4, [SP, #-8]
-  LDR R5, [SP, #-8]
-  BX LR
-.endfunc
-`, "f", nil)
-	if len(sum2.UndefUses) != 0 {
-		t.Fatalf("locals flagged as undef uses: %v", sum2.UndefUses)
+	if d.FnPtr.Key() != want {
+		t.Fatalf("fnptr = %s, want %s", d.FnPtr, want)
 	}
 }
 
