@@ -122,16 +122,23 @@ func TestGoldenStudyOutput(t *testing.T) {
 				renderGolden(&got, m.name, u.name, res)
 			}
 		}
-		if bytes.Equal(got.Bytes(), want) {
-			continue
-		}
-		out := goldenFile + ".got"
-		if err := os.WriteFile(out, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("workers=%d: output differs from %s at %s (full output in %s)",
-			workers, goldenFile, firstDiff(want, got.Bytes()), filepath.Base(out))
+		matchGolden(t, goldenFile, want, got.Bytes(), workers)
 	}
+}
+
+// matchGolden fails unless got is the golden file's content want. On a
+// mismatch it writes got beside the golden (file + ".got") for review.
+func matchGolden(t *testing.T, file string, want, got []byte, workers int) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	out := file + ".got"
+	if err := os.WriteFile(out, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatalf("workers=%d: output differs from %s at %s (full output in %s)",
+		workers, file, firstDiff(want, got), filepath.Base(out))
 }
 
 // firstDiff describes the first line where got departs from want.

@@ -117,6 +117,32 @@ func richEntry() *Entry {
 	}
 }
 
+// chainEntry is richEntry with pending sinks of the shapes the analysis
+// builds: a path is the sink step followed by one "call <sink function>"
+// step per callsite it climbed, and Depth counts those callsites. One
+// sink has climbed three callsites, the other none.
+func chainEntry() *Entry {
+	ent := richEntry()
+	p := ent.Pendings["rtsp_parse"][0]
+	p.Path = []taint.Step{
+		{Func: "rtsp_parse", Addr: 0x1000_0100, Note: "memcpy"},
+		{Func: "rtsp_session", Addr: 0x1000_0180, Note: "call rtsp_parse"},
+		{Func: "rtsp_recv", Addr: 0x1000_0200, Note: "call rtsp_parse"},
+		{Func: "rtsp_main", Addr: 0x1000_0280, Note: "call rtsp_parse"},
+	}
+	p.Depth = 3
+	ent.Pendings = map[string][]taint.PendingSink{
+		"rtsp_main": {p},
+		"rtsp_parse": {{
+			Class: taint.ClassCommandInjection, Sink: "system",
+			SinkFunc: "rtsp_parse", SinkAddr: 0x1000_0140,
+			TaintExpr: tab.Sym("arg1"),
+			Path:      []taint.Step{{Func: "rtsp_parse", Addr: 0x1000_0140, Note: "system"}},
+		}},
+	}
+	return ent
+}
+
 func TestSummaryRoundTrip(t *testing.T) {
 	want := richSummary()
 	blob := EncodeSummary(want)
@@ -243,6 +269,7 @@ func TestGoldenWireFormat(t *testing.T) {
 	}{
 		{"summary_v2.golden", EncodeSummary(richSummary())},
 		{"entry_v2.golden", EncodeEntry(richEntry())},
+		{"entry_chain_v2.golden", EncodeEntry(chainEntry())},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		if *regen {
