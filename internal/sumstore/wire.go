@@ -309,13 +309,13 @@ func (e *enc) pending(p *taint.PendingSink) {
 	e.uint(uint64(p.SinkAddr))
 	e.expr(p.TaintExpr)
 	e.expr(p.GuardExpr)
-	e.steps(p.Path)
+	e.steps(p.Steps())
 	e.uint(uint64(len(p.Constraints)))
 	for i := range p.Constraints {
 		e.constraint(&p.Constraints[i])
 	}
 	e.bool(p.Guarded)
-	e.uint(uint64(p.Depth))
+	e.uint(uint64(p.Depth()))
 	e.sint(p.DstCap)
 	e.sint(p.BoundHint)
 }
@@ -464,6 +464,20 @@ func (d *dec) str() string {
 	s := string(d.b[d.pos : d.pos+n])
 	d.pos += n
 	return s
+}
+
+// expect reads a string and fails unless it is prefix+s.
+func (d *dec) expect(prefix, s string) {
+	n := d.count()
+	if d.err != nil {
+		return
+	}
+	b := d.b[d.pos : d.pos+n]
+	if n != len(prefix)+len(s) || string(b[:len(prefix)]) != prefix || string(b[len(prefix):]) != s {
+		d.fail()
+		return
+	}
+	d.pos += n
 }
 
 // enum reads an enumeration value and fails unless lo <= v <= hi.
@@ -617,16 +631,41 @@ func (d *dec) pending() taint.PendingSink {
 		SinkAddr:  d.u32(),
 		TaintExpr: d.expr(),
 		GuardExpr: d.expr(),
-		Path:      d.steps(),
 	}
+	p.Path = d.path(&p)
 	for i, n := 0, d.count(); i < n; i++ {
 		p.Constraints = append(p.Constraints, d.constraint())
 	}
 	p.Guarded = d.bool()
-	p.Depth = int(d.uint())
+	if d.uint() != uint64(p.Depth()) {
+		d.fail()
+	}
 	p.DstCap = d.sint()
 	p.BoundHint = d.sint()
 	return p
+}
+
+// path reads a pending sink's step list back into its hop chain. The
+// list must be the one PendingSink.Steps spells: the sink step
+// (SinkFunc, SinkAddr, Sink), then one "call <SinkFunc>" step per hop.
+// Anything else is corruption.
+func (d *dec) path(p *taint.PendingSink) *taint.Hop {
+	n := d.count()
+	if n == 0 {
+		d.fail()
+		return nil
+	}
+	d.expect("", p.SinkFunc)
+	if d.u32() != p.SinkAddr {
+		d.fail()
+	}
+	d.expect("", p.Sink)
+	var h *taint.Hop
+	for i := 1; i < n && d.err == nil; i++ {
+		h = &taint.Hop{Func: d.str(), Addr: d.u32(), Prev: h}
+		d.expect("call ", p.SinkFunc)
+	}
+	return h
 }
 
 func (d *dec) finding() taint.Finding {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,29 +72,34 @@ func richSummary() *symexec.Summary {
 // DefPairAlias keeps the literal above readable.
 type DefPairAlias = symexec.DefPair
 
+// richEntry exercises every encoded entry field. Its pending sinks have
+// the two path shapes: one has climbed three callsites, the other none.
 func richEntry() *Entry {
-	step := []taint.Step{
-		{Func: "rtsp_parse", Addr: 0x1000_0100, Note: "call memcpy"},
-		{Func: "rtsp_recv", Addr: 0x1000_0200, Note: ""},
-	}
 	return &Entry{
 		Summaries: []*symexec.Summary{richSummary()},
 		Pendings: map[string][]taint.PendingSink{
-			"rtsp_parse": {
+			"rtsp_main": {
 				{
 					Class: taint.ClassBufferOverflow, Sink: "memcpy",
 					SinkFunc: "rtsp_parse", SinkAddr: 0x1000_0100,
 					TaintExpr: tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C)),
 					GuardExpr: tab.Sym("g"),
-					Path:      step,
+					Path: &taint.Hop{Func: "rtsp_main", Addr: 0x1000_0280,
+						Prev: &taint.Hop{Func: "rtsp_recv", Addr: 0x1000_0200,
+							Prev: &taint.Hop{Func: "rtsp_session", Addr: 0x1000_0180}}},
 					Constraints: []symexec.Constraint{
 						{L: tab.Sym("len"), R: tab.Const(64), Cond: isa.CondGE, Addr: 0x1000_00F0},
 						{L: tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C)), R: tab.Const(0x100), Cond: isa.CondLT, Addr: 0x1000_0068},
 						{L: tab.Sym("n"), R: nil, Cond: isa.CondLE, Addr: 0x1000_006C, InLoop: true},
 					},
-					Guarded: true, Depth: 3, DstCap: 152, BoundHint: -1,
+					Guarded: true, DstCap: 152, BoundHint: -1,
 				},
 			},
+			"rtsp_parse": {{
+				Class: taint.ClassCommandInjection, Sink: "system",
+				SinkFunc: "rtsp_parse", SinkAddr: 0x1000_0140,
+				TaintExpr: tab.Sym("arg1"),
+			}},
 		},
 		Findings: []taint.Finding{
 			{
@@ -101,7 +107,7 @@ func richEntry() *Entry {
 				SinkFunc: "cgi_exec", SinkAddr: 0x1000_0300,
 				Source: "getenv", SourceAddr: 0x1000_0280,
 				TaintExpr: tab.Sym("env"),
-				Path:      step[:1],
+				Path:      []taint.Step{{Func: "rtsp_parse", Addr: 0x1000_0100, Note: "call memcpy"}},
 				Sanitized: false,
 				Evidence:  []string{"no ';' scan on any path", "interval [0,65535]"},
 			},
@@ -115,32 +121,6 @@ func richEntry() *Entry {
 		DefPairs:  42,
 		Truncated: 1,
 	}
-}
-
-// chainEntry is richEntry with pending sinks of the shapes the analysis
-// builds: a path is the sink step followed by one "call <sink function>"
-// step per callsite it climbed, and Depth counts those callsites. One
-// sink has climbed three callsites, the other none.
-func chainEntry() *Entry {
-	ent := richEntry()
-	p := ent.Pendings["rtsp_parse"][0]
-	p.Path = []taint.Step{
-		{Func: "rtsp_parse", Addr: 0x1000_0100, Note: "memcpy"},
-		{Func: "rtsp_session", Addr: 0x1000_0180, Note: "call rtsp_parse"},
-		{Func: "rtsp_recv", Addr: 0x1000_0200, Note: "call rtsp_parse"},
-		{Func: "rtsp_main", Addr: 0x1000_0280, Note: "call rtsp_parse"},
-	}
-	p.Depth = 3
-	ent.Pendings = map[string][]taint.PendingSink{
-		"rtsp_main": {p},
-		"rtsp_parse": {{
-			Class: taint.ClassCommandInjection, Sink: "system",
-			SinkFunc: "rtsp_parse", SinkAddr: 0x1000_0140,
-			TaintExpr: tab.Sym("arg1"),
-			Path:      []taint.Step{{Func: "rtsp_parse", Addr: 0x1000_0140, Note: "system"}},
-		}},
-	}
-	return ent
 }
 
 func TestSummaryRoundTrip(t *testing.T) {
@@ -195,7 +175,7 @@ func TestDecodeInternsIntoTable(t *testing.T) {
 	}
 	field := tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C))
 	sum := a.Summaries[0]
-	if sum.DefPairs[0].U != field || sum.Rets[1] != field || a.Pendings["rtsp_parse"][0].TaintExpr != field {
+	if sum.DefPairs[0].U != field || sum.Rets[1] != field || a.Pendings["rtsp_main"][0].TaintExpr != field {
 		t.Fatal("decoded deref(arg0+0x4c) is not the table's node")
 	}
 	if !bytes.Equal(EncodeEntry(a), blob) || !bytes.Equal(EncodeEntry(b), blob) {
@@ -262,14 +242,15 @@ func TestEmptyValuesRoundTrip(t *testing.T) {
 // fails because the format deliberately changed, bump FormatVersion,
 // keep the old golden files for TestOldVersionsRefused, and generate the
 // new ones with: go test ./internal/sumstore -run Golden -regen
+// (entry_v2.golden is no encoder's output: TestMalformedPathRefused
+// decodes it.)
 func TestGoldenWireFormat(t *testing.T) {
 	for _, tc := range []struct {
 		file string
 		blob []byte
 	}{
 		{"summary_v2.golden", EncodeSummary(richSummary())},
-		{"entry_v2.golden", EncodeEntry(richEntry())},
-		{"entry_chain_v2.golden", EncodeEntry(chainEntry())},
+		{"entry_chain_v2.golden", EncodeEntry(richEntry())},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		if *regen {
@@ -312,6 +293,62 @@ func TestOldVersionsRefused(t *testing.T) {
 		if !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "unknown version 1") {
 			t.Errorf("%s: decode error %v, want ErrWire for unknown version 1", tc.file, err)
 		}
+	}
+}
+
+// TestMalformedPathRefused splices step lists into a valid entry in
+// place of its three-hop pending sink's path. The decoder must refuse
+// every list that is not the sink step followed by one "call <sink
+// function>" step per hop, Depth of them. entry_v2.golden holds such a
+// list too: it was written from a fixture whose path no analysis
+// builds.
+func TestMalformedPathRefused(t *testing.T) {
+	ent := richEntry()
+	ent.Pendings = map[string][]taint.PendingSink{"rtsp_main": ent.Pendings["rtsp_main"]}
+	valid := ent.Pendings["rtsp_main"][0].Steps()
+	blob := EncodeEntry(ent)
+	if _, err := DecodeEntry(tab, blob); err != nil {
+		t.Fatalf("valid path refused: %v", err)
+	}
+	splice := func(steps []taint.Step) []byte {
+		var want, bad enc
+		want.steps(valid)
+		bad.steps(steps)
+		payload := blob[headerLen : len(blob)-trailerLen]
+		if bytes.Count(payload, want.buf) != 1 {
+			t.Fatal("the pending path's encoding is not unique in the blob")
+		}
+		return seal(kindEntry, bytes.Replace(payload, want.buf, bad.buf, 1))
+	}
+	edit := func(i int, f func(*taint.Step)) []taint.Step {
+		steps := slices.Clone(valid)
+		f(&steps[i])
+		return steps
+	}
+	hop := taint.Step{Func: "rtsp_httpd", Addr: 0x1000_0300, Note: "call rtsp_parse"}
+	for _, tc := range []struct {
+		name  string
+		steps []taint.Step
+	}{
+		{"sink step in another function", edit(0, func(s *taint.Step) { s.Func = "rtsp_recv" })},
+		{"sink step at another site", edit(0, func(s *taint.Step) { s.Addr++ })},
+		{"sink step names another sink", edit(0, func(s *taint.Step) { s.Note = "strcpy" })},
+		{"hop note names the sink", edit(2, func(s *taint.Step) { s.Note = "call memcpy" })},
+		{"hop without a note", edit(3, func(s *taint.Step) { s.Note = "" })},
+		{"one hop more than Depth", append(slices.Clone(valid), hop)},
+		{"one hop less than Depth", valid[:3]},
+		{"no sink step", nil},
+	} {
+		if _, err := DecodeEntry(tab, splice(tc.steps)); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: decode error %v, want ErrWire", tc.name, err)
+		}
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "entry_v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEntry(tab, old); !errors.Is(err, ErrWire) {
+		t.Errorf("entry_v2.golden: decode error %v, want ErrWire", err)
 	}
 }
 

@@ -142,7 +142,6 @@ type CallContext struct {
 	Kind   cfg.CallKind
 	Callee string
 	Args   []*expr.Expr
-	InLoop bool
 
 	st     *State
 	ranges map[string]vrange.Interval
@@ -695,7 +694,7 @@ func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 			e.sum.LoopStores = append(e.sum.LoopStores, LoopStore{Addr: addr, Val: val})
 		}
 	case isa.OpBL, isa.OpBLX:
-		e.execCall(addr, in, st, inLoop)
+		e.execCall(addr, in, st)
 	}
 	// NOP does nothing; B and BX are handled at block level.
 }
@@ -773,7 +772,7 @@ func (e *engine) src(in isa.Inst, st *State) *expr.Expr {
 	return e.reg(st, in.Rm)
 }
 
-func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
+func (e *engine) execCall(addr uint32, in isa.Inst, st *State) {
 	cs := e.callByAddr[addr]
 	args := e.collectArgs(st)
 
@@ -797,7 +796,6 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State, inLoop bool) {
 			Kind:   cs.Kind,
 			Callee: calleeName,
 			Args:   args,
-			InLoop: inLoop,
 			st:     st,
 			ranges: e.ranges,
 		}

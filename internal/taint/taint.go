@@ -135,47 +135,73 @@ func (f Finding) String() string {
 		strings.Join(steps, " <- "))
 }
 
-// PendingSink is a sink whose taintedness depends on the caller: its
-// critical expressions are rooted in formal arguments. Algorithm 2 pushes
-// these up to every callsite.
+// PendingSink is one sink observation. While a function runs, the
+// tracker stages every sink it observes as one; when the function ends,
+// the tainted ones become findings and those whose taintedness depends on
+// the caller (critical expressions rooted in formal arguments or globals)
+// stay pending sinks, which Algorithm 2 pushes up to every callsite. A
+// pending sink is immutable once its function has ended: every caller
+// that imports it links its own hop to the same Path.
 type PendingSink struct {
-	Class       Class
-	Sink        string
-	SinkFunc    string
-	SinkAddr    uint32
-	TaintExpr   *expr.Expr
-	GuardExpr   *expr.Expr
-	Path        []Step
+	Class     Class
+	Sink      string
+	SinkFunc  string
+	SinkAddr  uint32
+	TaintExpr *expr.Expr
+	GuardExpr *expr.Expr
+	// Path is the newest hop of the sink's climb, nil in the sink's own
+	// function. The sink step (SinkFunc, SinkAddr, Sink) is implied.
+	Path *Hop
+	// Constraints are the constraints the sink carries: while its
+	// function runs, those carried up from callees; once it has ended,
+	// also the function's own that mention the sink's expressions.
 	Constraints []symexec.Constraint
 	Guarded     bool // a guard (e.g. strchr ';' scan) already seen below
-	Depth       int
 	// DstCap and BoundHint travel with the sink: the destination buffer
 	// lives in the sink function's frame, so its capacity is fixed when
-	// the observation is made.
+	// the observation is made. DstCap is the destination stack buffer's
+	// capacity in bytes when the frame layout gives it (0 = unknown);
+	// BoundHint is an intrinsic copy bound in bytes (a %254s scanf width
+	// writes at most 255 bytes; 0 = none).
 	DstCap    int64
 	BoundHint int64
+}
+
+// Hop is one callsite a pending sink climbed: the importing function and
+// the callsite's address. Prev is the hop below it, nil for the first
+// caller of the sink's function. Hops are never copied or changed.
+type Hop struct {
+	Func string
+	Addr uint32
+	Prev *Hop
 }
 
 // MaxPendingDepth bounds how many call levels a pending sink may climb.
 const MaxPendingDepth = 24
 
-// sinkObs is an in-flight sink observation inside the current function.
-type sinkObs struct {
-	class   Class
-	sink    string
-	addr    uint32
-	taint   *expr.Expr
-	guard   *expr.Expr
-	path    []Step
-	carried []symexec.Constraint
-	guarded bool
-	depth   int
-	// dstCap is the destination stack buffer's capacity in bytes when it
-	// is derivable from the frame layout (0 = unknown).
-	dstCap int64
-	// boundHint is an intrinsic copy bound in bytes (e.g. a %254s scanf
-	// width means at most 255 bytes are written); 0 = none.
-	boundHint int64
+// Depth is the number of callsites the sink has climbed.
+func (p *PendingSink) Depth() int {
+	n := 0
+	for h := p.Path; h != nil; h = h.Prev {
+		n++
+	}
+	return n
+}
+
+// Steps spells the sink's path, sink first: the sink step, then one
+// "call <SinkFunc>" step per callsite, from the sink's caller outwards.
+func (p *PendingSink) Steps() []Step {
+	steps := make([]Step, 1+p.Depth())
+	steps[0] = Step{Func: p.SinkFunc, Addr: p.SinkAddr, Note: p.Sink}
+	if p.Path != nil {
+		note := "call " + p.SinkFunc
+		i := len(steps)
+		for h := p.Path; h != nil; h = h.Prev {
+			i--
+			steps[i] = Step{Func: h.Func, Addr: h.Addr, Note: note}
+		}
+	}
+	return steps
 }
 
 // Tracker is the stateful oracle half of the detector: it models library
@@ -186,7 +212,7 @@ type sinkObs struct {
 // summaries.
 type Tracker struct {
 	curFunc string
-	obs     []sinkObs
+	obs     []PendingSink
 	guards  map[guardKey]bool // guarded content roots (strchr-style checks), per separator byte
 
 	findings []Finding
@@ -272,7 +298,7 @@ func (t *Tracker) BeginFunction(name string) {
 // trackerFrame saves the per-function state across a recursive descent.
 type trackerFrame struct {
 	fn     string
-	obs    []sinkObs
+	obs    []PendingSink
 	guards map[guardKey]bool
 }
 
@@ -512,9 +538,9 @@ func (t *Tracker) modelReturningSource(ctx *symexec.CallContext) symexec.CallEff
 func (t *Tracker) modelCopy(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	dst, src := arg(ctx, m.dest), arg(ctx, m.src)
 	c := content(ctx, src)
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: c, guard: c, dstCap: stackCapacity(dst),
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: c, GuardExpr: c, DstCap: stackCapacity(dst),
 	})
 	eff := symexec.CallEffect{Handled: true, Ret: dst}
 	if dst != nil && c != nil {
@@ -535,9 +561,9 @@ func (t *Tracker) modelBoundedCopy(ctx *symexec.CallContext, m fnModel) symexec.
 	nRes := ctx.ResolveDeep(n)
 	// The copy is dangerous when the copied data is tainted and the length
 	// is not a sanitizing bound (e.g. strncpy(d, s, strlen(s))).
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: orCombine(ctx, c, nRes), guard: nRes, dstCap: stackCapacity(dst),
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: orCombine(ctx, c, nRes), GuardExpr: nRes, DstCap: stackCapacity(dst),
 	})
 	eff := symexec.CallEffect{Handled: true, Ret: dst}
 	if dst != nil && c != nil {
@@ -564,9 +590,9 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 		parts = append(parts, ctx.ResolveDeep(a), content(ctx, a))
 	}
 	combined := orCombine(ctx, parts...)
-	obs := sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: combined, guard: combined, dstCap: stackCapacity(dst),
+	obs := PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: combined, GuardExpr: combined, DstCap: stackCapacity(dst),
 	}
 	// A size bound (snprintf): a constant size that fits the destination
 	// sanitizes; a tainted or oversized size does not.
@@ -574,11 +600,11 @@ func (t *Tracker) modelFormatCopy(ctx *symexec.CallContext, m fnModel) symexec.C
 		sizeRes := ctx.ResolveDeep(arg(ctx, m.lenArg))
 		if sizeRes != nil {
 			if v, ok := sizeRes.ConstVal(); ok && v > 0 {
-				obs.boundHint = v
+				obs.BoundHint = v
 			}
 		}
-		obs.taint = orCombine(ctx, combined, sizeRes)
-		obs.guard = sizeRes
+		obs.TaintExpr = orCombine(ctx, combined, sizeRes)
+		obs.GuardExpr = sizeRes
 	}
 	t.observe(obs)
 	eff := symexec.CallEffect{Handled: true}
@@ -607,13 +633,13 @@ func (t *Tracker) modelRawCopy(ctx *symexec.CallContext, m fnModel) symexec.Call
 			fits = true
 		}
 	}
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: nRes, guard: nRes, dstCap: cap0, guarded: fits,
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: nRes, GuardExpr: nRes, DstCap: cap0, Guarded: fits,
 	})
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: c, guard: nRes, dstCap: cap0, guarded: fits,
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: c, GuardExpr: nRes, DstCap: cap0, Guarded: fits,
 	})
 	return propagateMemcpy(dst, c)
 }
@@ -655,9 +681,9 @@ func (t *Tracker) modelScanCopy(ctx *symexec.CallContext, m fnModel) symexec.Cal
 	if width > 0 {
 		hint = width + 1
 	}
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: c, guard: c, dstCap: minCap, boundHint: hint,
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: c, GuardExpr: c, DstCap: minCap, BoundHint: hint,
 	})
 	eff := symexec.CallEffect{Handled: true}
 	for i := m.fmtArg + 1; i < len(ctx.Args); i++ {
@@ -682,9 +708,9 @@ func (t *Tracker) modelSepSink(ctx *symexec.CallContext, m fnModel) symexec.Call
 			}
 		}
 	}
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: c, guard: data, guarded: guarded,
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: c, GuardExpr: data, Guarded: guarded,
 	})
 	return symexec.CallEffect{Handled: true}
 }
@@ -694,9 +720,9 @@ func (t *Tracker) modelSepSink(ctx *symexec.CallContext, m fnModel) symexec.Call
 func (t *Tracker) modelFormatSink(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	f := arg(ctx, m.fmtArg)
 	c := orCombine(ctx, ctx.ResolveDeep(f), content(ctx, f))
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: c, guard: f,
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: c, GuardExpr: f,
 	})
 	return symexec.CallEffect{Handled: true}
 }
@@ -707,9 +733,9 @@ func (t *Tracker) modelFormatSink(ctx *symexec.CallContext, m fnModel) symexec.C
 func (t *Tracker) modelUnboundedRead(ctx *symexec.CallContext, m fnModel) symexec.CallEffect {
 	buf := arg(ctx, m.dest)
 	ts := taintSym(ctx)
-	t.observe(sinkObs{
-		class: m.class, sink: ctx.Callee, addr: ctx.Site,
-		taint: ts, guard: nil, dstCap: stackCapacity(buf),
+	t.observe(PendingSink{
+		Class: m.class, Sink: ctx.Callee, SinkAddr: ctx.Site,
+		TaintExpr: ts, GuardExpr: nil, DstCap: stackCapacity(buf),
 	})
 	eff := symexec.CallEffect{Handled: true, Ret: buf}
 	if buf != nil {
@@ -838,18 +864,19 @@ type obsKey struct {
 }
 
 // observe stages a sink observation for the current function, deduplicated
-// by (site, taint node).
-func (t *Tracker) observe(o sinkObs) {
-	if o.taint == nil {
+// by (site, taint node). An observation made here, not imported, is of a
+// sink in the current function.
+func (t *Tracker) observe(o PendingSink) {
+	if o.TaintExpr == nil {
 		return
 	}
-	key := obsKey{t.curFunc, o.sink, o.taint, o.addr}
+	key := obsKey{t.curFunc, o.Sink, o.TaintExpr, o.SinkAddr}
 	if t.obsSeen[key] {
 		return
 	}
 	t.obsSeen[key] = true
-	if len(o.path) == 0 {
-		o.path = []Step{{Func: t.curFunc, Addr: o.addr, Note: o.sink}}
+	if o.Path == nil {
+		o.SinkFunc = t.curFunc
 	}
 	t.obs = append(t.obs, o)
 }
@@ -859,10 +886,12 @@ func (t *Tracker) observe(o sinkObs) {
 // sub substitutes formal arguments with actuals and resolves the result
 // against the live caller state. The substituted taint alone decides
 // whether the observation is new, so the guard, carried constraints and
-// path are instantiated only for observations observe will keep.
+// hop are instantiated only for observations observe will keep. The hop
+// links to the callee sink's path, which every importer shares.
 func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Expr, callSite uint32) {
-	for _, p := range ps {
-		if p.Depth >= MaxPendingDepth {
+	for i := range ps {
+		p := &ps[i]
+		if p.Depth() >= MaxPendingDepth {
 			continue
 		}
 		taintE := sub(p.TaintExpr)
@@ -879,15 +908,12 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 				L: sub(c.L), R: sub(c.R), Cond: c.Cond, Addr: c.Addr, InLoop: c.InLoop,
 			})
 		}
-		path := make([]Step, len(p.Path), len(p.Path)+1)
-		copy(path, p.Path)
-		path = append(path, Step{Func: t.curFunc, Addr: callSite, Note: "call " + p.SinkFunc})
-		t.observe(sinkObs{
-			class: p.Class, sink: p.Sink, addr: p.SinkAddr,
-			taint: taintE, guard: guardE,
-			path: path, carried: carried, guarded: p.Guarded,
-			depth:  p.Depth + 1,
-			dstCap: p.DstCap, boundHint: p.BoundHint,
+		t.observe(PendingSink{
+			Class: p.Class, Sink: p.Sink, SinkFunc: p.SinkFunc, SinkAddr: p.SinkAddr,
+			TaintExpr: taintE, GuardExpr: guardE,
+			Path:        &Hop{Func: t.curFunc, Addr: callSite, Prev: p.Path},
+			Constraints: carried, Guarded: p.Guarded,
+			DstCap: p.DstCap, BoundHint: p.BoundHint,
 		})
 	}
 }
@@ -895,16 +921,18 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 // EndFunction finalizes the function's observations against its completed
 // summary: tainted sinks become findings, argument-rooted sinks become
 // the pending sinks it returns for the callers to import, and loop-copy
-// stores are checked as the structural "loop" sink of Table I.
+// stores are checked as the structural "loop" sink of Table I. The
+// pending sinks are compacted in place in the observations' own array,
+// which the tracker gives up: the next function stages into a new one.
 func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
 	// Structural loop-copy sinks.
 	for _, ls := range sum.LoopStores {
 		if ls.Val == nil || (!ls.Val.ContainsTaint() && !isArgRooted(ls.Val)) {
 			continue
 		}
-		t.observe(sinkObs{
-			class: ClassBufferOverflow, sink: LoopSink, addr: ls.Addr,
-			taint: ls.Val, guard: ls.Val,
+		t.observe(PendingSink{
+			Class: ClassBufferOverflow, Sink: LoopSink, SinkAddr: ls.Addr,
+			TaintExpr: ls.Val, GuardExpr: ls.Val,
 		})
 	}
 
@@ -916,74 +944,58 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
 		if dp.Size != 1 || dp.U == nil || !dp.U.ContainsTaint() || !mentionsLenSym(dp.U) {
 			continue
 		}
-		t.observe(sinkObs{
-			class: ClassLengthTruncation, sink: NarrowStoreSink, addr: dp.Addr,
-			taint: dp.U, guard: dp.U,
+		t.observe(PendingSink{
+			Class: ClassLengthTruncation, Sink: NarrowStoreSink, SinkAddr: dp.Addr,
+			TaintExpr: dp.U, GuardExpr: dp.U,
 		})
 	}
 
 	// One constraint index serves every observation of this function; it
 	// is built on the first scan that needs it and dropped on return.
 	ix := constraintIndex{cs: sum.Constraints}
-	var pending []PendingSink
+	pending := t.obs[:0]
 	for _, o := range t.obs {
 		switch {
-		case o.taint.ContainsTaint():
+		case o.TaintExpr.ContainsTaint():
 			v := t.checkObs(o, sum, &ix)
 			f := Finding{
 				Class:     v.class,
-				Sink:      o.sink,
-				SinkFunc:  sinkFuncOf(o, sum.Func),
-				SinkAddr:  o.addr,
-				TaintExpr: o.taint,
-				GuardExpr: o.guard,
-				Path:      o.path,
+				Sink:      o.Sink,
+				SinkFunc:  o.SinkFunc,
+				SinkAddr:  o.SinkAddr,
+				TaintExpr: o.TaintExpr,
+				GuardExpr: o.GuardExpr,
+				Path:      o.Steps(),
 				Sanitized: v.sanitized,
 				Evidence:  v.evidence,
 			}
-			f.Source, f.SourceAddr = primarySource(o.taint)
+			f.Source, f.SourceAddr = primarySource(o.TaintExpr)
 			t.findings = append(t.findings, f)
-		case isArgRooted(o.taint) || readsGlobal(o.taint):
+		case isArgRooted(o.TaintExpr) || readsGlobal(o.TaintExpr):
 			// A check performed below this point (in this function or a
 			// callee) sanitizes the path no matter where the taint enters;
 			// evaluate it now, while the local length-symbol names still
 			// match (ReplaceFormalArgs cannot rewrite hashed names).
-			guarded := o.guarded || t.checkObs(o, sum, &ix).sanitized
-			pending = append(pending, PendingSink{
-				Class:       o.class,
-				Sink:        o.sink,
-				SinkFunc:    sinkFuncOf(o, sum.Func),
-				SinkAddr:    o.addr,
-				TaintExpr:   o.taint,
-				GuardExpr:   o.guard,
-				Path:        o.path,
-				Constraints: append(relevantConstraints(&ix, o), o.carried...),
-				Guarded:     guarded,
-				Depth:       o.depth,
-				DstCap:      o.dstCap,
-				BoundHint:   o.boundHint,
-			})
+			o.Guarded = o.Guarded || t.checkObs(o, sum, &ix).sanitized
+			o.Constraints = append(relevantConstraints(&ix, o), o.Constraints...)
+			pending = append(pending, o)
 		}
 	}
+	// The slots past the pending sinks held findings and dropped sinks;
+	// clearing them lets the array keep only what the callers read.
+	clear(t.obs[len(pending):])
 	t.obs = nil
 	return pending
 }
 
-func sinkFuncOf(o sinkObs, cur string) string {
-	if len(o.path) > 0 {
-		return o.path[0].Func
-	}
-	return cur
-}
-
 // obsGuarded re-checks the guard table for observations staged before the
 // guard was registered on the same path.
-func (t *Tracker) obsGuarded(o sinkObs) bool {
-	if o.class != ClassCommandInjection && o.class != ClassPathTraversal {
+func (t *Tracker) obsGuarded(o PendingSink) bool {
+	if o.Class != ClassCommandInjection && o.Class != ClassPathTraversal {
 		return false
 	}
 	gb := t.guardByteFor(o)
-	for _, root := range guardRoots(o.taint) {
+	for _, root := range guardRoots(o.TaintExpr) {
 		if t.guards[guardKey{root, gb}] {
 			return true
 		}
@@ -994,8 +1006,8 @@ func (t *Tracker) obsGuarded(o sinkObs) bool {
 // guardByteFor returns the separator byte whose check sanitizes this
 // observation's sink: its vocabulary entry's guard byte, which
 // CompileVocabulary always sets for command and path sinks.
-func (t *Tracker) guardByteFor(o sinkObs) byte {
-	return t.vocab.models[o.sink].guardByte
+func (t *Tracker) guardByteFor(o PendingSink) byte {
+	return t.vocab.models[o.Sink].guardByte
 }
 
 // isArgRooted reports whether e depends on a formal argument and can
@@ -1049,19 +1061,19 @@ func primarySource(e *expr.Expr) (string, uint64) {
 // relevantConstraints selects the function's constraints that mention any
 // symbol of the observation's taint or guard expressions, so they can be
 // carried (and substituted) when the pending sink climbs to callers.
-func relevantConstraints(ix *constraintIndex, o sinkObs) []symexec.Constraint {
+func relevantConstraints(ix *constraintIndex, o PendingSink) []symexec.Constraint {
 	if len(ix.cs) == 0 {
 		return nil
 	}
 	var marks marks
-	marks.addSyms(o.taint)
-	if o.guard != nil {
-		marks.addSyms(o.guard)
+	marks.addSyms(o.TaintExpr)
+	if o.GuardExpr != nil {
+		marks.addSyms(o.GuardExpr)
 	}
 	if ix.mentionsLen(nil) {
-		marks.add(LenSymName(o.taint.Key()))
-		if o.guard != nil {
-			marks.add(LenSymName(o.guard.Key()))
+		marks.add(LenSymName(o.TaintExpr.Key()))
+		if o.GuardExpr != nil {
+			marks.add(LenSymName(o.GuardExpr.Key()))
 		}
 	}
 	var out []symexec.Constraint
@@ -1216,13 +1228,13 @@ type verdict struct {
 // class may differ between them, never which paths are discovered. ix
 // indexes sum.Constraints; the observation's carried constraints are
 // scanned after them.
-func (t *Tracker) checkObs(o sinkObs, sum *symexec.Summary, ix *constraintIndex) verdict {
+func (t *Tracker) checkObs(o PendingSink, sum *symexec.Summary, ix *constraintIndex) verdict {
 	switch {
-	case o.class == ClassCommandInjection || o.class == ClassPathTraversal:
-		v := verdict{class: o.class}
-		if o.guarded || separatorGuarded(o, ix, t.guardByteFor(o)) || t.obsGuarded(o) {
+	case o.Class == ClassCommandInjection || o.Class == ClassPathTraversal:
+		v := verdict{class: o.Class}
+		if o.Guarded || separatorGuarded(o, ix, t.guardByteFor(o)) || t.obsGuarded(o) {
 			v.sanitized = true
-			if o.class == ClassCommandInjection {
+			if o.Class == ClassCommandInjection {
 				v.evidence = append(v.evidence,
 					"command separator ';' checked on the tainted data")
 			} else {
@@ -1231,17 +1243,17 @@ func (t *Tracker) checkObs(o sinkObs, sum *symexec.Summary, ix *constraintIndex)
 			}
 		}
 		return v
-	case o.class == ClassFormatString:
+	case o.Class == ClassFormatString:
 		// A tainted format string is the vulnerability itself: no byte
 		// probe or length bound makes attacker-controlled conversions
 		// safe, so the class has no sanitizer shape. Constant formats
 		// resolve taint-free and never reach this arm.
-		return verdict{class: o.class, evidence: []string{
+		return verdict{class: o.Class, evidence: []string{
 			"attacker-controlled format string reaches a printf-family sink"}}
-	case o.class == ClassLengthTruncation:
+	case o.Class == ClassLengthTruncation:
 		return t.checkTruncation(o, sum)
 	case t.noVRange:
-		v := verdict{class: o.class, sanitized: o.guarded || legacyOverflowGuarded(o, ix)}
+		v := verdict{class: o.Class, sanitized: o.Guarded || legacyOverflowGuarded(o, ix)}
 		return v
 	default:
 		return t.checkOverflow(o, sum, ix)
@@ -1253,83 +1265,83 @@ func (t *Tracker) checkObs(o sinkObs, sum *symexec.Summary, ix *constraintIndex)
 // strictly below the destination capacity for NUL-terminating copies
 // (`<=` at exact capacity is the off-by-one class), or at most equal for
 // explicit-length copies.
-func (t *Tracker) checkOverflow(o sinkObs, sum *symexec.Summary, ix *constraintIndex) verdict {
-	v := verdict{class: o.class}
-	if o.guarded {
+func (t *Tracker) checkOverflow(o PendingSink, sum *symexec.Summary, ix *constraintIndex) verdict {
+	v := verdict{class: o.Class}
+	if o.Guarded {
 		v.sanitized = true
 		v.evidence = append(v.evidence, "bound established below the sink")
 		return v
 	}
-	if o.guard == nil {
+	if o.GuardExpr == nil {
 		v.evidence = append(v.evidence, "no bound can apply to this sink")
 		return v
 	}
-	nul := t.nulSink(o.sink)
+	nul := t.nulSink(o.Sink)
 	// An intrinsic copy bound (scanf conversion width, snprintf size)
 	// decides directly against the destination capacity.
-	if o.boundHint > 0 && o.dstCap > 0 {
+	if o.BoundHint > 0 && o.DstCap > 0 {
 		switch {
-		case o.boundHint <= o.dstCap:
+		case o.BoundHint <= o.DstCap:
 			v.sanitized = true
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"intrinsic copy bound %d fits capacity %d", o.boundHint, o.dstCap))
-		case o.boundHint == o.dstCap+1:
+				"intrinsic copy bound %d fits capacity %d", o.BoundHint, o.DstCap))
+		case o.BoundHint == o.DstCap+1:
 			v.class = ClassOffByOne
 			v.evidence = append(v.evidence, fmt.Sprintf(
 				"intrinsic copy bound %d overruns capacity %d by exactly one byte",
-				o.boundHint, o.dstCap))
+				o.BoundHint, o.DstCap))
 		default:
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"intrinsic copy bound %d exceeds capacity %d", o.boundHint, o.dstCap))
+				"intrinsic copy bound %d exceeds capacity %d", o.BoundHint, o.DstCap))
 		}
 		return v
 	}
-	if o.sink == LoopSink {
-		if loopGuarded(ix.cs) || loopGuarded(o.carried) {
+	if o.Sink == LoopSink {
+		if loopGuarded(ix.cs) || loopGuarded(o.Constraints) {
 			v.sanitized = true
 			v.evidence = append(v.evidence, "loop trip count bounded by a small constant")
 		}
 		return v
 	}
 	env := t.obsEnv(o, sum)
-	if o.dstCap > 0 {
+	if o.DstCap > 0 {
 		if nul {
 			// The copy writes strlen(content)+1 bytes: the proven length
 			// bound must leave room for the NUL terminator.
-			if ub, ok := contentLenBound(o.guard, env); ok {
+			if ub, ok := contentLenBound(o.GuardExpr, env); ok {
 				switch {
-				case ub < o.dstCap:
+				case ub < o.DstCap:
 					v.sanitized = true
 					v.evidence = append(v.evidence, fmt.Sprintf(
-						"strlen(content) <= %d proven, +NUL fits capacity %d", ub, o.dstCap))
+						"strlen(content) <= %d proven, +NUL fits capacity %d", ub, o.DstCap))
 					return v
-				case ub == o.dstCap:
+				case ub == o.DstCap:
 					v.class = ClassOffByOne
 					v.evidence = append(v.evidence, fmt.Sprintf(
 						"strlen(content) <= %d proven: the NUL terminator lands one byte past capacity %d",
-						ub, o.dstCap))
+						ub, o.DstCap))
 					return v
 				default:
 					v.evidence = append(v.evidence, fmt.Sprintf(
-						"proven length bound %d exceeds capacity %d", ub, o.dstCap))
+						"proven length bound %d exceeds capacity %d", ub, o.DstCap))
 				}
 			}
-		} else if ub, ok := vrange.MaxValueEnv(o.guard, env); ok {
+		} else if ub, ok := vrange.MaxValueEnv(o.GuardExpr, env); ok {
 			// Explicit-length copy: a length of exactly the capacity fits.
-			if ub <= o.dstCap {
+			if ub <= o.DstCap {
 				v.sanitized = true
 				v.evidence = append(v.evidence, fmt.Sprintf(
-					"copy length bounded by %d, fits capacity %d", ub, o.dstCap))
+					"copy length bounded by %d, fits capacity %d", ub, o.DstCap))
 				return v
 			}
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"copy length bound %d exceeds capacity %d", ub, o.dstCap))
+				"copy length bound %d exceeds capacity %d", ub, o.DstCap))
 		}
 	}
 	// Constraint scan: symbolic bounds and comparisons the interval
 	// derivation cannot express (unknown capacities, symbolic caps).
 	marks := guardMarks(o, ix)
-	decided := ix.scan(marks, o.carried, func(c symexec.Constraint) bool {
+	decided := ix.scan(marks, o.Constraints, func(c symexec.Constraint) bool {
 		other, ok := marks.magnitudeBound(c)
 		if !ok {
 			return false
@@ -1340,19 +1352,19 @@ func (t *Tracker) checkOverflow(o sinkObs, sum *symexec.Summary, ix *constraintI
 			v.sanitized = true
 			v.evidence = append(v.evidence, fmt.Sprintf(
 				"symbolic bound %s at %#x", other, c.Addr))
-		case o.dstCap == 0:
+		case o.DstCap == 0:
 			v.sanitized = true
 			v.evidence = append(v.evidence, fmt.Sprintf(
 				"magnitude check against %d at %#x (capacity unknown)", b, c.Addr))
-		case nul && b == o.dstCap:
+		case nul && b == o.DstCap:
 			v.class = ClassOffByOne
 			v.evidence = append(v.evidence, fmt.Sprintf(
 				"guard at %#x admits length == capacity %d: `<=` check is off by one",
-				c.Addr, o.dstCap))
-		case (nul && b < o.dstCap) || (!nul && b <= o.dstCap):
+				c.Addr, o.DstCap))
+		case (nul && b < o.DstCap) || (!nul && b <= o.DstCap):
 			v.sanitized = true
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"constant bound %d at %#x fits capacity %d", b, c.Addr, o.dstCap))
+				"constant bound %d at %#x fits capacity %d", b, c.Addr, o.DstCap))
 		default:
 			return false
 		}
@@ -1368,7 +1380,7 @@ func (t *Tracker) checkOverflow(o sinkObs, sum *symexec.Summary, ix *constraintI
 // safe only when the stored length provably fits one byte. The ablation
 // cannot judge narrowing stores and marks them all sanitized, restoring
 // the pre-interval vulnerable set.
-func (t *Tracker) checkTruncation(o sinkObs, sum *symexec.Summary) verdict {
+func (t *Tracker) checkTruncation(o PendingSink, sum *symexec.Summary) verdict {
 	v := verdict{class: ClassLengthTruncation}
 	if t.noVRange {
 		v.sanitized = true
@@ -1377,7 +1389,7 @@ func (t *Tracker) checkTruncation(o sinkObs, sum *symexec.Summary) verdict {
 	env := t.obsEnv(o, sum)
 	// A structurally masked store (AND 0x7F before STRB) bounds the
 	// whole stored value regardless of the length's own range.
-	if iv := vrange.OfExpr(o.taint, env); iv.Bounded() && iv.Lo >= 0 && iv.Hi <= 0xFF {
+	if iv := vrange.OfExpr(o.TaintExpr, env); iv.Bounded() && iv.Lo >= 0 && iv.Hi <= 0xFF {
 		v.sanitized = true
 		v.evidence = append(v.evidence, fmt.Sprintf(
 			"stored value in %s fits the 1-byte store", iv))
@@ -1385,7 +1397,7 @@ func (t *Tracker) checkTruncation(o sinkObs, sum *symexec.Summary) verdict {
 	}
 	// Otherwise bound the length symbols themselves (the OR-combined
 	// taint bookkeeping hides the value from the structural walk).
-	lens := lenComponents(o.taint)
+	lens := lenComponents(o.TaintExpr)
 	if len(lens) > 0 {
 		var hi int64
 		for _, c := range lens {
@@ -1413,11 +1425,11 @@ func (t *Tracker) checkTruncation(o sinkObs, sum *symexec.Summary) verdict {
 // constraints a pending sink carried up from callees (the carried
 // expressions were already substituted into this function's namespace,
 // so formal-argument bounds arrive here expressed over the actuals).
-func (t *Tracker) obsEnv(o sinkObs, sum *symexec.Summary) vrange.Env {
-	if len(o.carried) == 0 {
+func (t *Tracker) obsEnv(o PendingSink, sum *symexec.Summary) vrange.Env {
+	if len(o.Constraints) == 0 {
 		return vrange.Env(sum.Ranges)
 	}
-	carried := symexec.DeriveRanges(o.carried, nil)
+	carried := symexec.DeriveRanges(o.Constraints, nil)
 	if len(carried) == 0 {
 		return vrange.Env(sum.Ranges)
 	}
@@ -1501,13 +1513,13 @@ func isLenSym(name string) bool { return strings.HasPrefix(name, "len_") }
 
 // guardMarks collects the symbol/key marks a sanitizing constraint must
 // touch to count for this observation.
-func guardMarks(o sinkObs, ix *constraintIndex) marks {
-	m := marks{o.guard.Key()}
-	if ix.mentionsLen(o.carried) {
-		m.add(LenSymName(o.guard.Key()))
+func guardMarks(o PendingSink, ix *constraintIndex) marks {
+	m := marks{o.GuardExpr.Key()}
+	if ix.mentionsLen(o.Constraints) {
+		m.add(LenSymName(o.GuardExpr.Key()))
 	}
-	m.addTaintSyms(o.guard)
-	m.addTaintSyms(o.taint)
+	m.addTaintSyms(o.GuardExpr)
+	m.addTaintSyms(o.TaintExpr)
 	return m
 }
 
@@ -1534,27 +1546,27 @@ func (m marks) magnitudeBound(c symexec.Constraint) (*expr.Expr, bool) {
 // Note the `<=` comparisons against the capacity: the ablation
 // deliberately retains the off-by-one acceptance the interval domain
 // fixes.
-func legacyOverflowGuarded(o sinkObs, ix *constraintIndex) bool {
-	if o.guard == nil {
+func legacyOverflowGuarded(o PendingSink, ix *constraintIndex) bool {
+	if o.GuardExpr == nil {
 		return false
 	}
 	// An intrinsic copy bound (scanf conversion width) decides directly:
 	// it sanitizes iff it fits the destination buffer.
-	if o.boundHint > 0 && o.dstCap > 0 {
-		return o.boundHint <= o.dstCap
+	if o.BoundHint > 0 && o.DstCap > 0 {
+		return o.BoundHint <= o.DstCap
 	}
 	// A structurally bounded copy length (masked or shifted) that fits
 	// the destination cannot overflow it, tainted or not.
-	if o.dstCap > 0 {
-		if b, ok := vrange.MaxValue(o.guard); ok && b <= o.dstCap {
+	if o.DstCap > 0 {
+		if b, ok := vrange.MaxValue(o.GuardExpr); ok && b <= o.DstCap {
 			return true
 		}
 	}
-	if o.sink == LoopSink {
-		return loopGuarded(ix.cs) || loopGuarded(o.carried)
+	if o.Sink == LoopSink {
+		return loopGuarded(ix.cs) || loopGuarded(o.Constraints)
 	}
 	marks := guardMarks(o, ix)
-	return ix.scan(marks, o.carried, func(c symexec.Constraint) bool {
+	return ix.scan(marks, o.Constraints, func(c symexec.Constraint) bool {
 		other, ok := marks.magnitudeBound(c)
 		if !ok {
 			return false
@@ -1564,7 +1576,7 @@ func legacyOverflowGuarded(o sinkObs, ix *constraintIndex) bool {
 		// not help); symbolic bounds are accepted as the paper does
 		// ("n < 64 or n < y, y is a symbolic value").
 		b, okC := other.ConstVal()
-		return !okC || o.dstCap == 0 || b <= o.dstCap
+		return !okC || o.DstCap == 0 || b <= o.DstCap
 	})
 }
 
@@ -1613,13 +1625,13 @@ func loopGuarded(cs []symexec.Constraint) bool {
 // traversal) is sanitized when some byte of the tainted data is compared
 // against the sink's separator byte (EQ/NE), or a strchr-style scan was
 // recorded.
-func separatorGuarded(o sinkObs, ix *constraintIndex, gb byte) bool {
+func separatorGuarded(o PendingSink, ix *constraintIndex, gb byte) bool {
 	var taintMarks marks
-	taintMarks.addTaintSyms(o.taint)
+	taintMarks.addTaintSyms(o.TaintExpr)
 	var root string
 	hasRoot := false
-	if o.guard != nil {
-		if r := o.guard.RootPointer(); r != nil {
+	if o.GuardExpr != nil {
+		if r := o.GuardExpr.RootPointer(); r != nil {
 			root, hasRoot = r.SymName()
 		}
 	}
@@ -1629,7 +1641,7 @@ func separatorGuarded(o sinkObs, ix *constraintIndex, gb byte) bool {
 	if hasRoot {
 		lookup = append(slices.Clip(lookup), root)
 	}
-	return ix.scan(lookup, o.carried, func(c symexec.Constraint) bool {
+	return ix.scan(lookup, o.Constraints, func(c symexec.Constraint) bool {
 		if c.Cond != isa.CondEQ && c.Cond != isa.CondNE {
 			return false
 		}

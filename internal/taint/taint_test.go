@@ -1,6 +1,8 @@
 package taint
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,7 +90,7 @@ func TestFindingString(t *testing.T) {
 
 func TestOverflowGuardRules(t *testing.T) {
 	taintE := tab.Sym(expr.TaintName("recv", 0x100))
-	obs := sinkObs{class: ClassBufferOverflow, sink: "memcpy", addr: 1, taint: taintE, guard: taintE}
+	obs := PendingSink{Class: ClassBufferOverflow, Sink: "memcpy", SinkAddr: 1, TaintExpr: taintE, GuardExpr: taintE}
 
 	// No constraints: unsanitized.
 	if legacyOverflowGuarded(obs, indexOf(nil)) {
@@ -127,8 +129,8 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 	tr := NewTracker()
 	tr.BeginFunction("handler")
 	taintE := tab.Sym(expr.TaintName("recv", 0x100))
-	obs := sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 1,
-		taint: taintE, guard: taintE, dstCap: 152}
+	obs := PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 1,
+		TaintExpr: taintE, GuardExpr: taintE, DstCap: 152}
 
 	le := &symexec.Summary{Func: "handler", Constraints: []symexec.Constraint{
 		{L: taintE, R: tab.Const(152), Cond: isa.CondLE, Addr: 0x40},
@@ -150,7 +152,7 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 
 	// Explicit-length sinks (memcpy) legitimately fill the whole buffer.
 	memObs := obs
-	memObs.sink = "memcpy"
+	memObs.Sink = "memcpy"
 	if v := tr.checkObs(memObs, le, indexOf(le.Constraints)); !v.sanitized {
 		t.Fatalf("memcpy of <= 152 into cap 152 must sanitize, got %+v", v)
 	}
@@ -163,7 +165,7 @@ func TestOffByOneBoundaryGuard(t *testing.T) {
 
 func TestCommandGuardRules(t *testing.T) {
 	ts := tab.Sym(expr.TaintName("getenv", 0x20))
-	obs := sinkObs{class: ClassCommandInjection, sink: "system", addr: 1, taint: ts, guard: tab.Sym("cmdptr")}
+	obs := PendingSink{Class: ClassCommandInjection, Sink: "system", SinkAddr: 1, TaintExpr: ts, GuardExpr: tab.Sym("cmdptr")}
 
 	if separatorGuarded(obs, indexOf(nil), SemicolonByte) {
 		t.Fatal("unchecked command guarded")
@@ -190,7 +192,7 @@ func TestCommandGuardRules(t *testing.T) {
 	}
 	// Deref rooted at the command pointer counts.
 	cmdPtr := tab.Sym("cmdptr")
-	obs2 := sinkObs{class: ClassCommandInjection, sink: "system", addr: 1, taint: ts, guard: cmdPtr}
+	obs2 := PendingSink{Class: ClassCommandInjection, Sink: "system", SinkAddr: 1, TaintExpr: ts, GuardExpr: cmdPtr}
 	byByte := []symexec.Constraint{{
 		L: tab.Deref(tab.Add(cmdPtr, 3)), R: tab.Const(SemicolonByte), Cond: isa.CondNE,
 	}}
@@ -254,7 +256,13 @@ func TestPendingDepthBound(t *testing.T) {
 	tr.BeginFunction("f")
 	deep := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 1,
-		TaintExpr: tab.Deref(tab.Arg(0)), Depth: MaxPendingDepth,
+		TaintExpr: tab.Deref(tab.Arg(0)),
+	}
+	for i := 0; i < MaxPendingDepth; i++ {
+		deep.Path = &Hop{Func: fmt.Sprintf("g%d", i), Addr: uint32(i), Prev: deep.Path}
+	}
+	if deep.Depth() != MaxPendingDepth {
+		t.Fatalf("depth = %d, want %d", deep.Depth(), MaxPendingDepth)
 	}
 	tr.ImportPending([]PendingSink{deep}, func(e *expr.Expr) *expr.Expr { return e }, 0x10)
 	sum := &symexec.Summary{Func: "f", Types: map[string]expr.Type{}}
@@ -267,7 +275,7 @@ func TestObservationDedup(t *testing.T) {
 	tr := NewTracker()
 	tr.BeginFunction("f")
 	ts := tab.Sym(expr.TaintName("recv", 9))
-	o := sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 5, taint: ts, guard: ts}
+	o := PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 5, TaintExpr: ts, GuardExpr: ts}
 	tr.observe(o)
 	tr.observe(o)
 	sum := &symexec.Summary{Func: "f", Types: map[string]expr.Type{}}
@@ -286,13 +294,11 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 	first := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "a", SinkAddr: 0x40,
 		TaintExpr: taintE, GuardExpr: tab.Arg(1),
-		Path:        []Step{{Func: "a", Addr: 0x40, Note: "strcpy"}},
 		Constraints: []symexec.Constraint{{L: tab.Arg(1), R: tab.Const(8), Cond: isa.CondLT}},
 	}
 	dup := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "b", SinkAddr: 0x40,
 		TaintExpr: taintE, GuardExpr: tab.Arg(2),
-		Path: []Step{{Func: "b", Addr: 0x40, Note: "strcpy"}},
 		Constraints: []symexec.Constraint{
 			{L: tab.Arg(2), R: tab.Const(16), Cond: isa.CondLT},
 			{L: tab.Arg(3), R: tab.Const(32), Cond: isa.CondGE},
@@ -323,11 +329,57 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 	if p.SinkFunc != "a" || !p.GuardExpr.Equal(first.GuardExpr) {
 		t.Fatalf("pending from %s guarded by %s, want the first import's", p.SinkFunc, p.GuardExpr)
 	}
-	if len(p.Path) != 2 || p.Path[0] != first.Path[0] || p.Path[1] != (Step{Func: "f", Addr: 0x10, Note: "call a"}) {
-		t.Fatalf("path = %v, want the first import's path plus the callsite", p.Path)
+	if got, want := p.Steps(), []Step{{Func: "a", Addr: 0x40, Note: "strcpy"}, {Func: "f", Addr: 0x10, Note: "call a"}}; !slices.Equal(got, want) {
+		t.Fatalf("path = %v, want the first import's path plus the callsite %v", got, want)
 	}
 	if len(p.Constraints) != 1 || !p.Constraints[0].L.Equal(tab.Arg(1)) {
 		t.Fatalf("constraints = %v, want the first import's", p.Constraints)
+	}
+}
+
+// TestImportSharesPath imports one callee sink, which has already
+// climbed one callsite, into two callers. Each caller's pending sink
+// must link its hop to the callee's by pointer, and each caller's
+// finding must spell the path the callee's steps plus the callsite.
+func TestImportSharesPath(t *testing.T) {
+	callee := PendingSink{
+		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "leaf", SinkAddr: 0x10,
+		TaintExpr: tab.Deref(tab.Arg(0)), GuardExpr: tab.Deref(tab.Arg(0)),
+		Path: &Hop{Func: "mid", Addr: 0x20},
+	}
+	keep := func(e *expr.Expr) *expr.Expr { return e }
+	src := tab.Sym(expr.TaintName("recv", 0x8))
+	tainted := func(e *expr.Expr) *expr.Expr { return tab.Subst(e, tab.Arg(0), src) }
+	tr := NewTracker()
+	for _, caller := range []struct {
+		name string
+		site uint32
+	}{{"top1", 0x30}, {"top2", 0x40}} {
+		tr.BeginFunction(caller.name)
+		tr.ImportPending([]PendingSink{callee}, keep, caller.site)
+		tr.ImportPending([]PendingSink{callee}, tainted, caller.site)
+		ps := tr.EndFunction(&symexec.Summary{Func: caller.name, Types: map[string]expr.Type{}})
+		if len(ps) != 1 {
+			t.Fatalf("%s: pendings = %d, want 1", caller.name, len(ps))
+		}
+		if h := ps[0].Path; h.Prev != callee.Path || h.Func != caller.name || h.Addr != caller.site {
+			t.Fatalf("%s: hop %+v does not link %s@%#x to the callee's hop %p", caller.name, h, caller.name, caller.site, callee.Path)
+		}
+		fs := tr.Findings()
+		if len(fs) == 0 || fs[len(fs)-1].SinkFunc != "leaf" {
+			t.Fatalf("%s: findings = %v, want the tainted import", caller.name, fs)
+		}
+		want := []Step{
+			{Func: "leaf", Addr: 0x10, Note: "strcpy"},
+			{Func: "mid", Addr: 0x20, Note: "call leaf"},
+			{Func: caller.name, Addr: caller.site, Note: "call leaf"},
+		}
+		if got := fs[len(fs)-1].Path; !slices.Equal(got, want) {
+			t.Fatalf("%s: finding path = %v, want %v", caller.name, got, want)
+		}
+	}
+	if n := len(tr.Findings()); n != 2 {
+		t.Fatalf("findings = %d, want one per caller", n)
 	}
 }
 
@@ -363,7 +415,7 @@ func TestTrackerShard(t *testing.T) {
 	tr.DisableValueRange()
 	tr.BeginFunction("f")
 	ts := tab.Sym(expr.TaintName("recv", 9))
-	tr.observe(sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 5, taint: ts, guard: ts})
+	tr.observe(PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 5, TaintExpr: ts, GuardExpr: ts})
 	tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
 
 	s := tr.Shard()
@@ -376,7 +428,7 @@ func TestTrackerShard(t *testing.T) {
 		t.Fatal("shard inherited finding state")
 	}
 	s.BeginFunction("g")
-	s.observe(sinkObs{class: ClassBufferOverflow, sink: "strcpy", addr: 7, taint: ts, guard: ts})
+	s.observe(PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 7, TaintExpr: ts, GuardExpr: ts})
 	s.EndFunction(&symexec.Summary{Func: "g", Types: map[string]expr.Type{}})
 	if len(tr.Findings()) != 1 {
 		t.Fatalf("shard findings leaked into parent: %d", len(tr.Findings()))

@@ -22,17 +22,17 @@ func indexOf(cs []symexec.Constraint) *constraintIndex { return &constraintIndex
 // TestIndexedVerdictMatchesLinearScan: every constraint of the function
 // and then every carried one is visited in order, with map-based marks.
 
-func refCheckObs(t *Tracker, o sinkObs, sum *symexec.Summary) verdict {
+func refCheckObs(t *Tracker, o PendingSink, sum *symexec.Summary) verdict {
 	all := sum.Constraints[:len(sum.Constraints):len(sum.Constraints)]
-	if len(o.carried) > 0 {
-		all = append(all, o.carried...)
+	if len(o.Constraints) > 0 {
+		all = append(all, o.Constraints...)
 	}
 	switch {
-	case o.class == ClassCommandInjection || o.class == ClassPathTraversal:
-		v := verdict{class: o.class}
-		if o.guarded || refSeparatorGuarded(o, all, t.guardByteFor(o)) || t.obsGuarded(o) {
+	case o.Class == ClassCommandInjection || o.Class == ClassPathTraversal:
+		v := verdict{class: o.Class}
+		if o.Guarded || refSeparatorGuarded(o, all, t.guardByteFor(o)) || t.obsGuarded(o) {
 			v.sanitized = true
-			if o.class == ClassCommandInjection {
+			if o.Class == ClassCommandInjection {
 				v.evidence = append(v.evidence,
 					"command separator ';' checked on the tainted data")
 			} else {
@@ -41,49 +41,49 @@ func refCheckObs(t *Tracker, o sinkObs, sum *symexec.Summary) verdict {
 			}
 		}
 		return v
-	case o.class == ClassFormatString:
-		return verdict{class: o.class, evidence: []string{
+	case o.Class == ClassFormatString:
+		return verdict{class: o.Class, evidence: []string{
 			"attacker-controlled format string reaches a printf-family sink"}}
-	case o.class == ClassLengthTruncation:
+	case o.Class == ClassLengthTruncation:
 		return refCheckTruncation(t, o, sum)
 	case t.noVRange:
-		v := verdict{class: o.class, sanitized: o.guarded || refLegacyOverflowGuarded(o, all)}
+		v := verdict{class: o.Class, sanitized: o.Guarded || refLegacyOverflowGuarded(o, all)}
 		return v
 	default:
 		return refCheckOverflow(t, o, sum, all)
 	}
 }
 
-func refCheckOverflow(t *Tracker, o sinkObs, sum *symexec.Summary, cs []symexec.Constraint) verdict {
-	v := verdict{class: o.class}
-	if o.guarded {
+func refCheckOverflow(t *Tracker, o PendingSink, sum *symexec.Summary, cs []symexec.Constraint) verdict {
+	v := verdict{class: o.Class}
+	if o.Guarded {
 		v.sanitized = true
 		v.evidence = append(v.evidence, "bound established below the sink")
 		return v
 	}
-	if o.guard == nil {
+	if o.GuardExpr == nil {
 		v.evidence = append(v.evidence, "no bound can apply to this sink")
 		return v
 	}
-	nul := t.nulSink(o.sink)
-	if o.boundHint > 0 && o.dstCap > 0 {
+	nul := t.nulSink(o.Sink)
+	if o.BoundHint > 0 && o.DstCap > 0 {
 		switch {
-		case o.boundHint <= o.dstCap:
+		case o.BoundHint <= o.DstCap:
 			v.sanitized = true
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"intrinsic copy bound %d fits capacity %d", o.boundHint, o.dstCap))
-		case o.boundHint == o.dstCap+1:
+				"intrinsic copy bound %d fits capacity %d", o.BoundHint, o.DstCap))
+		case o.BoundHint == o.DstCap+1:
 			v.class = ClassOffByOne
 			v.evidence = append(v.evidence, fmt.Sprintf(
 				"intrinsic copy bound %d overruns capacity %d by exactly one byte",
-				o.boundHint, o.dstCap))
+				o.BoundHint, o.DstCap))
 		default:
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"intrinsic copy bound %d exceeds capacity %d", o.boundHint, o.dstCap))
+				"intrinsic copy bound %d exceeds capacity %d", o.BoundHint, o.DstCap))
 		}
 		return v
 	}
-	if o.sink == LoopSink {
+	if o.Sink == LoopSink {
 		if loopGuarded(cs) {
 			v.sanitized = true
 			v.evidence = append(v.evidence, "loop trip count bounded by a small constant")
@@ -91,35 +91,35 @@ func refCheckOverflow(t *Tracker, o sinkObs, sum *symexec.Summary, cs []symexec.
 		return v
 	}
 	env := t.obsEnv(o, sum)
-	if o.dstCap > 0 {
+	if o.DstCap > 0 {
 		if nul {
-			if ub, ok := refContentLenBound(o.guard, env); ok {
+			if ub, ok := refContentLenBound(o.GuardExpr, env); ok {
 				switch {
-				case ub < o.dstCap:
+				case ub < o.DstCap:
 					v.sanitized = true
 					v.evidence = append(v.evidence, fmt.Sprintf(
-						"strlen(content) <= %d proven, +NUL fits capacity %d", ub, o.dstCap))
+						"strlen(content) <= %d proven, +NUL fits capacity %d", ub, o.DstCap))
 					return v
-				case ub == o.dstCap:
+				case ub == o.DstCap:
 					v.class = ClassOffByOne
 					v.evidence = append(v.evidence, fmt.Sprintf(
 						"strlen(content) <= %d proven: the NUL terminator lands one byte past capacity %d",
-						ub, o.dstCap))
+						ub, o.DstCap))
 					return v
 				default:
 					v.evidence = append(v.evidence, fmt.Sprintf(
-						"proven length bound %d exceeds capacity %d", ub, o.dstCap))
+						"proven length bound %d exceeds capacity %d", ub, o.DstCap))
 				}
 			}
-		} else if ub, ok := vrange.MaxValueEnv(o.guard, env); ok {
-			if ub <= o.dstCap {
+		} else if ub, ok := vrange.MaxValueEnv(o.GuardExpr, env); ok {
+			if ub <= o.DstCap {
 				v.sanitized = true
 				v.evidence = append(v.evidence, fmt.Sprintf(
-					"copy length bounded by %d, fits capacity %d", ub, o.dstCap))
+					"copy length bounded by %d, fits capacity %d", ub, o.DstCap))
 				return v
 			}
 			v.evidence = append(v.evidence, fmt.Sprintf(
-				"copy length bound %d exceeds capacity %d", ub, o.dstCap))
+				"copy length bound %d exceeds capacity %d", ub, o.DstCap))
 		}
 	}
 	marks := refGuardMarks(o)
@@ -138,21 +138,21 @@ func refCheckOverflow(t *Tracker, o sinkObs, sum *symexec.Summary, cs []symexec.
 		}
 		if b, okC := other.ConstVal(); okC {
 			switch {
-			case o.dstCap == 0:
+			case o.DstCap == 0:
 				v.sanitized = true
 				v.evidence = append(v.evidence, fmt.Sprintf(
 					"magnitude check against %d at %#x (capacity unknown)", b, c.Addr))
 				return v
-			case nul && b == o.dstCap:
+			case nul && b == o.DstCap:
 				v.class = ClassOffByOne
 				v.evidence = append(v.evidence, fmt.Sprintf(
 					"guard at %#x admits length == capacity %d: `<=` check is off by one",
-					c.Addr, o.dstCap))
+					c.Addr, o.DstCap))
 				return v
-			case (nul && b < o.dstCap) || (!nul && b <= o.dstCap):
+			case (nul && b < o.DstCap) || (!nul && b <= o.DstCap):
 				v.sanitized = true
 				v.evidence = append(v.evidence, fmt.Sprintf(
-					"constant bound %d at %#x fits capacity %d", b, c.Addr, o.dstCap))
+					"constant bound %d at %#x fits capacity %d", b, c.Addr, o.DstCap))
 				return v
 			}
 			continue
@@ -166,21 +166,21 @@ func refCheckOverflow(t *Tracker, o sinkObs, sum *symexec.Summary, cs []symexec.
 	return v
 }
 
-func refCheckTruncation(t *Tracker, o sinkObs, sum *symexec.Summary) verdict {
+func refCheckTruncation(t *Tracker, o PendingSink, sum *symexec.Summary) verdict {
 	v := verdict{class: ClassLengthTruncation}
 	if t.noVRange {
 		v.sanitized = true
 		return v
 	}
 	env := t.obsEnv(o, sum)
-	if iv := vrange.OfExpr(o.taint, env); iv.Bounded() && iv.Lo >= 0 && iv.Hi <= 0xFF {
+	if iv := vrange.OfExpr(o.TaintExpr, env); iv.Bounded() && iv.Lo >= 0 && iv.Hi <= 0xFF {
 		v.sanitized = true
 		v.evidence = append(v.evidence, fmt.Sprintf(
 			"stored value in %s fits the 1-byte store", iv))
 		return v
 	}
 	var lens []*expr.Expr
-	for _, c := range refOrComps(o.taint) {
+	for _, c := range refOrComps(o.TaintExpr) {
 		if name, ok := c.SymName(); ok && strings.HasPrefix(name, "len_") {
 			lens = append(lens, c)
 		}
@@ -235,32 +235,32 @@ func refOrComps(e *expr.Expr) []*expr.Expr {
 	return []*expr.Expr{e}
 }
 
-func refGuardMarks(o sinkObs) map[string]bool {
-	marks := map[string]bool{o.guard.Key(): true}
-	marks[LenSymName(o.guard.Key())] = true
-	for _, s := range o.guard.TaintSyms() {
+func refGuardMarks(o PendingSink) map[string]bool {
+	marks := map[string]bool{o.GuardExpr.Key(): true}
+	marks[LenSymName(o.GuardExpr.Key())] = true
+	for _, s := range o.GuardExpr.TaintSyms() {
 		marks[s] = true
 	}
-	for _, s := range o.taint.TaintSyms() {
+	for _, s := range o.TaintExpr.TaintSyms() {
 		marks[s] = true
 	}
 	return marks
 }
 
-func refLegacyOverflowGuarded(o sinkObs, cs []symexec.Constraint) bool {
-	if o.guard == nil {
+func refLegacyOverflowGuarded(o PendingSink, cs []symexec.Constraint) bool {
+	if o.GuardExpr == nil {
 		return false
 	}
-	if o.boundHint > 0 && o.dstCap > 0 {
-		return o.boundHint <= o.dstCap
+	if o.BoundHint > 0 && o.DstCap > 0 {
+		return o.BoundHint <= o.DstCap
 	}
-	if o.dstCap > 0 {
-		if b, ok := vrange.MaxValue(o.guard); ok && b <= o.dstCap {
+	if o.DstCap > 0 {
+		if b, ok := vrange.MaxValue(o.GuardExpr); ok && b <= o.DstCap {
 			return true
 		}
 	}
 	marks := refGuardMarks(o)
-	if o.sink == LoopSink {
+	if o.Sink == LoopSink {
 		return loopGuarded(cs)
 	}
 	for _, c := range cs {
@@ -277,7 +277,7 @@ func refLegacyOverflowGuarded(o sinkObs, cs []symexec.Constraint) bool {
 			continue
 		}
 		if b, okC := other.ConstVal(); okC {
-			if o.dstCap == 0 || b <= o.dstCap {
+			if o.DstCap == 0 || b <= o.DstCap {
 				return true
 			}
 			continue
@@ -295,14 +295,14 @@ func refMentionsAny(e *expr.Expr, marks map[string]bool) bool {
 	return e != nil && e.AnySym(func(s string) bool { return marks[s] })
 }
 
-func refSeparatorGuarded(o sinkObs, cs []symexec.Constraint, gb byte) bool {
+func refSeparatorGuarded(o PendingSink, cs []symexec.Constraint, gb byte) bool {
 	taintMarks := make(map[string]bool)
-	for _, s := range o.taint.TaintSyms() {
+	for _, s := range o.TaintExpr.TaintSyms() {
 		taintMarks[s] = true
 	}
 	var roots []string
-	if o.guard != nil {
-		if r := o.guard.RootPointer(); r != nil {
+	if o.GuardExpr != nil {
+		if r := o.GuardExpr.RootPointer(); r != nil {
 			if name, ok := r.SymName(); ok {
 				roots = append(roots, name)
 			}
@@ -337,19 +337,19 @@ func refSeparatorGuarded(o sinkObs, cs []symexec.Constraint, gb byte) bool {
 	return false
 }
 
-func refRelevantConstraints(cs []symexec.Constraint, o sinkObs) []symexec.Constraint {
+func refRelevantConstraints(cs []symexec.Constraint, o PendingSink) []symexec.Constraint {
 	marks := make(map[string]bool)
-	for _, s := range o.taint.Syms() {
+	for _, s := range o.TaintExpr.Syms() {
 		marks[s] = true
 	}
-	if o.guard != nil {
-		for _, s := range o.guard.Syms() {
+	if o.GuardExpr != nil {
+		for _, s := range o.GuardExpr.Syms() {
 			marks[s] = true
 		}
 	}
-	marks[LenSymName(o.taint.Key())] = true
-	if o.guard != nil {
-		marks[LenSymName(o.guard.Key())] = true
+	marks[LenSymName(o.TaintExpr.Key())] = true
+	if o.GuardExpr != nil {
+		marks[LenSymName(o.GuardExpr.Key())] = true
 	}
 	var out []symexec.Constraint
 	for _, c := range cs {
@@ -449,28 +449,28 @@ var verdictSinks = []struct {
 	{"printf", ClassFormatString},
 }
 
-func (g *verdictGen) obs(guards []*expr.Expr) sinkObs {
+func (g *verdictGen) obs(guards []*expr.Expr) PendingSink {
 	s := verdictSinks[g.r.Intn(len(verdictSinks))]
-	o := sinkObs{class: s.class, sink: s.sink, addr: 0x40, taint: g.value(2)}
+	o := PendingSink{Class: s.class, Sink: s.sink, SinkAddr: 0x40, TaintExpr: g.value(2)}
 	switch g.r.Intn(4) {
 	case 0:
-		o.guard = o.taint
+		o.GuardExpr = o.TaintExpr
 	case 1:
-		o.guard = nil
+		o.GuardExpr = nil
 	default:
-		o.guard = guards[g.r.Intn(len(guards))]
+		o.GuardExpr = guards[g.r.Intn(len(guards))]
 	}
-	o.dstCap = []int64{0, 16, 64}[g.r.Intn(3)]
+	o.DstCap = []int64{0, 16, 64}[g.r.Intn(3)]
 	if g.r.Intn(4) == 0 {
-		o.boundHint = []int64{16, 17, 65}[g.r.Intn(3)]
+		o.BoundHint = []int64{16, 17, 65}[g.r.Intn(3)]
 	}
-	o.guarded = g.r.Intn(8) == 0
+	o.Guarded = g.r.Intn(8) == 0
 	if g.r.Intn(3) == 0 {
 		gs := guards
-		if o.guard != nil {
-			gs = []*expr.Expr{o.guard, o.taint}
+		if o.GuardExpr != nil {
+			gs = []*expr.Expr{o.GuardExpr, o.TaintExpr}
 		}
-		o.carried = g.constraints(1+g.r.Intn(3), gs)
+		o.Constraints = g.constraints(1+g.r.Intn(3), gs)
 	}
 	return o
 }
@@ -503,7 +503,7 @@ func TestIndexedVerdictMatchesLinearScan(t *testing.T) {
 		for _, gd := range guards[:2] {
 			sum.Ranges[LenSymName(gd.Key())] = vrange.Range(0, verdictConsts[g.r.Intn(len(verdictConsts))])
 		}
-		var obs []sinkObs
+		var obs []PendingSink
 		for i := 0; i < 8; i++ {
 			obs = append(obs, g.obs(guards))
 		}
@@ -516,7 +516,7 @@ func TestIndexedVerdictMatchesLinearScan(t *testing.T) {
 				got, want := tr.checkObs(o, sum, &ix), refCheckObs(tr, o, sum)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("fn %d obs %d (%s, vrange off=%v): indexed %+v, linear %+v",
-						fn, i, o.sink, noVRange, got, want)
+						fn, i, o.Sink, noVRange, got, want)
 				}
 				gotRel, wantRel := relevantConstraints(&ix, o), refRelevantConstraints(sum.Constraints, o)
 				if !reflect.DeepEqual(gotRel, wantRel) {
