@@ -338,24 +338,11 @@ func RunTable7(scale float64, maxAnalyses int) ([]Table7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Sequential bottom-up reference on a fresh CFG (same reason as the
-		// baseline below: resolved indirect edges must not leak between
-		// runs).
-		progSeq, err := cfg.Build(bin)
+		seq, err := dataflow.Analyze(prog, dataflow.Options{Parallelism: 1})
 		if err != nil {
 			return nil, err
 		}
-		seq, err := dataflow.Analyze(progSeq, dataflow.Options{Parallelism: 1})
-		if err != nil {
-			return nil, err
-		}
-		// Fresh CFG so the resolved indirect edges do not leak into the
-		// baseline run.
-		prog2, err := cfg.Build(bin)
-		if err != nil {
-			return nil, err
-		}
-		base, err := baseline.Analyze(prog2, baseline.Options{MaxAnalyses: maxAnalyses})
+		base, err := baseline.Analyze(prog, baseline.Options{MaxAnalyses: maxAnalyses})
 		if err != nil {
 			return nil, err
 		}
@@ -454,15 +441,15 @@ func Ablations(w io.Writer, scale float64) error {
 		{"loop-once heuristic", dataflow.Options{Symexec: symexec.Options{LoopOnce: true}}},
 		{"loops unrolled 3x", dataflow.Options{Symexec: symexec.Options{MaxLoopIters: 3}}},
 	}
+	bin, planted, err := corpus.BuildBinary(spec, scale)
+	if err != nil {
+		return err
+	}
+	prog, err := cfg.Build(bin)
+	if err != nil {
+		return err
+	}
 	for _, c := range configs {
-		bin, planted, err := corpus.BuildBinary(spec, scale)
-		if err != nil {
-			return err
-		}
-		prog, err := cfg.Build(bin)
-		if err != nil {
-			return err
-		}
 		c.opts.Filter = corpus.ModuleFilter(spec)
 		t0 := time.Now()
 		res, err := dataflow.Analyze(prog, c.opts)
@@ -513,7 +500,7 @@ const ScreeningSize = 200
 // are returned for gating.
 func Screening(w io.Writer, n int) (ScreeningStats, error) {
 	fmt.Fprintf(w, "== Screening: precision/recall over %d randomized binaries ==\n", n)
-	cases, err := corpus.ScreeningCorpus(n, 20180625)
+	cases, err := newScreeningCorpus(n)
 	if err != nil {
 		return ScreeningStats{}, err
 	}
@@ -540,20 +527,38 @@ func Screening(w io.Writer, n int) (ScreeningStats, error) {
 	return full, nil
 }
 
+// screeningCorpus is the screening corpus with each case's program,
+// built once and analyzed under every configuration.
+type screeningCorpus struct {
+	cases []corpus.ScreeningCase
+	progs []*cfg.Program
+}
+
+// newScreeningCorpus generates benchtab -screen's corpus of n binaries
+// and builds their programs.
+func newScreeningCorpus(n int) (screeningCorpus, error) {
+	cases, err := corpus.ScreeningCorpus(n, 20180625)
+	if err != nil {
+		return screeningCorpus{}, err
+	}
+	progs := make([]*cfg.Program, len(cases))
+	for i, c := range cases {
+		if progs[i], err = cfg.Build(c.Binary); err != nil {
+			return screeningCorpus{}, err
+		}
+	}
+	return screeningCorpus{cases: cases, progs: progs}, nil
+}
+
 // screeningRun scores one detector configuration over the corpus. A case
 // counts as found when an unsanitized vulnerability of its planted class
 // is reported in the handler; under the vrange ablation the off-by-one
 // and truncation classes cannot be produced, so any handler vulnerability
 // counts — the ablation is scored on what it can still claim.
-func screeningRun(cases []corpus.ScreeningCase, opts dataflow.Options) (ScreeningStats, error) {
+func screeningRun(sc screeningCorpus, opts dataflow.Options) (ScreeningStats, error) {
 	var st ScreeningStats
-	for _, c := range cases {
-		// Rebuild per run: structsim resolution adds call edges in place.
-		prog, err := cfg.Build(c.Binary)
-		if err != nil {
-			return st, err
-		}
-		res, err := dataflow.Analyze(prog, opts)
+	for i, c := range sc.cases {
+		res, err := dataflow.Analyze(sc.progs[i], opts)
 		if err != nil {
 			return st, err
 		}

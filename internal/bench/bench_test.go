@@ -252,9 +252,9 @@ func TestScreeningAblationRows(t *testing.T) {
 	}
 }
 
-func mustScreeningCases(t *testing.T, n int) []corpus.ScreeningCase {
+func mustScreeningCases(t *testing.T, n int) screeningCorpus {
 	t.Helper()
-	cases, err := corpus.ScreeningCorpus(n, 20180625)
+	cases, err := newScreeningCorpus(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ package cfg
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"dtaint/internal/image"
@@ -93,7 +95,9 @@ func (f *Function) BlockAt(addr uint32) (*Block, bool) {
 }
 
 // Program is the whole-binary analysis unit: all function CFGs plus the
-// call graph.
+// call graph. It is read-only once Build returns, so one Program is
+// safe to share across concurrent analyses; WithCallEdges derives a
+// view instead of changing it.
 type Program struct {
 	Binary *image.Binary
 	// Funcs in address order.
@@ -334,29 +338,70 @@ func (p *Program) buildCallGraph() {
 	}
 }
 
-// AddCallEdge inserts a resolved indirect call edge (from the
-// data-structure-similarity component) into the call graph and the
-// function's callsite table.
-func (p *Program) AddCallEdge(caller string, site uint32, callee string) {
-	fn := p.ByName[caller]
-	if fn == nil || p.ByName[callee] == nil {
-		return
+// CallEdge is a resolved indirect call: the callsite at Site in Caller
+// calls Callee.
+type CallEdge struct {
+	Caller string
+	Site   uint32
+	Callee string
+}
+
+// WithCallEdges returns a program that is p with the given resolved
+// indirect call edges bound: the indirect callsite at each edge's Site
+// names its callee, and the call graph gains the edge once. Edges naming
+// an unknown function are ignored. p is not modified. The result shares
+// every function of p except the rebound callers, which are copies with
+// their own Calls, and it has its own Funcs, ByName, Callees and
+// Callers. With no edges it returns p.
+func (p *Program) WithCallEdges(edges []CallEdge) *Program {
+	if len(edges) == 0 {
+		return p
 	}
-	for i := range fn.Calls {
-		if fn.Calls[i].Addr == site && fn.Calls[i].Kind == CallIndirect {
-			fn.Calls[i].Callee = callee
-			fn.Calls[i].Target = p.ByName[callee].Addr
+	q := &Program{
+		Binary:  p.Binary,
+		Funcs:   slices.Clone(p.Funcs),
+		ByName:  maps.Clone(p.ByName),
+		Callees: maps.Clone(p.Callees),
+		Callers: maps.Clone(p.Callers),
+	}
+	copies := make(map[*Function]*Function)
+	for _, e := range edges {
+		fn, callee := q.ByName[e.Caller], q.ByName[e.Callee]
+		if fn == nil || callee == nil {
+			continue
+		}
+		if fn == p.ByName[e.Caller] {
+			c := *fn
+			c.Calls = slices.Clone(fn.Calls)
+			copies[fn] = &c
+			fn = &c
+			q.ByName[e.Caller] = fn
+		}
+		for i := range fn.Calls {
+			if fn.Calls[i].Addr == e.Site && fn.Calls[i].Kind == CallIndirect {
+				fn.Calls[i].Callee = e.Callee
+				fn.Calls[i].Target = callee.Addr
+			}
+		}
+		if !slices.Contains(q.Callees[e.Caller], e.Callee) {
+			q.Callees[e.Caller] = withName(q.Callees[e.Caller], e.Callee)
+			q.Callers[e.Callee] = withName(q.Callers[e.Callee], e.Caller)
 		}
 	}
-	for _, c := range p.Callees[caller] {
-		if c == callee {
-			return
+	for i, fn := range q.Funcs {
+		if c, ok := copies[fn]; ok {
+			q.Funcs[i] = c
 		}
 	}
-	p.Callees[caller] = append(p.Callees[caller], callee)
-	sort.Strings(p.Callees[caller])
-	p.Callers[callee] = append(p.Callers[callee], caller)
-	sort.Strings(p.Callers[callee])
+	return q
+}
+
+// withName returns the sorted names plus name in a new array, so a
+// slice that p shares with its view is never written through.
+func withName(names []string, name string) []string {
+	out := append(slices.Clip(names), name)
+	sort.Strings(out)
+	return out
 }
 
 // Stats summarizes the program for Table II.

@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"dtaint/internal/asm"
@@ -253,12 +254,18 @@ func TestSCCSubset(t *testing.T) {
 	}
 }
 
-func TestAddCallEdge(t *testing.T) {
+// TestWithCallEdges checks that binding resolved edges builds a view
+// and leaves the input program as Build returned it.
+func TestWithCallEdges(t *testing.T) {
 	b := mustAssemble(t, `
 .arch arm
 .func dispatch
   LDR R9, [R0, #8]
   BLX R9
+  BL helper
+  BX LR
+.endfunc
+.func helper
   BX LR
 .endfunc
 .func handler
@@ -269,23 +276,68 @@ func TestAddCallEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := p.ByName["dispatch"].Calls[0].Addr
-	p.AddCallEdge("dispatch", site, "handler")
-	if got := p.Callees["dispatch"]; len(got) != 1 || got[0] != "handler" {
-		t.Fatalf("callees = %v", got)
+	// Spare capacity behind the input's call-graph slices: an append
+	// would write through into them.
+	p.Callees["dispatch"] = append(make([]string, 0, 4), p.Callees["dispatch"]...)
+	p.Callers["handler"] = make([]string, 0, 4)
+	dispatch, handler := p.ByName["dispatch"], p.ByName["handler"]
+	inCalls := append([]CallSite(nil), dispatch.Calls...)
+	inCallees, inCallers := p.Callees["dispatch"], p.Callers["handler"]
+	inFuncs := append([]*Function(nil), p.Funcs...)
+
+	site := dispatch.Calls[0].Addr
+	q := p.WithCallEdges([]CallEdge{
+		{Caller: "dispatch", Site: site, Callee: "handler"},
+		{Caller: "dispatch", Site: site, Callee: "handler"}, // duplicate
+		{Caller: "ghost", Site: 0, Callee: "handler"},       // unknown caller
+		{Caller: "dispatch", Site: 0, Callee: "ghost"},      // unknown callee
+	})
+
+	if got := q.Callees["dispatch"]; !reflect.DeepEqual(got, []string{"handler", "helper"}) {
+		t.Fatalf("view callees = %v", got)
 	}
-	cs := p.ByName["dispatch"].Calls[0]
-	if cs.Callee != "handler" || cs.Target != p.ByName["handler"].Addr {
-		t.Fatalf("callsite not updated: %+v", cs)
+	if got := q.Callers["handler"]; !reflect.DeepEqual(got, []string{"dispatch"}) {
+		t.Fatalf("view callers of handler = %v", got)
 	}
-	// Duplicate insert must not duplicate the edge.
-	p.AddCallEdge("dispatch", site, "handler")
-	if got := p.Callees["dispatch"]; len(got) != 1 {
-		t.Fatalf("duplicate edge: %v", got)
+	cs := q.ByName["dispatch"].Calls[0]
+	if cs.Kind != CallIndirect || cs.Callee != "handler" || cs.Target != handler.Addr {
+		t.Fatalf("view callsite not bound: %+v", cs)
 	}
-	// Unknown names are ignored.
-	p.AddCallEdge("ghost", 0, "handler")
-	p.AddCallEdge("dispatch", 0, "ghost")
+	if q.ByName["dispatch"] == dispatch {
+		t.Fatal("rebound caller is shared with the input")
+	}
+	if q.ByName["helper"] != p.ByName["helper"] || q.ByName["handler"] != handler {
+		t.Fatal("unchanged functions are not shared by pointer")
+	}
+	for i, fn := range q.Funcs {
+		if fn != q.ByName[fn.Name] || fn.Name != inFuncs[i].Name {
+			t.Fatalf("view Funcs[%d] = %s, not the view's function", i, fn.Name)
+		}
+	}
+
+	// The input is untouched, including the spare capacity of its slices.
+	if p.ByName["dispatch"] != dispatch || !reflect.DeepEqual(dispatch.Calls, inCalls) {
+		t.Fatalf("input callsites changed: %+v", dispatch.Calls)
+	}
+	if !reflect.DeepEqual(p.Funcs, inFuncs) {
+		t.Fatal("input Funcs changed")
+	}
+	if got := p.Callees["dispatch"]; !reflect.DeepEqual(got, []string{"helper"}) {
+		t.Fatalf("input callees = %v", got)
+	}
+	if got := p.Callers["handler"]; len(got) != 0 {
+		t.Fatalf("input callers of handler = %v", got)
+	}
+	if spare := inCallees[:cap(inCallees)][len(inCallees):]; spare[0] != "" {
+		t.Fatalf("view wrote %q through the input's callees", spare[0])
+	}
+	if spare := inCallers[:cap(inCallers)]; spare[0] != "" {
+		t.Fatalf("view wrote %q through the input's callers", spare[0])
+	}
+
+	if p.WithCallEdges(nil) != p {
+		t.Fatal("no edges must return the program itself")
+	}
 }
 
 func TestBadBranchTarget(t *testing.T) {

@@ -139,13 +139,11 @@ func TestAblationsLoseFeatureDependentVulns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Analyze mutates the program's call graph (indirect-call resolution),
-	// so each configuration gets a fresh CFG.
+	prog, err := cfg.Build(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	count := func(opts dataflow.Options) int {
-		prog, err := cfg.Build(bin)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts.Filter = ModuleFilter(spec)
 		res, err := dataflow.Analyze(prog, opts)
 		if err != nil {

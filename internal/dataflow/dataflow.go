@@ -11,7 +11,9 @@
 //  2. Indirect-call resolution (sseresolve.go): callsites are matched to
 //     function-pointer registrations through SSE equivalence classes
 //     (package sse) with data-structure layout similarity (package
-//     structsim) as tie-breaker and fallback, augmenting the call graph.
+//     structsim) as tie-breaker and fallback. The resolved edges are
+//     bound in a view of the program (cfg.Program.WithCallEdges) that
+//     the later steps read; the caller's program is never modified.
 //  3. Bottom-up interprocedural pass — the call graph is condensed into
 //     its SCC DAG (cfg.Condense) and traversed callees-before-callers,
 //     each function again analyzed exactly once; at every callsite the
@@ -187,7 +189,8 @@ type Result struct {
 	Summaries map[string]*symexec.Summary
 	// Findings are all (source, path, sink) tuples, sanitized or not.
 	Findings []taint.Finding
-	// Resolutions are the indirect calls bound by layout similarity.
+	// Resolutions are the indirect calls bound by SSE path identity or
+	// by layout similarity.
 	Resolutions []structsim.Resolution
 
 	FunctionsAnalyzed int
@@ -309,9 +312,14 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 			st.span.SetAttr("by_sse", res.Resolve.BySSE)
 			st.span.SetAttr("by_structsim", res.Resolve.ByStructSim)
 		}
-		for _, r := range res.Resolutions {
-			prog.AddCallEdge(r.Caller, r.Site, r.Callee)
+		// Phase 1 ran on prog as given; the bottom-up pass and its store
+		// keys read a view with the resolved edges bound.
+		edges := make([]cfg.CallEdge, len(res.Resolutions))
+		for i, r := range res.Resolutions {
+			edges[i] = cfg.CallEdge{Caller: r.Caller, Site: r.Site, Callee: r.Callee}
 		}
+		prog = prog.WithCallEdges(edges)
+		fp = fingerprinter(prog, opts)
 		st.End("resolved", len(res.Resolutions))
 	}
 

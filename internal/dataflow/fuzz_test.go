@@ -17,9 +17,11 @@ import (
 // per-binary analysis: image.Parse, cfg.Build, then both analysis phases
 // under small budgets, so the decoded registers, offsets and targets of
 // any parseable binary reach symbolic execution. It must never panic,
-// and the result must not depend on the schedule or the summary store:
-// 4 workers, a fresh store and the same store warm must each give the
-// fingerprint and the summary digests of the 1-worker store-less run.
+// and the result must not depend on the schedule, the summary store or
+// earlier analyses of the same program: all four runs analyze one
+// cfg.Build result, and 4 workers, a fresh store and the same store
+// warm must each give the fingerprint and the summary digests of the
+// 1-worker store-less run.
 // The seeds are screening binaries, small enough to keep the fuzzer
 // fast.
 func FuzzAnalyzeBinary(f *testing.F) {
@@ -46,16 +48,11 @@ func FuzzAnalyzeBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := cfg.Build(bin); err != nil {
+		prog, err := cfg.Build(bin)
+		if err != nil {
 			return
 		}
-		// Each run builds its own program: Analyze adds the call edges
-		// it resolves.
 		analyze := func(workers int, store *sumstore.Store) string {
-			prog, err := cfg.Build(bin)
-			if err != nil {
-				t.Fatal(err)
-			}
 			o := opts
 			o.Parallelism, o.SummaryStore = workers, store
 			res, err := Analyze(prog, o)

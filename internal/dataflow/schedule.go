@@ -153,8 +153,8 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 	store := opts.SummaryStore
 	var keys []string
 	if store != nil {
-		// Computed after structsim, so resolved indirect callsites and
-		// the call edges they added are part of every key.
+		// Computed on the view that binds resolved indirect calls, so
+		// those callsites and their call edges are part of every key.
 		keys = fp.CompKeys(cond)
 	}
 	rec := newFnRecorder(opts.Metrics, "ddg-function", "dtaint_fn_ddg_seconds",

@@ -20,8 +20,8 @@ import (
 //     (equivalent to the function's code bytes under the decoder), the
 //     string- and function-table entries its immediates resolve to
 //     (the only binary-wide tables the analysis reads through a
-//     function), and its callsite bindings, which include
-//     structsim-resolved indirect targets;
+//     function), and its callsite bindings, which include resolved
+//     indirect targets when the program is a view that binds them;
 //   - for bottom-up component keys, a Merkle chain: the keys of every
 //     callee component, computed in condensation index order so each
 //     dependency's key exists before it is consumed. A change anywhere
@@ -30,9 +30,10 @@ import (
 //     summaries — depend on the function alone and survive callee
 //     edits.
 //
-// Function digests are recomputed on every call rather than memoized:
-// structsim mutates callsites between phase 1 and the bottom-up pass,
-// and the two passes must fingerprint the state they actually analyze.
+// Each pass is keyed on the program it analyzes: dataflow.Analyze keys
+// phase 1 on its input program and the bottom-up pass on the view that
+// binds the resolved indirect calls (cfg.Program.WithCallEdges), with
+// one Fingerprinter each.
 type Fingerprinter struct {
 	prog *cfg.Program
 	base string // ISA + options fingerprint, folded into every key

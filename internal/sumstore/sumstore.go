@@ -19,10 +19,11 @@
 //
 // Keys are derived by the Fingerprinter from the function's decoded
 // instructions, the ISA, the string/function-table entries its
-// immediates resolve to, its callsite bindings (including structsim
-// resolutions), and the versioned analysis-options fingerprint
-// (dataflow.OptionsFingerprint). See DESIGN.md §3.4 for the
-// invalidation rules.
+// immediates resolve to, its callsite bindings (a bottom-up key reads
+// them in the view that binds resolved indirect calls; phase-1 keys
+// read the program as built), and the versioned analysis-options
+// fingerprint (dataflow.OptionsFingerprint). See DESIGN.md §3.4 for
+// the invalidation rules.
 //
 // Values travel in a versioned binary wire format (wire.go): a "DTSS"
 // magic, a format version that unknown readers refuse, and a

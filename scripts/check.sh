@@ -98,8 +98,9 @@ echo ">> fuzz the CFG builder on parsed binaries"
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cfg
 
 # Screening binaries seed it: a study image analyzes at about one exec/s.
-# Each input runs at 1 and 4 workers and through a cold and a warm
-# summary store, and all four results must agree.
+# Each input's program runs at 1 and 4 workers and through a cold and
+# a warm summary store, and all four results must agree: one program
+# serves all four runs, so an analysis that changed it would show.
 echo ">> fuzz the whole per-binary analysis and its determinism on parsed binaries"
 go test -run '^$' -fuzz '^FuzzAnalyzeBinary$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
