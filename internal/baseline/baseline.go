@@ -137,10 +137,10 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 		e.tracker.BeginFunction(root)
 		sum := e.analyzeContext(root, nil, nil, 0)
 		if sum != nil {
-			e.tracker.EndFunction(sum)
+			fs, _ := e.tracker.EndFunction(sum)
+			res.Findings = append(res.Findings, fs...)
 		}
 	}
-	res.Findings = e.tracker.Findings()
 	res.DDGTime = time.Since(t1)
 	return res, nil
 }
@@ -231,7 +231,7 @@ func (o *recursiveOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 		o.e.tracker.PopFrame(&symexec.Summary{Func: ctx.Callee})
 		return symexec.CallEffect{}
 	}
-	o.e.tracker.PopFrame(sum)
+	o.e.res.Findings = append(o.e.res.Findings, o.e.tracker.PopFrame(sum)...)
 
 	// Apply the callee's definitions back into the caller state. In a
 	// context-sensitive analysis no substitution is needed: the callee ran

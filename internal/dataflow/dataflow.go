@@ -38,11 +38,12 @@
 // 3+4's units are the condensation's components: sibling components of
 // the SCC DAG have no ordering constraint, so workers pull ready
 // components (all callee components summarized) from a queue and
-// decrement caller in-degrees on completion. Every component is analyzed
-// by its own taint-tracker shard and the per-component findings are
-// concatenated in the condensation's topological order, so the output —
-// findings, their order, and every counter — is bit-identical for any
-// worker count, including the sequential schedule.
+// decrement caller in-degrees on completion. Each worker keeps one taint
+// tracker, which holds one function at a time. A component's findings
+// are collected in its fixed function order and the per-component
+// findings are concatenated in the condensation's topological order, so
+// the output — findings, their order, and every counter — is
+// bit-identical for any worker count, including the sequential schedule.
 //
 // The result carries every (source, path, sink) finding plus the
 // measurements the evaluation tables report.
@@ -423,7 +424,8 @@ func fingerprinter(prog *cfg.Program, opts Options) *sumstore.Fingerprinter {
 // runPhase1 analyzes every named function independently on the unit
 // scheduler, recording only what indirect-call resolution and layout
 // similarity read (symexec.Options.ForResolution). Each worker's scratch
-// tracker supplies library models; its findings are discarded.
+// tracker supplies library models; phase 1 never ends a function, so the
+// tracker yields no findings.
 // stageSpan (nil when tracing is off) parents one "ssa-function" span
 // per executed unit — the events -progress counts against the stage's
 // "functions" total. With a summary store, each function's phase-1 key

@@ -136,11 +136,12 @@ func (f fnRun) end(sum *symexec.Summary) {
 
 // runBottomUp executes the bottom-up interprocedural phase (3+4) over the
 // call graph's SCC condensation: a component is ready once its callee
-// components are summarized. Each component is analyzed by its own
-// tracker shard, which publishes every function's summary and pending
-// sinks as soon as the function ends; the component's store entry holds
-// its findings and counters until they are merged in condensation order,
-// so the result is bit-identical for every worker count.
+// components are summarized. Each worker runs its components through its
+// own tracker, which holds one function at a time; every function's
+// summary and pending sinks are published as soon as it ends. The
+// component's store entry holds its findings and counters until they are
+// merged in condensation order, so the result is bit-identical for every
+// worker count.
 //
 // With a summary store, each component's Merkle key (its function
 // digests chained with every callee component's key) is consulted
@@ -159,30 +160,30 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 	}
 	rec := newFnRecorder(opts.Metrics, "ddg-function", "dtaint_fn_ddg_seconds",
 		"Per-function interprocedural data-flow time (phase 3+4).")
-	base := newTracker(opts, prog.Binary)
 	shared := &bottomUpState{
 		summaries: res.Summaries,
 		pendings:  make(map[string][]taint.PendingSink),
 	}
 	done := make([]compResult, len(cond.Comps))
-	analyze := func(i int) bool {
-		if store != nil {
-			if ent, ok := store.GetEntry(opts.Symexec.Table, keys[i]); ok {
-				for _, sum := range ent.Summaries {
-					shared.publish(sum, ent.Pendings[sum.Func])
+	workers, st := runUnits(opts, "interproc-dataflow", cond.NumDeps, cond.Callers, func() func(int) bool {
+		oracle := &interOracle{tracker: newTracker(opts, prog.Binary), published: shared, noVRange: opts.DisableVRange}
+		return func(i int) bool {
+			if store != nil {
+				if ent, ok := store.GetEntry(opts.Symexec.Table, keys[i]); ok {
+					for _, sum := range ent.Summaries {
+						shared.publish(sum, ent.Pendings[sum.Func])
+					}
+					done[i].Entry = ent
+					return true
 				}
-				done[i].Entry = ent
-				return true
 			}
+			done[i] = analyzeComponent(prog, opts, oracle, cond.Comps[i], i, stageSpan, rec)
+			if store != nil {
+				store.PutEntry(keys[i], done[i].Entry)
+			}
+			return false
 		}
-		done[i] = analyzeComponent(prog, opts, base, shared, cond.Comps[i], i, stageSpan, rec)
-		if store != nil {
-			store.PutEntry(keys[i], done[i].Entry)
-		}
-		return false
-	}
-	workers, st := runUnits(opts, "interproc-dataflow", cond.NumDeps, cond.Callers,
-		func() func(int) bool { return analyze })
+	})
 	res.SumStore.Hits += st.Hits
 	res.SumStore.Misses += st.Misses
 	res.Parallel = ParallelStats{
@@ -249,19 +250,18 @@ type compResult struct {
 	aliasDropped int
 }
 
-// analyzeComponent runs Algorithm 2 over one SCC component with a private
-// tracker shard. Functions inside the component are processed in sorted
-// order (the component's fixed order), mirroring the sequential pass, and
-// each is published as soon as EndFunction returns its pending sinks.
-func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shared *bottomUpState, comp []string, idx int, stageSpan *obs.Span, rec *fnRecorder) compResult {
-	shard := base.Shard()
-	oracle := &interOracle{tracker: shard, published: shared, noVRange: opts.DisableVRange}
+// analyzeComponent runs Algorithm 2 over one SCC component through the
+// worker's oracle. Functions inside the component are processed in sorted
+// order (the component's fixed order), mirroring the sequential pass; each
+// is published as soon as EndFunction returns its pending sinks, and its
+// findings are appended to the component's entry in that order.
+func analyzeComponent(prog *cfg.Program, opts Options, oracle *interOracle, comp []string, idx int, stageSpan *obs.Span, rec *fnRecorder) compResult {
 	out := compResult{Entry: &sumstore.Entry{Summaries: make([]*symexec.Summary, 0, len(comp))}}
 	compSpan := stageSpan.StartChild("scc-component",
 		obs.KV("index", idx), obs.KV("functions", len(comp)))
 	for _, name := range comp {
 		run := rec.start(compSpan, name)
-		shard.BeginFunction(name)
+		oracle.tracker.BeginFunction(name)
 		sum := symexec.Analyze(prog.ByName[name], prog.Binary, oracle, opts.Symexec)
 		if !opts.DisableAlias {
 			var ast alias.Stats
@@ -275,13 +275,14 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 			out.aliasAdded += ast.Added
 			out.aliasDropped += ast.Dropped
 		}
-		ps := shard.EndFunction(sum)
+		fs, ps := oracle.tracker.EndFunction(sum)
 		// The verdict was the constraints' last reader: callers read Ranges
 		// and the constraints each pending sink carries.
 		sum.Constraints = nil
 		run.end(sum)
-		shared.publish(sum, ps)
+		oracle.published.publish(sum, ps)
 		out.Summaries = append(out.Summaries, sum)
+		out.Findings = append(out.Findings, fs...)
 		if len(ps) > 0 {
 			if out.Pendings == nil {
 				out.Pendings = make(map[string][]taint.PendingSink)
@@ -294,7 +295,6 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 		}
 	}
 	compSpan.End()
-	out.Findings = shard.Findings()
 	return out
 }
 

@@ -12,7 +12,7 @@
 //     content only — phase 1 never consults callee summaries;
 //   - a bottom-up Entry per call-graph SCC component (the summaries the
 //     component exports after alias rewriting, plus the pending sinks,
-//     findings, and counters its tracker shard produced), keyed by a
+//     findings, and counters its functions produced), keyed by a
 //     Merkle chain: the component's function digests plus the keys of
 //     every callee component, so a change anywhere below a component
 //     invalidates it transitively.
@@ -57,7 +57,8 @@ type Entry struct {
 	// Pendings are the unresolved sinks climbing out of the component,
 	// keyed by function name.
 	Pendings map[string][]taint.PendingSink
-	// Findings are the component shard's findings, in emission order.
+	// Findings are the component's findings: each function's, in the
+	// component's fixed function order.
 	Findings []taint.Finding
 	// DefPairs and Truncated are the component's counter contributions.
 	DefPairs  int

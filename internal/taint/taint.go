@@ -206,18 +206,19 @@ func (p *PendingSink) Steps() []Step {
 
 // Tracker is the stateful oracle half of the detector: it models library
 // calls for the symbolic engine (sources introduce taint, libc calls
-// propagate it, sinks are observed) and accumulates findings across
-// functions. It implements symexec.Oracle for import calls; local calls
-// return Handled=false so the interprocedural driver can apply callee
+// propagate it, sinks are observed) and holds the state of one function
+// at a time: BeginFunction starts it, and EndFunction returns its
+// findings and pending sinks. Its storage is reused from one function to
+// the next, so a worker keeps one tracker for every function it runs. It
+// implements symexec.Oracle for import calls; local calls return
+// Handled=false so the interprocedural driver can apply callee
 // summaries.
 type Tracker struct {
 	curFunc string
 	obs     []PendingSink
 	guards  map[guardKey]bool // guarded content roots (strchr-style checks), per separator byte
-
-	findings []Finding
-	obsSeen  map[obsKey]bool
-	frames   []trackerFrame
+	obsSeen map[obsKey]bool
+	frames  []trackerFrame
 
 	vocab *Vocabulary
 
@@ -261,22 +262,9 @@ var _ symexec.Oracle = (*Tracker)(nil)
 func NewTracker() *Tracker {
 	return &Tracker{
 		vocab:   DefaultVocabulary(),
+		guards:  make(map[guardKey]bool),
 		obsSeen: make(map[obsKey]bool),
 	}
-}
-
-// Shard returns a tracker sharing t's configuration — the vocabulary,
-// the program image and the value-range switch — but owning fresh
-// finding and observation state. The parallel bottom-up
-// scheduler gives every call-graph component its own shard and merges
-// the per-shard results deterministically; the shared maps are never
-// mutated after configuration, so shards are safe to use concurrently.
-func (t *Tracker) Shard() *Tracker {
-	s := NewTracker()
-	s.bin = t.bin
-	s.vocab = t.vocab
-	s.noVRange = t.noVRange
-	return s
 }
 
 // VulnKey is the canonical deduplication key for a vulnerability:
@@ -287,11 +275,14 @@ func VulnKey(sinkFunc, sink string, sinkAddr uint32, class string) string {
 	return fmt.Sprintf("%s|%s|%08x|%s", sinkFunc, sink, sinkAddr, class)
 }
 
-// BeginFunction resets per-function observation state.
+// BeginFunction starts a function. It drops the previous function's
+// staged observations, guards and dedup keys, keeping their storage.
 func (t *Tracker) BeginFunction(name string) {
 	t.curFunc = name
-	t.obs = nil
-	t.guards = make(map[guardKey]bool)
+	clear(t.obs)
+	t.obs = t.obs[:0]
+	clear(t.guards)
+	clear(t.obsSeen)
 	t.frames = nil
 }
 
@@ -302,9 +293,12 @@ type trackerFrame struct {
 	guards map[guardKey]bool
 }
 
-// PushFrame suspends the current function's observation state and begins
-// a nested one. The context-sensitive top-down baseline uses this when it
-// recursively analyzes a callee in the middle of the caller's analysis.
+// PushFrame suspends the current function's staged observations and
+// guards and begins a nested function. The context-sensitive top-down
+// baseline uses this when it recursively analyzes a callee in the middle
+// of the caller's analysis. Every frame of one BeginFunction shares the
+// dedup keys, so an observation a nested function made in an earlier
+// context is not staged again.
 func (t *Tracker) PushFrame(name string) {
 	t.frames = append(t.frames, trackerFrame{fn: t.curFunc, obs: t.obs, guards: t.guards})
 	t.curFunc = name
@@ -312,11 +306,11 @@ func (t *Tracker) PushFrame(name string) {
 	t.guards = make(map[guardKey]bool)
 }
 
-// PopFrame finalizes the nested function against its summary (as
-// EndFunction does, dropping its pending sinks) and restores the
-// suspended caller state.
-func (t *Tracker) PopFrame(sum *symexec.Summary) {
-	t.EndFunction(sum)
+// PopFrame finalizes the nested function against its summary as
+// EndFunction does, restores the suspended caller state, and returns the
+// nested function's findings. Its pending sinks are dropped.
+func (t *Tracker) PopFrame(sum *symexec.Summary) []Finding {
+	findings, _ := t.EndFunction(sum)
 	if n := len(t.frames); n > 0 {
 		fr := t.frames[n-1]
 		t.frames = t.frames[:n-1]
@@ -324,10 +318,8 @@ func (t *Tracker) PopFrame(sum *symexec.Summary) {
 		t.obs = fr.obs
 		t.guards = fr.guards
 	}
+	return findings
 }
-
-// Findings returns every recorded (source, path, sink) tuple.
-func (t *Tracker) Findings() []Finding { return t.findings }
 
 // PrototypesFor returns the prototypes of a loaded vocabulary; nil
 // falls back to the default. The map is read-only (see
@@ -919,12 +911,12 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 }
 
 // EndFunction finalizes the function's observations against its completed
-// summary: tainted sinks become findings, argument-rooted sinks become
-// the pending sinks it returns for the callers to import, and loop-copy
+// summary and returns its findings, the tainted sinks, and its pending
+// sinks, the argument-rooted ones for the callers to import. Loop-copy
 // stores are checked as the structural "loop" sink of Table I. The
-// pending sinks are compacted in place in the observations' own array,
-// which the tracker gives up: the next function stages into a new one.
-func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
+// pending sinks are an exact-size copy: the staging array stays with the
+// tracker for the next function.
+func (t *Tracker) EndFunction(sum *symexec.Summary) (findings []Finding, pending []PendingSink) {
 	// Structural loop-copy sinks.
 	for _, ls := range sum.LoopStores {
 		if ls.Val == nil || (!ls.Val.ContainsTaint() && !isArgRooted(ls.Val)) {
@@ -953,7 +945,7 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
 	// One constraint index serves every observation of this function; it
 	// is built on the first scan that needs it and dropped on return.
 	ix := constraintIndex{cs: sum.Constraints}
-	pending := t.obs[:0]
+	kept := t.obs[:0]
 	for _, o := range t.obs {
 		switch {
 		case o.TaintExpr.ContainsTaint():
@@ -970,7 +962,7 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
 				Evidence:  v.evidence,
 			}
 			f.Source, f.SourceAddr = primarySource(o.TaintExpr)
-			t.findings = append(t.findings, f)
+			findings = append(findings, f)
 		case isArgRooted(o.TaintExpr) || readsGlobal(o.TaintExpr):
 			// A check performed below this point (in this function or a
 			// callee) sanitizes the path no matter where the taint enters;
@@ -978,14 +970,14 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) []PendingSink {
 			// match (ReplaceFormalArgs cannot rewrite hashed names).
 			o.Guarded = o.Guarded || t.checkObs(o, sum, &ix).sanitized
 			o.Constraints = append(relevantConstraints(&ix, o), o.Constraints...)
-			pending = append(pending, o)
+			kept = append(kept, o)
 		}
 	}
-	// The slots past the pending sinks held findings and dropped sinks;
-	// clearing them lets the array keep only what the callers read.
-	clear(t.obs[len(pending):])
-	t.obs = nil
-	return pending
+	if len(kept) > 0 {
+		pending = make([]PendingSink, len(kept))
+		copy(pending, kept)
+	}
+	return findings, pending
 }
 
 // obsGuarded re-checks the guard table for observations staged before the

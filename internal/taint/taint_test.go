@@ -9,7 +9,6 @@ import (
 	"dtaint/internal/expr"
 	"dtaint/internal/isa"
 	"dtaint/internal/symexec"
-	"dtaint/internal/vocab"
 )
 
 // tab builds the expressions of this package's tests.
@@ -266,7 +265,7 @@ func TestPendingDepthBound(t *testing.T) {
 	}
 	tr.ImportPending([]PendingSink{deep}, func(e *expr.Expr) *expr.Expr { return e }, 0x10)
 	sum := &symexec.Summary{Func: "f", Types: map[string]expr.Type{}}
-	if ps := tr.EndFunction(sum); len(ps) != 0 || len(tr.Findings()) != 0 {
+	if fs, ps := tr.EndFunction(sum); len(ps) != 0 || len(fs) != 0 {
 		t.Fatal("over-deep pending not dropped")
 	}
 }
@@ -279,9 +278,8 @@ func TestObservationDedup(t *testing.T) {
 	tr.observe(o)
 	tr.observe(o)
 	sum := &symexec.Summary{Func: "f", Types: map[string]expr.Type{}}
-	tr.EndFunction(sum)
-	if len(tr.Findings()) != 1 {
-		t.Fatalf("findings = %d, want 1 (dedup)", len(tr.Findings()))
+	if fs, _ := tr.EndFunction(sum); len(fs) != 1 {
+		t.Fatalf("findings = %d, want 1 (dedup)", len(fs))
 	}
 }
 
@@ -321,7 +319,7 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 		}
 	}
 
-	ps := tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
+	_, ps := tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
 	if len(ps) != 1 {
 		t.Fatalf("pendings = %d, want 1", len(ps))
 	}
@@ -358,15 +356,14 @@ func TestImportSharesPath(t *testing.T) {
 		tr.BeginFunction(caller.name)
 		tr.ImportPending([]PendingSink{callee}, keep, caller.site)
 		tr.ImportPending([]PendingSink{callee}, tainted, caller.site)
-		ps := tr.EndFunction(&symexec.Summary{Func: caller.name, Types: map[string]expr.Type{}})
+		fs, ps := tr.EndFunction(&symexec.Summary{Func: caller.name, Types: map[string]expr.Type{}})
 		if len(ps) != 1 {
 			t.Fatalf("%s: pendings = %d, want 1", caller.name, len(ps))
 		}
 		if h := ps[0].Path; h.Prev != callee.Path || h.Func != caller.name || h.Addr != caller.site {
 			t.Fatalf("%s: hop %+v does not link %s@%#x to the callee's hop %p", caller.name, h, caller.name, caller.site, callee.Path)
 		}
-		fs := tr.Findings()
-		if len(fs) == 0 || fs[len(fs)-1].SinkFunc != "leaf" {
+		if len(fs) != 1 || fs[0].SinkFunc != "leaf" {
 			t.Fatalf("%s: findings = %v, want the tainted import", caller.name, fs)
 		}
 		want := []Step{
@@ -374,12 +371,9 @@ func TestImportSharesPath(t *testing.T) {
 			{Func: "mid", Addr: 0x20, Note: "call leaf"},
 			{Func: caller.name, Addr: caller.site, Note: "call leaf"},
 		}
-		if got := fs[len(fs)-1].Path; !slices.Equal(got, want) {
+		if got := fs[0].Path; !slices.Equal(got, want) {
 			t.Fatalf("%s: finding path = %v, want %v", caller.name, got, want)
 		}
-	}
-	if n := len(tr.Findings()); n != 2 {
-		t.Fatalf("findings = %d, want one per caller", n)
 	}
 }
 
@@ -406,34 +400,54 @@ func TestVulnKeyStable(t *testing.T) {
 	}
 }
 
-func TestTrackerShard(t *testing.T) {
+// TestTrackerHoldsOneFunction runs several functions through one
+// tracker, as each bottom-up worker does. A function starts from
+// nothing: an earlier function's dedup keys do not drop its
+// observations and an earlier function's guards do not sanitize them.
+// The pending sinks a function returns stay as they were while the next
+// function stages into the tracker's reused array.
+func TestTrackerHoldsOneFunction(t *testing.T) {
 	tr := NewTracker()
-	custom := MustCompileVocabulary(&vocab.Spec{Version: 1, Functions: []vocab.Func{
-		{Name: "nvram_get", Kind: vocab.KindSource, RetTaint: true},
-	}})
-	tr.SetVocabulary(custom)
-	tr.DisableValueRange()
-	tr.BeginFunction("f")
+	end := func(fn string) ([]Finding, []PendingSink) {
+		return tr.EndFunction(&symexec.Summary{Func: fn, Types: map[string]expr.Type{}})
+	}
 	ts := tab.Sym(expr.TaintName("recv", 9))
-	tr.observe(PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 5, TaintExpr: ts, GuardExpr: ts})
-	tr.EndFunction(&symexec.Summary{Func: "f", Types: map[string]expr.Type{}})
+	copyObs := PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 5, TaintExpr: ts, GuardExpr: ts}
+	for run := 1; run <= 2; run++ {
+		tr.BeginFunction("f")
+		tr.observe(copyObs)
+		if fs, _ := end("f"); len(fs) != 1 {
+			t.Fatalf("run %d of f: findings = %d, want 1", run, len(fs))
+		}
+	}
 
-	s := tr.Shard()
-	// Configuration is shared...
-	if s.vocab != custom || !s.noVRange {
-		t.Fatal("shard lost the vocabulary or the value-range switch")
+	cmdObs := PendingSink{Class: ClassCommandInjection, Sink: "system", SinkAddr: 0x20, TaintExpr: ts, GuardExpr: ts}
+	tr.BeginFunction("g")
+	// What strchr(s, ';') registers for s.
+	for _, root := range guardRoots(ts) {
+		tr.guards[guardKey{root, SemicolonByte}] = true
 	}
-	// ...but finding state is not.
-	if len(s.Findings()) != 0 {
-		t.Fatal("shard inherited finding state")
+	tr.observe(cmdObs)
+	if fs, _ := end("g"); len(fs) != 1 || !fs[0].Sanitized {
+		t.Fatalf("g: findings = %v, want one sanitized by its own guard", fs)
 	}
-	s.BeginFunction("g")
-	s.observe(PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 7, TaintExpr: ts, GuardExpr: ts})
-	s.EndFunction(&symexec.Summary{Func: "g", Types: map[string]expr.Type{}})
-	if len(tr.Findings()) != 1 {
-		t.Fatalf("shard findings leaked into parent: %d", len(tr.Findings()))
+	tr.BeginFunction("h")
+	tr.observe(cmdObs)
+	if fs, _ := end("h"); len(fs) != 1 || fs[0].Sanitized {
+		t.Fatalf("h: findings = %v, want one unsanitized: g's guard leaked", fs)
 	}
-	if len(s.Findings()) != 1 {
-		t.Fatalf("shard findings = %d, want 1", len(s.Findings()))
+
+	argE := tab.Deref(tab.Arg(0))
+	tr.BeginFunction("p")
+	tr.observe(PendingSink{Class: ClassBufferOverflow, Sink: "strcpy", SinkAddr: 0x30, TaintExpr: argE, GuardExpr: argE})
+	_, ps := end("p")
+	if len(ps) != 1 || cap(ps) != 1 {
+		t.Fatalf("p: pendings len %d cap %d, want an exact-size copy of 1", len(ps), cap(ps))
+	}
+	tr.BeginFunction("q")
+	other := tab.Deref(tab.Arg(1))
+	tr.observe(PendingSink{Class: ClassCommandInjection, Sink: "system", SinkAddr: 0x40, TaintExpr: other, GuardExpr: other})
+	if p := ps[0]; p.Sink != "strcpy" || p.SinkFunc != "p" || p.SinkAddr != 0x30 || p.TaintExpr != argE {
+		t.Fatalf("p's pending sink changed to %+v while q staged", p)
 	}
 }

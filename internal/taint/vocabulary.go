@@ -56,7 +56,7 @@ type fnModel struct {
 
 // Vocabulary is a compiled vocabulary: the engine-facing form of a
 // vocab.Spec. It is immutable after compilation and safe to share
-// across tracker shards and worker goroutines.
+// across trackers and worker goroutines.
 type Vocabulary struct {
 	spec        *vocab.Spec
 	models      map[string]fnModel
