@@ -8,6 +8,9 @@
 //     is order-insensitive (it only writes keyed entries, accumulates
 //     with commutative updates, or deletes) or the surrounding block
 //     sorts what the loop collected (the collect-then-sort idiom).
+//     Arithmetic updates (+=, -=, *=, /=) of a float or string the
+//     function declares do not commute: rounding and concatenation
+//     keep the order of the terms.
 //
 //  2. guarded-obs-call — the nil-safe-handle contract. Every handle in
 //     internal/obs (Registry, Tracer, Span, Counter, Gauge, Histogram)
@@ -159,6 +162,7 @@ type varInfo struct {
 	isMap      bool
 	isObs      bool   // a handle type declared in internal/obs
 	structName string // qualified struct type ("pkg.Name") for field lookup
+	ordered    bool   // a float or string the function declares: += keeps the order of its terms
 }
 
 type pkgInfo struct {
@@ -404,20 +408,21 @@ func (l *linter) report(pos token.Pos, rule, msg string) {
 // flow-insensitive; Go's declare-before-use keeps that honest.
 func (l *linter) collectEnv(fd *ast.FuncDecl) map[string]varInfo {
 	env := map[string]varInfo{}
-	bind := func(fl *ast.FieldList) {
+	bind := func(fl *ast.FieldList, declares bool) {
 		if fl == nil {
 			return
 		}
 		for _, f := range fl.List {
 			vi := l.w.typeKind(l.p, f.Type)
+			vi.ordered = declares && orderedType(f.Type)
 			for _, n := range f.Names {
 				env[n.Name] = vi
 			}
 		}
 	}
-	bind(fd.Recv)
-	bind(fd.Type.Params)
-	bind(fd.Type.Results)
+	bind(fd.Recv, false)
+	bind(fd.Type.Params, false)
+	bind(fd.Type.Results, true)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.DeclStmt:
@@ -427,12 +432,17 @@ func (l *linter) collectEnv(fd *ast.FuncDecl) map[string]varInfo {
 			}
 			for _, spec := range gd.Specs {
 				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || vs.Type == nil {
+				if !ok {
 					continue
 				}
-				vi := l.w.typeKind(l.p, vs.Type)
-				for _, n := range vs.Names {
-					env[n.Name] = vi
+				for i, n := range vs.Names {
+					if vs.Type != nil {
+						vi := l.w.typeKind(l.p, vs.Type)
+						vi.ordered = orderedType(vs.Type)
+						env[n.Name] = vi
+					} else if i < len(vs.Values) && orderedValue(vs.Values[i]) {
+						env[n.Name] = varInfo{ordered: true}
+					}
 				}
 			}
 		case *ast.AssignStmt:
@@ -449,12 +459,35 @@ func (l *linter) collectEnv(fd *ast.FuncDecl) map[string]varInfo {
 				}
 				if vi := l.exprInfo(s.Rhs[i], env); vi != (varInfo{}) {
 					env[id.Name] = vi
+				} else if s.Tok == token.DEFINE && orderedValue(s.Rhs[i]) {
+					env[id.Name] = varInfo{ordered: true}
 				}
 			}
 		}
 		return true
 	})
 	return env
+}
+
+// orderedType reports whether a declared type is a float or a string,
+// whose += result depends on the order of its terms.
+func orderedType(t ast.Expr) bool {
+	id, ok := t.(*ast.Ident)
+	return ok && (id.Name == "float64" || id.Name == "float32" || id.Name == "string")
+}
+
+// orderedValue reports whether an initializer is a float or string
+// literal or a conversion to one of those types.
+func orderedValue(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.BasicLit:
+		return x.Kind == token.FLOAT || x.Kind == token.STRING
+	case *ast.UnaryExpr:
+		return orderedValue(x.X)
+	case *ast.CallExpr:
+		return len(x.Args) == 1 && orderedType(x.Fun)
+	}
+	return false
 }
 
 // exprInfo classifies an expression using the collected environment and
@@ -545,7 +578,7 @@ func (l *linter) lintBlock(b *ast.BlockStmt, env map[string]varInfo) {
 func (l *linter) lintStmt(st ast.Stmt, rest []ast.Stmt, env map[string]varInfo) {
 	switch s := st.(type) {
 	case *ast.RangeStmt:
-		if l.exprInfo(s.X, env).isMap && !orderInsensitiveBody(s.Body, rangeLocals(s)) && !sortedAfter(rest) {
+		if l.exprInfo(s.X, env).isMap && !orderInsensitiveBody(s.Body, rangeLocals(s), env) && !sortedAfter(rest) {
 			l.report(s.For, "unordered-map-range",
 				fmt.Sprintf("iteration order of map %s escapes; sort the keys first or make the loop order-insensitive (//dtaintlint:ignore <reason> to waive)",
 					types.ExprString(s.X)))
@@ -659,16 +692,16 @@ func rangeLocals(s *ast.RangeStmt) map[string]bool {
 // early-exit returns of constants, and switches whose case bodies all
 // commute. locals holds names bound fresh each
 // iteration (the range variables and := definitions inside the body).
-func orderInsensitiveBody(b *ast.BlockStmt, locals map[string]bool) bool {
+func orderInsensitiveBody(b *ast.BlockStmt, locals map[string]bool, env map[string]varInfo) bool {
 	for _, st := range b.List {
-		if !orderInsensitiveStmt(st, locals) {
+		if !orderInsensitiveStmt(st, locals, env) {
 			return false
 		}
 	}
 	return true
 }
 
-func orderInsensitiveStmt(st ast.Stmt, locals map[string]bool) bool {
+func orderInsensitiveStmt(st ast.Stmt, locals map[string]bool, env map[string]varInfo) bool {
 	switch s := st.(type) {
 	case *ast.AssignStmt:
 		if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
@@ -694,7 +727,16 @@ func orderInsensitiveStmt(st ast.Stmt, locals map[string]bool) bool {
 			}
 			return true
 		}
-		return true // +=, |=, ... : commutative accumulation
+		// +=, |=, ... : commutative accumulation, except arithmetic on
+		// a float or string the function declares: rounding and
+		// concatenation depend on the order of the terms.
+		if id, ok := s.Lhs[0].(*ast.Ident); ok && !locals[id.Name] && env[id.Name].ordered {
+			switch s.Tok {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+				return false
+			}
+		}
+		return true
 	case *ast.IncDecStmt:
 		return true
 	case *ast.DeclStmt, *ast.BranchStmt:
@@ -723,19 +765,19 @@ func orderInsensitiveStmt(st ast.Stmt, locals map[string]bool) bool {
 		}
 		return true
 	case *ast.IfStmt:
-		if s.Init != nil && !orderInsensitiveStmt(s.Init, locals) {
+		if s.Init != nil && !orderInsensitiveStmt(s.Init, locals, env) {
 			return false
 		}
-		if s.Body != nil && !orderInsensitiveBody(s.Body, locals) {
+		if s.Body != nil && !orderInsensitiveBody(s.Body, locals, env) {
 			return false
 		}
 		switch e := s.Else.(type) {
 		case nil:
 			return true
 		case *ast.BlockStmt:
-			return orderInsensitiveBody(e, locals)
+			return orderInsensitiveBody(e, locals, env)
 		case *ast.IfStmt:
-			return orderInsensitiveStmt(e, locals)
+			return orderInsensitiveStmt(e, locals, env)
 		}
 		return false
 	case *ast.RangeStmt:
@@ -743,20 +785,20 @@ func orderInsensitiveStmt(st ast.Stmt, locals map[string]bool) bool {
 		for k := range locals {
 			inner[k] = true
 		}
-		return orderInsensitiveBody(s.Body, inner)
+		return orderInsensitiveBody(s.Body, inner, env)
 	case *ast.ForStmt:
-		return orderInsensitiveBody(s.Body, locals)
+		return orderInsensitiveBody(s.Body, locals, env)
 	case *ast.BlockStmt:
-		return orderInsensitiveBody(s, locals)
+		return orderInsensitiveBody(s, locals, env)
 	case *ast.SwitchStmt:
 		// A switch commutes when every case body does; the tag and
 		// case expressions are only read.
-		if s.Init != nil && !orderInsensitiveStmt(s.Init, locals) {
+		if s.Init != nil && !orderInsensitiveStmt(s.Init, locals, env) {
 			return false
 		}
 		for _, cl := range s.Body.List {
 			for _, st := range cl.(*ast.CaseClause).Body {
-				if !orderInsensitiveStmt(st, locals) {
+				if !orderInsensitiveStmt(st, locals, env) {
 					return false
 				}
 			}

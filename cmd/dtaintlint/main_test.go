@@ -115,6 +115,72 @@ func leakThroughSwitch(m map[string]string) []string {
 	wantRule(t, findings, "unordered-map-range", 1)
 }
 
+// TestFloatAndStringAccumulationOrdered: += on a float or string the
+// function declares depends on the order of its terms (rounding,
+// concatenation), so a map range that accumulates one leaks iteration
+// order. Integer sums, float parameters and per-iteration floats still
+// commute.
+func TestFloatAndStringAccumulationOrdered(t *testing.T) {
+	findings := lintSource(t, `package p
+
+func sigma(m map[string]float64) (s float64) {
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+
+func scaled(m map[string]float64) float64 {
+	var p float64
+	for _, v := range m {
+		p *= v
+	}
+	return p
+}
+
+func joined(m map[string]int) string {
+	out := ""
+	for k := range m {
+		out += k
+	}
+	return out
+}
+
+func converted(m map[string]int) float64 {
+	q := float64(1)
+	for _, v := range m {
+		q /= float64(v)
+	}
+	return q
+}
+
+func count(m map[string]int) (n int) {
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+func param(m map[string]float64, acc float64) float64 {
+	for _, v := range m {
+		acc += v
+	}
+	return acc
+}
+
+func perEntry(m map[string][]float64, out map[string]float64) {
+	for k, vs := range m {
+		s := 0.0
+		for _, v := range vs {
+			s += v
+		}
+		out[k] = s
+	}
+}
+`)
+	wantRule(t, findings, "unordered-map-range", 4)
+}
+
 func TestMakeAndLiteralMapsTracked(t *testing.T) {
 	findings := lintSource(t, `package p
 

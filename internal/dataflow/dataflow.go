@@ -11,9 +11,12 @@
 //  2. Indirect-call resolution (sseresolve.go): callsites are matched to
 //     function-pointer registrations through SSE equivalence classes
 //     (package sse) with data-structure layout similarity (package
-//     structsim) as tie-breaker and fallback. The resolved edges are
-//     bound in a view of the program (cfg.Program.WithCallEdges) that
-//     the later steps read; the caller's program is never modified.
+//     structsim) as tie-breaker and fallback. It reads only the
+//     functions that register or dispatch: one structsim.Index lays
+//     them out, and alias classes are built for them alone. The
+//     resolved edges are bound in a view of the program
+//     (cfg.Program.WithCallEdges) that the later steps read; the
+//     caller's program is never modified.
 //  3. Bottom-up interprocedural pass — the call graph is condensed into
 //     its SCC DAG (cfg.Condense) and traversed callees-before-callers,
 //     each function again analyzed exactly once; at every callsite the

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dtaint/internal/asm"
@@ -597,6 +598,91 @@ func TestStructSimFallbackBindsWhatSSECannot(t *testing.T) {
 	if len(res.Resolutions) != 1 || res.Resolutions[0].Caller != "dispatch" ||
 		res.Resolutions[0].Callee != "handler" {
 		t.Fatalf("resolutions = %+v", res.Resolutions)
+	}
+}
+
+// Layout tie-break: reg_a and reg_b both register a handler at
+// [arg0+4], so SSE path identity matches the dispatch to both. reg_b
+// also touches +8 and +12, which dispatch reads too: its layout scores
+// 3/4 against the site's, reg_a's only 1/4, and the call binds to
+// handler_b, the vulnerable one. With the score ignored the tie would go
+// to handler_a by name and the finding would be lost. %a0% and the like
+// are the architecture's argument and scratch registers.
+const tieBreakSrc = `
+.import recv
+.import strcpy
+
+.func handler_a
+  BX LR
+.endfunc
+
+.func handler_b
+  SUB SP, SP, #0x40
+  LDR %a1%, [%a0%, #0]
+  ADD %a0%, SP, #8
+  BL strcpy
+  BX LR
+.endfunc
+
+.func reg_a
+  MOV %t0%, &handler_a
+  STR %t0%, [%a0%, #4]
+  BX LR
+.endfunc
+
+.func reg_b
+  MOV %t0%, &handler_b
+  STR %t0%, [%a0%, #4]
+  MOV %t1%, #0
+  STR %t1%, [%a0%, #8]
+  STR %t1%, [%a0%, #12]
+  BX LR
+.endfunc
+
+.func dispatch
+  MOV %t0%, %a0%
+  LDR %a1%, [%t0%, #0]
+  MOV %a0%, #0
+  MOV %a2%, #0x100
+  BL recv
+  LDR %t1%, [%t0%, #8]
+  LDR %t2%, [%t0%, #12]
+  MOV %a0%, %t0%
+  LDR %t3%, [%t0%, #4]
+  BLX %t3%
+  BX LR
+.endfunc
+`
+
+// tieBreakFor spells tieBreakSrc for one architecture, "arm" or "mips".
+func tieBreakFor(arch string) string {
+	regs := strings.NewReplacer("%a0%", "R0", "%a1%", "R1", "%a2%", "R2",
+		"%t0%", "R4", "%t1%", "R5", "%t2%", "R6", "%t3%", "R7")
+	if arch == "mips" {
+		regs = strings.NewReplacer("%a0%", "R4", "%a1%", "R5", "%a2%", "R6",
+			"%t0%", "R8", "%t1%", "R9", "%t2%", "R10", "%t3%", "R11")
+	}
+	return ".arch " + arch + "\n" + regs.Replace(tieBreakSrc)
+}
+
+func TestLayoutTieBreakPicksVulnerableHandler(t *testing.T) {
+	for _, arch := range []string{"arm", "mips"} {
+		t.Run(arch, func(t *testing.T) {
+			res := run(t, tieBreakFor(arch), Options{})
+			if len(res.Resolutions) != 1 || res.Resolutions[0].Callee != "handler_b" ||
+				res.Resolutions[0].Score != 0.75 {
+				t.Fatalf("resolutions = %+v, want dispatch -> handler_b at 0.75", res.Resolutions)
+			}
+			if res.Resolve.BySSE != 1 {
+				t.Fatalf("resolve stats = %+v", res.Resolve)
+			}
+			if findVuln(res, "strcpy", "recv") == nil {
+				for _, g := range res.Findings {
+					t.Logf("finding: %s", g.String())
+				}
+				t.Fatal("recv -> strcpy through handler_b not found")
+			}
+		})
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // and the result must not depend on the schedule, the summary store or
 // earlier analyses of the same program: all four runs analyze one
 // cfg.Build result, and 4 workers, a fresh store and the same store
-// warm must each give the fingerprint and the summary digests of the
-// 1-worker store-less run.
+// warm must each give the fingerprint, the summary digests and the
+// phase-2 resolutions and counts of the 1-worker store-less run.
 // The seeds are screening binaries, small enough to keep the fuzzer
 // fast.
 func FuzzAnalyzeBinary(f *testing.F) {
@@ -59,7 +59,8 @@ func FuzzAnalyzeBinary(f *testing.F) {
 			if err != nil {
 				return "error: " + err.Error() // an error is an answer; a panic is a bug
 			}
-			return fingerprint(res) + summaryDigests(res)
+			return fingerprint(res) + summaryDigests(res) +
+				fmt.Sprintf("resolutions %+v %+v\n", res.Resolutions, res.Resolve)
 		}
 		want := analyze(1, nil)
 		store, err := sumstore.NewStore(0, "")

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"sort"
-
 	"dtaint/internal/alias"
 	"dtaint/internal/expr"
 	"dtaint/internal/sse"
@@ -22,13 +20,12 @@ import (
 // function's SSE alias classes into every equivalent spelling, each
 // spelling is root-abstracted through the analysis's expression table,
 // and a callsite binds to a registration when their abstracted paths are
-// one table node. Layout similarity is demoted to a tie-breaker
-// between matching registrations; callsites with no SSE match fall back
-// to plain structsim resolution.
-
-// resolveRootSym is the root placeholder both sides are rewritten to
-// before matching, mirroring structsim's layout canonicalization.
-const resolveRootSym = "ROOT"
+// one table node. Only the functions that register or dispatch are read:
+// one structsim.Index lays them out, and this resolver builds alias
+// classes for them alone. The index serves twice more: layout similarity
+// breaks ties between registrations at one path, and a callsite with no
+// path match falls back to the index's own layout resolution
+// (structsim.Index.Resolve), the resolver -ablate sse runs alone.
 
 // Expansion bounds for spelling enumeration, matching the alias
 // rewriter's: depth covers nested handoffs (obj -> mid -> ops), the cap
@@ -56,60 +53,30 @@ type regCandidate struct {
 	root   string
 }
 
-// abstractRoot rewrites e's root symbol to the shared placeholder so
-// paths from different functions align, building through tab.
-func abstractRoot(tab *expr.Table, e *expr.Expr) (*expr.Expr, bool) {
-	root := e.RootPointer()
-	if root == nil {
-		return nil, false
-	}
-	name, ok := root.SymName()
-	if !ok {
-		return nil, false
-	}
-	return tab.MapSyms(e, func(n string) *expr.Expr {
-		if n == name {
-			return tab.Sym(resolveRootSym)
-		}
-		return nil
-	}), true
-}
-
 // resolveIndirectSSE resolves every indirect callsite across the
 // analyzed functions from SSE equivalence classes, falling back to
-// structsim for callsites with no path match. At most one resolution is
-// emitted per dispatch; output order follows sorted function names and
-// dispatch order, so results are deterministic. The expressions it
-// builds go through tab. When no summary holds an indirect dispatch it
-// builds no classes or layouts and returns nothing.
+// layout similarity for callsites with no path match. At most one
+// resolution is emitted per dispatch; output order follows sorted
+// function names and dispatch order, so results are deterministic. The
+// expressions it builds go through tab. When no summary holds an
+// indirect dispatch it builds no classes or layouts and returns nothing.
 func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]structsim.Resolution, ResolveStats) {
 	var stats ResolveStats
-	names := make([]string, 0, len(sums))
 	dispatches := false
-	for name, sum := range sums {
-		names = append(names, name)
-		dispatches = dispatches || len(sum.Dispatches) > 0
+	for _, sum := range sums {
+		if len(sum.Dispatches) > 0 {
+			dispatches = true
+			break
+		}
 	}
 	if !dispatches {
 		return nil, stats
 	}
-	sort.Strings(names)
-
-	// Per-function class engines and layouts.
-	classes := make(map[string]*sse.Interner, len(names))
-	layoutsByFunc := make(map[string][]*structsim.Layout, len(names))
-	for _, name := range names {
+	idx := structsim.NewIndex(sums)
+	classes := make(map[string]*sse.Interner, len(idx.Funcs()))
+	for _, name := range idx.Funcs() {
 		sum := sums[name]
 		classes[name] = alias.Classes(tab, sum.DefPairs, sum.Types)
-		layoutsByFunc[name] = structsim.BuildLayouts(sum)
-	}
-	layoutOf := func(fn, root string) *structsim.Layout {
-		for _, l := range layoutsByFunc[fn] {
-			if l.Root == root {
-				return l
-			}
-		}
-		return nil
 	}
 
 	// Registration index: every spelling of every function-pointer
@@ -117,10 +84,9 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 	// collide exactly when they abstract to the same path.
 	regs := make(map[*expr.Expr][]regCandidate)
 	regSeen := make(map[*expr.Expr]map[string]bool)
-	for _, name := range names {
-		sum := sums[name]
+	for _, name := range idx.Funcs() {
 		li := classes[name]
-		for _, fo := range sum.Fields {
+		for _, fo := range sums[name].Fields {
 			if fo.FnTarget == "" {
 				continue
 			}
@@ -128,12 +94,9 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 			if !ok {
 				continue
 			}
-			rootName := ""
-			if r := fo.Base.RootPointer(); r != nil {
-				rootName, _ = r.SymName()
-			}
+			root, _ := structsim.RootSym(fo.Base)
 			for _, form := range li.PathExprs(pb, resolveVariantDepth, resolveVariantMax) {
-				k, ok := abstractRoot(tab, tab.Add(form, fo.Off))
+				k, ok := structsim.AbstractRoot(tab, tab.Add(form, fo.Off))
 				if !ok {
 					continue
 				}
@@ -145,57 +108,31 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 					continue
 				}
 				regSeen[k][id] = true
-				regs[k] = append(regs[k], regCandidate{target: fo.FnTarget, fn: name, root: rootName})
+				regs[k] = append(regs[k], regCandidate{target: fo.FnTarget, fn: name, root: root})
 			}
 		}
-	}
-
-	// Fallback: plain layout-similarity resolution, indexed by callsite.
-	// It rebuilds every layout, so it runs only once SSE leaves some
-	// callsite unbound, and then at most once.
-	type callsiteKey struct {
-		caller string
-		site   uint32
-	}
-	var fallback map[callsiteKey]structsim.Resolution
-	fallbackFor := func(k callsiteKey) (structsim.Resolution, bool) {
-		if fallback == nil {
-			fallback = make(map[callsiteKey]structsim.Resolution)
-			for _, r := range structsim.ResolveIndirect(sums) {
-				rk := callsiteKey{caller: r.Caller, site: r.Site}
-				if _, dup := fallback[rk]; !dup {
-					fallback[rk] = r
-				}
-			}
-		}
-		r, ok := fallback[k]
-		return r, ok
 	}
 
 	var out []structsim.Resolution
-	for _, name := range names {
-		sum := sums[name]
+	for _, name := range idx.Funcs() {
 		li := classes[name]
-		for _, call := range sum.Dispatches {
+		for _, call := range sums[name].Dispatches {
 			addr, ok := call.FnPtr.DerefAddr()
 			if !ok {
 				continue
 			}
 			best := structsim.Resolution{Caller: name, Site: call.Addr, Score: -1}
 			if pa, ok := li.Intern(addr); ok {
-				siteRoot := ""
-				if r := addr.RootPointer(); r != nil {
-					siteRoot, _ = r.SymName()
-				}
-				siteLayout := layoutOf(name, siteRoot)
+				siteRoot, _ := structsim.RootSym(addr)
+				siteLayout := idx.Layout(name, siteRoot)
 				for _, form := range li.PathExprs(pa, resolveVariantDepth, resolveVariantMax) {
-					ab, ok := abstractRoot(tab, form)
+					ab, ok := structsim.AbstractRoot(tab, form)
 					if !ok {
 						continue
 					}
 					for _, c := range regs[ab] {
 						score := 0.0
-						if sim, ok := structsim.Similarity(siteLayout, layoutOf(c.fn, c.root)); ok {
+						if sim, ok := structsim.Similarity(siteLayout, idx.Layout(c.fn, c.root)); ok {
 							score = sim
 						}
 						if score > best.Score ||
@@ -211,9 +148,9 @@ func resolveIndirectSSE(sums map[string]*symexec.Summary, tab *expr.Table) ([]st
 				out = append(out, best)
 				continue
 			}
-			if fb, ok := fallbackFor(callsiteKey{caller: name, site: call.Addr}); ok {
+			if r, ok := idx.Resolve(name, call); ok {
 				stats.ByStructSim++
-				out = append(out, fb)
+				out = append(out, r)
 			}
 		}
 	}

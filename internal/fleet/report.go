@@ -137,7 +137,8 @@ type BinaryAnalysis struct {
 	CallEdges int `json:"callEdges"`
 	// FunctionsAnalyzed is the size of the analyzed subset; SinkCount
 	// the number of static sensitive-sink sites; IndirectResolved the
-	// indirect calls bound by layout similarity.
+	// indirect calls phase 2 bound, by SSE path identity or by layout
+	// similarity.
 	FunctionsAnalyzed int `json:"functionsAnalyzed"`
 	SinkCount         int `json:"sinkCount"`
 	IndirectResolved  int `json:"indirectResolved"`

@@ -14,7 +14,8 @@
 // For every indirect callsite (the call target loaded from a structure
 // field), the resolver picks the structure with the highest σ among those
 // that register a function pointer at the corresponding field, and binds
-// the callsite to that function.
+// the callsite to that function. An Index lays out only the functions
+// that register or dispatch, the only ones this rule reads.
 package structsim
 
 import (
@@ -57,16 +58,29 @@ func (l *Layout) baseSet() []string {
 	return out
 }
 
-// canonicalize spells an expression with its root symbol rewritten to
-// the placeholder. The rewrite re-normalizes, so it is built, through
-// tab; only its spelling is kept.
-func canonicalize(tab *expr.Table, e *expr.Expr, rootName string) string {
-	return tab.MapSyms(e, func(name string) *expr.Expr {
-		if name == rootName {
+// RootSym names e's root pointer symbol; ok is false when e has none.
+func RootSym(e *expr.Expr) (string, bool) {
+	root := e.RootPointer()
+	if root == nil {
+		return "", false
+	}
+	return root.SymName()
+}
+
+// AbstractRoot rewrites e's root symbol to the placeholder "ROOT",
+// building through tab, so paths from different functions align. ok is
+// false when e has no root symbol.
+func AbstractRoot(tab *expr.Table, e *expr.Expr) (*expr.Expr, bool) {
+	name, ok := RootSym(e)
+	if !ok {
+		return nil, false
+	}
+	return tab.MapSyms(e, func(n string) *expr.Expr {
+		if n == name {
 			return tab.Sym(rootPlaceholder)
 		}
 		return nil
-	}).Key()
+	}), true
 }
 
 // BuildLayouts groups a function's field observations into layouts, one
@@ -77,11 +91,7 @@ func BuildLayouts(sum *symexec.Summary) []*Layout {
 	tab := new(expr.Table)
 	byRoot := make(map[string]*Layout)
 	for _, fo := range sum.Fields {
-		root := fo.Base.RootPointer()
-		if root == nil {
-			continue
-		}
-		rootName, ok := root.SymName()
+		rootName, ok := RootSym(fo.Base)
 		if !ok {
 			continue
 		}
@@ -95,7 +105,8 @@ func BuildLayouts(sum *symexec.Summary) []*Layout {
 			}
 			byRoot[rootName] = l
 		}
-		baseKey := canonicalize(tab, fo.Base, rootName)
+		ab, _ := AbstractRoot(tab, fo.Base)
+		baseKey := ab.Key()
 		fm := l.Fields[baseKey]
 		if fm == nil {
 			fm = make(map[int64]expr.Type)
@@ -125,16 +136,20 @@ func BuildLayouts(sum *symexec.Summary) []*Layout {
 
 // Similarity computes σ(A, B). ok is false when the comparability rules
 // fail: neither base set contains the other, or fields at the same
-// offset under the same base have incompatible types.
+// offset under the same base have incompatible types. The per-base
+// fractions are summed in sorted base order, so σ is the same float on
+// every call.
 func Similarity(a, b *Layout) (sigma float64, ok bool) {
 	if a == nil || b == nil || len(a.Fields) == 0 || len(b.Fields) == 0 {
 		return 0, false
 	}
 	// Rule 1: base(A) ⊆ base(B) or base(B) ⊆ base(A).
-	if !subset(a.baseSet(), b.baseSet()) && !subset(b.baseSet(), a.baseSet()) {
+	as, bs := a.baseSet(), b.baseSet()
+	if !subset(as, bs) && !subset(bs, as) {
 		return 0, false
 	}
-	for base, fa := range a.Fields {
+	for _, base := range as {
+		fa := a.Fields[base]
 		fb, shared := b.Fields[base]
 		if !shared {
 			continue
@@ -181,87 +196,115 @@ type Resolution struct {
 	Score  float64
 }
 
-// ResolveIndirect resolves every indirect callsite across the analyzed
-// functions. For a callsite whose target was loaded from deref(base+off),
-// it builds the callsite's structure layout, finds the most similar
-// layout that registers a function pointer at the aligned (base, off)
-// field, and binds the call to that function.
-func ResolveIndirect(sums map[string]*symexec.Summary) []Resolution {
-	// Gather all layouts across functions.
-	type owned struct {
-		layout *Layout
-	}
-	var all []owned
-	layoutsByFunc := make(map[string][]*Layout, len(sums))
-	names := make([]string, 0, len(sums))
-	for name := range sums {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ls := BuildLayouts(sums[name])
-		layoutsByFunc[name] = ls
-		for _, l := range ls {
-			all = append(all, owned{layout: l})
+// Index holds, for one analysis, the layouts of the only functions
+// indirect-call resolution reads: those that register a function pointer
+// (a field observation with a FnTarget) and those that dispatch through
+// one. It is built once and read by every resolver.
+type Index struct {
+	funcs   []string             // indexed function names, sorted
+	layouts map[string][]*Layout // by function, sorted by root
+	regs    []*Layout            // layouts registering a function pointer, in funcs then root order
+	tab     *expr.Table          // builds the dispatch bases' canonical keys
+}
+
+// NewIndex lays out the functions of sums that register or dispatch.
+func NewIndex(sums map[string]*symexec.Summary) *Index {
+	x := &Index{layouts: make(map[string][]*Layout), tab: new(expr.Table)}
+	for name, sum := range sums {
+		if len(sum.Dispatches) > 0 || registers(sum) {
+			x.funcs = append(x.funcs, name)
 		}
 	}
+	sort.Strings(x.funcs)
+	for _, name := range x.funcs {
+		ls := BuildLayouts(sums[name])
+		x.layouts[name] = ls
+		for _, l := range ls {
+			if len(l.FnPtrs) > 0 {
+				x.regs = append(x.regs, l)
+			}
+		}
+	}
+	return x
+}
 
-	tab := new(expr.Table)
+// registers reports whether sum stores a known code address into a field.
+func registers(sum *symexec.Summary) bool {
+	for _, fo := range sum.Fields {
+		if fo.FnTarget != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// Funcs returns the indexed function names in sorted order.
+func (x *Index) Funcs() []string { return x.funcs }
+
+// Layout returns fn's layout rooted at root, or nil when fn is not
+// indexed or observes no field under root.
+func (x *Index) Layout(fn, root string) *Layout {
+	for _, l := range x.layouts[fn] {
+		if l.Root == root {
+			return l
+		}
+	}
+	return nil
+}
+
+// Resolve binds one dispatch of caller by layout similarity. For a call
+// target loaded from deref(base+off), it takes the caller's layout at
+// base's root, finds the most similar layout that registers a function
+// pointer at the aligned (base, off) field, and binds the call to that
+// function; equal scores go to the smaller name. ok is false when no
+// registration aligns.
+func (x *Index) Resolve(caller string, call symexec.Dispatch) (Resolution, bool) {
+	addr, ok := call.FnPtr.DerefAddr()
+	if !ok {
+		return Resolution{}, false
+	}
+	base, off, ok := addr.BasePlusOffset()
+	if !ok {
+		return Resolution{}, false
+	}
+	rootName, ok := RootSym(base)
+	if !ok {
+		return Resolution{}, false
+	}
+	site := x.Layout(caller, rootName)
+	if site == nil {
+		return Resolution{}, false
+	}
+	ab, _ := AbstractRoot(x.tab, base)
+	baseKey := ab.Key()
+	best := Resolution{Caller: caller, Site: call.Addr, Score: -1}
+	for _, l := range x.regs {
+		target, has := l.FnPtrs[baseKey][off]
+		if !has {
+			continue
+		}
+		score, ok := Similarity(site, l)
+		if !ok {
+			continue
+		}
+		if score > best.Score || (score == best.Score && target < best.Callee) {
+			best.Score = score
+			best.Callee = target
+		}
+	}
+	return best, best.Callee != ""
+}
+
+// ResolveIndirect resolves every indirect callsite across the analyzed
+// functions by layout similarity alone (Index.Resolve), in sorted
+// caller and dispatch order.
+func ResolveIndirect(sums map[string]*symexec.Summary) []Resolution {
+	x := NewIndex(sums)
 	var out []Resolution
-	for _, name := range names {
-		sum := sums[name]
-		for _, call := range sum.Dispatches {
-			addr, ok := call.FnPtr.DerefAddr()
-			if !ok {
-				continue
-			}
-			base, off, ok := addr.BasePlusOffset()
-			if !ok {
-				continue
-			}
-			root := base.RootPointer()
-			if root == nil {
-				continue
-			}
-			rootName, ok := root.SymName()
-			if !ok {
-				continue
-			}
-			// The callsite's own structure layout.
-			var siteLayout *Layout
-			for _, l := range layoutsByFunc[name] {
-				if l.Root == rootName {
-					siteLayout = l
-					break
-				}
-			}
-			if siteLayout == nil {
-				continue
-			}
-			baseKey := canonicalize(tab, base, rootName)
-
-			best := Resolution{Caller: name, Site: call.Addr, Score: -1}
-			for _, o := range all {
-				pm := o.layout.FnPtrs[baseKey]
-				if pm == nil {
-					continue
-				}
-				target, has := pm[off]
-				if !has {
-					continue
-				}
-				score, ok := Similarity(siteLayout, o.layout)
-				if !ok {
-					continue
-				}
-				if score > best.Score ||
-					(score == best.Score && target < best.Callee) {
-					best.Score = score
-					best.Callee = target
-				}
-			}
-			if best.Callee != "" {
-				out = append(out, best)
+	for _, name := range x.funcs {
+		for _, call := range sums[name].Dispatches {
+			if r, ok := x.Resolve(name, call); ok {
+				out = append(out, r)
 			}
 		}
 	}

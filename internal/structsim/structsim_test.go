@@ -272,3 +272,44 @@ func TestResolveNoCandidates(t *testing.T) {
 		t.Fatalf("phantom resolution: %+v", res)
 	}
 }
+
+// TestResolveTieIsDeterministic: two registrars with identical six-base
+// layouts register h1 and h2 at the dispatched field. Their σ against the
+// site is one exact value only when the per-base fractions are summed in
+// a fixed order; summed in map order the last bits vary from call to
+// call and h2 sometimes wins. Equal scores go to the smaller name, so
+// every resolution must bind h1.
+func TestResolveTieIsDeterministic(t *testing.T) {
+	a0 := tab.Arg(0)
+	bases := []*expr.Expr{a0}
+	for k := int64(1); k < 6; k++ {
+		bases = append(bases, tab.Deref(tab.Add(a0, 4*k)))
+	}
+	// The site observes one field per base, a registrar 3, 5, ..., 13:
+	// the fractions 1/3, 1/5, ..., 1/13 round differently per order.
+	fields := func(n int) []symexec.FieldObs {
+		var out []symexec.FieldObs
+		for i, b := range bases {
+			for off := 0; off < 1+(2*i+2)*n; off++ {
+				out = append(out, obs(b, int64(16+4*off), expr.TypeInt))
+			}
+		}
+		return out
+	}
+	fnptr := func(target string) symexec.FieldObs {
+		return symexec.FieldObs{Base: a0, Off: 12, Ty: expr.TypePtr, FnTarget: target}
+	}
+	site := append(fields(0), obs(a0, 12, expr.TypePtr))
+	sums := map[string]*symexec.Summary{
+		"dispatch": {Func: "dispatch", Fields: site,
+			Dispatches: []symexec.Dispatch{{Addr: 0x40, FnPtr: tab.Deref(tab.Add(a0, 12))}}},
+		"reg1": {Func: "reg1", Fields: append(fields(1), fnptr("h1"))},
+		"reg2": {Func: "reg2", Fields: append(fields(1), fnptr("h2"))},
+	}
+	for i := 0; i < 200; i++ {
+		res := ResolveIndirect(sums)
+		if len(res) != 1 || res[0].Callee != "h1" {
+			t.Fatalf("run %d: resolutions %+v, want one binding to h1", i, res)
+		}
+	}
+}
