@@ -291,7 +291,10 @@ var paperTable7 = map[string][4]float64{
 	"openssl":   {102.94, 7345.56, 47.33, 3.09},
 }
 
-// Table7Row is one measured workload of the comparison. DTaintDDG is the
+// Table7Row is one measured workload of the comparison. DTaintSSA times
+// phase 1, which runs only on the functions indirect-call resolution
+// reads (none on most binaries), so DTaint's per-function analysis of
+// every function is in DTaintDDG. DTaintDDG is the
 // parallel bottom-up run (Workers workers over the SCC DAG); DTaintDDGSeq
 // is the same pass scheduled with one worker, so the per-binary DDG
 // speedup of the parallel scheduler is visible next to the paper's

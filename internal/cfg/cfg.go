@@ -429,45 +429,44 @@ func (p *Program) Stats() Stats {
 // order (callees before callers) — the bottom-up visiting order of
 // Section III-E. Functions absent from names are ignored.
 func (p *Program) SCC(names []string) [][]string {
-	inSet := make(map[string]bool, len(names))
+	// Tarjan's algorithm over the name set in sorted order for
+	// determinism, on dense indices into that order.
+	sorted := make([]string, 0, len(names))
 	for _, n := range names {
 		if p.ByName[n] != nil {
-			inSet[n] = true
+			sorted = append(sorted, n)
 		}
 	}
-	// Tarjan's algorithm, iterative over the name set in sorted order for
-	// determinism.
-	sorted := make([]string, 0, len(inSet))
-	for n := range inSet {
-		sorted = append(sorted, n)
-	}
 	sort.Strings(sorted)
+	sorted = slices.Compact(sorted)
+	id := make(map[string]int, len(sorted))
+	for i, n := range sorted {
+		id[n] = i
+	}
 
-	index := make(map[string]int, len(sorted))
-	low := make(map[string]int, len(sorted))
-	onStack := make(map[string]bool, len(sorted))
-	var stack []string
+	index := make([]int, len(sorted)) // visit order + 1; 0 = unvisited
+	low := make([]int, len(sorted))
+	onStack := make([]bool, len(sorted))
+	var stack []int
 	var comps [][]string
 	next := 0
 
-	var strong func(v string)
-	strong = func(v string) {
-		index[v] = next
-		low[v] = next
+	var strong func(v int)
+	strong = func(v int) {
 		next++
+		index[v], low[v] = next, next
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range p.Callees[v] {
-			if !inSet[w] {
+		for _, callee := range p.Callees[sorted[v]] {
+			w, ok := id[callee]
+			if !ok {
 				continue
 			}
-			if _, seen := index[w]; !seen {
+			if index[w] == 0 {
 				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
@@ -476,7 +475,7 @@ func (p *Program) SCC(names []string) [][]string {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				comp = append(comp, sorted[w])
 				if w == v {
 					break
 				}
@@ -485,8 +484,8 @@ func (p *Program) SCC(names []string) [][]string {
 			comps = append(comps, comp)
 		}
 	}
-	for _, v := range sorted {
-		if _, seen := index[v]; !seen {
+	for v := range sorted {
+		if index[v] == 0 {
 			strong(v)
 		}
 	}

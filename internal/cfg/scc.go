@@ -31,7 +31,7 @@ func (p *Program) Condense(names []string) *Condensation {
 	comps := p.SCC(names)
 	c := &Condensation{
 		Comps:   comps,
-		CompOf:  make(map[string]int),
+		CompOf:  make(map[string]int, len(names)),
 		Callers: make([][]int, len(comps)),
 		NumDeps: make([]int, len(comps)),
 	}
@@ -40,19 +40,17 @@ func (p *Program) Condense(names []string) *Condensation {
 			c.CompOf[n] = i
 		}
 	}
-	seen := make(map[[2]int]bool)
+	// dependedBy[j] == i+1 once component i has counted callee component j.
+	dependedBy := make([]int, len(comps))
 	for i, comp := range comps {
 		for _, fn := range comp {
 			for _, callee := range p.Callees[fn] {
 				j, ok := c.CompOf[callee]
-				if !ok || j == i {
+				if !ok || j == i || dependedBy[j] == i+1 {
 					continue
 				}
 				// Component i depends on its callee component j.
-				if seen[[2]int{i, j}] {
-					continue
-				}
-				seen[[2]int{i, j}] = true
+				dependedBy[j] = i + 1
 				c.Callers[j] = append(c.Callers[j], i)
 				c.NumDeps[i]++
 			}

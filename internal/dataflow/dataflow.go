@@ -2,12 +2,17 @@
 // generation (Section III-E, Algorithm 2) and orchestrates the whole
 // analysis pipeline:
 //
-//  1. Function analysis — every function is symbolically analyzed once
-//     (package symexec), yielding definition pairs, types, data-structure
-//     field observations and indirect dispatches. Only phase 2 reads
-//     these summaries, so they are recorded under
+//  1. Function analysis — the functions indirect-call resolution can
+//     read are symbolically analyzed (package symexec), yielding
+//     definition pairs, types, data-structure field observations and
+//     indirect dispatches. Only phase 2 reads these summaries, and it
+//     reads only functions that dispatch or register a function
+//     pointer, so phase 1 runs only on functions with an indirect
+//     callsite or a constant, an immediate or one folded from
+//     immediates, that names a function (phase1Funcs); it runs on none
+//     when structsim is ablated. The summaries are recorded under
 //     symexec.Options.ForResolution: no branch constraints and no
-//     ranges.
+//     ranges. Every function is analyzed in full once, in step 3.
 //  2. Indirect-call resolution (sseresolve.go): callsites are matched to
 //     function-pointer registrations through SSE equivalence classes
 //     (package sse) with data-structure layout similarity (package
@@ -19,7 +24,7 @@
 //     caller's program is never modified.
 //  3. Bottom-up interprocedural pass — the call graph is condensed into
 //     its SCC DAG (cfg.Condense) and traversed callees-before-callers,
-//     each function again analyzed exactly once; at every callsite the
+//     each function analyzed exactly once; at every callsite the
 //     callee's exported definitions, return values, and pending sinks are
 //     instantiated by replacing formal arguments arg0..arg9 and
 //     ret_callsite symbols with the caller's actual expressions
@@ -104,8 +109,9 @@ type Options struct {
 	Vocab *taint.Vocabulary
 	// SummaryStore, when non-nil, caches analysis results content-
 	// addressed by function bytes + ISA + options fingerprint
-	// (internal/sumstore): phase-1 summaries per function and bottom-up
-	// results per SCC component. The scheduler consults it before
+	// (internal/sumstore): phase-1 summaries of the functions phase 1
+	// runs on, and bottom-up results per SCC component, which diff
+	// pairing also reads (Layouts). The scheduler consults it before
 	// symbolically executing a unit and writes back after, so a corpus
 	// re-scan — or a scan of binaries sharing code — skips every
 	// already-summarized function. Results are bit-identical with and
@@ -200,9 +206,13 @@ type Result struct {
 	FunctionsAnalyzed int
 	SinkCount         int
 	DefPairCount      int
-	SSATime           time.Duration
-	DDGTime           time.Duration
-	Truncated         int // functions that dropped a path at the per-block bound or hit the per-function cap
+	// SSATime is Table VII's SSA column: the function-analysis stage,
+	// which runs phase 1 only on the functions resolution reads.
+	// DDGTime is its DDG column, the bottom-up pass that analyzes every
+	// function.
+	SSATime   time.Duration
+	DDGTime   time.Duration
+	Truncated int // functions that dropped a path at the per-block bound or hit the per-function cap
 
 	// Parallel reports how the bottom-up scheduler executed (phase 3+4).
 	Parallel ParallelStats
@@ -226,8 +236,9 @@ type Result struct {
 
 // StoreStats counts one analysis run's summary-store lookups.
 type StoreStats struct {
-	// Hits is the number of analysis units (phase-1 functions and
-	// bottom-up components) replayed from the store.
+	// Hits is the number of analysis units (the phase-1 functions
+	// resolution reads, and bottom-up components) replayed from the
+	// store.
 	Hits int
 	// Misses is the number of units that had to be symbolically
 	// executed (and were then written back).
@@ -292,45 +303,12 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	}
 	opts = opts.withVocab().withTable()
 	res := &Result{Summaries: make(map[string]*symexec.Summary, len(names))}
-	fp := fingerprinter(prog, opts)
-
-	// Phase 1: per-function static symbolic analysis (the paper's SSA
-	// module), collecting layouts, types, and indirect callsites.
-	st := opts.StartStage("function-analysis", obs.KV("functions", len(names)))
-	var phase1 map[string]*symexec.Summary
-	phase1, res.SumStore = runPhase1(prog, names, opts, fp, st.span)
-	res.SSATime = st.End("functions", len(names))
-
-	// Phase 2: indirect-call resolution. By default each callsite is
-	// resolved from SSE equivalence classes (registration and dispatch
-	// paths expanded through per-function alias classes, matched by
-	// interned-path identity) with layout similarity demoted to a
-	// tie-breaker; ablating SSE falls back to pure layout-similarity
-	// resolution, and ablating structsim skips the phase entirely.
-	if !opts.DisableStructSim {
-		st = opts.StartStage("structsim")
-		if opts.DisableSSE {
-			res.Resolutions = structsim.ResolveIndirect(phase1)
-		} else {
-			res.Resolutions, res.Resolve = resolveIndirectSSE(phase1, opts.Symexec.Table)
-			st.span.SetAttr("by_sse", res.Resolve.BySSE)
-			st.span.SetAttr("by_structsim", res.Resolve.ByStructSim)
-		}
-		// Phase 1 ran on prog as given; the bottom-up pass and its store
-		// keys read a view with the resolved edges bound.
-		edges := make([]cfg.CallEdge, len(res.Resolutions))
-		for i, r := range res.Resolutions {
-			edges[i] = cfg.CallEdge{Caller: r.Caller, Site: r.Site, Callee: r.Callee}
-		}
-		prog = prog.WithCallEdges(edges)
-		fp = fingerprinter(prog, opts)
-		st.End("resolved", len(res.Resolutions))
-	}
+	prog = resolveCalls(prog, names, opts, res)
 
 	// Phase 3+4: bottom-up interprocedural data flow with alias rewriting,
 	// scheduled over the condensed call graph's SCC DAG.
-	st = opts.StartStage("interproc-dataflow", obs.KV("functions", len(names)))
-	runBottomUp(prog, names, opts, fp, res, st.span)
+	st := opts.StartStage("interproc-dataflow", obs.KV("functions", len(names)))
+	runBottomUp(prog, names, opts, res, st.span)
 	res.DDGTime = st.End("workers", res.Parallel.Workers,
 		"components", res.Parallel.Components,
 		"findings", len(res.Findings))
@@ -376,18 +354,123 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// FunctionSummaries runs phase 1 alone over the named functions and
-// returns their summaries by name: Analyze's function-analysis stage,
-// with the same vocabulary and prototype resolution. With
-// opts.SummaryStore set it replays the summaries a scan of the binary
-// under the same options stored, and stores the rest. It opens no spans
-// and emits no progress events; opts.Metrics records every function it
-// executes.
-func FunctionSummaries(prog *cfg.Program, names []string, opts Options) map[string]*symexec.Summary {
+// resolveCalls runs phases 1 and 2 over the named functions: phase 1
+// on those indirect-call resolution can read (phase1Funcs), then the
+// resolution. It returns the view of prog that binds the resolved
+// edges, which the bottom-up pass and its store keys read, and fills
+// res's SSATime, phase-1 store counts, Resolutions and Resolve. Analyze
+// and Layouts both derive the bottom-up program through it.
+func resolveCalls(prog *cfg.Program, names []string, opts Options, res *Result) *cfg.Program {
+	// Phase 1: per-function static symbolic analysis (the paper's SSA
+	// module), collecting layouts, types, and indirect callsites.
+	sel := phase1Funcs(prog, names, opts)
+	st := opts.StartStage("function-analysis", obs.KV("functions", len(sel)))
+	var phase1 map[string]*symexec.Summary
+	phase1, res.SumStore = runPhase1(prog, sel, opts, fingerprinter(prog, opts), st.span)
+	res.SSATime = st.End("functions", len(sel))
+	if opts.DisableStructSim {
+		return prog
+	}
+
+	// Phase 2: indirect-call resolution. By default each callsite is
+	// resolved from SSE equivalence classes (registration and dispatch
+	// paths expanded through per-function alias classes, matched by
+	// interned-path identity) with layout similarity demoted to a
+	// tie-breaker; ablating SSE falls back to pure layout-similarity
+	// resolution, and ablating structsim skips the phase entirely.
+	st = opts.StartStage("structsim")
+	if opts.DisableSSE {
+		res.Resolutions = structsim.ResolveIndirect(phase1)
+	} else {
+		res.Resolutions, res.Resolve = resolveIndirectSSE(phase1, opts.Symexec.Table)
+		st.span.SetAttr("by_sse", res.Resolve.BySSE)
+		st.span.SetAttr("by_structsim", res.Resolve.ByStructSim)
+	}
+	// Phase 1 ran on prog as given; the bottom-up pass and its store keys
+	// read a view with the resolved edges bound.
+	edges := make([]cfg.CallEdge, len(res.Resolutions))
+	for i, r := range res.Resolutions {
+		edges[i] = cfg.CallEdge{Caller: r.Caller, Site: r.Site, Callee: r.Callee}
+	}
+	st.End("resolved", len(res.Resolutions))
+	return prog.WithCallEdges(edges)
+}
+
+// components condenses view's call graph over the named functions into
+// the bottom-up pass's units, with each unit's summary-store key (nil
+// keys without a store). The keys are computed on the view that binds
+// resolved indirect calls, so those callsites and their call edges are
+// part of every key. Given want, only the components that hold those
+// functions, and the components they depend on, are keyed.
+func components(view *cfg.Program, names []string, opts Options, want ...string) (*cfg.Condensation, []string) {
+	cond := view.Condense(names)
+	if opts.SummaryStore == nil {
+		return cond, nil
+	}
+	var need []int
+	for _, name := range want {
+		if i, ok := cond.CompOf[name]; ok {
+			need = append(need, i)
+		}
+	}
+	if len(want) > 0 && len(need) == 0 {
+		return cond, nil
+	}
+	return cond, fingerprinter(view, opts).CompKeys(cond, need...)
+}
+
+// Layouts returns the data-structure layouts (structsim.BuildLayouts) of
+// the named functions that have any, for diff pairing. With
+// opts.SummaryStore set, it reads them from the bottom-up summaries a
+// scan of prog under opts stored: it derives the scan's component keys
+// through the code Analyze runs (resolveCalls over the filtered names,
+// then components) and reads only the components that hold a named
+// function. A function with no stored summary (no store, an evicted
+// entry, or one the filter leaves out) is run through phase 1 alone,
+// whose summaries lay out as the bottom-up ones do
+// (TestBottomUpLayoutsMatchPhase1). It opens no spans and emits no
+// events; opts.Metrics records every function it executes.
+func Layouts(prog *cfg.Program, names []string, opts Options) map[string][]*structsim.Layout {
 	opts = opts.withVocab().withTable()
-	opts.Events = nil
-	sums, _ := runPhase1(prog, names, opts, fingerprinter(prog, opts), nil)
-	return sums
+	opts.Tracer, opts.ParentSpan, opts.Log, opts.Events = nil, nil, nil, nil
+	sums := make(map[string]*symexec.Summary, len(names))
+	if store := opts.SummaryStore; store != nil {
+		if all := filteredNames(prog, opts.Filter); len(all) > 0 {
+			cond, keys := components(resolveCalls(prog, all, opts, &Result{}), all, opts, names...)
+			read := make(map[int]bool)
+			for _, name := range names {
+				i, ok := cond.CompOf[name]
+				if !ok || read[i] {
+					continue
+				}
+				read[i] = true
+				if ent, ok := store.GetEntry(opts.Symexec.Table, keys[i]); ok {
+					for _, sum := range ent.Summaries {
+						sums[sum.Func] = sum
+					}
+				}
+			}
+		}
+	}
+	var missed []string
+	for _, name := range names {
+		if sums[name] == nil {
+			missed = append(missed, name)
+		}
+	}
+	if len(missed) > 0 {
+		p1, _ := runPhase1(prog, missed, opts, fingerprinter(prog, opts), nil)
+		for name, sum := range p1 {
+			sums[name] = sum
+		}
+	}
+	out := make(map[string][]*structsim.Layout, len(names))
+	for _, name := range names {
+		if ls := structsim.BuildLayouts(sums[name]); len(ls) > 0 {
+			out[name] = ls
+		}
+	}
+	return out
 }
 
 // withVocab resolves the default vocabulary and the type prototypes the
@@ -424,9 +507,11 @@ func fingerprinter(prog *cfg.Program, opts Options) *sumstore.Fingerprinter {
 	return sumstore.NewFingerprinter(prog, OptionsFingerprint(opts, ""))
 }
 
-// runPhase1 analyzes every named function independently on the unit
+// runPhase1 analyzes the named functions independently on the unit
 // scheduler, recording only what indirect-call resolution and layout
-// similarity read (symexec.Options.ForResolution). Each worker's scratch
+// similarity read (symexec.Options.ForResolution). Analyze passes it
+// only the functions resolution can read (phase1Funcs); Layouts, the
+// functions it finds no stored summary for. Each worker's scratch
 // tracker supplies library models; phase 1 never ends a function, so the
 // tracker yields no findings.
 // stageSpan (nil when tracing is off) parents one "ssa-function" span
@@ -486,6 +571,23 @@ func filteredNames(prog *cfg.Program, filter func(string) bool) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// phase1Funcs returns the named functions, in order, whose phase-1
+// summaries indirect-call resolution can read: those that may dispatch
+// or register a function pointer (symexec.MayFeedResolution). Under
+// DisableStructSim nothing reads phase 1, so none is returned.
+func phase1Funcs(prog *cfg.Program, names []string, opts Options) []string {
+	if opts.DisableStructSim {
+		return nil
+	}
+	var out []string
+	for _, name := range names {
+		if symexec.MayFeedResolution(prog.ByName[name], prog.Binary) {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // countSinks counts static sink sites: import callsites whose callee is in

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -655,14 +656,18 @@ const tieBreakSrc = `
 `
 
 // tieBreakFor spells tieBreakSrc for one architecture, "arm" or "mips".
-func tieBreakFor(arch string) string {
+func tieBreakFor(arch string) string { return forArch(arch, tieBreakSrc) }
+
+// forArch spells src for one architecture, "arm" or "mips": %a0% and the
+// like become its argument and scratch registers.
+func forArch(arch, src string) string {
 	regs := strings.NewReplacer("%a0%", "R0", "%a1%", "R1", "%a2%", "R2",
 		"%t0%", "R4", "%t1%", "R5", "%t2%", "R6", "%t3%", "R7")
 	if arch == "mips" {
 		regs = strings.NewReplacer("%a0%", "R4", "%a1%", "R5", "%a2%", "R6",
 			"%t0%", "R8", "%t1%", "R9", "%t2%", "R10", "%t3%", "R11")
 	}
-	return ".arch " + arch + "\n" + regs.Replace(tieBreakSrc)
+	return ".arch " + arch + "\n" + regs.Replace(src)
 }
 
 func TestLayoutTieBreakPicksVulnerableHandler(t *testing.T) {
@@ -681,6 +686,81 @@ func TestLayoutTieBreakPicksVulnerableHandler(t *testing.T) {
 					t.Logf("finding: %s", g.String())
 				}
 				t.Fatal("recv -> strcpy through handler_b not found")
+			}
+		})
+	}
+}
+
+// Arithmetic-built function pointer: register builds handler's address
+// as %hi% + %lo%, two immediates neither of which names a function, and
+// stores it at [arg0+4]; dispatch calls through [arg0+4] after recv
+// fills deref(arg0), which handler copies with strcpy into a stack
+// buffer. The engine folds the two immediates (expr.Table.Bin), so phase
+// 1 must run on register for the call to bind.
+const arithPtrSrc = `
+.import recv
+.import strcpy
+
+.func handler
+  SUB SP, SP, #0x40
+  LDR %a1%, [%a0%, #0]
+  ADD %a0%, SP, #8
+  BL strcpy
+  BX LR
+.endfunc
+
+.func register
+  MOV %t0%, #%hi%
+  ADD %t0%, %t0%, #%lo%
+  STR %t0%, [%a0%, #4]
+  BX LR
+.endfunc
+
+.func dispatch
+  MOV %t0%, %a0%
+  LDR %a1%, [%t0%, #0]
+  MOV %a0%, #0
+  MOV %a2%, #0x100
+  BL recv
+  MOV %a0%, %t0%
+  LDR %t3%, [%t0%, #4]
+  BLX %t3%
+  BX LR
+.endfunc
+`
+
+func TestArithmeticFunctionPointerResolves(t *testing.T) {
+	for _, arch := range []string{"arm", "mips"} {
+		t.Run(arch, func(t *testing.T) {
+			// handler comes first, so its address does not depend on
+			// the immediates.
+			spell := func(hi, lo uint32) string {
+				return strings.NewReplacer("%hi%", fmt.Sprintf("0x%x", hi), "%lo%", fmt.Sprintf("0x%x", lo)).
+					Replace(forArch(arch, arithPtrSrc))
+			}
+			probe, err := asm.Assemble("t", spell(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var addr uint32
+			for _, f := range probe.Funcs {
+				if f.Name == "handler" {
+					addr = f.Addr
+				}
+			}
+			hi, lo := addr-0x10, uint32(0x10)
+			for _, v := range []uint32{hi, lo} {
+				if sym, ok := probe.FuncAt(v); ok {
+					t.Fatalf("immediate 0x%x names %s", v, sym.Name)
+				}
+			}
+			res := run(t, spell(hi, lo), Options{})
+			if len(res.Resolutions) != 1 || res.Resolutions[0].Caller != "dispatch" ||
+				res.Resolutions[0].Callee != "handler" {
+				t.Fatalf("resolutions = %+v, want dispatch -> handler", res.Resolutions)
+			}
+			if findVuln(res, "strcpy", "recv") == nil {
+				t.Fatal("recv -> strcpy through handler not found")
 			}
 		})
 	}

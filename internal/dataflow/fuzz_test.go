@@ -3,12 +3,14 @@ package dataflow
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/image"
+	"dtaint/internal/structsim"
 	"dtaint/internal/sumstore"
 	"dtaint/internal/symexec"
 )
@@ -21,9 +23,11 @@ import (
 // earlier analyses of the same program: all four runs analyze one
 // cfg.Build result, and 4 workers, a fresh store and the same store
 // warm must each give the fingerprint, the summary digests and the
-// phase-2 resolutions and counts of the 1-worker store-less run.
-// The seeds are screening binaries, small enough to keep the fuzzer
-// fast.
+// phase-2 resolutions and counts of the 1-worker store-less run. Phase
+// 1 runs only on the functions resolution can read, so those
+// resolutions must also be the ones a phase 1 over every function
+// gives. The seeds are screening binaries, small enough to keep the
+// fuzzer fast.
 func FuzzAnalyzeBinary(f *testing.F) {
 	cases, err := corpus.ScreeningCorpus(8, 1)
 	if err != nil {
@@ -63,6 +67,13 @@ func FuzzAnalyzeBinary(f *testing.F) {
 				fmt.Sprintf("resolutions %+v %+v\n", res.Resolutions, res.Resolve)
 		}
 		want := analyze(1, nil)
+		if res, err := Analyze(prog, opts); err == nil {
+			all, allStats := allPhase1Resolutions(prog, opts)
+			if !reflect.DeepEqual(res.Resolutions, all) || res.Resolve != allStats {
+				t.Fatalf("resolutions %+v %+v, from a phase 1 over every function %+v %+v",
+					res.Resolutions, res.Resolve, all, allStats)
+			}
+		}
 		store, err := sumstore.NewStore(0, "")
 		if err != nil {
 			t.Fatal(err)
@@ -77,6 +88,20 @@ func FuzzAnalyzeBinary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// allPhase1Resolutions resolves prog's indirect calls as Analyze does,
+// but from phase-1 summaries of every function the filter keeps.
+func allPhase1Resolutions(prog *cfg.Program, opts Options) ([]structsim.Resolution, ResolveStats) {
+	opts = opts.withVocab().withTable()
+	sums, _ := runPhase1(prog, filteredNames(prog, opts.Filter), opts, nil, nil)
+	switch {
+	case opts.DisableStructSim:
+		return nil, ResolveStats{}
+	case opts.DisableSSE:
+		return structsim.ResolveIndirect(sums), ResolveStats{}
+	}
+	return resolveIndirectSSE(sums, opts.Symexec.Table)
 }
 
 // summaryDigests lists a SHA-256 of the wire encoding of every summary

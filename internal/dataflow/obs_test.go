@@ -75,14 +75,48 @@ func TestSpanSetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// The function-analysis stage announces the functions phase 1 runs,
+// and -progress counts its ssa-function spans against that total: on a
+// cold run the two must agree. DS-2CD6233F's network module holds an
+// indirect dispatch, so phase 1 runs on some of its functions.
+func TestPhase1StageCountsItsSpans(t *testing.T) {
+	spec, _ := corpus.SpecByProduct("DS-2CD6233F")
+	bin, _, err := corpus.BuildBinary(spec, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cfg.Build(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	if _, err := Analyze(prog, Options{Filter: corpus.ModuleFilter(spec), Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	total, spans := -1, 0
+	for _, s := range tr.Spans() {
+		switch s.Name {
+		case "function-analysis":
+			total, _ = s.Attr("functions").(int)
+		case "ssa-function":
+			spans++
+		}
+	}
+	if spans == 0 || total != spans {
+		t.Fatalf("function-analysis announces %d functions and ran %d ssa-function spans", total, spans)
+	}
+}
+
 // The shared unit scheduler's bookkeeping must not depend on the worker
-// count: every function is executed and recorded exactly once per phase
-// (each phase's time histogram counts the functions), every metric
-// matches across worker counts, and both phases' decile progress events
-// are identical at workers 1 and 8, with a cold summary store and with a
-// warm one.
+// count: every function a phase runs is executed and recorded exactly
+// once (phase 1's time histogram counts the functions it selects, the
+// bottom-up one every analyzed function), every metric matches across
+// worker counts, and both phases' decile progress events are identical
+// at workers 1 and 8, with a cold summary store and with a warm one.
+// DS-2CD6233F's network module holds an indirect dispatch, so both
+// phases run.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
-	spec, _ := corpus.SpecByProduct("DIR-645")
+	spec, _ := corpus.SpecByProduct("DS-2CD6233F")
 	bin, _, err := corpus.BuildBinary(spec, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +131,9 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		j := events.NewJournal(0)
-		res, err := Analyze(prog, Options{Parallelism: workers, Metrics: reg,
-			SummaryStore: store, Events: j.Emitter("det")})
+		opts := Options{Parallelism: workers, Metrics: reg, Filter: corpus.ModuleFilter(spec),
+			SummaryStore: store, Events: j.Emitter("det")}
+		res, err := Analyze(prog, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,14 +146,17 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 				out[s.Name] = s.Count
 			}
 		}
-		executed := uint64(res.FunctionsAnalyzed)
-		if warm {
-			executed = 0
+		selected := len(phase1Funcs(prog, filteredNames(prog, opts.Filter), opts))
+		if selected == 0 || selected >= res.FunctionsAnalyzed {
+			t.Fatalf("phase 1 selects %d of %d functions", selected, res.FunctionsAnalyzed)
 		}
-		for _, h := range []string{"dtaint_fn_ssa_seconds", "dtaint_fn_ddg_seconds"} {
-			if out[h] != executed {
-				t.Fatalf("workers=%d: %s has %d observations, want %d (%d functions analyzed)",
-					workers, h, out[h], executed, res.FunctionsAnalyzed)
+		for h, executed := range map[string]int{"dtaint_fn_ssa_seconds": selected, "dtaint_fn_ddg_seconds": res.FunctionsAnalyzed} {
+			if warm {
+				executed = 0
+			}
+			if out[h] != uint64(executed) {
+				t.Fatalf("workers=%d: %s has %d observations, want %d (%d selected, %d functions analyzed)",
+					workers, h, out[h], executed, selected, res.FunctionsAnalyzed)
 			}
 		}
 		evs, dropped := j.Since(0)

@@ -10,6 +10,7 @@ import (
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/expr"
+	"dtaint/internal/firmware"
 	"dtaint/internal/image"
 	"dtaint/internal/sse"
 	"dtaint/internal/structsim"
@@ -23,8 +24,9 @@ import (
 // summaries must resolve, lay out and score exactly as full summaries
 // built through the same table do, and must hold no constraints and no
 // ranges. Resolution reads only the functions that register or
-// dispatch: the structsim index must hold exactly those, and both
-// resolvers must bind what they bind when every function is laid out.
+// dispatch: the structsim index must hold exactly those, phase 1's
+// selection must hold them all, and both resolvers must bind what they
+// bind when every function is laid out.
 func TestPhase1KeepsResolutionInputs(t *testing.T) {
 	type unit struct {
 		name   string
@@ -111,6 +113,17 @@ func TestPhase1KeepsResolutionInputs(t *testing.T) {
 		if got := structsim.NewIndex(reduced).Funcs(); !reflect.DeepEqual(got, readers) {
 			t.Fatalf("%s: index holds %v, want the functions that register or dispatch %v", u.name, got, readers)
 		}
+		// Analyze runs phase 1 only on its selection, which must hold
+		// every such function.
+		selected := map[string]bool{}
+		for _, name := range phase1Funcs(prog, names, opts) {
+			selected[name] = true
+		}
+		for _, name := range readers {
+			if !selected[name] {
+				t.Fatalf("%s: %s registers or dispatches, but phase 1 does not select it", u.name, name)
+			}
+		}
 		allSSE, allStats := allFunctionsResolveSSE(reduced, tab)
 		if !reflect.DeepEqual(gotSSE, allSSE) || gotStats != allStats {
 			t.Fatalf("%s: SSE resolution from the index %v %+v, from every function %v %+v", u.name, gotSSE, gotStats, allSSE, allStats)
@@ -129,6 +142,88 @@ func TestPhase1KeepsResolutionInputs(t *testing.T) {
 		t.Fatalf("resolutions %v: the inputs exercise no indirect dispatch", resolved)
 	}
 	t.Logf("resolutions and index sizes: %v", resolved)
+}
+
+// TestBottomUpLayoutsMatchPhase1: diff pairing reads a function's
+// layouts from its stored bottom-up summary and, when there is none,
+// from a phase-1 summary of the function alone. The two must lay out
+// alike: on every golden unit in every golden mode, on a screening
+// seed and on the mutated binaries of a re-release pair, each
+// function's structsim.BuildLayouts from Analyze's summary must equal
+// the one from its phase-1 summary.
+func TestBottomUpLayoutsMatchPhase1(t *testing.T) {
+	laidOut, funcs := 0, 0
+	check := func(unit string, prog *cfg.Program, opts Options) {
+		t.Helper()
+		res, err := Analyze(prog, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", unit, err)
+		}
+		opts = opts.withVocab().withTable()
+		phase1, _ := runPhase1(prog, filteredNames(prog, opts.Filter), opts, nil, nil)
+		for name, sum := range phase1 {
+			want := structsim.BuildLayouts(sum)
+			if got := structsim.BuildLayouts(res.Summaries[name]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: bottom-up layouts %+v, phase-1 layouts %+v", unit, name, got, want)
+			}
+			funcs++
+			if len(want) > 0 {
+				laidOut++
+			}
+		}
+	}
+	for _, m := range goldenModes {
+		for _, u := range goldenUnits(t) {
+			opts := m.opts
+			opts.Filter = u.filter
+			check(m.name+" "+u.name, u.prog, opts)
+		}
+	}
+	opts := Options{Symexec: symexec.Options{LoopOnce: true}}
+	cases, err := corpus.ScreeningCorpus(400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		prog, err := cfg.Build(c.Binary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.Name, prog, opts)
+	}
+	vp, err := corpus.BuildVersionPair(corpus.VersionPairAt(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated, checked := map[string]bool{}, 0
+	for _, p := range vp.MutatedPaths {
+		mutated[p] = true
+	}
+	for _, img := range [][]byte{vp.Old, vp.New} {
+		_, fs, err := firmware.Unpack(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fs.Files {
+			if !mutated[f.Path] {
+				continue
+			}
+			bin, err := image.Parse(f.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := cfg.Build(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(f.Path, prog, opts)
+			checked++
+		}
+	}
+	if checked != 2*len(vp.MutatedPaths) || laidOut == 0 {
+		t.Fatalf("%d mutated binaries checked, %d functions with layouts: the comparison is vacuous", checked, laidOut)
+	}
+	t.Logf("%d of %d functions have layouts", laidOut, funcs)
 }
 
 // registersFnPtr reports whether sum stores a known code address.

@@ -149,15 +149,9 @@ func (f fnRun) end(sum *symexec.Summary) {
 // the component's complete contribution — exported summaries, climbing
 // pending sinks, findings, and counters — so the published state and the
 // merged result are byte-for-byte what a fresh execution would produce.
-func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) {
-	cond := prog.Condense(names)
+func runBottomUp(prog *cfg.Program, names []string, opts Options, res *Result, stageSpan *obs.Span) {
+	cond, keys := components(prog, names, opts)
 	store := opts.SummaryStore
-	var keys []string
-	if store != nil {
-		// Computed on the view that binds resolved indirect calls, so
-		// those callsites and their call edges are part of every key.
-		keys = fp.CompKeys(cond)
-	}
 	rec := newFnRecorder(opts.Metrics, "ddg-function", "dtaint_fn_ddg_seconds",
 		"Per-function interprocedural data-flow time (phase 3+4).")
 	shared := &bottomUpState{

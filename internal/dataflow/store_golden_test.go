@@ -79,8 +79,8 @@ func renderStore(t *testing.T, b *bytes.Buffer, mode, unit, dir string) {
 // TestStoredSummariesHoldNoConstraints checks what the wire format
 // cannot: a summary's own constraints are not encoded, so a summary
 // handed to the store with some would replay differently from the live
-// one. Phase 1 hands PutSummary exactly the summaries FunctionSummaries
-// returns on a cold store, and each component hands PutEntry the
+// one. Phase 1 hands PutSummary exactly the summaries runPhase1 returns
+// on a cold store, here for every function, and each component hands PutEntry the
 // summaries it publishes into Result.Summaries, which no one mutates
 // after publication.
 func TestStoredSummariesHoldNoConstraints(t *testing.T) {
@@ -103,7 +103,8 @@ func TestStoredSummariesHoldNoConstraints(t *testing.T) {
 					t.Fatalf("%s %s: %v", m.name, u.name, err)
 				}
 				opts.SummaryStore = newStore()
-				phase1 := FunctionSummaries(u.prog, filteredNames(u.prog, u.filter), opts)
+				opts = opts.withVocab().withTable()
+				phase1, _ := runPhase1(u.prog, filteredNames(u.prog, u.filter), opts, fingerprinter(u.prog, opts), nil)
 				for pass, sums := range map[string]map[string]*symexec.Summary{"phase 1": phase1, "bottom-up": res.Summaries} {
 					for name, sum := range sums {
 						if len(sum.Constraints) > 0 {

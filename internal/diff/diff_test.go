@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
@@ -342,9 +343,9 @@ func renamePath(t *testing.T, img []byte, from, to string) []byte {
 }
 
 // TestPairingReadsScanSummaries: function pairing takes its layouts from
-// the phase-1 summaries the scans already stored, so after a scan of the
-// old image a diff executes no function beyond what its analysis units
-// execute, and the pairing is the one built without a store.
+// the bottom-up summaries the scans already stored, so after a scan of
+// the old image a diff executes no function beyond what its analysis
+// units execute, and the pairing is the one built without a store.
 func TestPairingReadsScanSummaries(t *testing.T) {
 	vp := buildPair(t)
 	ctx := context.Background()
@@ -355,13 +356,15 @@ func TestPairingReadsScanSummaries(t *testing.T) {
 		}
 		return s
 	}
-	ssaCount := func(reg *obs.Registry) uint64 {
+	// executions counts the functions both phases ran.
+	executions := func(reg *obs.Registry) uint64 {
+		n := uint64(0)
 		for _, s := range reg.Snapshot() {
-			if s.Name == "dtaint_fn_ssa_seconds" {
-				return s.Count
+			if s.Name == "dtaint_fn_ssa_seconds" || s.Name == "dtaint_fn_ddg_seconds" {
+				n += s.Count
 			}
 		}
-		return 0
+		return n
 	}
 
 	// The analysis units alone: scanning the new image over the same warm
@@ -373,9 +376,9 @@ func TestPairingReadsScanSummaries(t *testing.T) {
 		Analysis: dataflow.Options{Metrics: refReg}}); err != nil {
 		t.Fatalf("ScanImage: %v", err)
 	}
-	unitMisses, unitSSA := ref.Stats().Misses-m0, ssaCount(refReg)
-	if unitMisses == 0 || unitSSA == 0 {
-		t.Fatalf("new-image scan: %d store misses, %d executions; want both > 0", unitMisses, unitSSA)
+	unitMisses, unitRuns := ref.Stats().Misses-m0, executions(refReg)
+	if unitMisses == 0 || unitRuns == 0 {
+		t.Fatalf("new-image scan: %d store misses, %d executions; want both > 0", unitMisses, unitRuns)
 	}
 
 	store, reg := scannedStore(), obs.NewRegistry()
@@ -391,8 +394,8 @@ func TestPairingReadsScanSummaries(t *testing.T) {
 	if got := store.Stats().Misses - m0; got != unitMisses {
 		t.Errorf("diff made %d store misses, its analysis units alone %d", got, unitMisses)
 	}
-	if got := ssaCount(reg); got != unitSSA {
-		t.Errorf("diff executed %d functions in phase 1, its analysis units alone %d", got, unitSSA)
+	if got := executions(reg); got != unitRuns {
+		t.Errorf("diff executed %d functions, its analysis units alone %d", got, unitRuns)
 	}
 
 	// The same pairing, with and without the store behind it.
@@ -403,12 +406,30 @@ func TestPairingReadsScanSummaries(t *testing.T) {
 	s0 := store.Stats()
 	stored := PairFunctions(oldProg, newProg, opts.Analysis)
 	s1 := store.Stats()
-	// Every function left over after the exact stage reads its layouts
-	// from the store.
-	leftover := len(oldProg.Funcs) + len(newProg.Funcs) - 2*stored.Exact
-	if s1.Misses != s0.Misses || int(s1.Hits-s0.Hits) != leftover {
+	// Pairing reads one stored entry per bottom-up component that holds
+	// a function left over after the exact stage. The pair's binaries
+	// resolve no indirect call, so those components are the programs'
+	// own.
+	exact := pairExact(oldProg, newProg)
+	comps := 0
+	for _, side := range []struct {
+		prog   *cfg.Program
+		paired map[string]string
+	}{{oldProg, exact.OldToNew}, {newProg, exact.NewToOld}} {
+		var all []string
+		for _, fn := range side.prog.Funcs {
+			all = append(all, fn.Name)
+		}
+		cond := side.prog.Condense(all)
+		seen := map[int]bool{}
+		for _, name := range unpaired(side.prog, side.paired) {
+			seen[cond.CompOf[name]] = true
+		}
+		comps += len(seen)
+	}
+	if s1.Misses != s0.Misses || int(s1.Hits-s0.Hits) != comps {
 		t.Errorf("pairing: %d store hits and %d misses, want %d and 0",
-			s1.Hits-s0.Hits, s1.Misses-s0.Misses, leftover)
+			s1.Hits-s0.Hits, s1.Misses-s0.Misses, comps)
 	}
 	if stored.Similar == 0 {
 		t.Fatal("no similarity pairs: the layout stage never decided a pair")

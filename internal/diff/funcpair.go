@@ -16,8 +16,9 @@
 //     multisets, mapped through already-established pairs), CFG shape,
 //     and structsim data-structure layouts; pairs above a threshold are
 //     taken greedily in deterministic order. Layouts come from the
-//     phase-1 summaries of the diff's own analysis options, which the
-//     scan of each binary has already put in the summary store.
+//     bottom-up summaries that the scan of each binary, under the diff's
+//     own analysis options, has already put in the summary store
+//     (dataflow.Layouts).
 package diff
 
 import (
@@ -61,11 +62,57 @@ func (p *Pairing) add(oldName, newName string) {
 
 // PairFunctions pairs oldProg's functions with newProg's. opts are the
 // analysis options both binaries were scanned with; the similarity stage
-// builds layouts from their phase-1 summaries.
+// reads layouts from the summaries their scans stored.
 func PairFunctions(oldProg, newProg *cfg.Program, opts dataflow.Options) *Pairing {
-	p := newPairing()
+	p := pairExact(oldProg, newProg)
 
-	// Stage 1: exact code digests.
+	// Stage 2: similarity over the leftovers.
+	oldLeft := unpaired(oldProg, p.OldToNew)
+	newLeft := unpaired(newProg, p.NewToOld)
+	if len(oldLeft) == 0 || len(newLeft) == 0 ||
+		len(oldLeft)*len(newLeft) > similarityBudget {
+		return p
+	}
+	oldLay := dataflow.Layouts(oldProg, oldLeft, opts)
+	newLay := dataflow.Layouts(newProg, newLeft, opts)
+	type cand struct {
+		score float64
+		o, n  string
+	}
+	var cands []cand
+	for _, o := range oldLeft {
+		for _, n := range newLeft {
+			s := similarityScore(oldProg, newProg, p, o, n, oldLay[o], newLay[n])
+			if s >= similarityThreshold {
+				cands = append(cands, cand{s, o, n})
+			}
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		if cands[i].o != cands[j].o {
+			return cands[i].o < cands[j].o
+		}
+		return cands[i].n < cands[j].n
+	})
+	usedOld := make(map[string]bool)
+	usedNew := make(map[string]bool)
+	for _, c := range cands {
+		if usedOld[c.o] || usedNew[c.n] {
+			continue
+		}
+		usedOld[c.o], usedNew[c.n] = true, true
+		p.add(c.o, c.n)
+		p.Similar++
+	}
+	return p
+}
+
+// pairExact is stage 1: it pairs the functions whose code digests match.
+func pairExact(oldProg, newProg *cfg.Program) *Pairing {
+	p := newPairing()
 	oldByDigest := digestGroups(oldProg)
 	newByDigest := digestGroups(newProg)
 	digests := make([]string, 0, len(newByDigest))
@@ -105,48 +152,6 @@ func PairFunctions(oldProg, newProg *cfg.Program, opts dataflow.Options) *Pairin
 			p.Exact++
 			p.Renamed++
 		}
-	}
-
-	// Stage 2: similarity over the leftovers.
-	oldLeft := unpaired(oldProg, p.OldToNew)
-	newLeft := unpaired(newProg, p.NewToOld)
-	if len(oldLeft) == 0 || len(newLeft) == 0 ||
-		len(oldLeft)*len(newLeft) > similarityBudget {
-		return p
-	}
-	oldLay := layoutIndex(oldProg, oldLeft, opts)
-	newLay := layoutIndex(newProg, newLeft, opts)
-	type cand struct {
-		score float64
-		o, n  string
-	}
-	var cands []cand
-	for _, o := range oldLeft {
-		for _, n := range newLeft {
-			s := similarityScore(oldProg, newProg, p, o, n, oldLay[o], newLay[n])
-			if s >= similarityThreshold {
-				cands = append(cands, cand{s, o, n})
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		if cands[i].o != cands[j].o {
-			return cands[i].o < cands[j].o
-		}
-		return cands[i].n < cands[j].n
-	})
-	usedOld := make(map[string]bool)
-	usedNew := make(map[string]bool)
-	for _, c := range cands {
-		if usedOld[c.o] || usedNew[c.n] {
-			continue
-		}
-		usedOld[c.o], usedNew[c.n] = true, true
-		p.add(c.o, c.n)
-		p.Similar++
 	}
 	return p
 }
@@ -210,19 +215,6 @@ func unpaired(prog *cfg.Program, paired map[string]string) []string {
 	for _, fn := range prog.Funcs {
 		if _, ok := paired[fn.Name]; !ok {
 			out = append(out, fn.Name)
-		}
-	}
-	return out
-}
-
-// layoutIndex keeps the named functions' data-structure layouts for the
-// similarity stage, built from their phase-1 summaries.
-func layoutIndex(prog *cfg.Program, names []string, opts dataflow.Options) map[string][]*structsim.Layout {
-	sums := dataflow.FunctionSummaries(prog, names, opts)
-	out := make(map[string][]*structsim.Layout, len(names))
-	for _, name := range names {
-		if ls := structsim.BuildLayouts(sums[name]); len(ls) > 0 {
-			out[name] = ls
 		}
 	}
 	return out

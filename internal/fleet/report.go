@@ -149,7 +149,9 @@ type BinaryAnalysis struct {
 	// state budget (their summaries are partial).
 	Truncated int `json:"truncated"`
 	// SSATime and DDGTime are the two analysis phases' durations (the
-	// Table VII columns).
+	// Table VII columns). SSATime times phase 1, which runs only on the
+	// functions indirect-call resolution reads; DDGTime the bottom-up
+	// pass over every function.
 	SSATime time.Duration `json:"ssaNanos"`
 	DDGTime time.Duration `json:"ddgNanos"`
 	// DDGWorkers, SCCComponents and CriticalPath describe the parallel

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 	"sort"
 
 	"dtaint/internal/cfg"
@@ -49,21 +48,23 @@ func NewFingerprinter(prog *cfg.Program, optionsFingerprint string) *Fingerprint
 }
 
 // FuncKey returns the phase-1 store key for one function: its content
-// digest under the analysis identity, with no callee chain. Call it
-// before the bottom-up pass begins; it is safe for concurrent use.
+// digest under the analysis identity, with no callee chain. Phase 1
+// keys only the functions it runs on: those indirect-call resolution
+// reads, and those diff pairing finds no bottom-up entry for. It is
+// safe for concurrent use.
 func (f *Fingerprinter) FuncKey(name string) string {
 	h := sha256.New()
-	io.WriteString(h, "p1v1|")
-	io.WriteString(h, f.base)
-	f.writeFuncDigest(h, name)
+	h.Write(f.appendFuncDigest([]byte("p1v1|"+f.base), name))
 	return "p1-" + hex.EncodeToString(h.Sum(nil))
 }
 
 // CompKeys returns the bottom-up store key of every condensation
 // component, indexed like cond.Comps. Keys are computed in condensation
 // order — every dependency of Comps[i] has a smaller index, so its key
-// is already available when i folds it in.
-func (f *Fingerprinter) CompKeys(cond *cfg.Condensation) []string {
+// is already available when i folds it in. Given need, it keys only
+// those components and the components they depend on, and leaves the
+// other keys empty.
+func (f *Fingerprinter) CompKeys(cond *cfg.Condensation, need ...int) []string {
 	// Invert Callers into per-component dependency lists: dep appears in
 	// depsOf[i] exactly when the scheduler counts dep in i's in-degree.
 	depsOf := make([][]int, len(cond.Comps))
@@ -72,52 +73,63 @@ func (f *Fingerprinter) CompKeys(cond *cfg.Condensation) []string {
 			depsOf[c] = append(depsOf[c], dep)
 		}
 	}
+	var keyed []bool // nil: key every component
+	if len(need) > 0 {
+		keyed = make([]bool, len(cond.Comps))
+		for len(need) > 0 {
+			i := need[len(need)-1]
+			need = need[:len(need)-1]
+			if !keyed[i] {
+				keyed[i] = true
+				need = append(need, depsOf[i]...)
+			}
+		}
+	}
 	keys := make([]string, len(cond.Comps))
+	var buf []byte
 	for i, comp := range cond.Comps {
-		h := sha256.New()
-		io.WriteString(h, "buv1|")
-		io.WriteString(h, f.base)
-		writeUvarint(h, uint64(len(comp)))
+		if keyed != nil && !keyed[i] {
+			continue
+		}
+		buf = append(append(buf[:0], "buv1|"...), f.base...)
+		buf = binary.AppendUvarint(buf, uint64(len(comp)))
 		for _, name := range comp {
-			f.writeFuncDigest(h, name)
+			buf = f.appendFuncDigest(buf, name)
 		}
 		sort.Ints(depsOf[i])
-		writeUvarint(h, uint64(len(depsOf[i])))
+		buf = binary.AppendUvarint(buf, uint64(len(depsOf[i])))
 		for _, dep := range depsOf[i] {
-			io.WriteString(h, keys[dep])
+			buf = append(buf, keys[dep]...)
 		}
-		keys[i] = "bu-" + hex.EncodeToString(h.Sum(nil))
+		sum := sha256.Sum256(buf)
+		keys[i] = "bu-" + hex.EncodeToString(sum[:])
 	}
 	return keys
 }
 
-// writeFuncDigest folds one function's analysis-relevant content into h:
-// name, address, decoded instructions, the rodata strings and function
-// symbols its immediates resolve to, and its callsite bindings.
-func (f *Fingerprinter) writeFuncDigest(h io.Writer, name string) {
+// appendFuncDigest appends one function's analysis-relevant content to
+// b: name, address, decoded instructions, the rodata strings and
+// function symbols its immediates resolve to, and its callsite
+// bindings.
+func (f *Fingerprinter) appendFuncDigest(b []byte, name string) []byte {
 	fn := f.prog.ByName[name]
-	writeStr(h, name)
+	b = appendStr(b, name)
 	if fn == nil {
-		return
+		return b
 	}
 	bin := f.prog.Binary
-	writeUvarint(h, uint64(fn.Addr))
-	writeUvarint(h, uint64(len(fn.Blocks)))
-	for _, b := range fn.Blocks {
-		writeUvarint(h, uint64(b.Start))
-		writeUvarint(h, uint64(len(b.Insts)))
-		for _, in := range b.Insts {
+	b = binary.AppendUvarint(b, uint64(fn.Addr))
+	b = binary.AppendUvarint(b, uint64(len(fn.Blocks)))
+	for _, blk := range fn.Blocks {
+		b = binary.AppendUvarint(b, uint64(blk.Start))
+		b = binary.AppendUvarint(b, uint64(len(blk.Insts)))
+		for _, in := range blk.Insts {
 			r := in.Raw
-			var rec [16]byte
-			rec[0] = byte(r.Op)
-			rec[1] = byte(r.Cond)
-			rec[2] = byte(r.Rd)
-			rec[3] = byte(r.Rn)
-			rec[4] = byte(r.Rm)
-			binary.BigEndian.PutUint32(rec[5:], uint32(r.Imm))
-			rec[9] = boolByte(r.HasImm)
-			binary.BigEndian.PutUint32(rec[10:], r.Target)
-			h.Write(rec[:])
+			b = append(b, byte(r.Op), byte(r.Cond), byte(r.Rd), byte(r.Rn), byte(r.Rm))
+			b = binary.BigEndian.AppendUint32(b, uint32(r.Imm))
+			b = append(b, boolByte(r.HasImm))
+			b = binary.BigEndian.AppendUint32(b, r.Target)
+			b = append(b, 0, 0)
 			// The analysis reads two binary-wide tables through constant
 			// immediates: rodata strings (library models fetch formats
 			// and guard sets via StringAt) and the function table
@@ -127,29 +139,24 @@ func (f *Fingerprinter) writeFuncDigest(h io.Writer, name string) {
 			// still invalidating on the bytes the analysis can observe.
 			if r.HasImm {
 				if s, ok := bin.StringAt(uint32(r.Imm)); ok {
-					writeStr(h, "s:"+s)
+					b = appendStr(b, "s:"+s)
 				}
 				if sym, ok := bin.FuncAt(uint32(r.Imm)); ok {
-					writeStr(h, "f:"+sym.Name)
+					b = appendStr(b, "f:"+sym.Name)
 				}
 			}
 		}
 	}
-	writeUvarint(h, uint64(len(fn.Calls)))
+	b = binary.AppendUvarint(b, uint64(len(fn.Calls)))
 	for _, cs := range fn.Calls {
-		writeUvarint(h, uint64(cs.Addr))
-		writeUvarint(h, uint64(cs.Kind))
-		writeStr(h, cs.Callee)
-		writeUvarint(h, uint64(cs.Target))
+		b = binary.AppendUvarint(b, uint64(cs.Addr))
+		b = binary.AppendUvarint(b, uint64(cs.Kind))
+		b = appendStr(b, cs.Callee)
+		b = binary.AppendUvarint(b, uint64(cs.Target))
 	}
+	return b
 }
 
-func writeUvarint(h io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	h.Write(buf[:binary.PutUvarint(buf[:], v)])
-}
-
-func writeStr(h io.Writer, s string) {
-	writeUvarint(h, uint64(len(s)))
-	io.WriteString(h, s)
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

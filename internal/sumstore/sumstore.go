@@ -7,9 +7,11 @@
 // Two entry granularities are cached, matching the pipeline's two
 // analysis passes:
 //
-//   - a phase-1 symexec.Summary per function (the static symbolic pass:
-//     scratch tracker, no alias rewriting), keyed by the function's own
-//     content only — phase 1 never consults callee summaries;
+//   - a phase-1 symexec.Summary per function phase 1 runs on (the
+//     static symbolic pass over the functions indirect-call resolution
+//     reads: scratch tracker, no alias rewriting), keyed by the
+//     function's own content only — phase 1 never consults callee
+//     summaries;
 //   - a bottom-up Entry per call-graph SCC component (the summaries the
 //     component exports after alias rewriting, plus the pending sinks,
 //     findings, and counters its functions produced), keyed by a

@@ -662,7 +662,7 @@ func (d *dec) path(p *taint.PendingSink) *taint.Hop {
 	d.expect("", p.Sink)
 	var h *taint.Hop
 	for i := 1; i < n && d.err == nil; i++ {
-		h = &taint.Hop{Func: d.str(), Addr: d.u32(), Prev: h}
+		h = &taint.Hop{Func: d.str(), Addr: d.u32(), Depth: uint32(i), Prev: h}
 		d.expect("call ", p.SinkFunc)
 	}
 	return h

@@ -84,9 +84,9 @@ func richEntry() *Entry {
 					SinkFunc: "rtsp_parse", SinkAddr: 0x1000_0100,
 					TaintExpr: tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C)),
 					GuardExpr: tab.Sym("g"),
-					Path: &taint.Hop{Func: "rtsp_main", Addr: 0x1000_0280,
-						Prev: &taint.Hop{Func: "rtsp_recv", Addr: 0x1000_0200,
-							Prev: &taint.Hop{Func: "rtsp_session", Addr: 0x1000_0180}}},
+					Path: &taint.Hop{Func: "rtsp_main", Addr: 0x1000_0280, Depth: 3,
+						Prev: &taint.Hop{Func: "rtsp_recv", Addr: 0x1000_0200, Depth: 2,
+							Prev: &taint.Hop{Func: "rtsp_session", Addr: 0x1000_0180, Depth: 1}}},
 					Constraints: []symexec.Constraint{
 						{L: tab.Sym("len"), R: tab.Const(64), Cond: isa.CondGE, Addr: 0x1000_00F0},
 						{L: tab.Deref(tab.Add(tab.Sym("arg0"), 0x4C)), R: tab.Const(0x100), Cond: isa.CondLT, Addr: 0x1000_0068},

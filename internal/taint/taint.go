@@ -169,11 +169,15 @@ type PendingSink struct {
 
 // Hop is one callsite a pending sink climbed: the importing function and
 // the callsite's address. Prev is the hop below it, nil for the first
-// caller of the sink's function. Hops are never copied or changed.
+// caller of the sink's function, and Depth counts the hops of the chain
+// it ends, itself included (1 for the first caller). Depth sits in
+// Addr's padding, so a Hop stays 32 bytes. Hops are never copied or
+// changed.
 type Hop struct {
-	Func string
-	Addr uint32
-	Prev *Hop
+	Func  string
+	Addr  uint32
+	Depth uint32
+	Prev  *Hop
 }
 
 // MaxPendingDepth bounds how many call levels a pending sink may climb.
@@ -181,11 +185,10 @@ const MaxPendingDepth = 24
 
 // Depth is the number of callsites the sink has climbed.
 func (p *PendingSink) Depth() int {
-	n := 0
-	for h := p.Path; h != nil; h = h.Prev {
-		n++
+	if p.Path == nil {
+		return 0
 	}
-	return n
+	return int(p.Path.Depth)
 }
 
 // Steps spells the sink's path, sink first: the sink step, then one
@@ -883,7 +886,8 @@ func (t *Tracker) observe(o PendingSink) {
 func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Expr, callSite uint32) {
 	for i := range ps {
 		p := &ps[i]
-		if p.Depth() >= MaxPendingDepth {
+		depth := p.Depth()
+		if depth >= MaxPendingDepth {
 			continue
 		}
 		taintE := sub(p.TaintExpr)
@@ -903,7 +907,7 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 		t.observe(PendingSink{
 			Class: p.Class, Sink: p.Sink, SinkFunc: p.SinkFunc, SinkAddr: p.SinkAddr,
 			TaintExpr: taintE, GuardExpr: guardE,
-			Path:        &Hop{Func: t.curFunc, Addr: callSite, Prev: p.Path},
+			Path:        &Hop{Func: t.curFunc, Addr: callSite, Depth: uint32(depth) + 1, Prev: p.Path},
 			Constraints: carried, Guarded: p.Guarded,
 			DstCap: p.DstCap, BoundHint: p.BoundHint,
 		})

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dtaint/internal/expr"
 	"dtaint/internal/isa"
@@ -258,7 +259,7 @@ func TestPendingDepthBound(t *testing.T) {
 		TaintExpr: tab.Deref(tab.Arg(0)),
 	}
 	for i := 0; i < MaxPendingDepth; i++ {
-		deep.Path = &Hop{Func: fmt.Sprintf("g%d", i), Addr: uint32(i), Prev: deep.Path}
+		deep.Path = &Hop{Func: fmt.Sprintf("g%d", i), Addr: uint32(i), Depth: uint32(i + 1), Prev: deep.Path}
 	}
 	if deep.Depth() != MaxPendingDepth {
 		t.Fatalf("depth = %d, want %d", deep.Depth(), MaxPendingDepth)
@@ -335,15 +336,24 @@ func TestImportPendingSkipsDuplicates(t *testing.T) {
 	}
 }
 
+// A hop's depth fills Addr's padding, so on a 64-bit host a Hop is as
+// large as it was before it carried one.
+func TestHopCarriesDepthInPadding(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Hop{}) != 32 {
+		t.Fatalf("a Hop takes %d bytes, want 32", unsafe.Sizeof(Hop{}))
+	}
+}
+
 // TestImportSharesPath imports one callee sink, which has already
 // climbed one callsite, into two callers. Each caller's pending sink
 // must link its hop to the callee's by pointer, and each caller's
-// finding must spell the path the callee's steps plus the callsite.
+// finding must spell the path the callee's steps plus the callsite, and
+// its hop must carry depth 2.
 func TestImportSharesPath(t *testing.T) {
 	callee := PendingSink{
 		Class: ClassBufferOverflow, Sink: "strcpy", SinkFunc: "leaf", SinkAddr: 0x10,
 		TaintExpr: tab.Deref(tab.Arg(0)), GuardExpr: tab.Deref(tab.Arg(0)),
-		Path: &Hop{Func: "mid", Addr: 0x20},
+		Path: &Hop{Func: "mid", Addr: 0x20, Depth: 1},
 	}
 	keep := func(e *expr.Expr) *expr.Expr { return e }
 	src := tab.Sym(expr.TaintName("recv", 0x8))
@@ -360,7 +370,7 @@ func TestImportSharesPath(t *testing.T) {
 		if len(ps) != 1 {
 			t.Fatalf("%s: pendings = %d, want 1", caller.name, len(ps))
 		}
-		if h := ps[0].Path; h.Prev != callee.Path || h.Func != caller.name || h.Addr != caller.site {
+		if h := ps[0].Path; h.Prev != callee.Path || h.Func != caller.name || h.Addr != caller.site || h.Depth != 2 {
 			t.Fatalf("%s: hop %+v does not link %s@%#x to the callee's hop %p", caller.name, h, caller.name, caller.site, callee.Path)
 		}
 		if len(fs) != 1 || fs[0].SinkFunc != "leaf" {
