@@ -8,9 +8,10 @@
 //     indirect dispatches. Only phase 2 reads these summaries, and it
 //     reads only functions that dispatch or register a function
 //     pointer, so phase 1 runs only on functions with an indirect
-//     callsite or a constant, an immediate or one folded from
-//     immediates, that names a function (phase1Funcs); it runs on none
-//     when structsim is ablated. The summaries are recorded under
+//     callsite, an immediate that names a function, or a store that
+//     may write a function's address (phase1Funcs,
+//     symexec.MayFeedResolution); it runs on none when structsim is
+//     ablated. The summaries are recorded under
 //     symexec.Options.ForResolution: no branch constraints and no
 //     ranges. Every function is analyzed in full once, in step 3.
 //  2. Indirect-call resolution (sseresolve.go): callsites are matched to
@@ -582,8 +583,9 @@ func phase1Funcs(prog *cfg.Program, names []string, opts Options) []string {
 		return nil
 	}
 	var out []string
+	tab := new(expr.Table)
 	for _, name := range names {
-		if symexec.MayFeedResolution(prog.ByName[name], prog.Binary) {
+		if symexec.MayFeedResolution(prog.ByName[name], prog.Binary, tab) {
 			out = append(out, name)
 		}
 	}

@@ -3,12 +3,14 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dtaint/internal/asm"
 	"dtaint/internal/cfg"
 	"dtaint/internal/expr"
+	"dtaint/internal/image"
 	"dtaint/internal/symexec"
 	"dtaint/internal/taint"
 )
@@ -692,14 +694,24 @@ func TestLayoutTieBreakPicksVulnerableHandler(t *testing.T) {
 }
 
 // Arithmetic-built function pointer: register builds handler's address
-// as %hi% + %lo%, two immediates neither of which names a function, and
-// stores it at [arg0+4]; dispatch calls through [arg0+4] after recv
-// fills deref(arg0), which handler copies with strcpy into a stack
-// buffer. The engine folds the two immediates (expr.Table.Bin), so phase
-// 1 must run on register for the call to bind.
+// from immediates none of which names a function, and stores it at
+// [arg0+4]; dispatch calls through [arg0+4] after recv fills
+// deref(arg0), which handler copies with strcpy into a stack buffer.
+// The engine folds constants (expr.Table.Bin) and reads back what a path
+// stored, so phase 1 must run on register for the call to bind. Each
+// arithPtrShapes entry is one body of register: %hi% + %lo% and
+// %or1% | %or2% are handler's address, and %hi2% + %lo% names no
+// function.
 const arithPtrSrc = `
 .import recv
 .import strcpy
+.import strcat
+
+.func pad
+  MOV %a0%, %a0%
+  MOV %a0%, %a0%
+  BX LR
+.endfunc
 
 .func handler
   SUB SP, SP, #0x40
@@ -710,9 +722,7 @@ const arithPtrSrc = `
 .endfunc
 
 .func register
-  MOV %t0%, #%hi%
-  ADD %t0%, %t0%, #%lo%
-  STR %t0%, [%a0%, #4]
+%register%
   BX LR
 .endfunc
 
@@ -729,40 +739,105 @@ const arithPtrSrc = `
 .endfunc
 `
 
+var arithPtrShapes = []struct{ name, body string }{
+	{"fold", `
+  MOV %t0%, #%hi%
+  ADD %t0%, %t0%, #%lo%
+  STR %t0%, [%a0%, #4]`},
+	// The sum is built from a stack slot the function wrote.
+	{"spill", `
+  MOV %t0%, #%hi%
+  STR %t0%, [SP, #8]
+  LDR %t1%, [SP, #8]
+  ADD %t1%, %t1%, #%lo%
+  STR %t1%, [%a0%, #4]`},
+	// Only the first branch in address order builds handler's address.
+	{"join", `
+  CMP %a1%, #0
+  BEQ reg_other
+  MOV %t0%, #%hi%
+  B reg_both
+reg_other:
+  MOV %t0%, #%hi2%
+reg_both:
+  ADD %t0%, %t0%, #%lo%
+  STR %t0%, [%a0%, #4]`},
+	// strcat's model writes the OR of both buffers' contents.
+	{"call", `
+  MOV %t2%, %a0%
+  MOV %t0%, #%or1%
+  STR %t0%, [SP, #8]
+  MOV %t0%, #%or2%
+  STR %t0%, [SP, #16]
+  ADD %a0%, SP, #8
+  ADD %a1%, SP, #16
+  BL strcat
+  LDR %t1%, [SP, #8]
+  STR %t1%, [%t2%, #4]`},
+}
+
+// arithPtrBinary assembles arithPtrSrc for arch with register's body
+// body, and checks that no immediate names a function.
+func arithPtrBinary(tb testing.TB, arch, body string) *image.Binary {
+	tb.Helper()
+	spell := func(v ...uint32) string {
+		var pairs []string
+		for i, name := range []string{"%hi%", "%hi2%", "%lo%", "%or1%", "%or2%"} {
+			pairs = append(pairs, name, fmt.Sprintf("0x%x", v[i]))
+		}
+		return strings.NewReplacer(pairs...).
+			Replace(forArch(arch, strings.Replace(arithPtrSrc, "%register%", body, 1)))
+	}
+	// handler's address does not depend on the immediates: only pad,
+	// which gives it more than one set bit, comes before it.
+	probe, err := asm.Assemble("t", spell(0, 0, 0, 0, 0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sym, ok := probe.FuncByName("handler")
+	if !ok {
+		tb.Fatal("no handler")
+	}
+	or2 := sym.Addr & -sym.Addr // the lowest set bit
+	v := []uint32{sym.Addr - 0x10, sym.Addr + 0x1000, 0x10, sym.Addr &^ or2, or2}
+	for _, x := range append(v, v[1]+v[2]) {
+		if sym, ok := probe.FuncAt(x); ok {
+			tb.Fatalf("0x%x names %s", x, sym.Name)
+		}
+	}
+	bin, err := asm.Assemble("t", spell(v...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bin
+}
+
 func TestArithmeticFunctionPointerResolves(t *testing.T) {
 	for _, arch := range []string{"arm", "mips"} {
-		t.Run(arch, func(t *testing.T) {
-			// handler comes first, so its address does not depend on
-			// the immediates.
-			spell := func(hi, lo uint32) string {
-				return strings.NewReplacer("%hi%", fmt.Sprintf("0x%x", hi), "%lo%", fmt.Sprintf("0x%x", lo)).
-					Replace(forArch(arch, arithPtrSrc))
-			}
-			probe, err := asm.Assemble("t", spell(0, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var addr uint32
-			for _, f := range probe.Funcs {
-				if f.Name == "handler" {
-					addr = f.Addr
+		for _, shape := range arithPtrShapes {
+			t.Run(arch+"/"+shape.name, func(t *testing.T) {
+				prog, err := cfg.Build(arithPtrBinary(t, arch, shape.body))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			hi, lo := addr-0x10, uint32(0x10)
-			for _, v := range []uint32{hi, lo} {
-				if sym, ok := probe.FuncAt(v); ok {
-					t.Fatalf("immediate 0x%x names %s", v, sym.Name)
+				res, err := Analyze(prog, Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			res := run(t, spell(hi, lo), Options{})
-			if len(res.Resolutions) != 1 || res.Resolutions[0].Caller != "dispatch" ||
-				res.Resolutions[0].Callee != "handler" {
-				t.Fatalf("resolutions = %+v, want dispatch -> handler", res.Resolutions)
-			}
-			if findVuln(res, "strcpy", "recv") == nil {
-				t.Fatal("recv -> strcpy through handler not found")
-			}
-		})
+				if len(res.Resolutions) != 1 || res.Resolutions[0].Caller != "dispatch" ||
+					res.Resolutions[0].Callee != "handler" {
+					t.Fatalf("resolutions = %+v, want dispatch -> handler", res.Resolutions)
+				}
+				if findVuln(res, "strcpy", "recv") == nil {
+					t.Fatal("recv -> strcpy through handler not found")
+				}
+				all, allStats := allPhase1Resolutions(prog, Options{})
+				if !reflect.DeepEqual(res.Resolutions, all) || res.Resolve != allStats {
+					t.Fatalf("resolutions %+v %+v, from a phase 1 over every function %+v %+v",
+						res.Resolutions, res.Resolve, all, allStats)
+				}
+			})
+		}
 	}
 }
 

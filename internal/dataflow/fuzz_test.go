@@ -27,7 +27,8 @@ import (
 // 1 runs only on the functions resolution can read, so those
 // resolutions must also be the ones a phase 1 over every function
 // gives. The seeds are screening binaries, small enough to keep the
-// fuzzer fast.
+// fuzzer fast, and the arithPtrShapes programs, whose registrations
+// only a fold, a reload or a join of constants reveals.
 func FuzzAnalyzeBinary(f *testing.F) {
 	cases, err := corpus.ScreeningCorpus(8, 1)
 	if err != nil {
@@ -39,6 +40,15 @@ func FuzzAnalyzeBinary(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(raw)
+	}
+	for _, arch := range []string{"arm", "mips"} {
+		for _, shape := range arithPtrShapes {
+			raw, err := arithPtrBinary(f, arch, shape.body).Marshal()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(raw)
+		}
 	}
 	opts := Options{
 		Symexec: symexec.Options{

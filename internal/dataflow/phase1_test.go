@@ -58,6 +58,11 @@ func TestPhase1KeepsResolutionInputs(t *testing.T) {
 		}
 		units = append(units, unit{p.name, bin, nil})
 	}
+	for _, arch := range []string{"arm", "mips"} {
+		for _, shape := range arithPtrShapes {
+			units = append(units, unit{arch + "/" + shape.name, arithPtrBinary(t, arch, shape.body), nil})
+		}
+	}
 	resolved := map[string]int{}
 	for _, u := range units {
 		prog, err := cfg.Build(u.bin)

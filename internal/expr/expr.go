@@ -228,10 +228,7 @@ func shortHash(s string) string {
 	return strconv.FormatUint(h, 16)
 }
 
-// Fold folds op on two constants as Table.Bin does; ok is false where
-// Bin leaves the operation unfolded (a shift by less than 0 or more
-// than 63).
-func Fold(op Op, a, b int64) (v int64, ok bool) {
+func foldConst(op Op, a, b int64) (int64, bool) {
 	switch op {
 	case OpAdd:
 		return a + b, true

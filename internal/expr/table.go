@@ -124,7 +124,7 @@ func (t *Table) Bin(op Op, a, b *Expr) *Expr {
 	}
 	// Constant folding.
 	if a.kind == KindConst && b.kind == KindConst {
-		if v, ok := Fold(op, a.val, b.val); ok {
+		if v, ok := foldConst(op, a.val, b.val); ok {
 			return t.Const(v)
 		}
 	}

@@ -242,64 +242,6 @@ func (o Options) ForResolution() Options {
 	return o
 }
 
-// MayFeedResolution reports whether Analyze may record in fn's summary
-// what indirect-call resolution reads: a Dispatch, which needs a
-// cfg.CallIndirect site, or a FieldObs with a FnTarget, a 4-byte store
-// of a constant that bin.FuncAt names. The engine's constants come from
-// immediates folded through MOV and the ALU operations by Table.Bin, so
-// fn qualifies when an immediate, or a value this walk folds from
-// immediates as Bin does (expr.Fold), names a function. The walk goes
-// over fn's instructions in address order and keeps register values
-// across blocks: a value no path carries can only select a function
-// that registers nothing. It does not follow constants through memory
-// or calls.
-func MayFeedResolution(fn *cfg.Function, bin *image.Binary) bool {
-	for _, cs := range fn.Calls {
-		if cs.Kind == cfg.CallIndirect {
-			return true
-		}
-	}
-	names := func(v int64) bool {
-		_, ok := bin.FuncAt(uint32(v))
-		return ok
-	}
-	var val [isa.NumRegs]int64
-	var known [isa.NumRegs]bool
-	for _, b := range fn.Blocks {
-		for _, in := range b.Insts {
-			r := in.Raw
-			src, srcKnown := val[r.Rm], known[r.Rm]
-			if r.HasImm {
-				if names(int64(r.Imm)) {
-					return true
-				}
-				src, srcKnown = int64(r.Imm), true
-			}
-			switch {
-			case r.Op == isa.OpMOV:
-				val[r.Rd], known[r.Rd] = src, srcKnown
-			case int(r.Op) < len(binOps) && binOps[r.Op] != 0:
-				v, ok := expr.Fold(binOps[r.Op], val[r.Rn], src)
-				ok = ok && known[r.Rn] && srcKnown
-				switch {
-				case r.Op == isa.OpSUB && !r.HasImm && r.Rn == r.Rm,
-					(r.Op == isa.OpMUL || r.Op == isa.OpAND) && srcKnown && src == 0,
-					r.Op == isa.OpMUL && known[r.Rn] && val[r.Rn] == 0:
-					// x-x, x*0 and x&0 fold to 0 whatever x is.
-					v, ok = 0, true
-				}
-				if ok && names(v) {
-					return true
-				}
-				val[r.Rd], known[r.Rd] = v, ok
-			case r.Op == isa.OpLDR || r.Op == isa.OpLDRB:
-				known[r.Rd] = false
-			}
-		}
-	}
-	return false
-}
-
 // Defaults fills zero fields with production values.
 func (o Options) withDefaults() Options {
 	if o.MaxStatesPerBlock <= 0 {
