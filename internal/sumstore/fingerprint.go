@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
 
 	"dtaint/internal/cfg"
@@ -76,12 +77,12 @@ func (f *Fingerprinter) CompKeys(cond *cfg.Condensation, need ...int) []string {
 	var keyed []bool // nil: key every component
 	if len(need) > 0 {
 		keyed = make([]bool, len(cond.Comps))
-		for len(need) > 0 {
-			i := need[len(need)-1]
-			need = need[:len(need)-1]
+		for stack := slices.Clone(need); len(stack) > 0; {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			if !keyed[i] {
 				keyed[i] = true
-				need = append(need, depsOf[i]...)
+				stack = append(stack, depsOf[i]...)
 			}
 		}
 	}

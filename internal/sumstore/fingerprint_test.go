@@ -1,6 +1,7 @@
 package sumstore
 
 import (
+	"slices"
 	"testing"
 
 	"dtaint/internal/cfg"
@@ -27,7 +28,11 @@ func TestCompKeysOfSomeComponents(t *testing.T) {
 	fp := NewFingerprinter(prog, "test")
 	all := fp.CompKeys(cond)
 	for _, need := range [][]int{{0}, {len(cond.Comps) - 1}, {len(cond.Comps) / 2, 1}} {
+		asked := slices.Clone(need)
 		some := fp.CompKeys(cond, need...)
+		if !slices.Equal(need, asked) {
+			t.Fatalf("CompKeys changed its argument %v to %v", asked, need)
+		}
 		keyed := 0
 		for i, k := range some {
 			if k != "" {
