@@ -239,7 +239,7 @@ func detected(r StudyRun, p corpus.Planted) bool {
 }
 
 // Table6 reproduces the resource-usage measurement over the largest
-// study binary: CPU utilization and memory per pipeline phase.
+// study binary: CPU utilization and memory of the whole pipeline.
 func Table6(w io.Writer, scale float64) error {
 	fmt.Fprintln(w, "== Table VI: CPU and memory usage of the pipeline phases ==")
 	spec, _ := corpus.SpecByProduct("DGN2200")
@@ -270,11 +270,13 @@ func Table6(w io.Writer, scale float64) error {
 	if wall > 0 {
 		cpuPct = 100 * float64(cpu) / float64(wall)
 	}
-	ssaShare := float64(res.SSATime) / float64(res.SSATime+res.DDGTime)
-	fmt.Fprintln(w, "Phase                      CPU%    Memory(MB allocated)")
-	fmt.Fprintf(w, "Static symbolic analysis   %4.0f    %8.1f\n", cpuPct, heap*ssaShare)
-	fmt.Fprintf(w, "Data flow generation       %4.0f    %8.1f\n", cpuPct, heap*(1-ssaShare))
-	fmt.Fprintf(w, "Paper: SSA 25%% CPU / 15.3 GB;  DDG 10%% CPU / 208.9 MB (128 GB host)\n\n")
+	fmt.Fprintln(w, "Phase                                             CPU%    Memory(MB allocated)")
+	fmt.Fprintf(w, "Static symbolic analysis and data flow generation  %4.0f    %8.1f\n", cpuPct, heap)
+	fmt.Fprintf(w, "Paper: SSA 25%% CPU / 15.3 GB;  DDG 10%% CPU / 208.9 MB (128 GB host)\n")
+	fmt.Fprintf(w, "DTaint analyzes each function symbolically inside the bottom-up data-flow pass; its separate\n"+
+		"symbolic pass covers only the functions indirect-call resolution reads (%.3f s of %.3f s here),\n"+
+		"so the paper's SSA/DDG split has no counterpart and one row reports both.\n\n",
+		res.SSATime.Seconds(), (res.SSATime + res.DDGTime).Seconds())
 	return nil
 }
 
@@ -419,7 +421,10 @@ func Table7(w io.Writer, scale float64) error {
 			r.Components, r.CriticalPath,
 			speedup, note)
 	}
-	fmt.Fprintf(w, "Paper DDG speedups: cgibin 1571x, setup.cgi 448x, httpd 2502x, openssl 2377x\n\n")
+	fmt.Fprintf(w, "Paper DDG speedups: cgibin 1571x, setup.cgi 448x, httpd 2502x, openssl 2377x\n")
+	fmt.Fprintf(w, "DTaint-SSA times only the symbolic pass over the functions indirect-call resolution reads;\n"+
+		"DTaint analyzes every function symbolically inside DTaint-DDG, so DTaint-SSA does not compare\n"+
+		"with the paper's SSA column: DTaint-DDG holds both of the paper's phases.\n\n")
 	return nil
 }
 
