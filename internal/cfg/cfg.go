@@ -75,8 +75,8 @@ type Function struct {
 	Addr   uint32
 	Size   uint32
 	Entry  *Block
-	Blocks []*Block // in address order
-	Calls  []CallSite
+	Blocks []*Block   // in address order
+	Calls  []CallSite // in address order
 	// LoopBlocks marks block indices that belong to at least one natural
 	// loop (used by the loop-copy sink detector and the loop-once
 	// heuristic diagnostics).

@@ -10,9 +10,11 @@ import (
 )
 
 // TestBlocksPartitionFunctions checks the structural CFG invariants over
-// the synthetic corpus.
+// the study images, DS-2CD6233F's indirect callsite among them, so the
+// callsite order is also checked on a view that binds one.
 func TestBlocksPartitionFunctions(t *testing.T) {
-	for _, spec := range corpus.StudyImages()[:3] {
+	bound := 0
+	for _, spec := range corpus.StudyImages() {
 		bin, _, err := corpus.BuildBinary(spec, 0.05)
 		if err != nil {
 			t.Fatal(err)
@@ -21,7 +23,10 @@ func TestBlocksPartitionFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPartition(t, prog)
+		bound += checkPartition(t, prog)
+	}
+	if bound == 0 {
+		t.Fatal("no study image has an indirect callsite to bind")
 	}
 }
 
@@ -55,8 +60,11 @@ func FuzzBuild(f *testing.F) {
 
 // checkPartition checks that blocks tile each function exactly, that
 // every successor edge targets a block leader inside the same function,
-// and that call records point at call instructions.
-func checkPartition(t testing.TB, prog *cfg.Program) {
+// and that call records point at call instructions, in strictly
+// increasing address order. The order must hold as well in a view that
+// binds every indirect callsite; checkPartition returns how many it
+// bound.
+func checkPartition(t testing.TB, prog *cfg.Program) int {
 	t.Helper()
 	for _, fn := range prog.Funcs {
 		covered := uint32(0)
@@ -93,6 +101,30 @@ func checkPartition(t testing.TB, prog *cfg.Program) {
 			}
 			if !found {
 				t.Fatalf("%s: callsite %#x is not a call instruction", fn.Name, cs.Addr)
+			}
+		}
+	}
+	checkCallOrder(t, prog)
+	var edges []cfg.CallEdge
+	for _, fn := range prog.Funcs {
+		for _, cs := range fn.Calls {
+			if cs.Kind == cfg.CallIndirect {
+				edges = append(edges, cfg.CallEdge{Caller: fn.Name, Site: cs.Addr, Callee: prog.Funcs[0].Name})
+			}
+		}
+	}
+	checkCallOrder(t, prog.WithCallEdges(edges))
+	return len(edges)
+}
+
+// checkCallOrder checks that every function's callsites are strictly
+// increasing by address, the order the engine's callsite lookup needs.
+func checkCallOrder(t testing.TB, prog *cfg.Program) {
+	t.Helper()
+	for _, fn := range prog.Funcs {
+		for i := 1; i < len(fn.Calls); i++ {
+			if fn.Calls[i].Addr <= fn.Calls[i-1].Addr {
+				t.Fatalf("%s: callsite %#x follows %#x", fn.Name, fn.Calls[i].Addr, fn.Calls[i-1].Addr)
 			}
 		}
 	}

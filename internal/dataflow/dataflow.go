@@ -47,8 +47,10 @@
 // 3+4's units are the condensation's components: sibling components of
 // the SCC DAG have no ordering constraint, so workers pull ready
 // components (all callee components summarized) from a queue and
-// decrement caller in-degrees on completion. Each worker keeps one taint
-// tracker, which holds one function at a time. A component's findings
+// decrement caller in-degrees on completion. Each worker keeps one
+// symbolic engine (symexec.Engine), one oracle's substitution scratch and
+// one taint tracker; each holds one function at a time and keeps its
+// storage for the next. A component's findings
 // are collected in its fixed function order and the per-component
 // findings are concatenated in the condensation's topological order, so
 // the output — findings, their order, and every counter — is
@@ -512,9 +514,9 @@ func fingerprinter(prog *cfg.Program, opts Options) *sumstore.Fingerprinter {
 // scheduler, recording only what indirect-call resolution and layout
 // similarity read (symexec.Options.ForResolution). Analyze passes it
 // only the functions resolution can read (phase1Funcs); Layouts, the
-// functions it finds no stored summary for. Each worker's scratch
-// tracker supplies library models; phase 1 never ends a function, so the
-// tracker yields no findings.
+// functions it finds no stored summary for. Each worker keeps one engine
+// and one scratch tracker, which supplies library models; phase 1 never
+// ends a function, so the tracker yields no findings.
 // stageSpan (nil when tracing is off) parents one "ssa-function" span
 // per executed unit — the events -progress counts against the stage's
 // "functions" total. With a summary store, each function's phase-1 key
@@ -538,6 +540,7 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 	symOpts := opts.Symexec.ForResolution()
 	sums := make([]*symexec.Summary, len(names))
 	_, st := runUnits(opts, "function-analysis", make([]int, len(names)), nil, func() func(int) bool {
+		eng := new(symexec.Engine)
 		scratch := newTracker(opts, prog.Binary)
 		return func(i int) bool {
 			if store != nil {
@@ -548,7 +551,7 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 			}
 			run := rec.start(stageSpan, names[i])
 			scratch.BeginFunction(names[i])
-			sums[i] = symexec.Analyze(prog.ByName[names[i]], prog.Binary, scratch, symOpts)
+			sums[i] = eng.Analyze(prog.ByName[names[i]], prog.Binary, scratch, symOpts)
 			run.end(sums[i])
 			if store != nil {
 				store.PutSummary(keys[i], sums[i])
@@ -626,11 +629,17 @@ func countSinks(prog *cfg.Program, names []string, sums map[string]*symexec.Summ
 // summary application for local calls (Algorithm 2). Callee summaries
 // and pending sinks are read from the bottom-up pass's published state,
 // which holds every function that has ended: the callee components and
-// the earlier functions of the worker's own component.
+// the earlier functions of the worker's own component. One oracle serves
+// a worker's every call: each Call empties and refills its substitution
+// memo and the storage of the effect it returns.
 type interOracle struct {
 	tracker   *taint.Tracker
 	published *bottomUpState
 	noVRange  bool
+
+	memo    map[*expr.Expr]*expr.Expr // substitutor's memo
+	memDefs []symexec.MemDef          // the storage of CallEffect.MemDefs
+	ranges  map[string]vrange.Interval
 }
 
 var _ symexec.Oracle = (*interOracle)(nil)
@@ -646,9 +655,15 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 		// the engine falls back to a fresh return symbol.
 		return symexec.CallEffect{}
 	}
-	sub := substitutor(ctx)
+	if o.memo == nil {
+		o.memo = make(map[*expr.Expr]*expr.Expr)
+		o.ranges = make(map[string]vrange.Interval)
+	}
+	clear(o.memo)
+	clear(o.ranges)
+	sub := substitutor(ctx, o.memo)
 
-	eff := symexec.CallEffect{Handled: true}
+	eff := symexec.CallEffect{Handled: true, MemDefs: o.memDefs[:0]}
 	eff.Ret = calleeRet(ctx.Table(), sum, sub, ctx.Callee, ctx.Site)
 	// PushToCallSite: exported definitions (root pointer is a formal
 	// argument, a heap identity, or tainted data) are instantiated in the
@@ -672,6 +687,7 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 			Val:  sub(dp.U),
 		})
 	}
+	o.memDefs = eff.MemDefs
 	// Interval facts proven in the callee climb to the caller: length and
 	// parsed-value symbols are hash-stable across the substitution
 	// (ReplaceFormalArgs cannot rewrite hashed names), so they import
@@ -681,9 +697,7 @@ func (o *interOracle) Call(ctx *symexec.CallContext) symexec.CallEffect {
 	// actual on every path.
 	if !o.noVRange && len(sum.Ranges) > 0 {
 		addRange := func(k string, iv vrange.Interval) {
-			if eff.Ranges == nil {
-				eff.Ranges = make(map[string]vrange.Interval)
-			}
+			eff.Ranges = o.ranges
 			eff.Ranges[k] = iv
 		}
 		for k, iv := range sum.Ranges {
@@ -745,9 +759,9 @@ func calleeRet(tab *expr.Table, sum *symexec.Summary, sub func(*expr.Expr) *expr
 // while the oracle runs, so the replacement depends only on the input
 // node: each distinct callee fact is instantiated once per callsite, and
 // return values, exported definitions and pending sinks that repeat it
-// share the first result. Results are built through the analysis's
-// expression table.
-func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
+// share the first result, which memo keeps; memo must be empty at each
+// callsite. Results are built through the analysis's expression table.
+func substitutor(ctx *symexec.CallContext, memo map[*expr.Expr]*expr.Expr) func(*expr.Expr) *expr.Expr {
 	site, args, tab := uint64(ctx.Site), ctx.Args, ctx.Table()
 	// ArgIndex also parses spellings such as "arg01"; only the canonical
 	// name is a formal argument.
@@ -757,7 +771,6 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		}
 		return nil
 	}
-	var memo map[*expr.Expr]*expr.Expr
 	return func(e *expr.Expr) *expr.Expr {
 		if e == nil {
 			return nil
@@ -766,9 +779,6 @@ func substitutor(ctx *symexec.CallContext) func(*expr.Expr) *expr.Expr {
 		// node of its table, so the memo keys by node.
 		if r, ok := memo[e]; ok {
 			return r
-		}
-		if memo == nil {
-			memo = make(map[*expr.Expr]*expr.Expr)
 		}
 		// Re-hash heap identities BEFORE substituting actuals: only heap
 		// symbols originating in the callee (its allocation sites) extend

@@ -1109,7 +1109,7 @@ func TestSubstitutorInstantiatesOnce(t *testing.T) {
 	oracle := symexec.OracleFunc(func(ctx *symexec.CallContext) symexec.CallEffect {
 		called = true
 		tab := ctx.Table()
-		sub := substitutor(ctx)
+		sub := substitutor(ctx, map[*expr.Expr]*expr.Expr{})
 		fact := tab.Deref(tab.Add(tab.Arg(0), 0x4C))
 		first := sub(fact)
 		if want := tab.Deref(tab.Add(tab.Arg(1), 0x4C)); first != want {

@@ -26,7 +26,11 @@ import (
 // phase-2 resolutions and counts of the 1-worker store-less run. Phase
 // 1 runs only on the functions resolution can read, so those
 // resolutions must also be the ones a phase 1 over every function
-// gives. The seeds are screening binaries, small enough to keep the
+// gives. One symexec.Engine also analyzes every function in reverse name
+// order, and each summary must equal a fresh engine's
+// (checkEngineReuse), so the engine's reused scratch is fuzzed on
+// arbitrary CFGs and under budgets that truncate. The seeds are
+// screening binaries, small enough to keep the
 // fuzzer fast, and the arithPtrShapes programs, whose registrations
 // only a fold, a reload or a join of constants reveals.
 func FuzzAnalyzeBinary(f *testing.F) {
@@ -66,6 +70,7 @@ func FuzzAnalyzeBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkEngineReuse(t, prog, opts, reverseNames(prog))
 		analyze := func(workers int, store *sumstore.Store) string {
 			o := opts
 			o.Parallelism, o.SummaryStore = workers, store

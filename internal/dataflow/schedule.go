@@ -23,7 +23,8 @@ import (
 // on each worker goroutine and returns that worker's unit function, which
 // reports whether the unit replayed from the summary store. The finished
 // count is mutex-ordered and therefore unique per unit, so the stage's
-// decile progress events are identical for any worker count.
+// decile progress events are identical for any worker count. With no
+// units it starts no worker.
 func runUnits(opts Options, stage string, deps []int, succ [][]int, newWorker func() func(i int) (replayed bool)) (workers int, st StoreStats) {
 	n := len(deps)
 	workers = opts.Parallelism
@@ -31,6 +32,9 @@ func runUnits(opts Options, stage string, deps []int, succ [][]int, newWorker fu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(min(workers, n), 1)
+	if n == 0 {
+		return workers, st
+	}
 	events, counted := opts.Events, opts.SummaryStore != nil
 
 	var (
@@ -137,8 +141,9 @@ func (f fnRun) end(sum *symexec.Summary) {
 // runBottomUp executes the bottom-up interprocedural phase (3+4) over the
 // call graph's SCC condensation: a component is ready once its callee
 // components are summarized. Each worker runs its components through its
-// own tracker, which holds one function at a time; every function's
-// summary and pending sinks are published as soon as it ends. The
+// own engine, oracle and tracker, which hold one function at a time and
+// keep their storage for the next; every function's summary and pending
+// sinks are published as soon as it ends. The
 // component's store entry holds its findings and counters until they are
 // merged in condensation order, so the result is bit-identical for every
 // worker count.
@@ -160,6 +165,7 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, res *Result, s
 	}
 	done := make([]compResult, len(cond.Comps))
 	workers, st := runUnits(opts, "interproc-dataflow", cond.NumDeps, cond.Callers, func() func(int) bool {
+		eng := new(symexec.Engine)
 		oracle := &interOracle{tracker: newTracker(opts, prog.Binary), published: shared, noVRange: opts.DisableVRange}
 		return func(i int) bool {
 			if store != nil {
@@ -171,7 +177,7 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, res *Result, s
 					return true
 				}
 			}
-			done[i] = analyzeComponent(prog, opts, oracle, cond.Comps[i], i, stageSpan, rec)
+			done[i] = analyzeComponent(prog, opts, eng, oracle, cond.Comps[i], i, stageSpan, rec)
 			if store != nil {
 				store.PutEntry(keys[i], done[i].Entry)
 			}
@@ -245,18 +251,21 @@ type compResult struct {
 }
 
 // analyzeComponent runs Algorithm 2 over one SCC component through the
-// worker's oracle. Functions inside the component are processed in sorted
-// order (the component's fixed order), mirroring the sequential pass; each
-// is published as soon as EndFunction returns its pending sinks, and its
-// findings are appended to the component's entry in that order.
-func analyzeComponent(prog *cfg.Program, opts Options, oracle *interOracle, comp []string, idx int, stageSpan *obs.Span, rec *fnRecorder) compResult {
+// worker's engine and oracle. Functions inside the component are
+// processed in sorted order (the component's fixed order), mirroring the
+// sequential pass; each is published as soon as EndFunction returns its
+// pending sinks, and its findings are appended to the component's entry
+// in that order. A summary's constraints live in the engine's buffer,
+// which its next function reuses, so they are dropped once EndFunction
+// has read them.
+func analyzeComponent(prog *cfg.Program, opts Options, eng *symexec.Engine, oracle *interOracle, comp []string, idx int, stageSpan *obs.Span, rec *fnRecorder) compResult {
 	out := compResult{Entry: &sumstore.Entry{Summaries: make([]*symexec.Summary, 0, len(comp))}}
 	compSpan := stageSpan.StartChild("scc-component",
 		obs.KV("index", idx), obs.KV("functions", len(comp)))
 	for _, name := range comp {
 		run := rec.start(compSpan, name)
 		oracle.tracker.BeginFunction(name)
-		sum := symexec.Analyze(prog.ByName[name], prog.Binary, oracle, opts.Symexec)
+		sum := eng.Analyze(prog.ByName[name], prog.Binary, oracle, opts.Symexec)
 		if !opts.DisableAlias {
 			var ast alias.Stats
 			if opts.DisableSSE {
@@ -271,7 +280,8 @@ func analyzeComponent(prog *cfg.Program, opts Options, oracle *interOracle, comp
 		}
 		fs, ps := oracle.tracker.EndFunction(sum)
 		// The verdict was the constraints' last reader: callers read Ranges
-		// and the constraints each pending sink carries.
+		// and the constraints each pending sink carries, which EndFunction
+		// copied out of the engine's buffer.
 		sum.Constraints = nil
 		run.end(sum)
 		oracle.published.publish(sum, ps)

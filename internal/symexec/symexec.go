@@ -19,6 +19,8 @@
 package symexec
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"dtaint/internal/cfg"
@@ -85,7 +87,8 @@ type Summary struct {
 	// every path.
 	Dispatches []Dispatch
 	// Constraints are the branch conditions of every explored path; empty
-	// under ForResolution. The wire format does not carry them.
+	// under ForResolution. The wire format does not carry them. They live
+	// in the engine's storage: valid until its next Analyze.
 	Constraints []Constraint
 	Types       map[string]expr.Type
 	Fields      []FieldObs
@@ -111,7 +114,9 @@ type Proto struct {
 	Ret  expr.Type
 }
 
-// CallEffect is what an Oracle applies to the state at a callsite.
+// CallEffect is what an Oracle applies to the state at a callsite. The
+// engine reads it before it calls the oracle again, so an oracle may
+// reuse the storage of MemDefs and Ranges from one call to the next.
 type CallEffect struct {
 	// Handled reports the oracle modeled the call; otherwise the engine
 	// assigns a fresh ret symbol and nothing else.
@@ -135,7 +140,9 @@ type MemDef struct {
 	Val  *expr.Expr
 }
 
-// CallContext gives an Oracle access to the callsite.
+// CallContext gives an Oracle access to the callsite. The engine reuses
+// one context, and the storage of Args, for every call: both are valid
+// only until the oracle's Call returns.
 type CallContext struct {
 	Func   string
 	Site   uint32
@@ -267,14 +274,33 @@ type State struct {
 	tab     *expr.Table
 }
 
-func (s *State) clone() *State {
-	n := &State{cmpL: s.cmpL, cmpR: s.cmpR, hasFlag: s.hasFlag, tab: s.tab}
-	n.regs = s.regs
-	n.mem = make(map[*expr.Expr]*expr.Expr, len(s.mem))
-	for k, v := range s.mem {
-		n.mem[k] = v
+// newState returns a state from the free list, or a new one. Its mem
+// is empty; the rest is whatever it last held.
+func (e *Engine) newState() *State {
+	if n := len(e.free); n > 0 {
+		st := e.free[n-1]
+		e.free = e.free[:n-1]
+		return st
 	}
-	n.visits = append([]int32(nil), s.visits...)
+	return &State{mem: make(map[*expr.Expr]*expr.Expr)}
+}
+
+// release puts st on the free list. No work item may still hold it.
+func (e *Engine) release(st *State) {
+	clear(st.mem)
+	e.free = append(e.free, st)
+}
+
+// clone copies s into a state from the free list.
+func (e *Engine) clone(s *State) *State {
+	n := e.newState()
+	mem, visits := n.mem, n.visits
+	*n = *s
+	for k, v := range s.mem {
+		mem[k] = v
+	}
+	n.mem = mem
+	n.visits = append(visits[:0], s.visits...)
 	return n
 }
 
@@ -334,66 +360,107 @@ func (s *State) rewriteDerefs(e *expr.Expr, changed *bool) *expr.Expr {
 	return e
 }
 
-type engine struct {
+// Engine runs the static symbolic analysis over one function at a time.
+// It keeps its scratch storage from one function to the next: the dedup
+// sets, the work stack, a free list of path states, the call context and
+// the constraint buffer. A worker that analyzes many functions keeps one
+// Engine. An Engine is not safe for concurrent use, and its Analyze must
+// not be re-entered: an Oracle must not call the Engine that called it.
+// The zero value is ready to use.
+type Engine struct {
+	// Set by each Analyze.
 	fn     *cfg.Function
 	bin    *image.Binary
 	conv   isa.CallConv
 	oracle Oracle
 	opts   Options
 	tab    *expr.Table
+	sum    *Summary
+	busy   bool
 
-	sum        *Summary
-	ranges     map[string]vrange.Interval // facts from oracle CallEffects
-	defSeen    map[DefPair]bool           // keyed with Addr and Size zero
-	constSeen  map[constraintKey]bool
-	fieldSeen  map[FieldObs]bool
-	retSeen    map[*expr.Expr]bool
-	blockSeen  []int                   // total states executed, by block index
-	initRegs   [isa.NumRegs]*expr.Expr // init_<fn>_<reg> symbols built so far
-	callByAddr map[uint32]cfg.CallSite
+	// Scratch, emptied by each Analyze.
+	ranges    map[string]vrange.Interval // facts from oracle CallEffects
+	defSeen   map[DefPair]bool           // keyed with Addr and Size zero
+	constSeen map[constraintKey]bool
+	fieldSeen map[FieldObs]bool
+	retSeen   map[*expr.Expr]bool
+	blockSeen []int                   // total states executed, by block index
+	initRegs  [isa.NumRegs]*expr.Expr // init_<fn>_<reg> symbols built so far
+	stack     []workItem
+	free      []*State // states no work item holds
+	ctx       CallContext
+	args      []*expr.Expr // the storage of ctx.Args
+	cons      []Constraint // the storage of Summary.Constraints
 }
 
-// Analyze runs the static symbolic analysis over one function.
+// Analyze runs the static symbolic analysis over one function with a
+// fresh Engine.
 func Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *Summary {
+	return new(Engine).Analyze(fn, bin, oracle, opts)
+}
+
+// Analyze runs the static symbolic analysis over one function. The
+// summary's Constraints are valid until e's next Analyze; every other
+// field is the caller's.
+func (e *Engine) Analyze(fn *cfg.Function, bin *image.Binary, oracle Oracle, opts Options) *Summary {
+	if e.busy {
+		panic("symexec: Engine.Analyze of " + fn.Name + " re-entered while it analyzes " + e.fn.Name)
+	}
+	e.busy = true
+	defer func() { e.busy = false }()
 	if opts.Table == nil {
 		opts.Table = new(expr.Table)
 	}
-	e := &engine{
-		fn:     fn,
-		bin:    bin,
-		conv:   bin.Arch.Conv(),
-		oracle: oracle,
-		opts:   opts.withDefaults(),
-		tab:    opts.Table,
-		sum: &Summary{
-			Func:  fn.Name,
-			Addr:  fn.Addr,
-			Types: make(map[string]expr.Type),
-		},
-		ranges:     make(map[string]vrange.Interval),
-		defSeen:    make(map[DefPair]bool),
-		fieldSeen:  make(map[FieldObs]bool),
-		retSeen:    make(map[*expr.Expr]bool),
-		blockSeen:  make([]int, len(fn.Blocks)),
-		callByAddr: make(map[uint32]cfg.CallSite, len(fn.Calls)),
+	e.fn, e.bin, e.conv, e.oracle = fn, bin, bin.Arch.Conv(), oracle
+	e.opts, e.tab = opts.withDefaults(), opts.Table
+	e.sum = &Summary{
+		Func:        fn.Name,
+		Addr:        fn.Addr,
+		Types:       make(map[string]expr.Type),
+		Constraints: e.cons[:0],
 	}
-	for _, cs := range fn.Calls {
-		e.callByAddr[cs.Addr] = cs
-	}
-	if !opts.resolutionOnly {
+	if e.ranges == nil {
+		e.ranges = make(map[string]vrange.Interval)
+		e.defSeen = make(map[DefPair]bool)
 		e.constSeen = make(map[constraintKey]bool)
+		e.fieldSeen = make(map[FieldObs]bool)
+		e.retSeen = make(map[*expr.Expr]bool)
 	}
+	clear(e.ranges)
+	clear(e.defSeen)
+	clear(e.constSeen)
+	clear(e.fieldSeen)
+	clear(e.retSeen)
+	e.blockSeen = zeroed(e.blockSeen, len(fn.Blocks))
+	e.initRegs = [isa.NumRegs]*expr.Expr{}
 	e.run()
-	if !opts.resolutionOnly {
-		e.sum.Ranges = DeriveRanges(e.sum.Constraints, e.ranges)
+	sum := e.sum
+	e.cons, e.sum = sum.Constraints, nil
+	if len(sum.Constraints) == 0 {
+		sum.Constraints = nil
+	} else {
+		sum.Constraints = slices.Clip(sum.Constraints)
 	}
-	return e.sum
+	if !opts.resolutionOnly {
+		sum.Ranges = DeriveRanges(sum.Constraints, e.ranges)
+	}
+	return sum
+}
+
+// zeroed returns s resized to n elements, all zero, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // mergeRange meets an oracle-provided interval fact into the function's
 // accumulated ranges. Meet is commutative and associative, so the result
 // is independent of the order facts arrive in.
-func (e *engine) mergeRange(key string, iv vrange.Interval) {
+func (e *Engine) mergeRange(key string, iv vrange.Interval) {
 	if key == "" || iv.IsTop() {
 		return
 	}
@@ -481,12 +548,9 @@ func orComponents(e *expr.Expr) []*expr.Expr {
 	return []*expr.Expr{e}
 }
 
-func (e *engine) initialState() *State {
-	st := &State{
-		mem:    make(map[*expr.Expr]*expr.Expr),
-		visits: make([]int32, len(e.fn.Blocks)),
-		tab:    e.tab,
-	}
+func (e *Engine) initialState() *State {
+	st := e.newState()
+	*st = State{mem: st.mem, visits: zeroed(st.visits, len(e.fn.Blocks)), tab: e.tab}
 	for i, r := range e.conv.ArgRegs {
 		st.regs[r] = e.tab.Arg(i)
 		e.sum.Types[expr.ArgName(i)] = expr.TypeUnknown
@@ -509,7 +573,7 @@ func (e *engine) initialState() *State {
 // function-unique symbols, so that junk values never unify across
 // functions; each is built on its first read, since most functions
 // write most registers before reading them.
-func (e *engine) reg(st *State, r isa.Reg) *expr.Expr {
+func (e *Engine) reg(st *State, r isa.Reg) *expr.Expr {
 	if v := st.regs[r]; v != nil {
 		return v
 	}
@@ -523,25 +587,28 @@ func (e *engine) reg(st *State, r isa.Reg) *expr.Expr {
 // of one block all hold their parent's state: each but the last carries
 // share and clones it when popped, and the last, popped after its
 // siblings' subtrees are done, takes it over. A dropped item copies
-// nothing.
+// nothing, and a dropped item that owns its state, like a block with no
+// successor, frees it.
 type workItem struct {
 	block *cfg.Block
 	st    *State
 	share bool
 }
 
-func (e *engine) run() {
+func (e *Engine) run() {
+	e.stack = e.stack[:0]
 	if e.fn.Entry == nil {
 		return
 	}
-	stack := []workItem{{block: e.fn.Entry, st: e.initialState()}}
-	for len(stack) > 0 {
+	e.stack = append(e.stack, workItem{block: e.fn.Entry, st: e.initialState()})
+	for len(e.stack) > 0 {
 		if e.sum.StatesExplored >= e.opts.MaxStatesPerFunc {
+			// The states still on the stack are left to the collector.
 			e.sum.Truncated = true
 			return
 		}
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		it := e.stack[len(e.stack)-1]
+		e.stack = e.stack[:len(e.stack)-1]
 
 		b := it.block
 		st := it.st
@@ -551,16 +618,20 @@ func (e *engine) run() {
 		if !e.opts.LoopOnce {
 			limit = e.opts.MaxLoopIters
 		}
-		if int(st.visits[b.Index]) >= limit {
-			continue
-		}
+		drop := int(st.visits[b.Index]) >= limit
 		// Per-block merging bound across all paths.
-		if e.blockSeen[b.Index] >= e.opts.MaxStatesPerBlock {
+		if !drop && e.blockSeen[b.Index] >= e.opts.MaxStatesPerBlock {
 			e.sum.Truncated = true
+			drop = true
+		}
+		if drop {
+			if !it.share {
+				e.release(st)
+			}
 			continue
 		}
 		if it.share {
-			st = st.clone()
+			st = e.clone(st)
 		}
 		st.visits[b.Index]++
 		e.blockSeen[b.Index]++
@@ -569,28 +640,32 @@ func (e *engine) run() {
 			e.sum.BlocksAnalyzed++
 		}
 
-		next := e.execBlock(b, st)
-		// Push in reverse so the first successor is explored first.
-		for i := len(next) - 1; i >= 0; i-- {
-			stack = append(stack, next[i])
+		if !e.execBlock(b, st) {
+			e.release(st)
 		}
 	}
 }
 
-// execBlock executes all instructions of b over st and returns successor
-// work items, all on st (see workItem).
-func (e *engine) execBlock(b *cfg.Block, st *State) []workItem {
+// push puts b on the work stack on st (see workItem).
+func (e *Engine) push(b *cfg.Block, st *State, share bool) {
+	e.stack = append(e.stack, workItem{block: b, st: st, share: share})
+}
+
+// execBlock executes all instructions of b over st and pushes its
+// successors onto the work stack, all on st (see workItem), in reverse
+// so that the first successor is explored first. It reports whether it
+// pushed any.
+func (e *Engine) execBlock(b *cfg.Block, st *State) bool {
 	inLoop := e.fn.LoopBlocks[b.Index]
 	for _, in := range b.Insts {
 		e.exec(in.Addr, in.Raw, st, inLoop)
 	}
 
 	term, hasTerm := b.Terminator()
-	var items []workItem
 	switch {
 	case hasTerm && term.Raw.Op == isa.OpBX:
 		e.recordRet(st)
-		return nil
+		return false
 	case hasTerm && term.Raw.Op == isa.OpB && term.Raw.Cond != isa.CondAL:
 		// Constant comparisons decide the branch statically; the infeasible
 		// side is pruned so dead code does not produce phantom paths. The
@@ -612,30 +687,33 @@ func (e *engine) execBlock(b *cfg.Block, st *State) []workItem {
 			}
 		}
 		// Conditional: successor 0 is taken, 1 is fallthrough.
-		if takeTaken && len(b.Succs) > 0 {
+		taken := takeTaken && len(b.Succs) > 0
+		fall := takeFall && len(b.Succs) > 1
+		if taken {
 			e.recordConstraint(term.Addr, st, term.Raw.Cond, inLoop)
-			items = append(items, workItem{block: b.Succs[0], st: st})
 		}
-		if takeFall && len(b.Succs) > 1 {
+		if fall {
 			e.recordConstraint(term.Addr, st, term.Raw.Cond.Negate(), inLoop)
-			items = append(items, workItem{block: b.Succs[1], st: st})
+			e.push(b.Succs[1], st, false)
 		}
+		if taken {
+			e.push(b.Succs[0], st, fall)
+		}
+		return taken || fall
 	default:
-		for _, s := range b.Succs {
-			items = append(items, workItem{block: s, st: st})
-		}
 		// A block that falls off the end of the function acts as a return.
 		if len(b.Succs) == 0 {
 			e.recordRet(st)
+			return false
 		}
+		for i := len(b.Succs) - 1; i >= 0; i-- {
+			e.push(b.Succs[i], st, i < len(b.Succs)-1)
+		}
+		return true
 	}
-	for i := 0; i < len(items)-1; i++ {
-		items[i].share = true
-	}
-	return items
 }
 
-func (e *engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
+func (e *Engine) exec(addr uint32, in isa.Inst, st *State, inLoop bool) {
 	switch in.Op {
 	case isa.OpMOV:
 		st.regs[in.Rd] = e.src(in, st)
@@ -747,7 +825,7 @@ func loadType(size int) expr.Type {
 
 // loadValue reads memory at addrE, falling back to the symbolic deref and
 // recognizing stack-passed incoming arguments.
-func (e *engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
+func (e *Engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
 	if v, ok := st.mem[addrE]; ok {
 		return v
 	}
@@ -765,15 +843,21 @@ func (e *engine) loadValue(addrE *expr.Expr, st *State) *expr.Expr {
 
 // src evaluates an instruction's second operand: the immediate when it
 // has one, else register Rm.
-func (e *engine) src(in isa.Inst, st *State) *expr.Expr {
+func (e *Engine) src(in isa.Inst, st *State) *expr.Expr {
 	if in.HasImm {
 		return e.tab.Const(int64(in.Imm))
 	}
 	return e.reg(st, in.Rm)
 }
 
-func (e *engine) execCall(addr uint32, in isa.Inst, st *State) {
-	cs := e.callByAddr[addr]
+func (e *Engine) execCall(addr uint32, in isa.Inst, st *State) {
+	var cs cfg.CallSite
+	// fn.Calls is in address order.
+	if i, ok := slices.BinarySearchFunc(e.fn.Calls, addr, func(c cfg.CallSite, a uint32) int {
+		return cmp.Compare(c.Addr, a)
+	}); ok {
+		cs = e.fn.Calls[i]
+	}
 	args := e.collectArgs(st)
 
 	calleeName := cs.Callee
@@ -790,7 +874,7 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State) {
 	retSym := e.tab.Sym(expr.RetName(calleeName, uint64(addr)))
 	ret := retSym
 	if e.oracle != nil {
-		ctx := &CallContext{
+		e.ctx = CallContext{
 			Func:   e.fn.Name,
 			Site:   addr,
 			Kind:   cs.Kind,
@@ -799,7 +883,7 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State) {
 			st:     st,
 			ranges: e.ranges,
 		}
-		eff := e.oracle.Call(ctx)
+		eff := e.oracle.Call(&e.ctx)
 		if eff.Handled {
 			for _, md := range eff.MemDefs {
 				if md.Addr == nil || md.Val == nil {
@@ -834,9 +918,9 @@ func (e *engine) execCall(addr uint32, in isa.Inst, st *State) {
 }
 
 // collectArgs gathers register arguments plus any stack-passed arguments
-// visible at the current SP.
-func (e *engine) collectArgs(st *State) []*expr.Expr {
-	args := make([]*expr.Expr, 0, e.conv.MaxArgs)
+// visible at the current SP, into the engine's argument storage.
+func (e *Engine) collectArgs(st *State) []*expr.Expr {
+	args := e.args[:0]
 	for _, r := range e.conv.ArgRegs {
 		args = append(args, e.reg(st, r))
 	}
@@ -849,6 +933,7 @@ func (e *engine) collectArgs(st *State) []*expr.Expr {
 		}
 		args = append(args, v)
 	}
+	e.args = args
 	return args
 }
 
@@ -856,13 +941,13 @@ func (e *engine) collectArgs(st *State) []*expr.Expr {
 // enabled. Every trace line is built only under that check: built
 // unconditionally, the strings cost an allocation per executed
 // instruction.
-func (e *engine) traceReg(addr uint32, r isa.Reg, st *State) {
+func (e *Engine) traceReg(addr uint32, r isa.Reg, st *State) {
 	if e.opts.Trace != nil {
 		e.opts.Trace(addr, r.Name()+" = "+st.regs[r].Key())
 	}
 }
 
-func (e *engine) recordRet(st *State) {
+func (e *Engine) recordRet(st *State) {
 	v := e.reg(st, e.conv.RetReg)
 	if !e.retSeen[v] {
 		e.retSeen[v] = true
@@ -870,7 +955,7 @@ func (e *engine) recordRet(st *State) {
 	}
 }
 
-func (e *engine) recordDef(d, u *expr.Expr, addr uint32, size int) {
+func (e *Engine) recordDef(d, u *expr.Expr, addr uint32, size int) {
 	key := DefPair{D: d, U: u}
 	if e.defSeen[key] {
 		return
@@ -885,7 +970,7 @@ type constraintKey struct {
 	cond isa.Cond
 }
 
-func (e *engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop bool) {
+func (e *Engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop bool) {
 	if !st.hasFlag || e.opts.resolutionOnly {
 		return
 	}
@@ -899,7 +984,7 @@ func (e *engine) recordConstraint(addr uint32, st *State, cond isa.Cond, inLoop 
 	})
 }
 
-func (e *engine) observeType(v *expr.Expr, ty expr.Type) {
+func (e *Engine) observeType(v *expr.Expr, ty expr.Type) {
 	if v == nil || ty == expr.TypeUnknown {
 		return
 	}
@@ -910,7 +995,7 @@ func (e *engine) observeType(v *expr.Expr, ty expr.Type) {
 	e.sum.Types[k] = e.sum.Types[k].Join(ty)
 }
 
-func (e *engine) observeField(base *expr.Expr, off int64, ty expr.Type, fnTarget string) {
+func (e *Engine) observeField(base *expr.Expr, off int64, ty expr.Type, fnTarget string) {
 	if base == nil {
 		return
 	}
@@ -928,7 +1013,7 @@ func (e *engine) observeField(base *expr.Expr, off int64, ty expr.Type, fnTarget
 // isPointerValue guesses whether a value expression is a pointer: known
 // pointer type, heap identity, the stack pointer, or an argument already
 // observed as a pointer base.
-func (e *engine) isPointerValue(v *expr.Expr) bool {
+func (e *Engine) isPointerValue(v *expr.Expr) bool {
 	if v == nil {
 		return false
 	}

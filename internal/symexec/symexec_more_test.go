@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"strings"
 	"testing"
 
 	"dtaint/internal/expr"
@@ -161,5 +162,45 @@ func TestMIPSReturnRegister(t *testing.T) {
 	}
 	if v, ok := sum.Rets[0].ConstVal(); !ok || v != 99 {
 		t.Fatalf("MIPS ret = %s", sum.Rets[0])
+	}
+}
+
+// An oracle must not call the Engine that called it: the nested Analyze
+// panics with a message naming both functions, and the engine analyzes
+// normally afterwards. A fresh engine per nested call, which
+// symexec.Analyze builds, is allowed.
+func TestEngineRefusesReentry(t *testing.T) {
+	p, bin := build(t, `
+.arch arm
+.func callee
+  MOV R0, #7
+  BX LR
+.endfunc
+.func caller
+  BL callee
+  BX LR
+.endfunc
+`)
+	callee, caller := p.ByName["callee"], p.ByName["caller"]
+	var eng Engine
+	reenter := oracleFunc(func(ctx *CallContext) CallEffect {
+		eng.Analyze(callee, bin, nil, Options{Table: tab})
+		return CallEffect{}
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		eng.Analyze(caller, bin, reenter, Options{Table: tab})
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "Analyze of callee re-entered while it analyzes caller") {
+		t.Fatalf("re-entered Analyze: recovered %v, want a panic naming callee and caller", got)
+	}
+
+	nested := oracleFunc(func(ctx *CallContext) CallEffect {
+		return CallEffect{Handled: true, Ret: Analyze(callee, bin, nil, Options{Table: tab}).Rets[0]}
+	})
+	sum := eng.Analyze(caller, bin, nested, Options{Table: tab})
+	if len(sum.Rets) != 1 || sum.Rets[0] != tab.Const(7) {
+		t.Fatalf("caller after the refused re-entry returns %v, want [7]", sum.Rets)
 	}
 }

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,12 +52,15 @@ func (recvOracle) Call(ctx *CallContext) CallEffect {
 	}
 }
 
-// callLog is an Oracle that models nothing and keeps the context of
-// every call it is asked about, in execution order.
+// callLog is an Oracle that models nothing and keeps a copy of the
+// context of every call it is asked about, in execution order. The engine
+// reuses one context and its Args, so the log copies both.
 type callLog []*CallContext
 
 func (l *callLog) Call(ctx *CallContext) CallEffect {
-	*l = append(*l, ctx)
+	c := *ctx
+	c.Args = slices.Clone(ctx.Args)
+	*l = append(*l, &c)
 	return CallEffect{}
 }
 
@@ -481,13 +485,18 @@ func TestStateCapTruncation(t *testing.T) {
 }
 
 func TestResolveAndResolveDeep(t *testing.T) {
-	var captured *CallContext
+	// A context is valid only during its Call, so the checks run there.
+	var resolved, deep *expr.Expr
 	oracle := oracleFunc(func(ctx *CallContext) CallEffect {
-		captured = ctx
-		if ctx.Callee == "recv" {
+		switch ctx.Callee {
+		case "recv":
 			return CallEffect{Handled: true, MemDefs: []MemDef{
 				{Addr: ctx.Args[1], Val: tab.Sym(expr.TaintName("recv", uint64(ctx.Site)))},
 			}}
+		case "use":
+			// arg1 of use is the buffer pointer (arg0); its pointee is tainted.
+			resolved = ctx.Resolve(ctx.Args[1])
+			deep = ctx.ResolveDeep(tab.Deref(tab.Arg(0)))
 		}
 		return CallEffect{}
 	})
@@ -505,15 +514,12 @@ func TestResolveAndResolveDeep(t *testing.T) {
   BX LR
 .endfunc
 `, "f", oracle)
-	if captured == nil || captured.Callee != "use" {
-		t.Fatalf("oracle not called for use: %+v", captured)
+	if resolved == nil {
+		t.Fatal("oracle not called for use")
 	}
-	// arg1 of use is the buffer pointer (arg0); its pointee is tainted.
-	got := captured.Resolve(captured.Args[1])
-	if !got.ContainsTaint() {
-		t.Fatalf("Resolve(%s) = %s, want taint", captured.Args[1], got)
+	if !resolved.ContainsTaint() {
+		t.Fatalf("Resolve(arg0) = %s, want taint", resolved)
 	}
-	deep := captured.ResolveDeep(tab.Deref(tab.Arg(0)))
 	if !deep.ContainsTaint() {
 		t.Fatalf("ResolveDeep = %s, want taint", deep)
 	}

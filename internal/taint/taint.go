@@ -211,8 +211,9 @@ func (p *PendingSink) Steps() []Step {
 // calls for the symbolic engine (sources introduce taint, libc calls
 // propagate it, sinks are observed) and holds the state of one function
 // at a time: BeginFunction starts it, and EndFunction returns its
-// findings and pending sinks. Its storage is reused from one function to
-// the next, so a worker keeps one tracker for every function it runs. It
+// findings and pending sinks. Its storage, the verdicts' constraint index
+// included, is reused from one function to the next, so a worker keeps
+// one tracker for every function it runs. It
 // implements symexec.Oracle for import calls; local calls return
 // Handled=false so the interprocedural driver can apply callee
 // summaries.
@@ -222,6 +223,7 @@ type Tracker struct {
 	guards  map[guardKey]bool // guarded content roots (strchr-style checks), per separator byte
 	obsSeen map[obsKey]bool
 	frames  []trackerFrame
+	ix      constraintIndex // the ending function's, reset by EndFunction
 
 	vocab *Vocabulary
 
@@ -919,7 +921,10 @@ func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Exp
 // sinks, the argument-rooted ones for the callers to import. Loop-copy
 // stores are checked as the structural "loop" sink of Table I. The
 // pending sinks are an exact-size copy: the staging array stays with the
-// tracker for the next function.
+// tracker for the next function. So does the constraint index, which
+// EndFunction resets for sum's constraints; the constraints the pending
+// sinks carry are copies, so sum.Constraints may be reused once it
+// returns.
 func (t *Tracker) EndFunction(sum *symexec.Summary) (findings []Finding, pending []PendingSink) {
 	// Structural loop-copy sinks.
 	for _, ls := range sum.LoopStores {
@@ -947,13 +952,14 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) (findings []Finding, pending
 	}
 
 	// One constraint index serves every observation of this function; it
-	// is built on the first scan that needs it and dropped on return.
-	ix := constraintIndex{cs: sum.Constraints}
+	// is built on the first scan that needs it.
+	ix := &t.ix
+	ix.reset(sum.Constraints)
 	kept := t.obs[:0]
 	for _, o := range t.obs {
 		switch {
 		case o.TaintExpr.ContainsTaint():
-			v := t.checkObs(o, sum, &ix)
+			v := t.checkObs(o, sum, ix)
 			f := Finding{
 				Class:     v.class,
 				Sink:      o.Sink,
@@ -972,8 +978,8 @@ func (t *Tracker) EndFunction(sum *symexec.Summary) (findings []Finding, pending
 			// callee) sanitizes the path no matter where the taint enters;
 			// evaluate it now, while the local length-symbol names still
 			// match (ReplaceFormalArgs cannot rewrite hashed names).
-			o.Guarded = o.Guarded || t.checkObs(o, sum, &ix).sanitized
-			o.Constraints = append(relevantConstraints(&ix, o), o.Constraints...)
+			o.Guarded = o.Guarded || t.checkObs(o, sum, ix).sanitized
+			o.Constraints = append(relevantConstraints(ix, o), o.Constraints...)
 			kept = append(kept, o)
 		}
 	}
@@ -1061,7 +1067,7 @@ func relevantConstraints(ix *constraintIndex, o PendingSink) []symexec.Constrain
 	if len(ix.cs) == 0 {
 		return nil
 	}
-	var marks marks
+	marks := ix.marks[:0]
 	marks.addSyms(o.TaintExpr)
 	if o.GuardExpr != nil {
 		marks.addSyms(o.GuardExpr)
@@ -1072,6 +1078,7 @@ func relevantConstraints(ix *constraintIndex, o PendingSink) []symexec.Constrain
 			marks.add(LenSymName(o.GuardExpr.Key()))
 		}
 	}
+	ix.marks = marks
 	var out []symexec.Constraint
 	ix.scan(marks, nil, func(c symexec.Constraint) bool {
 		if marks.mentionedBy(c.L) || marks.mentionedBy(c.R) {
@@ -1125,25 +1132,41 @@ func (m marks) sideMarked(e *expr.Expr) bool {
 // and each side's own key. A scan visits only the constraints that carry
 // one of its marks instead of every constraint, and re-checks each with
 // its exact predicate, so the index need only over-approximate. It is
-// built on the first scan and lives for one EndFunction.
+// built on the first scan. A tracker keeps one index, which each
+// EndFunction resets, keeping its storage.
 type constraintIndex struct {
 	cs []symexec.Constraint
 	// head maps a name to 1 + the position in postings of its newest
 	// constraint; each posting links to the name's previous one.
 	head     map[string]int32
 	postings []posting
-	cand     []int32 // scratch for the current scan's candidates
+	built    bool
 	lens     bool    // some constraint mentions a length symbol
+	cand     []int32 // scratch for the current scan's candidates
+	marks    marks   // scratch for the current observation's marks
 }
 
 type posting struct{ c, next int32 }
 
+// reset empties the index and points it at cs.
+func (ix *constraintIndex) reset(cs []symexec.Constraint) {
+	ix.cs = cs
+	if ix.built {
+		clear(ix.head)
+		ix.postings = ix.postings[:0]
+		ix.built, ix.lens = false, false
+	}
+}
+
 // build indexes the constraints on first use.
 func (ix *constraintIndex) build() {
-	if ix.head != nil || len(ix.cs) == 0 {
+	if ix.built || len(ix.cs) == 0 {
 		return
 	}
-	ix.head = make(map[string]int32)
+	ix.built = true
+	if ix.head == nil {
+		ix.head = make(map[string]int32)
+	}
 	for i, c := range ix.cs {
 		for _, side := range [2]*expr.Expr{c.L, c.R} {
 			if side == nil {
@@ -1510,12 +1533,13 @@ func isLenSym(name string) bool { return strings.HasPrefix(name, "len_") }
 // guardMarks collects the symbol/key marks a sanitizing constraint must
 // touch to count for this observation.
 func guardMarks(o PendingSink, ix *constraintIndex) marks {
-	m := marks{o.GuardExpr.Key()}
+	m := append(ix.marks[:0], o.GuardExpr.Key())
 	if ix.mentionsLen(o.Constraints) {
 		m.add(LenSymName(o.GuardExpr.Key()))
 	}
 	m.addTaintSyms(o.GuardExpr)
 	m.addTaintSyms(o.TaintExpr)
+	ix.marks = m
 	return m
 }
 
@@ -1622,7 +1646,7 @@ func loopGuarded(cs []symexec.Constraint) bool {
 // against the sink's separator byte (EQ/NE), or a strchr-style scan was
 // recorded.
 func separatorGuarded(o PendingSink, ix *constraintIndex, gb byte) bool {
-	var taintMarks marks
+	taintMarks := ix.marks[:0]
 	taintMarks.addTaintSyms(o.TaintExpr)
 	var root string
 	hasRoot := false
@@ -1635,8 +1659,9 @@ func separatorGuarded(o PendingSink, ix *constraintIndex, gb byte) bool {
 	// the root joins the index lookup.
 	lookup := taintMarks
 	if hasRoot {
-		lookup = append(slices.Clip(lookup), root)
+		lookup = append(lookup, root)
 	}
+	ix.marks = lookup
 	return ix.scan(lookup, o.Constraints, func(c symexec.Constraint) bool {
 		if c.Cond != isa.CondEQ && c.Cond != isa.CondNE {
 			return false

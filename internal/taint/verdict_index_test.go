@@ -2,8 +2,10 @@ package taint
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -540,5 +542,59 @@ func TestIndexedVerdictMatchesLinearScan(t *testing.T) {
 	if sanitized < 200 || constraintEvidence < 50 || relevant < 500 {
 		t.Fatalf("generator too weak: %d sanitized, %d constraint-decided, %d relevant",
 			sanitized, constraintEvidence, relevant)
+	}
+}
+
+// TestTrackerReusesIndex: one tracker ends a function with many
+// constraints, then functions with few or none, and must return the
+// findings, pending sinks and carried constraints a fresh tracker returns
+// for each function. After each EndFunction, the index the tracker keeps
+// must hold what an index built fresh over the function's constraints
+// holds, so nothing of an earlier function's index survives its reset.
+func TestTrackerReusesIndex(t *testing.T) {
+	g := newVerdictGen(7)
+	var guards []*expr.Expr
+	for i := 0; i < 4; i++ {
+		guards = append(guards, g.value(2))
+	}
+	reused := NewTracker()
+	var findings, carried int
+	for fn, n := range []int{64, 2, 0, 1, 48, 0, 3, 0} {
+		name := fmt.Sprintf("f%d", fn)
+		sum := &symexec.Summary{Func: name, Constraints: g.constraints(n, guards)}
+		var obs []PendingSink
+		for i := 0; i < 16; i++ {
+			obs = append(obs, g.obs(guards))
+		}
+		end := func(tr *Tracker) ([]Finding, []PendingSink) {
+			tr.BeginFunction(name)
+			for _, o := range obs {
+				tr.observe(o)
+			}
+			return tr.EndFunction(sum)
+		}
+		gotF, gotP := end(reused)
+		wantF, wantP := end(NewTracker())
+		if !reflect.DeepEqual(gotF, wantF) {
+			t.Fatalf("%s (%d constraints): reused tracker's findings\n%+v\nfresh tracker's\n%+v", name, n, gotF, wantF)
+		}
+		if !reflect.DeepEqual(gotP, wantP) {
+			t.Fatalf("%s (%d constraints): reused tracker's pending sinks\n%+v\nfresh tracker's\n%+v", name, n, gotP, wantP)
+		}
+		findings += len(gotF)
+		for _, p := range gotP {
+			carried += len(p.Constraints)
+		}
+
+		ix, fresh := &reused.ix, indexOf(sum.Constraints)
+		ix.build()
+		fresh.build()
+		if !maps.Equal(ix.head, fresh.head) || !slices.Equal(ix.postings, fresh.postings) || ix.lens != fresh.lens {
+			t.Fatalf("%s: reused index holds %d names and %d postings (lens %v), a fresh one %d and %d (lens %v)",
+				name, len(ix.head), len(ix.postings), ix.lens, len(fresh.head), len(fresh.postings), fresh.lens)
+		}
+	}
+	if findings < 20 || carried < 20 {
+		t.Fatalf("generator too weak: %d findings, %d carried constraints", findings, carried)
 	}
 }

@@ -100,7 +100,10 @@ go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -fuzzminimizetime 1s ./inter
 # Screening binaries seed it: a study image analyzes at about one exec/s.
 # Each input's program runs at 1 and 4 workers and through a cold and
 # a warm summary store, and all four results must agree: one program
-# serves all four runs, so an analysis that changed it would show.
+# serves all four runs, so an analysis that changed it would show. One
+# reused symexec.Engine also analyzes its every function, and each
+# summary must equal a fresh engine's, so the engine's reused scratch is
+# fuzzed on arbitrary CFGs within the same 10 s budget.
 echo ">> fuzz the whole per-binary analysis and its determinism on parsed binaries"
 go test -run '^$' -fuzz '^FuzzAnalyzeBinary$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
