@@ -587,8 +587,8 @@ func (e *Engine) reg(st *State, r isa.Reg) *expr.Expr {
 // of one block all hold their parent's state: each but the last carries
 // share and clones it when popped, and the last, popped after its
 // siblings' subtrees are done, takes it over. A dropped item copies
-// nothing, and a dropped item that owns its state, like a block with no
-// successor, frees it.
+// nothing. A state goes back on the free list when the item that owns
+// it is dropped, or when its block has no successor.
 type workItem struct {
 	block *cfg.Block
 	st    *State
